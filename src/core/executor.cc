@@ -12,25 +12,6 @@
 namespace vmargin
 {
 
-namespace
-{
-
-/** One cell of the sweep, in canonical (workload-major) order. */
-struct PlanEntry
-{
-    const wl::WorkloadProfile *workload = nullptr;
-    CoreId core = 0;
-
-    /** Journal- or cache-served measurement; runs fresh when unset. */
-    CellMeasurement replayed;
-    bool fromJournal = false;
-    bool fromCache = false;
-
-    bool fresh() const { return !fromJournal && !fromCache; }
-};
-
-} // namespace
-
 CellMeasurement
 measureCellWith(CampaignRunner &runner,
                 const wl::WorkloadProfile &workload, CoreId core,
@@ -99,17 +80,26 @@ mergeCellIntoReport(CharacterizationReport &report, LedgerView &view,
     report.telemetry.merge(cell.telemetry);
 }
 
-CampaignExecutor::CampaignExecutor(sim::Platform *prototype)
-    : prototype_(prototype)
-{
-    if (!prototype_)
-        util::panicf("CampaignExecutor: null platform");
-}
-
 namespace
 {
 
-/** The executor's telemetry handles, fetched once per run(). */
+/** Where a planned cell's measurement comes from. */
+enum class Source { Fresh, Journal, Cache };
+
+/** One (chip, workload, core) cell of the sweep, in plan order. */
+struct PlanEntry
+{
+    size_t chip = 0; ///< index into the prototypes
+    const wl::WorkloadProfile *workload = nullptr;
+    CoreId core = 0;
+    Source source = Source::Fresh;
+
+    /** A fresh cell's measurement. Replayed cells are not copied:
+     *  the merge looks them up again after the last append. */
+    CellMeasurement measured;
+};
+
+/** The executor's telemetry handles, fetched once per sweep. */
 struct ExecutorStats
 {
     obs::Registry &reg = obs::Registry::global();
@@ -131,121 +121,122 @@ struct ExecutorStats
 
 } // namespace
 
-CharacterizationReport
-CampaignExecutor::run(const FrameworkConfig &config)
+std::vector<CharacterizationReport>
+executeSweep(const std::vector<const sim::Platform *> &prototypes,
+             const FrameworkConfig &config,
+             const std::string &journal_header,
+             const ChipRef &implicit_chip)
 {
     ExecutorStats stats;
     // The sink (when enabled) is strictly out-of-band: it reads the
     // registry at deterministic boundaries and never feeds anything
-    // back into the report.
+    // back into the reports.
     std::unique_ptr<obs::TelemetrySink> sink;
     if (!config.telemetryPath.empty())
         sink = std::make_unique<obs::TelemetrySink>(
             config.telemetryPath);
 
-    CharacterizationReport report;
-    report.chipName = prototype_->chip().name();
-    report.corner = prototype_->chip().corner();
-    report.frequency = config.frequency;
-    const ChipRef chip = chipRefOf(*prototype_);
-
-    // The flush knobs shape durability, never measurements — they
-    // are deliberately absent from journalHeaderFor/cellConfigHash,
-    // so a journal written under one policy resumes under another.
-    // The platform's chip doubles as the implicit chip a legacy
-    // (pre-chip-dimension) journal's cells are mapped onto.
+    // One journal and one cache serve every chip; the ledger index
+    // keys cells by chip. The flush knobs shape durability, never
+    // measurements, so they are absent from the header and hashes.
     std::unique_ptr<CampaignJournal> journal;
     if (!config.journalPath.empty()) {
         journal = std::make_unique<CampaignJournal>(
             config.journalPath, config.writeOptions());
-        journal->open(journalHeaderFor(config, *prototype_), chip);
+        journal->open(journal_header, implicit_chip);
     }
-
     std::unique_ptr<CellResultCache> cache;
-    Seed config_hash = 0;
+    std::vector<Seed> config_hashes(prototypes.size(), 0);
     if (!config.cachePath.empty()) {
         cache = std::make_unique<CellResultCache>(
             config.cachePath, config.writeOptions());
         cache->open();
-        config_hash = cellConfigHash(config, *prototype_);
+        for (size_t i = 0; i < prototypes.size(); ++i)
+            config_hashes[i] = cellConfigHash(config, *prototypes[i]);
     }
 
-    // ---- plan: walk the sweep in canonical order ----------------
-    // Replays are resolved (and copied — later appends invalidate
-    // the journal/cache pointers) up front; the cell budget counts
-    // only fresh cells and truncates the plan exactly where the
-    // sequential walk would have stopped.
+    // Journal first, then cache; records the entry's source. Appends
+    // only add cells that were not found, so the answer is the same
+    // at plan time and at merge time.
+    const auto lookup =
+        [&](PlanEntry &entry) -> const CellMeasurement * {
+        const ChipRef chip = chipRefOf(*prototypes[entry.chip]);
+        const std::string id = entry.workload->id();
+        const CellMeasurement *served = nullptr;
+        if (journal && (served = journal->find(chip, id, entry.core)))
+            entry.source = Source::Journal;
+        else if (cache &&
+                 (served = cache->find(config_hashes[entry.chip],
+                                       chip, id, entry.core)))
+            entry.source = Source::Cache;
+        return served;
+    };
+
+    // ---- plan: chip-major, workload-major, core-minor -------------
+    // The cell budget counts fresh cells across all chips and stops
+    // the plan exactly where a sequential walk would have stopped;
+    // returns false when it did.
     std::vector<PlanEntry> plan;
-    plan.reserve(config.workloads.size() * config.cores.size());
+    plan.reserve(prototypes.size() * config.workloads.size() *
+                 config.cores.size());
     int fresh_cells = 0;
+    const auto planCells = [&] {
+        for (size_t chip = 0; chip < prototypes.size(); ++chip) {
+            for (const auto &workload : config.workloads) {
+                for (const CoreId core : config.cores) {
+                    PlanEntry entry;
+                    entry.chip = chip;
+                    entry.workload = &workload;
+                    entry.core = core;
+                    if (lookup(entry)) {
+                        if (entry.source == Source::Journal)
+                            stats.cellsFromJournal.inc();
+                        else
+                            stats.cacheHits.inc();
+                    } else if (config.cellBudget > 0 &&
+                               fresh_cells >= config.cellBudget) {
+                        return false; // a later call resumes here
+                    } else {
+                        if (cache)
+                            stats.cacheMisses.inc();
+                        ++fresh_cells;
+                    }
+                    plan.push_back(std::move(entry));
+                }
+            }
+        }
+        return true;
+    };
+    bool complete = true;
     {
         obs::ScopedSpan planning(stats.planSpan);
-        for (const auto &workload : config.workloads) {
-            for (const CoreId core : config.cores) {
-                PlanEntry entry;
-                entry.workload = &workload;
-                entry.core = core;
-                const CellMeasurement *served =
-                    journal
-                        ? journal->find(chip, workload.id(), core)
-                        : nullptr;
-                if (served) {
-                    entry.fromJournal = true;
-                    stats.cellsFromJournal.inc();
-                } else if (cache &&
-                           (served = cache->find(config_hash, chip,
-                                                 workload.id(),
-                                                 core))) {
-                    entry.fromCache = true;
-                    stats.cacheHits.inc();
-                } else if (config.cellBudget > 0 &&
-                           fresh_cells >= config.cellBudget) {
-                    // Session budget spent; the journal holds what
-                    // finished, a later call picks up from here.
-                    report.complete = false;
-                    break;
-                } else {
-                    if (cache)
-                        stats.cacheMisses.inc();
-                    ++fresh_cells;
-                }
-                if (served)
-                    entry.replayed = *served;
-                plan.push_back(std::move(entry));
-            }
-            if (!report.complete)
-                break;
-        }
+        complete = planCells();
     }
     stats.cellsPlanned.inc(plan.size());
     stats.cellsFresh.inc(static_cast<uint64_t>(fresh_cells));
 
-    // ---- execute: fresh cells fan out across the pool -----------
-    // Each task measures on a brand-new platform replica, so no
-    // cross-cell state (RNG, thermal, SLIMpro, fault streams) is
-    // shared between workers — the determinism contract. Journal
-    // and cache appends happen per completed cell (write-ahead: a
-    // killed process keeps every finished cell), in completion
-    // order, under their own locks.
-    std::vector<CellMeasurement> measured(plan.size());
+    // ---- execute: fresh cells fan out across the pool -------------
+    // Each task measures on a brand-new replica of its chip's
+    // prototype, so workers share no cross-cell state (RNG, thermal,
+    // SLIMpro, fault streams). Appends are write-ahead, per finished
+    // cell, in completion order, under the journal's/cache's locks.
     {
         obs::ScopedSpan executing(stats.executeSpan);
         util::ThreadPool pool(config.workers);
-        for (size_t i = 0; i < plan.size(); ++i) {
-            if (!plan[i].fresh())
+        for (PlanEntry &entry : plan) {
+            if (entry.source != Source::Fresh)
                 continue;
-            pool.submit([&, i] {
+            pool.submit([&, e = &entry] {
                 obs::ScopedSpan cellSpan(stats.cellSpan);
-                auto replica = prototype_->freshReplica();
+                auto replica = prototypes[e->chip]->freshReplica();
                 CampaignRunner runner(replica.get());
-                CellMeasurement cell = measureCellWith(
-                    runner, *plan[i].workload, plan[i].core, config);
-                cell.chip = chip;
+                e->measured = measureCellWith(runner, *e->workload,
+                                              e->core, config);
+                e->measured.chip = chipRefOf(*prototypes[e->chip]);
                 if (journal)
-                    journal->append(cell);
+                    journal->append(e->measured);
                 if (cache)
-                    cache->put(config_hash, cell);
-                measured[i] = std::move(cell);
+                    cache->put(config_hashes[e->chip], e->measured);
             });
         }
         {
@@ -254,7 +245,7 @@ CampaignExecutor::run(const FrameworkConfig &config)
         }
         // Merge barrier doubles as the durability barrier: a batched
         // group-commit policy drains here, so everything measured
-        // this session is on disk before the report is assembled.
+        // this session is on disk before the reports are assembled.
         if (journal)
             journal->flush();
         if (cache)
@@ -263,29 +254,35 @@ CampaignExecutor::run(const FrameworkConfig &config)
     if (sink)
         sink->flush(); // all execute-phase counters are booked
 
-    // ---- merge: canonical order, independent of completion ------
-    // One LedgerView pass over the merged run stream derives every
-    // cell's analysis; cells keep first-seen (= plan, = canonical)
-    // order, so the report is byte-identical for any worker count.
-    LedgerView view(config.weights);
+    // ---- merge: plan order, independent of completion -------------
+    // One LedgerView per chip; cells keep first-seen (= plan) order
+    // and deriveAll() reads back in that order, so each report is
+    // byte-identical for any worker count.
+    std::vector<CharacterizationReport> reports(prototypes.size());
     {
         obs::ScopedSpan merging(stats.mergeSpan);
-        for (size_t i = 0; i < plan.size(); ++i) {
-            const CellMeasurement &cell_measured =
-                plan[i].fresh() ? measured[i] : plan[i].replayed;
-            if (plan[i].fromJournal)
-                ++report.telemetry.journalReplays;
-            if (plan[i].fromCache)
-                ++report.telemetry.cacheHits;
-            mergeCellIntoReport(report, view, cell_measured);
+        auto entry = plan.begin();
+        for (size_t chip = 0; chip < prototypes.size(); ++chip) {
+            CharacterizationReport &report = reports[chip];
+            report.chipName = prototypes[chip]->chip().name();
+            report.corner = prototypes[chip]->chip().corner();
+            report.frequency = config.frequency;
+            report.complete = complete;
+            LedgerView view(config.weights);
+            for (; entry != plan.end() && entry->chip == chip;
+                 ++entry) {
+                report.telemetry.journalReplays +=
+                    entry->source == Source::Journal;
+                report.telemetry.cacheHits +=
+                    entry->source == Source::Cache;
+                mergeCellIntoReport(report, view,
+                                    entry->source == Source::Fresh
+                                        ? entry->measured
+                                        : *lookup(*entry));
+            }
+            view.deriveAll(config.workers);
+            report.cells = view.cellResults();
         }
-        // Derive the per-cell analyses across the same worker budget
-        // the sweep ran on; cellResults() then reads the memoized
-        // analyses back in canonical order, so the report bytes are
-        // identical for any worker count (including the serial
-        // path).
-        view.deriveAll(config.workers);
-        report.cells = view.cellResults();
     }
 
     // The sink's destructor would drain too, but an explicit final
@@ -293,7 +290,24 @@ CampaignExecutor::run(const FrameworkConfig &config)
     // end-of-run line) before any caller-side snapshots.
     if (sink)
         sink->flush();
-    return report;
+    return reports;
+}
+
+CampaignExecutor::CampaignExecutor(sim::Platform *prototype)
+    : prototype_(prototype)
+{
+    if (!prototype_)
+        util::panicf("CampaignExecutor: null platform");
+}
+
+CharacterizationReport
+CampaignExecutor::run(const FrameworkConfig &config)
+{
+    return std::move(
+        executeSweep({prototype_}, config,
+                     journalHeaderFor(config, *prototype_),
+                     chipRefOf(*prototype_))
+            .front());
 }
 
 } // namespace vmargin

@@ -1,18 +1,17 @@
 /**
  * @file
- * Parallel campaign executor.
+ * The sweep engine behind both executors.
  *
  * The paper ran its characterization on three X-Gene 2 machines
  * concurrently because full V/F characterization is a multi-day
- * wall-clock problem. Our simulated sweep has the same shape and a
- * stronger property: every (workload, core) cell's measurement is a
- * pure function of its experiment coordinates — run seeds and fault
- * streams are rebased per campaign (scopeTo), never shared across
- * cells. The executor exploits that by running each in-flight cell
- * on its own fresh sim::Platform replica (same corner, serial,
- * enhancements and fault plan configuration) across a work-stealing
- * thread pool, then merging results in canonical cell order
- * (workload-major, core-minor, the FrameworkConfig list order).
+ * wall-clock problem. Every (chip, workload, core) cell's
+ * measurement is a pure function of its experiment coordinates —
+ * run seeds and fault streams are rebased per campaign (scopeTo),
+ * never shared across cells — so executeSweep() runs each fresh
+ * cell on its own replica of its chip's prototype across a
+ * work-stealing thread pool, then merges the cells in plan order.
+ * CampaignExecutor is its one-chip call; FleetExecutor (core/fleet)
+ * is its N-chip call.
  *
  * Determinism contract: the emitted report — CSV, summary and
  * serialized form — is byte-identical for any worker count,
@@ -26,6 +25,9 @@
 
 #ifndef VMARGIN_CORE_EXECUTOR_HH
 #define VMARGIN_CORE_EXECUTOR_HH
+
+#include <string>
+#include <vector>
 
 #include "campaign.hh"
 #include "framework.hh"
@@ -51,20 +53,30 @@ CellMeasurement measureCellWith(CampaignRunner &runner,
  * assembled: runs stream into @p view and the report's aggregate
  * counters, while a cell whose every run was lost to management
  * faults is degraded — accounted and omitted — rather than aborting
- * the sweep. Shared by the single-chip executor and the fleet
- * executor, which merge in different outer orders (canonical cell
- * order vs. canonical chip-major order) over the same per-cell
- * rule.
+ * the sweep.
  */
 void mergeCellIntoReport(CharacterizationReport &report,
                          LedgerView &view,
                          const CellMeasurement &cell);
 
 /**
- * Schedules one characterization sweep across a thread pool. One
- * instance per characterize() call; the prototype platform is only
- * read (chip identity, fault plan configuration) and replicated —
- * never executed on — so the caller's machine state is untouched.
+ * Run one sweep of @p config over @p prototypes (not owned, never
+ * executed on; their order is the plan and merge order), with the
+ * journal bound to @p journal_header and legacy (version-1) journal
+ * cells mapped onto @p implicit_chip. Returns one report per
+ * prototype; `complete` is false in each when the fresh-cell budget,
+ * counted across all chips, stopped the sweep early.
+ */
+std::vector<CharacterizationReport>
+executeSweep(const std::vector<const sim::Platform *> &prototypes,
+             const FrameworkConfig &config,
+             const std::string &journal_header,
+             const ChipRef &implicit_chip);
+
+/**
+ * One sweep on one chip: executeSweep() over the prototype alone,
+ * with the journalHeaderFor() header and the prototype's own chip as
+ * the implicit chip, so existing journals stay valid.
  */
 class CampaignExecutor
 {

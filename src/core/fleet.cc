@@ -6,15 +6,11 @@
 #include <set>
 #include <sstream>
 
-#include "cellcache.hh"
 #include "executor.hh"
-#include "obs/metrics.hh"
-#include "obs/sink.hh"
 #include "resultstore.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "util/strings.hh"
-#include "util/threadpool.hh"
 
 namespace vmargin
 {
@@ -281,26 +277,6 @@ fleetJournalHeaderFor(const FleetConfig &config,
     return os.str();
 }
 
-namespace
-{
-
-/** One (chip, workload, core) cell of the fleet sweep, chip-major
- *  in canonical chip order. */
-struct FleetPlanEntry
-{
-    size_t chipIndex = 0;
-    const wl::WorkloadProfile *workload = nullptr;
-    CoreId core = 0;
-
-    CellMeasurement replayed;
-    bool fromJournal = false;
-    bool fromCache = false;
-
-    bool fresh() const { return !fromJournal && !fromCache; }
-};
-
-} // namespace
-
 FleetExecutor::FleetExecutor(sim::Platform *tmpl) : template_(tmpl)
 {
     if (!template_)
@@ -311,181 +287,27 @@ FleetReport
 FleetExecutor::run(const FleetConfig &config)
 {
     config.validate();
-    const FrameworkConfig &fw = config.framework;
-    const std::vector<ChipRef> chips = config.canonicalChips();
-
-    // Fleet telemetry: chip/cell counts are exact; barrier wait and
-    // per-chip merge durations are scheduling-class by nature.
-    obs::Registry &reg = obs::Registry::global();
-    obs::Counter &statChips = reg.counter("fleet.chips");
-    obs::Counter &statCellsPlanned =
-        reg.counter("fleet.cells_planned");
-    obs::Counter &statCellsMeasured =
-        reg.counter("fleet.cells_measured");
-    obs::SpanStat &statMergeBarrier =
-        reg.span("fleet.merge_barrier");
-    obs::SpanStat &statChipMerge = reg.span("fleet.chip_merge");
-    std::unique_ptr<obs::TelemetrySink> sink;
-    if (!fw.telemetryPath.empty())
-        sink = std::make_unique<obs::TelemetrySink>(
-            fw.telemetryPath);
-    statChips.inc(chips.size());
+    // The template is never executed on: cells replicate their
+    // chip's prototype. Fleet journals are written at the current
+    // ledger version, so no legacy cell needs an implicit chip.
+    std::vector<std::unique_ptr<sim::Platform>> owned;
+    std::vector<const sim::Platform *> prototypes;
+    for (const ChipRef &chip : config.canonicalChips()) {
+        owned.push_back(template_->freshReplica(chip.corner, chip.serial));
+        prototypes.push_back(owned.back().get());
+    }
+    std::vector<CharacterizationReport> reports =
+        executeSweep(prototypes, config.framework,
+                     fleetJournalHeaderFor(config, *template_), ChipRef{});
 
     FleetReport fleet;
-    fleet.frequency = fw.frequency;
-    fleet.nominalMv =
-        template_->chip().params().nominalPmdVoltage;
-
-    // One prototype per fleet chip, stamped out from the template;
-    // cells later replicate their chip's prototype, so the template
-    // machine is never executed on.
-    std::vector<std::unique_ptr<sim::Platform>> prototypes;
-    prototypes.reserve(chips.size());
-    for (const ChipRef &chip : chips)
-        prototypes.push_back(
-            template_->freshReplica(chip.corner, chip.serial));
-
-    // Shared journal and cache: the chip dimension in the ledger
-    // index keeps the fleet's cells apart in one file.
-    std::unique_ptr<CampaignJournal> journal;
-    if (!fw.journalPath.empty()) {
-        journal = std::make_unique<CampaignJournal>(
-            fw.journalPath, fw.writeOptions());
-        journal->open(fleetJournalHeaderFor(config, *template_));
-    }
-
-    std::unique_ptr<CellResultCache> cache;
-    std::vector<Seed> config_hashes(chips.size(), 0);
-    if (!fw.cachePath.empty()) {
-        cache = std::make_unique<CellResultCache>(fw.cachePath,
-                                                  fw.writeOptions());
-        cache->open();
-        for (size_t i = 0; i < chips.size(); ++i)
-            config_hashes[i] = cellConfigHash(fw, *prototypes[i]);
-    }
-
-    // ---- plan: chip-major walk in canonical chip order -----------
-    // The cell budget counts fresh cells fleet-wide, truncating the
-    // plan exactly where a sequential chip-by-chip sweep would have
-    // stopped.
-    std::vector<FleetPlanEntry> plan;
-    plan.reserve(chips.size() * fw.workloads.size() *
-                 fw.cores.size());
-    int fresh_cells = 0;
-    for (size_t ci = 0; ci < chips.size() && fleet.complete; ++ci) {
-        for (const auto &workload : fw.workloads) {
-            for (const CoreId core : fw.cores) {
-                FleetPlanEntry entry;
-                entry.chipIndex = ci;
-                entry.workload = &workload;
-                entry.core = core;
-                const CellMeasurement *served =
-                    journal ? journal->find(chips[ci],
-                                            workload.id(), core)
-                            : nullptr;
-                if (served) {
-                    entry.fromJournal = true;
-                } else if (cache &&
-                           (served = cache->find(config_hashes[ci],
-                                                 chips[ci],
-                                                 workload.id(),
-                                                 core))) {
-                    entry.fromCache = true;
-                } else if (fw.cellBudget > 0 &&
-                           fresh_cells >= fw.cellBudget) {
-                    fleet.complete = false;
-                    break;
-                } else {
-                    ++fresh_cells;
-                }
-                if (served)
-                    entry.replayed = *served;
-                plan.push_back(std::move(entry));
-            }
-            if (!fleet.complete)
-                break;
-        }
-    }
-
-    // ---- execute: fresh cells fan out across one shared pool -----
-    // Same isolation contract as the single-chip executor: each
-    // task measures on a brand-new replica of its chip's prototype.
-    // Per-chip shard progress counters are registered in canonical
-    // chip order (deterministic) before any worker can touch them.
-    statCellsPlanned.inc(plan.size());
-    std::vector<obs::Counter *> chipProgress;
-    chipProgress.reserve(chips.size());
-    for (const ChipRef &chip : chips)
-        chipProgress.push_back(
-            &reg.counter("fleet.chip." + chip.name() + ".cells"));
-    std::vector<CellMeasurement> measured(plan.size());
-    {
-        util::ThreadPool pool(fw.workers);
-        for (size_t i = 0; i < plan.size(); ++i) {
-            if (!plan[i].fresh())
-                continue;
-            pool.submit([&, i] {
-                auto replica =
-                    prototypes[plan[i].chipIndex]->freshReplica();
-                CampaignRunner runner(replica.get());
-                CellMeasurement cell = measureCellWith(
-                    runner, *plan[i].workload, plan[i].core, fw);
-                cell.chip = chips[plan[i].chipIndex];
-                if (journal)
-                    journal->append(cell);
-                if (cache)
-                    cache->put(config_hashes[plan[i].chipIndex],
-                               cell);
-                measured[i] = std::move(cell);
-                statCellsMeasured.inc();
-                chipProgress[plan[i].chipIndex]->inc();
-            });
-        }
-        {
-            obs::ScopedSpan barrier(statMergeBarrier);
-            pool.wait();
-        }
-        if (journal)
-            journal->flush();
-        if (cache)
-            cache->flush();
-    }
-    if (sink)
-        sink->flush(); // end of the measurement phase
-
-    // ---- merge: canonical chip-major order -----------------------
-    // One LedgerView per chip reproduces the single-chip merge
-    // exactly, so each per-chip report is byte-identical to what a
-    // lone CampaignExecutor would emit for that chip.
-    fleet.chips.reserve(chips.size());
-    for (size_t ci = 0; ci < chips.size(); ++ci) {
-        obs::ScopedSpan merging(statChipMerge);
-        FleetChipReport entry;
-        entry.chip = chips[ci];
-        entry.report.chipName = prototypes[ci]->chip().name();
-        entry.report.corner = chips[ci].corner;
-        entry.report.frequency = fw.frequency;
-        entry.report.complete = fleet.complete;
-
-        LedgerView view(fw.weights);
-        for (size_t i = 0; i < plan.size(); ++i) {
-            if (plan[i].chipIndex != ci)
-                continue;
-            const CellMeasurement &cell =
-                plan[i].fresh() ? measured[i] : plan[i].replayed;
-            if (plan[i].fromJournal)
-                ++entry.report.telemetry.journalReplays;
-            if (plan[i].fromCache)
-                ++entry.report.telemetry.cacheHits;
-            mergeCellIntoReport(entry.report, view, cell);
-        }
-        view.deriveAll(fw.workers);
-        entry.report.cells = view.cellResults();
-        fleet.chips.push_back(std::move(entry));
-    }
-
-    if (sink)
-        sink->flush(); // end-of-run drain before the report returns
+    fleet.frequency = config.framework.frequency;
+    fleet.nominalMv = template_->chip().params().nominalPmdVoltage;
+    fleet.complete = reports.front().complete;
+    fleet.chips.reserve(reports.size());
+    for (size_t i = 0; i < reports.size(); ++i)
+        fleet.chips.push_back(
+            {chipRefOf(*prototypes[i]), std::move(reports[i])});
     return fleet;
 }
 

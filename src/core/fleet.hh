@@ -8,11 +8,12 @@
  * set for the worst part waste margin on the others. This module
  * lifts the framework's single-chip assumption into the data model:
  * a FleetConfig names N chips (corner + serial) sharing one sweep
- * configuration, the FleetExecutor shards every (chip, workload,
- * core) cell across the same thread pool the single-chip executor
- * uses, and the FleetReport carries one CharacterizationReport per
- * chip plus the cross-chip analytics (per-corner Vmin distribution,
- * guardband recommendation, fleet-wide energy-savings rollup).
+ * configuration, the FleetExecutor runs them through the same sweep
+ * engine as the single-chip executor (executeSweep in
+ * core/executor), and the FleetReport carries one
+ * CharacterizationReport per chip plus the cross-chip analytics
+ * (per-corner Vmin distribution, guardband recommendation,
+ * fleet-wide energy-savings rollup).
  *
  * Determinism contract, extended: the fleet report is byte-identical
  * for any worker count AND any chip enumeration order — cells merge
@@ -159,13 +160,12 @@ std::string fleetJournalHeaderFor(const FleetConfig &config,
                                   const sim::Platform &platform);
 
 /**
- * Schedules one fleet characterization across a thread pool. The
- * template platform contributes everything that is *not* per-chip —
- * platform parameters, design enhancements, fault plan — and one
- * prototype per fleet chip is stamped out with
- * Platform::freshReplica(corner, serial); each in-flight cell then
- * runs on a fresh replica of its chip's prototype, exactly the
- * single-chip executor's isolation contract.
+ * One fleet characterization. The template platform contributes
+ * everything that is *not* per-chip — platform parameters, design
+ * enhancements, fault plan — and one prototype per fleet chip is
+ * stamped out with Platform::freshReplica(corner, serial); the
+ * prototypes, in canonical chip order, then go through
+ * executeSweep() bound to the fleetJournalHeaderFor() header.
  */
 class FleetExecutor
 {

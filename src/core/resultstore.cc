@@ -1,9 +1,12 @@
 #include "resultstore.hh"
 
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
+#include "util/cli.hh"
 #include "util/csv.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
@@ -11,12 +14,37 @@
 namespace vmargin
 {
 
-using util::panicf;
-
 namespace
 {
 
 constexpr const char *kMagic = "# vmargin-report";
+
+/**
+ * Parse a numeric report field into T. Fatal — naming where() and
+ * the value — when it is not a number or does not fit T. Plain
+ * fields take the from_chars fast path; anything else goes through
+ * util::parseLong/parseDouble, so it is accepted or refused exactly
+ * as any other numeric input, and where() is only built then.
+ */
+template <typename T, typename Where>
+T
+parseField(const std::string &text, const Where &where)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error == std::errc() && stop == end)
+        return value;
+    if constexpr (std::is_floating_point_v<T>) {
+        return util::parseDouble(text, where());
+    } else {
+        const long wide = util::parseLong(text, where());
+        if (!std::in_range<T>(wide))
+            util::fatalError(where() + ": '" + text +
+                             "' is out of range");
+        return static_cast<T>(wide);
+    }
+}
 
 } // namespace
 
@@ -46,10 +74,22 @@ deserializeReport(const std::string &text,
     const auto newline = text.find('\n');
     if (newline == std::string::npos ||
         !util::startsWith(text, kMagic))
-        panicf("deserializeReport: missing metadata header");
+        util::fatalError("deserializeReport: missing metadata header "
+                         "(the first line must start with '" +
+                         std::string(kMagic) + "')");
 
     CharacterizationReport report;
     // Parse the metadata header.
+    RecoveryTelemetry &telemetry = report.telemetry;
+    const std::pair<const char *, uint64_t *> counters[] = {
+        {"watchdog", &report.watchdogInterventions},
+        {"retries", &telemetry.retries},
+        {"backoff_events", &telemetry.backoffEvents},
+        {"backoff_us", &telemetry.backoffUsTotal},
+        {"watchdog_retries", &telemetry.watchdogRetries},
+        {"lost", &telemetry.lostMeasurements},
+        {"fallback_rounds", &telemetry.fallbackRounds},
+    };
     for (const auto &token :
          util::split(text.substr(0, newline), ' ')) {
         const auto eq = token.find('=');
@@ -57,36 +97,18 @@ deserializeReport(const std::string &text,
             continue;
         const std::string key = token.substr(0, eq);
         const std::string value = token.substr(eq + 1);
-        if (key == "chip") {
+        const auto where = [&] {
+            return "deserializeReport: header key '" + key + "'";
+        };
+        if (key == "chip")
             report.chipName = value;
-        } else if (key == "corner") {
+        else if (key == "corner")
             report.corner = sim::cornerFromName(value);
-        } else if (key == "freq") {
-            report.frequency = static_cast<MegaHertz>(
-                std::strtol(value.c_str(), nullptr, 10));
-        } else if (key == "watchdog") {
-            report.watchdogInterventions = static_cast<uint64_t>(
-                std::strtoll(value.c_str(), nullptr, 10));
-        } else if (key == "retries") {
-            report.telemetry.retries = static_cast<uint64_t>(
-                std::strtoll(value.c_str(), nullptr, 10));
-        } else if (key == "backoff_events") {
-            report.telemetry.backoffEvents = static_cast<uint64_t>(
-                std::strtoll(value.c_str(), nullptr, 10));
-        } else if (key == "backoff_us") {
-            report.telemetry.backoffUsTotal = static_cast<uint64_t>(
-                std::strtoll(value.c_str(), nullptr, 10));
-        } else if (key == "watchdog_retries") {
-            report.telemetry.watchdogRetries = static_cast<uint64_t>(
-                std::strtoll(value.c_str(), nullptr, 10));
-        } else if (key == "lost") {
-            report.telemetry.lostMeasurements =
-                static_cast<uint64_t>(
-                    std::strtoll(value.c_str(), nullptr, 10));
-        } else if (key == "fallback_rounds") {
-            report.telemetry.fallbackRounds = static_cast<uint64_t>(
-                std::strtoll(value.c_str(), nullptr, 10));
-        }
+        else if (key == "freq")
+            report.frequency = parseField<MegaHertz>(value, where);
+        for (const auto &[name, counter] : counters)
+            if (key == name)
+                *counter = parseField<uint64_t>(value, where);
     }
 
     // Parse the run rows.
@@ -95,8 +117,8 @@ deserializeReport(const std::string &text,
     const auto column = [&](const char *name) {
         const int index = doc.columnIndex(name);
         if (index < 0)
-            panicf("deserializeReport: missing column '", name,
-                   "'");
+            util::fatalError("deserializeReport: missing column '" +
+                             std::string(name) + "'");
         return static_cast<size_t>(index);
     };
     const size_t col_workload = column("workload");
@@ -121,37 +143,42 @@ deserializeReport(const std::string &text,
     // severity, Vmin) without re-walking the rows per cell.
     LedgerView view(weights);
     report.allRuns.reserve(doc.rows.size());
-    for (const auto &row : doc.rows) {
+    for (size_t r = 0; r < doc.rows.size(); ++r) {
+        const auto &row = doc.rows[r];
+        // Errors name the 1-based run row (1 = the first row after
+        // the CSV header), the column and the value.
+        const auto row_name = [&] {
+            return "deserializeReport: run row " + std::to_string(r + 1);
+        };
+        if (row.size() != doc.header.size())
+            util::fatalError(row_name() + " has " +
+                             std::to_string(row.size()) +
+                             " fields, the header has " +
+                             std::to_string(doc.header.size()));
+        const auto read = [&](auto &out, size_t col) {
+            out = parseField<std::remove_reference_t<decltype(out)>>(
+                row[col], [&] {
+                    return row_name() + ", column '" + doc.header[col] +
+                           "'";
+                });
+        };
         ClassifiedRun run;
-        run.key.workloadId = row.at(col_workload);
-        run.key.core = static_cast<CoreId>(
-            std::strtol(row.at(col_core).c_str(), nullptr, 10));
-        run.key.voltage = static_cast<MilliVolt>(
-            std::strtol(row.at(col_voltage).c_str(), nullptr, 10));
-        run.key.frequency = static_cast<MegaHertz>(
-            std::strtol(row.at(col_freq).c_str(), nullptr, 10));
-        run.key.campaign = static_cast<uint32_t>(std::strtol(
-            row.at(col_campaign).c_str(), nullptr, 10));
-        run.key.runIndex = static_cast<uint32_t>(
-            std::strtol(row.at(col_run).c_str(), nullptr, 10));
-        run.effects = EffectSet::fromString(row.at(col_effects));
-        run.sdcEvents = static_cast<uint64_t>(
-            std::strtoll(row.at(col_sdc).c_str(), nullptr, 10));
-        run.correctedErrors = static_cast<uint64_t>(
-            std::strtoll(row.at(col_ce).c_str(), nullptr, 10));
-        run.uncorrectedErrors = static_cast<uint64_t>(
-            std::strtoll(row.at(col_ue).c_str(), nullptr, 10));
-        run.exitCode = static_cast<int>(
-            std::strtol(row.at(col_exit).c_str(), nullptr, 10));
-        run.seconds =
-            std::strtod(row.at(col_seconds).c_str(), nullptr);
-        run.avgIpc = std::strtod(row.at(col_ipc).c_str(), nullptr);
-        run.activityFactor =
-            std::strtod(row.at(col_activity).c_str(), nullptr);
-        run.correctedBySite =
-            decodeSiteCounts(row.at(col_ce_sites));
-        run.uncorrectedBySite =
-            decodeSiteCounts(row.at(col_ue_sites));
+        run.key.workloadId = row[col_workload];
+        read(run.key.core, col_core);
+        read(run.key.voltage, col_voltage);
+        read(run.key.frequency, col_freq);
+        read(run.key.campaign, col_campaign);
+        read(run.key.runIndex, col_run);
+        run.effects = EffectSet::fromString(row[col_effects]);
+        read(run.sdcEvents, col_sdc);
+        read(run.correctedErrors, col_ce);
+        read(run.uncorrectedErrors, col_ue);
+        read(run.exitCode, col_exit);
+        read(run.seconds, col_seconds);
+        read(run.avgIpc, col_ipc);
+        read(run.activityFactor, col_activity);
+        run.correctedBySite = decodeSiteCounts(row[col_ce_sites]);
+        run.uncorrectedBySite = decodeSiteCounts(row[col_ue_sites]);
         view.add(run);
         report.allRuns.push_back(std::move(run));
     }
@@ -305,26 +332,12 @@ CampaignJournal::open(const std::string &header,
                  implicit_chip);
 }
 
-bool
-CampaignJournal::has(const std::string &workload_id,
-                     CoreId core) const
-{
-    return find(workload_id, core) != nullptr;
-}
-
 const CellMeasurement *
 CampaignJournal::find(const ChipRef &chip,
                       const std::string &workload_id,
                       CoreId core) const
 {
     return ledger_.find(0, chip, workload_id, core);
-}
-
-const CellMeasurement *
-CampaignJournal::find(const std::string &workload_id,
-                      CoreId core) const
-{
-    return ledger_.find(0, workload_id, core);
 }
 
 size_t

@@ -33,8 +33,10 @@ std::string serializeReport(const CharacterizationReport &report);
 /**
  * Rebuild a report from serializeReport() output. Region analyses
  * and severity tables are recomputed from the run rows with the
- * given weights. Panics on a malformed document (it is produced by
- * this module; corruption means a storage bug).
+ * given weights. A malformed document — no metadata header, a
+ * missing column, a row whose field count differs from the header,
+ * a non-numeric or out-of-range number — is fatal, naming the value
+ * and, for run rows, the column and the 1-based row.
  */
 CharacterizationReport
 deserializeReport(const std::string &text,
@@ -133,18 +135,10 @@ class CampaignJournal
     void open(const std::string &header,
               ChipRef implicit_chip = {});
 
-    /** True when the cell is already journaled on the implicit
-     *  chip. */
-    bool has(const std::string &workload_id, CoreId core) const;
-
     /** Journaled measurement for the cell on @p chip, or nullptr.
      *  The pointer is invalidated by the next append(). */
     const CellMeasurement *find(const ChipRef &chip,
                                 const std::string &workload_id,
-                                CoreId core) const;
-
-    /** Lookup on the implicit chip passed to open(). */
-    const CellMeasurement *find(const std::string &workload_id,
                                 CoreId core) const;
 
     /**

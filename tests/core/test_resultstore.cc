@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 
+#include "core/classifier.hh"
 #include "core/resultstore.hh"
+#include "util/strings.hh"
 #include "workloads/spec.hh"
 
 namespace vmargin
@@ -160,6 +164,102 @@ TEST(ResultStore, DeathOnGarbage)
 {
     EXPECT_DEATH(deserializeReport("not a report"),
                  "metadata header");
+}
+
+using CsvEdit = std::function<void(std::vector<std::string> &header,
+                                   std::vector<std::string> &row)>;
+
+/** A two-run report document; @p edit rewrites the CSV header and
+ *  the second run row before they are joined. */
+std::string
+twoRunReport(const std::string &metadata, const CsvEdit &edit)
+{
+    ClassifiedRun run;
+    run.key.workloadId = "bwaves/ref";
+    std::vector<std::string> header = classifiedRunCsvHeader();
+    const std::vector<std::string> first = classifiedRunCsvRow(run);
+    std::vector<std::string> second = first;
+    edit(header, second);
+    return "# vmargin-report " + metadata + "\n" +
+           util::join(header, ",") + "\n" + util::join(first, ",") +
+           "\n" + util::join(second, ",") + "\n";
+}
+
+/** Set @p column of the run row to @p value. */
+CsvEdit
+setField(const std::string &column, const std::string &value)
+{
+    return [=](std::vector<std::string> &header,
+               std::vector<std::string> &row) {
+        const auto at = std::find(header.begin(), header.end(), column);
+        ASSERT_NE(at, header.end()) << column;
+        row[static_cast<size_t>(at - header.begin())] = value;
+    };
+}
+
+constexpr const char *kMetadata = "chip=TTT#1 corner=TTT freq=2400";
+
+TEST(ResultStoreHostile, WellFormedDocumentDecodes)
+{
+    // The base document of the hostile cases below is itself valid,
+    // so each of them dies for the one defect it plants.
+    const auto report = deserializeReport(
+        twoRunReport(kMetadata, setField("core", "3")));
+    ASSERT_EQ(report.allRuns.size(), 2u);
+    EXPECT_EQ(report.allRuns[1].key.core, 3);
+    EXPECT_EQ(report.frequency, 2400);
+}
+
+TEST(ResultStoreHostile, MissingColumnIsFatal)
+{
+    const auto drop_ce = [](std::vector<std::string> &header,
+                            std::vector<std::string> &row) {
+        const auto at = std::find(header.begin(), header.end(), "ce");
+        row.erase(row.begin() + (at - header.begin()));
+        header.erase(at);
+    };
+    EXPECT_EXIT((void)deserializeReport(twoRunReport(kMetadata, drop_ce)),
+                ::testing::ExitedWithCode(1), "missing column 'ce'");
+}
+
+TEST(ResultStoreHostile, ShortRowIsFatal)
+{
+    const auto truncate = [](std::vector<std::string> &,
+                             std::vector<std::string> &row) {
+        row.resize(5);
+    };
+    EXPECT_EXIT(
+        (void)deserializeReport(twoRunReport(kMetadata, truncate)),
+        ::testing::ExitedWithCode(1),
+        "run row 2 has 5 fields, the header has 16");
+}
+
+TEST(ResultStoreHostile, NonNumericVoltageIsFatal)
+{
+    EXPECT_EXIT((void)deserializeReport(twoRunReport(
+                    kMetadata, setField("voltage_mv", "abc"))),
+                ::testing::ExitedWithCode(1),
+                "run row 2, column 'voltage_mv': 'abc' is not an "
+                "integer");
+}
+
+TEST(ResultStoreHostile, OutOfRangeCoreIsFatal)
+{
+    // Fits a long, not a CoreId.
+    EXPECT_EXIT((void)deserializeReport(twoRunReport(
+                    kMetadata, setField("core", "4294967296"))),
+                ::testing::ExitedWithCode(1),
+                "run row 2, column 'core': '4294967296' is out of "
+                "range");
+}
+
+TEST(ResultStoreHostile, NonNumericHeaderValueIsFatal)
+{
+    EXPECT_EXIT((void)deserializeReport(twoRunReport(
+                    "chip=TTT#1 corner=TTT freq=abc",
+                    [](auto &, auto &) {})),
+                ::testing::ExitedWithCode(1),
+                "header key 'freq': 'abc' is not an integer");
 }
 
 } // namespace

@@ -3,10 +3,11 @@
  * Fleet determinism suite: the three-chip fleet report must be
  * byte-identical for any worker count AND any chip enumeration
  * order, a single-chip fleet must reproduce the lone
- * CampaignExecutor's report byte for byte, and a budget-chopped
- * fleet sweep resumed through the shared journal — under a hostile
- * management-plane fault plan — must reassemble the single-shot
- * report exactly.
+ * CampaignExecutor's report byte for byte (also across a
+ * budget-chopped resume through either entry point), and a
+ * budget-chopped fleet sweep resumed through the shared journal —
+ * under a hostile management-plane fault plan — must reassemble the
+ * single-shot report exactly.
  */
 
 #include <gtest/gtest.h>
@@ -102,21 +103,67 @@ TEST(FleetExecutor, ReportIndependentOfChipEnumerationOrder)
 TEST(FleetExecutor, SingleChipFleetMatchesCampaignExecutor)
 {
     // A fleet of one must collapse to exactly the single-chip
-    // executor: same chip identity, same report bytes.
+    // executor: same chip identity, same report bytes, whether run
+    // in one go or budget-chopped and resumed through either entry
+    // point's journal.
     const FleetReport fleet = fleetSweep({"TFF:2"}, 4);
     ASSERT_EQ(fleet.chips.size(), 1u);
 
     sim::Platform platform(sim::XGene2Params{}, sim::ChipCorner::TFF,
                            2);
     platform.installFaultPlan(hostilePlan());
-    FrameworkConfig config = sweepConfig();
-    config.workers = 4;
-    CampaignExecutor executor(&platform);
-    const CharacterizationReport solo = executor.run(config);
+    const auto soloSweep = [&](int workers,
+                               const std::string &journal_path = "",
+                               int cell_budget = 0) {
+        FrameworkConfig config = sweepConfig();
+        config.workers = workers;
+        config.journalPath = journal_path;
+        config.cellBudget = cell_budget;
+        CampaignExecutor executor(&platform);
+        return executor.run(config);
+    };
+    const CharacterizationReport solo = soloSweep(4);
+    const std::string bytes = serializeReport(solo);
 
-    EXPECT_EQ(serializeReport(fleet.chips[0].report),
-              serializeReport(solo));
+    EXPECT_EQ(serializeReport(fleet.chips[0].report), bytes);
     EXPECT_EQ(fleet.chips[0].report.summaryCsv(), solo.summaryCsv());
+
+    // Kill+resume: 3 fresh cells per session chop the 8 cells into
+    // 3 sessions, for each entry point at each worker count.
+    const std::string path = "/tmp/vmargin_single_chip_resume";
+    for (const int workers : {1, 2, 8}) {
+        for (const bool as_fleet : {false, true}) {
+            std::remove(path.c_str());
+            CharacterizationReport report;
+            int sessions = 0;
+            do {
+                if (as_fleet)
+                    report = fleetSweep({"TFF:2"}, workers, path, 3)
+                                 .chips[0]
+                                 .report;
+                else
+                    report = soloSweep(workers, path, 3);
+                ASSERT_LE(++sessions, 3) << "8 cells / 3 per session";
+            } while (!report.complete);
+            EXPECT_EQ(sessions, 3);
+            EXPECT_EQ(serializeReport(report), bytes)
+                << (as_fleet ? "FleetExecutor" : "CampaignExecutor")
+                << " resume at " << workers << " workers";
+        }
+    }
+    std::remove(path.c_str());
+
+    // The journal headers bind files already on disk: the strings
+    // are pinned so neither entry point can drift from them.
+    FleetConfig fleet_config;
+    fleet_config.chips = parseFleetSpec({"TFF:2"});
+    fleet_config.framework = sweepConfig();
+    EXPECT_EQ(journalHeaderFor(fleet_config.framework, platform),
+              "vmargin-journal chip=TFF#2 corner=TFF freq=2400 "
+              "config=fc77a825ed198c4f");
+    EXPECT_EQ(fleetJournalHeaderFor(fleet_config, templatePlatform()),
+              "vmargin-fleet-journal chips=1 corners=TFF#2 freq=2400 "
+              "config=236e85912670e735");
 }
 
 TEST(FleetExecutor, SharedJournalResumesWholeFleet)

@@ -9,13 +9,18 @@
  *    for workers {1, 2, 8} — the telemetry side of the determinism
  *    contract the executor's report hash asserts;
  *  - the JSONL artifact itself must exist, grow one line per flush,
- *    and carry the metric keys CI gates on.
+ *    and carry the metric keys CI gates on;
+ *  - the single-chip and fleet entry points share one sweep engine,
+ *    so they must move the same exact counters and spans.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -163,9 +168,100 @@ TEST(Telemetry, FleetReportUnmovedBySink)
     EXPECT_EQ(on, off);
     const auto lines = linesOf(path);
     ASSERT_FALSE(lines.empty());
-    EXPECT_NE(lines.back().find("\"fleet.cells_measured\":16"),
+    EXPECT_NE(lines.back().find("\"executor.cells_fresh\":16"),
               std::string::npos)
         << lines.back();
+    std::remove(path.c_str());
+}
+
+/**
+ * The exact counters and spans that @p run moves, on a zeroed
+ * global registry ("counter <name>" / "span <name>"). Names other
+ * code registered but this run never touched are left out.
+ */
+std::set<std::string>
+movedMetrics(const std::function<void()> &run)
+{
+    obs::Registry &reg = obs::Registry::global();
+    reg.reset();
+    run();
+    std::set<std::string> moved;
+    // Every JSON key that ends in @p tail and is followed by a
+    // non-zero count.
+    const auto collect = [&](const std::string &json,
+                             const std::string &tail,
+                             const std::string &kind) {
+        for (size_t end = json.find(tail); end != std::string::npos;
+             end = json.find(tail, end + 1)) {
+            const size_t begin = json.rfind('"', end - 1) + 1;
+            if (std::strtoull(json.c_str() + end + tail.size(), nullptr,
+                              10) > 0)
+                moved.insert(kind + " " +
+                             json.substr(begin, end - begin));
+        }
+    };
+    collect(reg.countersJson(), "\":", "counter");
+    collect(reg.snapshotJson(0), "\":{\"count\":", "span");
+    return moved;
+}
+
+TEST(Telemetry, CampaignAndFleetMoveTheSameMetrics)
+{
+    // Each entry point sweeps twice over one cache file: a fresh
+    // pass (cache misses, measured cells) and a cache-served rerun.
+    const std::string path = "/tmp/vmargin_telemetry_same_metrics";
+    const std::set<std::string> campaign = movedMetrics([&] {
+        std::remove(path.c_str());
+        sim::Platform platform(sim::XGene2Params{},
+                               sim::ChipCorner::TTT, 7);
+        FrameworkConfig config = sweepConfig();
+        config.workers = 2;
+        config.cachePath = path;
+        CampaignExecutor executor(&platform);
+        (void)executor.run(config);
+        (void)executor.run(config);
+    });
+    const std::set<std::string> fleet = movedMetrics([&] {
+        std::remove(path.c_str());
+        sim::Platform platform(sim::XGene2Params{},
+                               sim::ChipCorner::TTT, 1);
+        FleetConfig config;
+        config.chips = parseFleetSpec({"TTT", "TFF:2"});
+        config.framework = sweepConfig();
+        config.framework.workers = 2;
+        config.framework.cachePath = path;
+        FleetExecutor executor(&platform);
+        (void)executor.run(config);
+        (void)executor.run(config);
+    });
+    std::remove(path.c_str());
+
+    EXPECT_EQ(campaign, fleet);
+    EXPECT_EQ(fleet.count("counter executor.cache_hits"), 1u);
+    EXPECT_EQ(fleet.count("span executor.cell"), 1u);
+}
+
+TEST(Telemetry, FleetCacheRerunCountsEveryCellAsAHit)
+{
+    const std::string path = "/tmp/vmargin_telemetry_fleet_cache";
+    std::remove(path.c_str());
+    sim::Platform platform(sim::XGene2Params{}, sim::ChipCorner::TTT,
+                           1);
+    FleetConfig config;
+    config.chips = parseFleetSpec({"TTT", "TFF:2"});
+    config.framework = sweepConfig();
+    config.framework.workers = 4;
+    config.framework.cachePath = path;
+    FleetExecutor executor(&platform);
+    (void)executor.run(config);
+
+    obs::Registry::global().reset();
+    (void)executor.run(config);
+    const std::string counters = obs::Registry::global().countersJson();
+    // 2 chips x 2 workloads x 4 cores, every one served by the cache.
+    EXPECT_NE(counters.find("\"executor.cache_hits\":16"),
+              std::string::npos)
+        << counters;
     std::remove(path.c_str());
 }
 
