@@ -1,5 +1,6 @@
 #include "classifier.hh"
 
+#include <charconv>
 #include <cstdlib>
 #include <iterator>
 #include <map>
@@ -254,7 +255,7 @@ encodeSiteCounts(const std::map<std::string, uint64_t> &sites)
     return util::join(parts, ";");
 }
 
-std::map<std::string, uint64_t>
+std::optional<std::map<std::string, uint64_t>>
 decodeSiteCounts(const std::string &text)
 {
     std::map<std::string, uint64_t> sites;
@@ -263,13 +264,14 @@ decodeSiteCounts(const std::string &text)
     for (const auto &token : util::split(text, ';')) {
         const auto colon = token.find(':');
         if (colon == std::string::npos)
-            panicf("decodeSiteCounts: malformed entry '", token,
-                   "'");
-        const std::string count = token.substr(colon + 1);
-        if (!util::isInteger(count))
-            panicf("decodeSiteCounts: bad count in '", token, "'");
-        sites[token.substr(0, colon)] += static_cast<uint64_t>(
-            std::strtoll(count.c_str(), nullptr, 10));
+            return std::nullopt;
+        const char *first = token.data() + colon + 1;
+        const char *last = token.data() + token.size();
+        uint64_t count = 0;
+        const auto [end, ec] = std::from_chars(first, last, count);
+        if (ec != std::errc{} || end != last)
+            return std::nullopt;
+        sites[token.substr(0, colon)] += count;
     }
     return sites;
 }

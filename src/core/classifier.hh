@@ -16,6 +16,7 @@
 #define VMARGIN_CORE_CLASSIFIER_HH
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -113,8 +114,10 @@ formatCampaignLog(const std::vector<RunLogRecord> &records);
 /** Encode a site-count map as "L2Cache:9;L3Cache:2" (empty -> ""). */
 std::string encodeSiteCounts(const std::map<std::string, uint64_t> &sites);
 
-/** Parse the encodeSiteCounts format; panics on malformed input. */
-std::map<std::string, uint64_t> decodeSiteCounts(const std::string &text);
+/** Parse the encodeSiteCounts format; nullopt on an entry without a
+ *  "site:count" shape or whose count is not a decimal uint64. */
+std::optional<std::map<std::string, uint64_t>>
+decodeSiteCounts(const std::string &text);
 
 /** CSV header for classified-run rows (the framework's final CSV). */
 std::vector<std::string> classifiedRunCsvHeader();

@@ -56,13 +56,13 @@ effectDescription(Effect effect)
                  static_cast<int>(effect));
 }
 
-Effect
+std::optional<Effect>
 effectFromName(const std::string &name)
 {
     for (Effect e : kAllEffects)
         if (effectName(e) == name)
             return e;
-    util::panicf("effectFromName: unknown effect '", name, "'");
+    return std::nullopt;
 }
 
 namespace
@@ -115,14 +115,19 @@ EffectSet::toString() const
     return util::join(names, ",");
 }
 
-EffectSet
+std::optional<EffectSet>
 EffectSet::fromString(const std::string &text)
 {
     EffectSet set;
     if (text.empty() || text == "NO")
         return set;
-    for (const auto &token : util::split(text, ','))
-        set.add(effectFromName(util::trim(token)));
+    for (const auto &token : util::split(text, ',')) {
+        const std::optional<Effect> effect =
+            effectFromName(util::trim(token));
+        if (!effect)
+            return std::nullopt;
+        set.add(*effect);
+    }
     return set;
 }
 

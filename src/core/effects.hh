@@ -14,6 +14,7 @@
 #define VMARGIN_CORE_EFFECTS_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,8 +45,8 @@ std::string effectName(Effect effect);
 /** Table 3 description of the effect. */
 std::string effectDescription(Effect effect);
 
-/** Parse a short effect name; panics on an unknown one. */
-Effect effectFromName(const std::string &name);
+/** Parse a short effect name; nullopt on an unknown one. */
+std::optional<Effect> effectFromName(const std::string &name);
 
 /** The set of effects one run manifested. */
 class EffectSet
@@ -69,8 +70,9 @@ class EffectSet
     /** Comma-separated names, or "NO" when empty. */
     std::string toString() const;
 
-    /** Parse the toString() format back. */
-    static EffectSet fromString(const std::string &text);
+    /** Parse the toString() format back; nullopt when a name in
+     *  @p text is not an effect. */
+    static std::optional<EffectSet> fromString(const std::string &text);
 
     bool operator==(const EffectSet &other) const = default;
 

@@ -108,7 +108,7 @@ struct ExecutorStats
     obs::Counter &cellsFresh = reg.counter("executor.cells_fresh");
     obs::Counter &cellsFromJournal =
         reg.counter("executor.cells_from_journal");
-    obs::Counter &cacheHits = reg.counter("executor.cache_hits");
+    obs::Counter &cellsFromCache = reg.counter("executor.cache_hits");
     obs::Counter &cacheMisses =
         reg.counter("executor.cache_misses");
     obs::SpanStat &planSpan = reg.span("executor.plan");
@@ -192,7 +192,7 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
                         if (entry.source == Source::Journal)
                             stats.cellsFromJournal.inc();
                         else
-                            stats.cacheHits.inc();
+                            stats.cellsFromCache.inc();
                     } else if (config.cellBudget > 0 &&
                                fresh_cells >= config.cellBudget) {
                         return false; // a later call resumes here
@@ -271,10 +271,6 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
             LedgerView view(config.weights);
             for (; entry != plan.end() && entry->chip == chip;
                  ++entry) {
-                report.telemetry.journalReplays +=
-                    entry->source == Source::Journal;
-                report.telemetry.cacheHits +=
-                    entry->source == Source::Cache;
                 mergeCellIntoReport(report, view,
                                     entry->source == Source::Fresh
                                         ? entry->measured

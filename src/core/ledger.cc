@@ -39,6 +39,15 @@ ledgerChecksum(std::string_view payload)
 namespace
 {
 
+/** First payload byte of every record frame: which record follows. */
+enum class FrameKind : uint8_t
+{
+    Run = 1,
+    Commit = 2,
+    DaemonRound = 3,
+    Supervisor = 4,
+};
+
 void
 putU32(std::string &out, uint32_t value)
 {
@@ -174,8 +183,8 @@ void
 putTelemetry(std::string &out, const RecoveryTelemetry &telemetry)
 {
     // The cell-level counters the journal has always persisted;
-    // fallbackRounds is daemon-scoped and journalReplays/cacheHits
-    // are session-scoped, so none of those belong to a cell record.
+    // fallbackRounds is daemon-scoped, so it does not belong to a
+    // cell record.
     putU64(out, telemetry.retries);
     putU64(out, telemetry.backoffEvents);
     putU64(out, telemetry.backoffUsTotal);
@@ -234,7 +243,7 @@ FrameCursor::next(std::string_view &payload, uint32_t &checksum)
 void
 encodeRunRecordInto(std::string &out, const RunRecord &record)
 {
-    out.push_back(static_cast<char>(LedgerRecord::Kind::Run));
+    out.push_back(static_cast<char>(FrameKind::Run));
     putString(out, record.key.workloadId);
     putU32(out, static_cast<uint32_t>(record.key.core));
     putU32(out, static_cast<uint32_t>(record.key.voltage));
@@ -265,7 +274,7 @@ void
 encodeCellCommitInto(std::string &out, const CellCommit &commit,
                      uint32_t version)
 {
-    out.push_back(static_cast<char>(LedgerRecord::Kind::Commit));
+    out.push_back(static_cast<char>(FrameKind::Commit));
     putU64(out, commit.configHash);
     putString(out, commit.workloadId);
     putU32(out, static_cast<uint32_t>(commit.core));
@@ -304,8 +313,7 @@ void
 encodeDaemonRoundInto(std::string &payload,
                       const DaemonRoundRecord &record)
 {
-    payload.push_back(
-        static_cast<char>(LedgerRecord::Kind::DaemonRound));
+    payload.push_back(static_cast<char>(FrameKind::DaemonRound));
     putU32(payload, static_cast<uint32_t>(record.round));
     putU32(payload, static_cast<uint32_t>(record.voltage));
     putF64(payload, record.energyJoule);
@@ -334,8 +342,7 @@ void
 encodeSupervisorCheckpointInto(std::string &payload,
                                const SupervisorCheckpoint &state)
 {
-    payload.push_back(
-        static_cast<char>(LedgerRecord::Kind::Supervisor));
+    payload.push_back(static_cast<char>(FrameKind::Supervisor));
     putU32(payload, state.roundsCompleted);
     putU32(payload, static_cast<uint32_t>(state.legacyClampMv));
     putU32(payload, state.legacyStreak);
@@ -390,10 +397,10 @@ encodeSupervisorCheckpoint(const SupervisorCheckpoint &state)
 namespace
 {
 
-// Per-kind decode bodies, positioned after the kind byte. The bulk
-// replay path decodes directly into its target structs through these
-// instead of materializing a fat LedgerRecord (which drags a full
-// SupervisorCheckpoint — two vectors — through every frame).
+// Per-kind decode bodies, positioned after the kind byte: the only
+// decoder of record frames. Replay decodes straight into its target
+// structs through these. Each returns false on a malformed payload
+// (short buffer, unknown effect name) and replay skips the frame.
 
 bool
 readRunRecord(PayloadReader &reader, RunRecord &run)
@@ -404,7 +411,10 @@ readRunRecord(PayloadReader &reader, RunRecord &run)
     run.key.frequency = static_cast<MegaHertz>(reader.u32());
     run.key.campaign = reader.u32();
     run.key.runIndex = reader.u32();
-    run.effects = EffectSet::fromString(reader.str());
+    const auto effects = EffectSet::fromString(reader.str());
+    if (!effects)
+        return false;
+    run.effects = *effects;
     run.sdcEvents = reader.u64();
     run.correctedErrors = reader.u64();
     run.uncorrectedErrors = reader.u64();
@@ -505,33 +515,6 @@ readSupervisorCheckpoint(PayloadReader &reader,
 }
 
 } // namespace
-
-bool
-decodeLedgerRecord(std::string_view payload, LedgerRecord &record,
-                   uint32_t version)
-{
-    PayloadReader reader(payload);
-    const auto kind = static_cast<LedgerRecord::Kind>(reader.u8());
-    switch (kind) {
-      case LedgerRecord::Kind::Run:
-        record.kind = LedgerRecord::Kind::Run;
-        record.run = RunRecord{};
-        return readRunRecord(reader, record.run);
-      case LedgerRecord::Kind::Commit:
-        record.kind = LedgerRecord::Kind::Commit;
-        record.commit = CellCommit{};
-        return readCellCommit(reader, record.commit, version);
-      case LedgerRecord::Kind::DaemonRound:
-        record.kind = LedgerRecord::Kind::DaemonRound;
-        record.daemonRound = DaemonRoundRecord{};
-        return readDaemonRound(reader, record.daemonRound);
-      case LedgerRecord::Kind::Supervisor:
-        record.kind = LedgerRecord::Kind::Supervisor;
-        record.supervisor = SupervisorCheckpoint{};
-        return readSupervisorCheckpoint(reader, record.supervisor);
-    }
-    return false;
-}
 
 // ---- RunLedger ---------------------------------------------------
 
@@ -811,7 +794,6 @@ RunLedger::open(const std::string &app_header,
     byKey_.clear();
     daemonRounds_.clear();
     writer_.close();
-    implicitChip_ = implicit_chip;
     fileVersion_ = kLedgerVersion;
 
     LedgerFileBuffer file;
@@ -951,9 +933,7 @@ RunLedger::open(const std::string &app_header,
         }
 
         // Decode straight into the destination slot through the
-        // per-kind readers: the replay hot path never materializes a
-        // LedgerRecord (whose SupervisorCheckpoint member would cost
-        // two vector constructions per frame).
+        // per-kind readers.
         const auto markMalformed = [&]() {
             statReplaySkipped.inc();
             util::warnf(name_, ": '", path_,
@@ -962,10 +942,9 @@ RunLedger::open(const std::string &app_header,
             poisonDaemon("malformed record");
         };
         PayloadReader reader(payload);
-        const auto kind =
-            static_cast<LedgerRecord::Kind>(reader.u8());
+        const auto kind = static_cast<FrameKind>(reader.u8());
 
-        if (kind == LedgerRecord::Kind::Run) {
+        if (kind == FrameKind::Run) {
             RunRecord &run = pending.runs.emplace_back();
             if (!readRunRecord(reader, run)) {
                 pending.runs.pop_back();
@@ -978,7 +957,7 @@ RunLedger::open(const std::string &app_header,
             continue;
         }
 
-        if (kind == LedgerRecord::Kind::DaemonRound) {
+        if (kind == FrameKind::DaemonRound) {
             DaemonRoundRecord round;
             if (!readDaemonRound(reader, round)) {
                 markMalformed();
@@ -1000,7 +979,7 @@ RunLedger::open(const std::string &app_header,
             continue;
         }
 
-        if (kind == LedgerRecord::Kind::Supervisor) {
+        if (kind == FrameKind::Supervisor) {
             SupervisorCheckpoint state;
             if (!readSupervisorCheckpoint(reader, state)) {
                 markMalformed();
@@ -1022,7 +1001,7 @@ RunLedger::open(const std::string &app_header,
             continue;
         }
 
-        if (kind == LedgerRecord::Kind::Commit) {
+        if (kind == FrameKind::Commit) {
             // Commit: accept the pending cell only when intact —
             // the run count matches, nothing in between was corrupt,
             // and the key is not already present (first occurrence
@@ -1035,7 +1014,7 @@ RunLedger::open(const std::string &app_header,
             if (fileVersion_ < 2)
                 // Legacy file: every cell belongs to the implicit
                 // single chip the caller supplied.
-                commit.chip = implicitChip_;
+                commit.chip = implicit_chip;
             const bool intact =
                 !pending_corrupt &&
                 pending.runs.size() == commit.runCount;
@@ -1095,15 +1074,6 @@ RunLedger::find(Seed config_hash, const ChipRef &chip,
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return findLocked(config_hash, chip.key(), workload_id, core);
-}
-
-const CellMeasurement *
-RunLedger::find(Seed config_hash, const std::string &workload_id,
-                CoreId core) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return findLocked(config_hash, implicitChip_.key(), workload_id,
-                      core);
 }
 
 size_t

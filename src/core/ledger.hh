@@ -266,23 +266,6 @@ struct SupervisorCheckpoint
     std::vector<CoreState> cores;
 };
 
-/** One decoded ledger record. */
-struct LedgerRecord
-{
-    enum class Kind : uint8_t
-    {
-        Run = 1,
-        Commit = 2,
-        DaemonRound = 3,
-        Supervisor = 4,
-    };
-    Kind kind = Kind::Run;
-    RunRecord run;                 ///< valid when kind == Run
-    CellCommit commit;             ///< valid when kind == Commit
-    DaemonRoundRecord daemonRound; ///< valid when kind == DaemonRound
-    SupervisorCheckpoint supervisor; ///< valid when kind == Supervisor
-};
-
 // ---- framing -----------------------------------------------------
 
 /** First bytes of every ledger file. */
@@ -452,17 +435,6 @@ class LedgerWriter
 };
 
 /**
- * Decode one frame payload written under @p version (default: the
- * current version). Returns false on a malformed payload (unknown
- * kind, short buffer) — the caller skips the record the same way it
- * skips a checksum mismatch. Version-1 cell commits carry no chip;
- * the decoded commit keeps the default (implicit) ChipRef.
- */
-bool decodeLedgerRecord(std::string_view payload,
-                        LedgerRecord &record,
-                        uint32_t version = kLedgerVersion);
-
-/**
  * Append-only, mutex-guarded ledger over one file.
  *
  * On disk: the 4-byte magic, a header frame (framing version + an
@@ -477,8 +449,8 @@ bool decodeLedgerRecord(std::string_view payload,
  * per-thread scratch buffers; the critical section is the duplicate
  * check, the buffer append and the flush decision. Loading
  * tolerates a truncated tail (discarded with a warning), skips
- * checksum-failed frames, and refuses foreign files and version
- * mismatches.
+ * checksum-failed and malformed frames, and refuses foreign files
+ * and version mismatches.
  *
  * Completed cells are keyed by (configHash, workload, core); the
  * first intact occurrence wins, so racing sessions appending the
@@ -531,11 +503,6 @@ class RunLedger
      */
     const CellMeasurement *find(Seed config_hash,
                                 const ChipRef &chip,
-                                const std::string &workload_id,
-                                CoreId core) const;
-
-    /** Convenience lookup on the implicit chip passed to open(). */
-    const CellMeasurement *find(Seed config_hash,
                                 const std::string &workload_id,
                                 CoreId core) const;
 
@@ -609,7 +576,6 @@ class RunLedger
     std::map<std::tuple<Seed, uint64_t, std::string, CoreId>, size_t>
         byKey_;
     std::vector<DaemonRoundEntry> daemonRounds_;
-    ChipRef implicitChip_;      ///< chip key of version-1 records
     uint32_t fileVersion_ = kLedgerVersion;
 };
 

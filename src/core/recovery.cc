@@ -42,8 +42,6 @@ RecoveryTelemetry::merge(const RecoveryTelemetry &other)
     watchdogRetries += other.watchdogRetries;
     lostMeasurements += other.lostMeasurements;
     fallbackRounds += other.fallbackRounds;
-    journalReplays += other.journalReplays;
-    cacheHits += other.cacheHits;
 }
 
 RecoveryTelemetry
@@ -58,8 +56,6 @@ RecoveryTelemetry::since(const RecoveryTelemetry &baseline) const
     delta.lostMeasurements =
         lostMeasurements - baseline.lostMeasurements;
     delta.fallbackRounds = fallbackRounds - baseline.fallbackRounds;
-    delta.journalReplays = journalReplays - baseline.journalReplays;
-    delta.cacheHits = cacheHits - baseline.cacheHits;
     return delta;
 }
 

@@ -71,8 +71,6 @@ struct RecoveryTelemetry
     uint64_t watchdogRetries = 0;  ///< extra polls after missed cycles
     uint64_t lostMeasurements = 0; ///< runs abandoned after exhaustion
     uint64_t fallbackRounds = 0;   ///< daemon rounds served at fallback
-    uint64_t journalReplays = 0;   ///< cells skipped via journal resume
-    uint64_t cacheHits = 0;        ///< cells served from the result cache
 
     /**
      * Accumulate @p other into this. Every field is an additive

@@ -162,6 +162,16 @@ deserializeReport(const std::string &text,
                            "'";
                 });
         };
+        // The effects and site-count parsers return nullopt on a bad
+        // value; the fatal error names it with its row and column.
+        const auto decode = [&](auto parsed, size_t col,
+                                const char *expected) {
+            if (!parsed)
+                util::fatalError(row_name() + ", column '" +
+                                 doc.header[col] + "': '" + row[col] +
+                                 "' is not " + expected);
+            return *std::move(parsed);
+        };
         ClassifiedRun run;
         run.key.workloadId = row[col_workload];
         read(run.key.core, col_core);
@@ -169,7 +179,8 @@ deserializeReport(const std::string &text,
         read(run.key.frequency, col_freq);
         read(run.key.campaign, col_campaign);
         read(run.key.runIndex, col_run);
-        run.effects = EffectSet::fromString(row[col_effects]);
+        run.effects = decode(EffectSet::fromString(row[col_effects]),
+                             col_effects, "a list of effect names");
         read(run.sdcEvents, col_sdc);
         read(run.correctedErrors, col_ce);
         read(run.uncorrectedErrors, col_ue);
@@ -177,8 +188,12 @@ deserializeReport(const std::string &text,
         read(run.seconds, col_seconds);
         read(run.avgIpc, col_ipc);
         read(run.activityFactor, col_activity);
-        run.correctedBySite = decodeSiteCounts(row[col_ce_sites]);
-        run.uncorrectedBySite = decodeSiteCounts(row[col_ue_sites]);
+        run.correctedBySite =
+            decode(decodeSiteCounts(row[col_ce_sites]), col_ce_sites,
+                   "a site:count list");
+        run.uncorrectedBySite =
+            decode(decodeSiteCounts(row[col_ue_sites]), col_ue_sites,
+                   "a site:count list");
         view.add(run);
         report.allRuns.push_back(std::move(run));
     }

@@ -645,7 +645,6 @@ GovernorDaemon::run(const std::vector<Placement> &placements,
     result.telemetry.merge(
         managed_.telemetry().since(telemetry_before));
     result.telemetry.fallbackRounds = result.fallbackRounds;
-    result.telemetry.journalReplays = result.replayedRounds;
     result.averageVoltage =
         result.rounds.empty()
             ? static_cast<double>(options.safeVoltage)

@@ -13,6 +13,7 @@
 
 #include "core/cellcache.hh"
 #include "core/resultstore.hh"
+#include "obs/metrics.hh"
 #include "sim/platform.hh"
 #include "workloads/spec.hh"
 
@@ -20,6 +21,15 @@ namespace vmargin
 {
 namespace
 {
+
+/** Current value of an exact executor counter; tests read deltas. */
+uint64_t
+counterValue(const char *name)
+{
+    return obs::Registry::global().counter(name).value();
+}
+
+constexpr const char *kCacheHits = "executor.cache_hits";
 
 FrameworkConfig
 smallConfig()
@@ -127,11 +137,13 @@ TEST(CellCache, ServesRepeatedSweepWithoutRemeasuring)
     CharacterizationFramework framework(&platform);
     FrameworkConfig config = smallConfig();
     config.cachePath = path;
+    uint64_t hits_before = counterValue(kCacheHits);
     const auto first = framework.characterize(config);
-    EXPECT_EQ(first.telemetry.cacheHits, 0u);
+    EXPECT_EQ(counterValue(kCacheHits) - hits_before, 0u);
 
+    hits_before = counterValue(kCacheHits);
     const auto second = framework.characterize(config);
-    EXPECT_EQ(second.telemetry.cacheHits, 2u)
+    EXPECT_EQ(counterValue(kCacheHits) - hits_before, 2u)
         << "every cell must be served from the cache";
     EXPECT_EQ(serializeReport(second), serializeReport(first))
         << "a cache-served sweep must reproduce the measured "
@@ -140,8 +152,9 @@ TEST(CellCache, ServesRepeatedSweepWithoutRemeasuring)
     // A changed measurement knob must miss and re-measure.
     FrameworkConfig changed = config;
     changed.endVoltage = 900;
+    hits_before = counterValue(kCacheHits);
     const auto remeasured = framework.characterize(changed);
-    EXPECT_EQ(remeasured.telemetry.cacheHits, 0u);
+    EXPECT_EQ(counterValue(kCacheHits) - hits_before, 0u);
     std::remove(path.c_str());
 }
 

@@ -154,14 +154,18 @@ TEST(Classifier, SiteCountEncodingRoundTrip)
     const std::map<std::string, uint64_t> sites = {
         {"L2Cache", 9}, {"L3Cache", 2}, {"DRAM", 1}};
     EXPECT_EQ(decodeSiteCounts(encodeSiteCounts(sites)), sites);
-    EXPECT_TRUE(decodeSiteCounts("").empty());
+    EXPECT_TRUE(decodeSiteCounts("")->empty());
     EXPECT_EQ(encodeSiteCounts({}), "");
 }
 
-TEST(Classifier, DeathOnMalformedSiteCounts)
+TEST(Classifier, MalformedSiteCountsAreReported)
 {
-    EXPECT_DEATH(decodeSiteCounts("L2Cache"), "malformed");
-    EXPECT_DEATH(decodeSiteCounts("L2Cache:x"), "bad count");
+    // Malformed site counts are reported, not fatal: the caller
+    // decides (the report decoder names the value, column and row).
+    EXPECT_FALSE(decodeSiteCounts("L2Cache").has_value());
+    EXPECT_FALSE(decodeSiteCounts("L2Cache:x").has_value());
+    EXPECT_FALSE(decodeSiteCounts("L2Cache:").has_value());
+    EXPECT_FALSE(decodeSiteCounts("L2Cache:-1").has_value());
 }
 
 TEST(Classifier, DeathOnEmptyLog)

@@ -16,6 +16,7 @@ TEST(Effects, NamesRoundTrip)
 {
     for (Effect e : kAllEffects)
         EXPECT_EQ(effectFromName(effectName(e)), e);
+    EXPECT_FALSE(effectFromName("ZZ").has_value());
 }
 
 TEST(Effects, DescriptionsNonEmpty)
@@ -74,6 +75,7 @@ TEST(EffectSet, StringRoundTrip)
     EXPECT_EQ(EffectSet::fromString(""), EffectSet{});
     EXPECT_EQ(EffectSet::fromString(" SDC , CE "),
               EffectSet::fromString("SDC,CE"));
+    EXPECT_FALSE(EffectSet::fromString("SDC,ZZ").has_value());
 }
 
 TEST(ClassifyRun, NormalOperation)

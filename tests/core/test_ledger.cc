@@ -13,8 +13,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/ledger.hh"
+#include "obs/metrics.hh"
 
 namespace vmargin
 {
@@ -58,56 +60,174 @@ makeCell(const std::string &workload, CoreId core)
     return cell;
 }
 
+/** Current value of an exact ledger counter; tests read deltas. */
+uint64_t
+counterValue(const char *name)
+{
+    return obs::Registry::global().counter(name).value();
+}
+
+/** Append each payload to @p path as a frame with a valid checksum,
+ *  so hostile payloads get past the checksum to the decoder. */
+void
+appendRawFrames(const std::string &path,
+                const std::vector<std::string> &payloads)
+{
+    std::string bytes;
+    for (const auto &payload : payloads)
+        appendFrame(bytes, payload);
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << bytes;
+}
+
 TEST(LedgerCodec, RunRecordRoundTripsBitExact)
 {
-    const RunRecord run = makeRun("bwaves/ref", 3, 905, 7, true);
-    LedgerRecord decoded;
-    ASSERT_TRUE(decodeLedgerRecord(encodeRunRecord(run), decoded));
-    ASSERT_EQ(decoded.kind, LedgerRecord::Kind::Run);
-    EXPECT_EQ(decoded.run.key.workloadId, run.key.workloadId);
-    EXPECT_EQ(decoded.run.key.core, run.key.core);
-    EXPECT_EQ(decoded.run.key.voltage, run.key.voltage);
-    EXPECT_EQ(decoded.run.key.runIndex, run.key.runIndex);
-    EXPECT_EQ(decoded.run.effects.toString(),
-              run.effects.toString());
-    EXPECT_EQ(decoded.run.exitCode, run.exitCode);
+    const std::string path = "/tmp/vmargin_test_ledger_codec_run";
+    std::remove(path.c_str());
+    RunRecord run = makeRun("bwaves/ref", 3, 905, 7, true);
+    run.key.campaign = 2;
+    run.effects.add(Effect::SDC);
+    run.effects.add(Effect::CE);
+    run.sdcEvents = 4;
+    run.correctedErrors = 9;
+    run.uncorrectedErrors = 1;
+    run.uncorrectedBySite["L3Cache"] = 1;
+    CellMeasurement cell;
+    cell.workloadId = run.key.workloadId;
+    cell.core = run.key.core;
+    cell.runs = {run};
+    {
+        RunLedger ledger(path, "test");
+        ledger.open("h");
+        ledger.append(1, cell);
+    }
+    RunLedger reopened(path, "test");
+    reopened.open("h");
+    ASSERT_EQ(reopened.size(), 1u);
+    ASSERT_EQ(reopened.entries()[0].cell.runs.size(), 1u);
+    const RunRecord &got = reopened.entries()[0].cell.runs[0];
+    EXPECT_EQ(got.key.workloadId, run.key.workloadId);
+    EXPECT_EQ(got.key.core, run.key.core);
+    EXPECT_EQ(got.key.voltage, run.key.voltage);
+    EXPECT_EQ(got.key.frequency, run.key.frequency);
+    EXPECT_EQ(got.key.campaign, run.key.campaign);
+    EXPECT_EQ(got.key.runIndex, run.key.runIndex);
+    EXPECT_EQ(got.effects, run.effects);
+    EXPECT_EQ(got.sdcEvents, run.sdcEvents);
+    EXPECT_EQ(got.correctedErrors, run.correctedErrors);
+    EXPECT_EQ(got.uncorrectedErrors, run.uncorrectedErrors);
+    EXPECT_EQ(got.exitCode, run.exitCode);
     // Bit-exact double round-trip is what makes replayed reports
     // byte-identical to fresh ones.
-    EXPECT_EQ(decoded.run.seconds, run.seconds);
-    EXPECT_EQ(decoded.run.avgIpc, run.avgIpc);
-    EXPECT_EQ(decoded.run.activityFactor, run.activityFactor);
-    EXPECT_EQ(decoded.run.correctedBySite, run.correctedBySite);
+    EXPECT_EQ(got.seconds, run.seconds);
+    EXPECT_EQ(got.avgIpc, run.avgIpc);
+    EXPECT_EQ(got.activityFactor, run.activityFactor);
+    EXPECT_EQ(got.correctedBySite, run.correctedBySite);
+    EXPECT_EQ(got.uncorrectedBySite, run.uncorrectedBySite);
+    std::remove(path.c_str());
 }
 
 TEST(LedgerCodec, CommitRoundTrips)
 {
-    CellCommit commit;
-    commit.configHash = 0xdeadbeefcafef00dull;
-    commit.workloadId = "leslie3d/ref";
-    commit.core = 5;
-    commit.runCount = 42;
-    commit.watchdogInterventions = 3;
-    commit.telemetry.retries = 11;
-    commit.telemetry.backoffUsTotal = 12345;
-    LedgerRecord decoded;
-    ASSERT_TRUE(
-        decodeLedgerRecord(encodeCellCommit(commit), decoded));
-    ASSERT_EQ(decoded.kind, LedgerRecord::Kind::Commit);
-    EXPECT_EQ(decoded.commit.configHash, commit.configHash);
-    EXPECT_EQ(decoded.commit.workloadId, commit.workloadId);
-    EXPECT_EQ(decoded.commit.runCount, commit.runCount);
-    EXPECT_EQ(decoded.commit.telemetry.retries, 11u);
-    EXPECT_EQ(decoded.commit.telemetry.backoffUsTotal, 12345u);
+    const std::string path = "/tmp/vmargin_test_ledger_codec_commit";
+    std::remove(path.c_str());
+    CellMeasurement cell = makeCell("leslie3d/ref", 5);
+    cell.chip = ChipRef{sim::ChipCorner::TSS, 9};
+    cell.watchdogInterventions = 3;
+    cell.telemetry.retries = 11;
+    cell.telemetry.backoffEvents = 6;
+    cell.telemetry.backoffUsTotal = 12345;
+    cell.telemetry.watchdogRetries = 2;
+    cell.telemetry.lostMeasurements = 1;
+    const Seed config_hash = 0xdeadbeefcafef00dull;
+    {
+        RunLedger ledger(path, "test");
+        ledger.open("h");
+        ledger.append(config_hash, cell);
+    }
+    RunLedger reopened(path, "test");
+    reopened.open("h");
+    ASSERT_EQ(reopened.size(), 1u);
+    EXPECT_EQ(reopened.entries()[0].configHash, config_hash);
+    const CellMeasurement *got =
+        reopened.find(config_hash, cell.chip, "leslie3d/ref", 5);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->chip, cell.chip);
+    EXPECT_EQ(got->workloadId, cell.workloadId);
+    EXPECT_EQ(got->core, cell.core);
+    EXPECT_EQ(got->runs.size(), cell.runs.size());
+    EXPECT_EQ(got->watchdogInterventions, 3u);
+    EXPECT_EQ(got->telemetry.retries, 11u);
+    EXPECT_EQ(got->telemetry.backoffEvents, 6u);
+    EXPECT_EQ(got->telemetry.backoffUsTotal, 12345u);
+    EXPECT_EQ(got->telemetry.watchdogRetries, 2u);
+    EXPECT_EQ(got->telemetry.lostMeasurements, 1u);
+    std::remove(path.c_str());
 }
 
 TEST(LedgerCodec, RejectsUnknownKindAndShortPayloads)
 {
-    LedgerRecord decoded;
-    EXPECT_FALSE(decodeLedgerRecord("", decoded));
-    EXPECT_FALSE(decodeLedgerRecord("\x07junk", decoded));
+    const std::string path = "/tmp/vmargin_test_ledger_codec_reject";
+    std::remove(path.c_str());
+    {
+        RunLedger ledger(path, "test");
+        ledger.open("h");
+    }
+    // Each hostile frame carries a valid checksum, so it reaches the
+    // decoder: an empty payload, an unknown kind byte, and a run
+    // record cut in half. Each is skipped as malformed, and the
+    // commit after them is refused because its cell lost records.
     const std::string run = encodeRunRecord(makeRun("x", 0, 900));
-    EXPECT_FALSE(decodeLedgerRecord(
-        std::string_view(run).substr(0, run.size() / 2), decoded));
+    CellCommit commit;
+    commit.workloadId = "x";
+    commit.runCount = 1;
+    appendRawFrames(path, {"", "\x07junk", run.substr(0, run.size() / 2),
+                           run, encodeCellCommit(commit)});
+
+    const uint64_t skipped_before = counterValue("ledger.replay_skipped");
+    RunLedger reopened(path, "test");
+    reopened.open("h");
+    EXPECT_EQ(counterValue("ledger.replay_skipped") - skipped_before, 3u);
+    EXPECT_EQ(reopened.size(), 0u);
+    std::remove(path.c_str());
+}
+
+TEST(RunLedger, UnknownEffectNameIsSkippedNotFatal)
+{
+    // A run frame whose checksum is valid but whose effects field
+    // names no effect ("NO" patched to "ZZ", checksum recomputed)
+    // used to abort replay. It is now a malformed record: skipped,
+    // counted, and its cell refused. The next cell still loads.
+    const std::string path = "/tmp/vmargin_test_ledger_bad_effect";
+    std::remove(path.c_str());
+    {
+        RunLedger ledger(path, "test");
+        ledger.open("h");
+    }
+    std::string run = encodeRunRecord(makeRun("bwaves/ref", 0, 930));
+    const std::string no_field("\x02\x00\x00\x00NO", 6);
+    const size_t at = run.find(no_field);
+    ASSERT_NE(at, std::string::npos);
+    run.replace(at + 4, 2, "ZZ");
+    CellCommit commit;
+    commit.workloadId = "bwaves/ref";
+    commit.runCount = 1;
+    appendRawFrames(path, {run, encodeCellCommit(commit)});
+
+    const uint64_t skipped_before = counterValue("ledger.replay_skipped");
+    {
+        RunLedger reopened(path, "test");
+        reopened.open("h");
+        EXPECT_EQ(counterValue("ledger.replay_skipped") - skipped_before,
+                  1u);
+        EXPECT_EQ(reopened.size(), 0u) << "the cell must be refused";
+        reopened.append(1, makeCell("leslie3d/ref", 1));
+    }
+    RunLedger again(path, "test");
+    again.open("h");
+    EXPECT_EQ(again.size(), 1u);
+    EXPECT_NE(again.find(1, ChipRef{}, "leslie3d/ref", 1), nullptr);
+    std::remove(path.c_str());
 }
 
 TEST(RunLedger, EmptyLedgerRoundTrips)
@@ -124,7 +244,7 @@ TEST(RunLedger, EmptyLedgerRoundTrips)
     reopened.open("header-v-test");
     EXPECT_EQ(reopened.size(), 0u);
     EXPECT_TRUE(reopened.entries().empty());
-    EXPECT_EQ(reopened.find(0, "any", 0), nullptr);
+    EXPECT_EQ(reopened.find(0, ChipRef{}, "any", 0), nullptr);
     std::remove(path.c_str());
 }
 
@@ -146,14 +266,14 @@ TEST(RunLedger, AppendFindRoundTripsAcrossReopen)
     reopened.open("h");
     ASSERT_EQ(reopened.size(), 2u);
     const CellMeasurement *found =
-        reopened.find(77, "bwaves/ref", 2);
+        reopened.find(77, ChipRef{}, "bwaves/ref", 2);
     ASSERT_NE(found, nullptr);
     ASSERT_EQ(found->runs.size(), cell.runs.size());
     EXPECT_EQ(found->runs[2].effects.toString(), "SC");
     EXPECT_EQ(found->watchdogInterventions, 2u);
     EXPECT_EQ(found->telemetry.retries, 5u);
     // Different config hash: not found.
-    EXPECT_EQ(reopened.find(78, "bwaves/ref", 2), nullptr);
+    EXPECT_EQ(reopened.find(78, ChipRef{}, "bwaves/ref", 2), nullptr);
     std::remove(path.c_str());
 }
 
@@ -178,7 +298,7 @@ TEST(RunLedger, TruncatedTailIsDiscarded)
     RunLedger reopened(path, "test");
     reopened.open("h");
     EXPECT_EQ(reopened.size(), 1u);
-    EXPECT_NE(reopened.find(1, "bwaves/ref", 0), nullptr);
+    EXPECT_NE(reopened.find(1, ChipRef{}, "bwaves/ref", 0), nullptr);
 
     // The torn bytes are cut from the file on open, so a resumed
     // session's re-run cell appends on a clean frame boundary.
@@ -186,7 +306,7 @@ TEST(RunLedger, TruncatedTailIsDiscarded)
     RunLedger again(path, "test");
     again.open("h");
     EXPECT_EQ(again.size(), 2u);
-    EXPECT_NE(again.find(1, "leslie3d/ref", 1), nullptr);
+    EXPECT_NE(again.find(1, ChipRef{}, "leslie3d/ref", 1), nullptr);
     std::remove(path.c_str());
 }
 
@@ -244,8 +364,8 @@ TEST(RunLedger, ChecksumMismatchSkipsRecordAndPoisonsCell)
     reopened.open("h");
     EXPECT_EQ(reopened.size(), 1u)
         << "the corrupted cell must be dropped, not half-loaded";
-    EXPECT_EQ(reopened.find(1, "bwaves/ref", 0), nullptr);
-    EXPECT_NE(reopened.find(1, "leslie3d/ref", 1), nullptr);
+    EXPECT_EQ(reopened.find(1, ChipRef{}, "bwaves/ref", 0), nullptr);
+    EXPECT_NE(reopened.find(1, ChipRef{}, "leslie3d/ref", 1), nullptr);
     std::remove(path.c_str());
 }
 
@@ -339,37 +459,126 @@ makeCheckpoint(int rounds_completed)
     return state;
 }
 
+TEST(RunLedger, CountersMatchHandBuiltFile)
+{
+    const std::string path = "/tmp/vmargin_test_ledger_counters";
+    const std::string header = "counter-h";
+    std::remove(path.c_str());
+    const uint64_t bytes0 = counterValue("ledger.append_bytes");
+    const uint64_t units0 = counterValue("ledger.append_units");
+
+    // Three cells of three runs and two daemon rounds: five units.
+    {
+        RunLedger ledger(path, "test");
+        ledger.open(header);
+        ledger.append(1, makeCell("bwaves/ref", 0));
+        ledger.append(1, makeCell("bwaves/ref", 1));
+        ledger.append(2, makeCell("leslie3d/ref", 0));
+        ledger.append(2, makeCell("leslie3d/ref", 0)); // duplicate
+        ledger.appendDaemonRound(makeDaemonRound(0), makeCheckpoint(1));
+        ledger.appendDaemonRound(makeDaemonRound(1), makeCheckpoint(2));
+    }
+    // The magic and the header frame (u32 version, u32 length,
+    // header bytes) are written at creation, not appended.
+    const uint64_t preamble = 4 + 8 + 4 + 4 + header.size();
+    const uint64_t committed = std::filesystem::file_size(path);
+    EXPECT_EQ(counterValue("ledger.append_bytes") - bytes0,
+              committed - preamble);
+    EXPECT_EQ(counterValue("ledger.append_units") - units0, 5u);
+
+    // Hostile tail: a checksum-failed frame, an unknown-kind frame
+    // with a valid checksum, and a torn frame.
+    {
+        std::string bytes;
+        appendFrame(bytes, encodeRunRecord(makeRun("x", 0, 900)));
+        bytes[8 + 3] ^= 0x5a; // payload byte: checksum now fails
+        appendFrame(bytes, "\x09");
+        std::string torn;
+        appendFrame(torn, encodeRunRecord(makeRun("y", 0, 900)));
+        bytes += torn.substr(0, torn.size() - 4);
+        std::ofstream out(path, std::ios::binary | std::ios::app);
+        out << bytes;
+    }
+    const uint64_t frames0 = counterValue("ledger.replay_frames");
+    const uint64_t skipped0 = counterValue("ledger.replay_skipped");
+    const uint64_t torn0 = counterValue("ledger.torn_tail_truncations");
+    {
+        RunLedger reopened(path, "test");
+        reopened.open(header);
+        // Header + 3 x (3 runs + commit) + 2 x (round + checkpoint)
+        // + the two hostile whole frames.
+        EXPECT_EQ(counterValue("ledger.replay_frames") - frames0,
+                  1u + 3u * 4u + 2u * 2u + 2u);
+        EXPECT_EQ(counterValue("ledger.replay_skipped") - skipped0,
+                  2u);
+        EXPECT_EQ(
+            counterValue("ledger.torn_tail_truncations") - torn0, 1u);
+        EXPECT_EQ(reopened.size(), 3u);
+        EXPECT_EQ(reopened.daemonRounds().size(), 2u);
+
+        // The hostile tail is cut on open; one more cell appends
+        // right after the last committed unit.
+        reopened.append(3, makeCell("bwaves/ref", 2));
+    }
+    EXPECT_EQ(counterValue("ledger.append_units") - units0, 6u);
+    EXPECT_EQ(counterValue("ledger.append_bytes") - bytes0,
+              std::filesystem::file_size(path) - preamble);
+    std::remove(path.c_str());
+}
+
+/** Write one daemon round plus checkpoint and reopen the file. */
+RunLedger::DaemonRoundEntry
+reopenedDaemonRound(const std::string &path,
+                    const DaemonRoundRecord &round,
+                    const SupervisorCheckpoint &state)
+{
+    std::remove(path.c_str());
+    {
+        RunLedger ledger(path, "test");
+        ledger.open("daemon-h");
+        ledger.appendDaemonRound(round, state);
+    }
+    RunLedger reopened(path, "test");
+    reopened.open("daemon-h");
+    EXPECT_EQ(reopened.daemonRounds().size(), 1u);
+    RunLedger::DaemonRoundEntry entry = reopened.daemonRounds().at(0);
+    std::remove(path.c_str());
+    return entry;
+}
+
 TEST(LedgerCodec, DaemonRoundRoundTripsBitExact)
 {
-    const DaemonRoundRecord round = makeDaemonRound(3);
-    LedgerRecord decoded;
-    ASSERT_TRUE(
-        decodeLedgerRecord(encodeDaemonRound(round), decoded));
-    ASSERT_EQ(decoded.kind, LedgerRecord::Kind::DaemonRound);
-    EXPECT_EQ(decoded.daemonRound.round, round.round);
-    EXPECT_EQ(decoded.daemonRound.voltage, round.voltage);
-    EXPECT_EQ(decoded.daemonRound.energyJoule, round.energyJoule);
-    EXPECT_EQ(decoded.daemonRound.nominalJoule, round.nominalJoule);
-    EXPECT_EQ(decoded.daemonRound.anyAbnormal, round.anyAbnormal);
-    EXPECT_EQ(decoded.daemonRound.crashed, round.crashed);
-    EXPECT_EQ(decoded.daemonRound.reexecutions, round.reexecutions);
-    EXPECT_EQ(decoded.daemonRound.nominalFallback,
-              round.nominalFallback);
-    EXPECT_EQ(decoded.daemonRound.fallbackReason,
-              round.fallbackReason);
-    EXPECT_EQ(decoded.daemonRound.guardSteps, round.guardSteps);
-    EXPECT_EQ(decoded.daemonRound.canaryProbe, round.canaryProbe);
-    EXPECT_EQ(decoded.daemonRound.safePinned, round.safePinned);
+    // Round 0 carries a fallback, round 3 a crash and a pin, round 4
+    // a canary: between them every flag bit is set once.
+    for (const int number : {0, 2, 3, 4}) {
+        DaemonRoundRecord round = makeDaemonRound(number);
+        round.round = 0; // the only round in its file
+        const DaemonRoundRecord got =
+            reopenedDaemonRound("/tmp/vmargin_test_ledger_codec_round",
+                                round, makeCheckpoint(1))
+                .round;
+        EXPECT_EQ(got.round, round.round);
+        EXPECT_EQ(got.voltage, round.voltage);
+        EXPECT_EQ(got.energyJoule, round.energyJoule);
+        EXPECT_EQ(got.nominalJoule, round.nominalJoule);
+        EXPECT_EQ(got.anyAbnormal, round.anyAbnormal);
+        EXPECT_EQ(got.crashed, round.crashed);
+        EXPECT_EQ(got.reexecutions, round.reexecutions);
+        EXPECT_EQ(got.nominalFallback, round.nominalFallback);
+        EXPECT_EQ(got.fallbackReason, round.fallbackReason);
+        EXPECT_EQ(got.guardSteps, round.guardSteps);
+        EXPECT_EQ(got.canaryProbe, round.canaryProbe);
+        EXPECT_EQ(got.safePinned, round.safePinned);
+    }
 }
 
 TEST(LedgerCodec, SupervisorCheckpointRoundTripsBitExact)
 {
-    const SupervisorCheckpoint state = makeCheckpoint(5);
-    LedgerRecord decoded;
-    ASSERT_TRUE(decodeLedgerRecord(
-        encodeSupervisorCheckpoint(state), decoded));
-    ASSERT_EQ(decoded.kind, LedgerRecord::Kind::Supervisor);
-    const SupervisorCheckpoint &got = decoded.supervisor;
+    const SupervisorCheckpoint state = makeCheckpoint(1);
+    const SupervisorCheckpoint got =
+        reopenedDaemonRound("/tmp/vmargin_test_ledger_codec_ckpt",
+                            makeDaemonRound(0), state)
+            .state;
     EXPECT_EQ(got.roundsCompleted, state.roundsCompleted);
     EXPECT_EQ(got.legacyClampMv, state.legacyClampMv);
     EXPECT_EQ(got.legacyStreak, state.legacyStreak);
@@ -615,6 +824,68 @@ TEST(LedgerView, LaterAddsInvalidateMemoizedAnalysis)
     EXPECT_EQ(view.analysis("a", 0)->regions.at(925),
               Region::Crash);
     EXPECT_EQ(view.analysis("a", 0)->vmin, 930);
+}
+
+TEST(LedgerView, DeriveAllMatchesLazyAnalysisAtAnyWorkerCount)
+{
+    // 72 cells over a voltage staircase: safe cells, cells with an
+    // unsafe band above a crash, and a few censored at the top.
+    std::vector<RunRecord> records;
+    for (int cell = 0; cell < 72; ++cell) {
+        const std::string workload = "wl" + std::to_string(cell % 9);
+        const CoreId core = static_cast<CoreId>(cell / 9);
+        const MilliVolt floor = 880 + 5 * (cell % 7);
+        for (MilliVolt v = 930; v >= 870; v -= 10) {
+            for (uint32_t i = 0; i < 2; ++i) {
+                RunRecord run = makeRun(workload, core, v, i,
+                                        v < floor - 10 && i == 1);
+                if (v < floor && cell % 3 != 0)
+                    run.effects.add(Effect::CE);
+                if (v < floor && cell % 4 == 1)
+                    run.effects.add(Effect::SDC);
+                if (cell % 23 == 5) // abnormal at the top: censored
+                    run.effects.add(Effect::AC);
+                records.push_back(run);
+            }
+        }
+    }
+    const auto derived = [&](int workers) {
+        LedgerView view;
+        view.addAll(records);
+        if (workers > 0) {
+            view.deriveAll(workers);
+        } else {
+            // Lazy: analyze on demand, in reverse cell order.
+            for (auto it = view.cellOrder().rbegin();
+                 it != view.cellOrder().rend(); ++it)
+                EXPECT_NE(view.analysis(it->workloadId, it->core),
+                          nullptr);
+        }
+        return view.cellResults();
+    };
+    const std::vector<CellResult> lazy = derived(0);
+    ASSERT_EQ(lazy.size(), 72u);
+    for (const int workers : {1, 8}) {
+        const std::vector<CellResult> cells = derived(workers);
+        ASSERT_EQ(cells.size(), lazy.size());
+        for (size_t i = 0; i < cells.size(); ++i) {
+            SCOPED_TRACE("workers " + std::to_string(workers) +
+                         ", cell " + std::to_string(i));
+            const RegionAnalysis &got = cells[i].analysis;
+            const RegionAnalysis &want = lazy[i].analysis;
+            EXPECT_EQ(cells[i].workloadId, lazy[i].workloadId);
+            EXPECT_EQ(cells[i].core, lazy[i].core);
+            EXPECT_EQ(got.runsByVoltage, want.runsByVoltage);
+            EXPECT_EQ(got.regions, want.regions);
+            EXPECT_EQ(got.severityByVoltage, want.severityByVoltage);
+            EXPECT_EQ(got.vmin, want.vmin);
+            EXPECT_EQ(got.highestCrashVoltage, want.highestCrashVoltage);
+            EXPECT_EQ(got.highestAbnormalVoltage,
+                      want.highestAbnormalVoltage);
+        }
+    }
+    // The cells differ: the staircase produced more than one Vmin.
+    EXPECT_NE(lazy.front().analysis.vmin, lazy[1].analysis.vmin);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 
 #include "core/recovery.hh"
 #include "core/resultstore.hh"
+#include "obs/metrics.hh"
 #include "sim/platform.hh"
 #include "workloads/spec.hh"
 
@@ -20,6 +21,15 @@ namespace vmargin
 {
 namespace
 {
+
+/** Current value of an exact executor counter; tests read deltas. */
+uint64_t
+counterValue(const char *name)
+{
+    return obs::Registry::global().counter(name).value();
+}
+
+constexpr const char *kFromJournal = "executor.cells_from_journal";
 
 sim::Platform
 machine(uint32_t serial = 1)
@@ -83,13 +93,12 @@ TEST(RecoveryTelemetry, MergeAndSinceAreFieldWise)
     a.watchdogRetries = 2;
     a.lostMeasurements = 1;
     a.fallbackRounds = 4;
-    a.journalReplays = 5;
 
     RecoveryTelemetry b = a;
     b.merge(a);
     EXPECT_EQ(b.retries, 6u);
     EXPECT_EQ(b.backoffUsTotal, 2800u);
-    EXPECT_EQ(b.journalReplays, 10u);
+    EXPECT_EQ(b.fallbackRounds, 8u);
 
     const RecoveryTelemetry delta = b.since(a);
     EXPECT_EQ(delta.retries, a.retries);
@@ -98,7 +107,6 @@ TEST(RecoveryTelemetry, MergeAndSinceAreFieldWise)
     EXPECT_EQ(delta.watchdogRetries, a.watchdogRetries);
     EXPECT_EQ(delta.lostMeasurements, a.lostMeasurements);
     EXPECT_EQ(delta.fallbackRounds, a.fallbackRounds);
-    EXPECT_EQ(delta.journalReplays, a.journalReplays);
 }
 
 TEST(ManagedSlimPro, ExhaustsBudgetUnderTotalNak)
@@ -289,17 +297,20 @@ TEST(Journal, ResumedSweepMatchesSingleShot)
     config.cellBudget = 1;
     CharacterizationReport resumed;
     int sessions = 0;
+    uint64_t replays = 0;
     do {
         sim::Platform p = machine(12);
         p.installFaultPlan(moderatePlan());
         CharacterizationFramework fw(&p);
+        const uint64_t replays_before = counterValue(kFromJournal);
         resumed = fw.characterize(config);
+        replays = counterValue(kFromJournal) - replays_before;
         ++sessions;
         ASSERT_LE(sessions, 3) << "two cells need two sessions";
     } while (!resumed.complete);
 
     EXPECT_EQ(sessions, 2);
-    EXPECT_EQ(resumed.telemetry.journalReplays, 1u)
+    EXPECT_EQ(replays, 1u)
         << "the final session replays the first session's cell";
     EXPECT_EQ(serializeReport(resumed), serializeReport(reference))
         << "journal replay must reproduce the single-shot report "
@@ -343,9 +354,10 @@ TEST(Journal, TruncatedTailIsRerun)
     sim::Platform p = machine(13);
     CharacterizationFramework fw(&p);
     config.cellBudget = 0;
+    const uint64_t replays_before = counterValue(kFromJournal);
     const auto resumed = fw.characterize(config);
     EXPECT_TRUE(resumed.complete);
-    EXPECT_EQ(resumed.telemetry.journalReplays, 1u)
+    EXPECT_EQ(counterValue(kFromJournal) - replays_before, 1u)
         << "only the intact first cell is trusted";
     EXPECT_EQ(serializeReport(resumed), serializeReport(reference));
     std::remove(path.c_str());

@@ -262,5 +262,32 @@ TEST(ResultStoreHostile, NonNumericHeaderValueIsFatal)
                 "header key 'freq': 'abc' is not an integer");
 }
 
+TEST(ResultStoreHostile, UnknownEffectNameIsFatal)
+{
+    EXPECT_EXIT((void)deserializeReport(twoRunReport(
+                    kMetadata, setField("effects", "ZZ"))),
+                ::testing::ExitedWithCode(1),
+                "run row 2, column 'effects': 'ZZ' is not a list "
+                "of effect names");
+}
+
+TEST(ResultStoreHostile, MalformedCeSitesIsFatal)
+{
+    EXPECT_EXIT((void)deserializeReport(twoRunReport(
+                    kMetadata, setField("ce_sites", "L2Cache"))),
+                ::testing::ExitedWithCode(1),
+                "run row 2, column 'ce_sites': 'L2Cache' is not a "
+                "site:count list");
+}
+
+TEST(ResultStoreHostile, MalformedUeSitesIsFatal)
+{
+    EXPECT_EXIT((void)deserializeReport(twoRunReport(
+                    kMetadata, setField("ue_sites", "L3Cache:x"))),
+                ::testing::ExitedWithCode(1),
+                "run row 2, column 'ue_sites': 'L3Cache:x' is not a "
+                "site:count list");
+}
+
 } // namespace
 } // namespace vmargin
