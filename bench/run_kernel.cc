@@ -4,17 +4,16 @@
  * second and epochs per second over a fixed voltage grid spanning
  * every fault regime (nominal, SDC/CE, UE, AC, SC).
  *
- * campaign_throughput measures the whole management plane (executor,
- * ledger, serialization); this bench isolates the kernel underneath
- * it — scratch-buffer RNG draws, batch cache walks, PMU accumulation
- * — so kernel-level regressions are visible without the campaign
- * machinery's noise. The workload mix and grid are fixed, and every
- * run result is folded into an FNV hash printed alongside the rates:
- * the hash must be identical on every host and every revision that
- * claims result-preserving optimizations.
+ * perfbench times the whole management plane (executor, ledger,
+ * serialization, classifier); this bench isolates the kernel
+ * underneath it — scratch-buffer RNG draws, batch cache walks, PMU
+ * accumulation — so kernel-level regressions are visible without the
+ * campaign machinery's noise. The workload mix and grid are fixed,
+ * and every run result is folded into an FNV hash printed alongside
+ * the rates. At the default 40 reps that hash is pinned by
+ * KernelGolden.RunKernelGridHash (tests/sim/test_kernel_golden.cc).
  *
- * Emits a JSON record, optionally written to a file for CI artifact
- * upload:
+ * Emits a JSON record, optionally written to a file:
  *
  *   {"bench":"run_kernel","runs":N,"runs_per_sec":...,
  *    "epochs_per_sec":...,"result_hash":"..."}

@@ -213,7 +213,16 @@ main(int argc, char **argv)
         appendJson(os, "supervised", supervised);
         os << ",\"pass\":" << (ok ? "true" : "false") << "}";
         std::ofstream out(json_path);
+        if (!out) {
+            std::cerr << "cannot write " << json_path << '\n';
+            return 1;
+        }
         out << os.str() << '\n';
+        out.flush();
+        if (!out) {
+            std::cerr << "write to " << json_path << " failed\n";
+            return 1;
+        }
         std::cout << "\ntelemetry written to " << json_path << '\n';
     }
 

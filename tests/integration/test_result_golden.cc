@@ -1,0 +1,120 @@
+/**
+ * @file
+ * Result goldens: the serialized campaign and fleet reports of one
+ * fixed 8-cell sweep, pinned to literal hashes.
+ *
+ * The determinism suites compare runs against each other (worker
+ * count, chip order, kill+resume); these tests compare them against
+ * the bytes this revision is known to produce. A change to any
+ * report byte — a shifted failure threshold, a reordered row, a
+ * reformatted number — fails here, at every worker count and for
+ * either chip enumeration order, so a margin finding stays
+ * reproducible bit for bit from the repository's own test suite.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/fleet.hh"
+#include "core/framework.hh"
+#include "core/resultstore.hh"
+#include "util/rng.hh"
+#include "workloads/spec.hh"
+
+namespace vmargin
+{
+namespace
+{
+
+/** 2 workloads x 4 cores, 930 -> 845 mV, three campaigns each. */
+FrameworkConfig
+eightCellConfig(int workers)
+{
+    FrameworkConfig config;
+    config.workloads = {wl::findWorkload("bwaves/ref"),
+                        wl::findWorkload("mcf/ref")};
+    config.cores = {0, 2, 4, 6};
+    config.campaigns = 3;
+    config.maxEpochs = 10;
+    config.startVoltage = 930;
+    config.endVoltage = 845;
+    config.workers = workers;
+    return config;
+}
+
+sim::Platform
+templatePlatform()
+{
+    return sim::Platform(sim::XGene2Params{}, sim::ChipCorner::TTT, 1);
+}
+
+std::string
+hex(Seed hash)
+{
+    std::ostringstream os;
+    os << std::hex << hash;
+    return os.str();
+}
+
+std::string
+campaignHash(int workers)
+{
+    sim::Platform platform = templatePlatform();
+    CharacterizationFramework framework(&platform);
+    return hex(util::hashSeed(
+        serializeReport(framework.characterize(eightCellConfig(workers)))));
+}
+
+/** The first @p chips parts of a typical/fast/slow/typical rack. */
+std::vector<std::string>
+fleetOf(int chips)
+{
+    const std::vector<std::string> pool = {"TTT", "TFF:2", "TSS:3",
+                                           "TTT:4"};
+    return {pool.begin(), pool.begin() + chips};
+}
+
+std::string
+fleetHash(const std::vector<std::string> &chip_specs, int workers)
+{
+    sim::Platform platform = templatePlatform();
+    FleetConfig config;
+    config.chips = parseFleetSpec(chip_specs);
+    config.framework = eightCellConfig(workers);
+    FleetExecutor executor(&platform);
+    return hex(util::hashSeed(executor.run(config).serialize()));
+}
+
+TEST(ResultGolden, CampaignReportHashAtAnyWorkerCount)
+{
+    for (const int workers : {1, 2, 8})
+        EXPECT_EQ(campaignHash(workers), "8084f6245892415e")
+            << "campaign report bytes changed at " << workers
+            << " workers";
+}
+
+TEST(ResultGolden, FleetReportHashPerFleetSize)
+{
+    EXPECT_EQ(fleetHash(fleetOf(1), 4), "ec7f284413a311a6");
+    EXPECT_EQ(fleetHash(fleetOf(2), 4), "7228959e5ff1e35b");
+}
+
+TEST(ResultGolden, FourChipFleetHashAcrossWorkersAndChipOrder)
+{
+    const char *const golden = "787fd0445e32c799";
+    for (const int workers : {1, 8})
+        EXPECT_EQ(fleetHash(fleetOf(4), workers), golden)
+            << "fleet report bytes changed at " << workers
+            << " workers";
+    std::vector<std::string> reversed = fleetOf(4);
+    std::reverse(reversed.begin(), reversed.end());
+    EXPECT_EQ(fleetHash(reversed, 4), golden)
+        << "fleet report depends on the chip enumeration order";
+}
+
+} // namespace
+} // namespace vmargin

@@ -82,6 +82,26 @@ sweep(int workers, const std::string &telemetry_path,
     return serializeReport(report);
 }
 
+/** One two-chip fleet sweep; like sweep(), but the fleet report. */
+std::string
+fleetSweep(int workers, const std::string &telemetry_path,
+           std::string *counters_out = nullptr)
+{
+    obs::Registry::global().reset();
+    sim::Platform platform(sim::XGene2Params{}, sim::ChipCorner::TTT,
+                           1);
+    FleetConfig config;
+    config.chips = parseFleetSpec({"TTT", "TFF:2"});
+    config.framework = sweepConfig();
+    config.framework.workers = workers;
+    config.framework.telemetryPath = telemetry_path;
+    FleetExecutor executor(&platform);
+    const std::string report = executor.run(config).serialize();
+    if (counters_out)
+        *counters_out = obs::Registry::global().countersJson();
+    return report;
+}
+
 std::vector<std::string>
 linesOf(const std::string &path)
 {
@@ -123,6 +143,19 @@ TEST(Telemetry, ExactCountersIdenticalAcrossWorkerCounts)
     EXPECT_NE(one.find("\"executor.cells_planned\":8"),
               std::string::npos)
         << one;
+
+    // The same contract for a fleet sweep.
+    std::string fleet_one, fleet_four, fleet_eight;
+    const std::string fleet_report = fleetSweep(1, "", &fleet_one);
+    ASSERT_EQ(fleetSweep(4, "", &fleet_four), fleet_report);
+    ASSERT_EQ(fleetSweep(8, "", &fleet_eight), fleet_report);
+    EXPECT_EQ(fleet_four, fleet_one)
+        << "fleet exact counters must not depend on the worker count";
+    EXPECT_EQ(fleet_eight, fleet_one)
+        << "fleet exact counters must not depend on the worker count";
+    EXPECT_NE(fleet_one.find("\"executor.cells_planned\":16"),
+              std::string::npos)
+        << fleet_one;
 }
 
 TEST(Telemetry, JsonlArtifactCarriesTheGatedKeys)
@@ -140,7 +173,10 @@ TEST(Telemetry, JsonlArtifactCarriesTheGatedKeys)
               std::string::npos);
     EXPECT_NE(last.find("\"executor.cells_fresh\":8"),
               std::string::npos);
-    EXPECT_NE(last.find("executor.plan"), std::string::npos);
+    EXPECT_NE(last.find("\"executor.cache_hits\":"), std::string::npos);
+    EXPECT_NE(last.find("\"executor.plan\":{"), std::string::npos);
+    EXPECT_NE(last.find("\"executor.execute\":{"), std::string::npos);
+    EXPECT_NE(last.find("\"executor.merge\":{"), std::string::npos);
     EXPECT_NE(last.find("threadpool.tasks"), std::string::npos);
     std::remove(path.c_str());
 }
@@ -150,27 +186,20 @@ TEST(Telemetry, FleetReportUnmovedBySink)
     const std::string path = "/tmp/vmargin_telemetry_fleet.jsonl";
     std::remove(path.c_str());
 
-    const auto fleetSweep = [&](const std::string &telemetry) {
-        obs::Registry::global().reset();
-        sim::Platform platform(sim::XGene2Params{},
-                               sim::ChipCorner::TTT, 1);
-        FleetConfig config;
-        config.chips = parseFleetSpec({"TTT", "TFF:2"});
-        config.framework = sweepConfig();
-        config.framework.workers = 4;
-        config.framework.telemetryPath = telemetry;
-        FleetExecutor executor(&platform);
-        return executor.run(config).serialize();
-    };
-
-    const std::string off = fleetSweep("");
-    const std::string on = fleetSweep(path);
+    const std::string off = fleetSweep(4, "");
+    const std::string on = fleetSweep(4, path);
     EXPECT_EQ(on, off);
     const auto lines = linesOf(path);
     ASSERT_FALSE(lines.empty());
-    EXPECT_NE(lines.back().find("\"executor.cells_fresh\":16"),
+    const std::string &last = lines.back();
+    EXPECT_NE(last.find("\"executor.cells_fresh\":16"),
               std::string::npos)
-        << lines.back();
+        << last;
+    EXPECT_NE(last.find("\"executor.merge_barrier\":{"),
+              std::string::npos)
+        << last;
+    EXPECT_NE(last.find("\"executor.merge\":{"), std::string::npos)
+        << last;
     std::remove(path.c_str());
 }
 

@@ -12,11 +12,15 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "core/predictor.hh"
+#include "obs/metrics.hh"
 #include "sched/daemon.hh"
 #include "sim/platform.hh"
+#include "util/rng.hh"
 #include "workloads/spec.hh"
 
 namespace vmargin::sched
@@ -427,13 +431,14 @@ class SupervisedDaemonTest : public ::testing::Test
     /**
      * One daemon session on a fresh faulted platform. An empty
      * @p journal runs without persistence; @p budget > 0 simulates
-     * a mid-session kill after that many fresh rounds.
+     * a mid-session kill after that many fresh rounds; a non-empty
+     * @p telemetry streams JSONL snapshots there.
      */
     static DaemonResult
     runSession(double tolerance, int rounds, Seed seed,
                const std::string &journal, int budget,
                bool supervise = true, bool reexecute = true,
-               int flush_every = 1)
+               int flush_every = 1, const std::string &telemetry = "")
     {
         sim::Platform platform(sim::XGene2Params{},
                                sim::ChipCorner::TTT, 1);
@@ -449,6 +454,7 @@ class SupervisedDaemonTest : public ::testing::Test
         options.journalPath = journal;
         options.roundBudget = budget;
         options.flushEveryRounds = flush_every;
+        options.telemetryPath = telemetry;
         return daemon.run({{"bwaves/ref", 0}, {"namd/ref", 4}},
                           rounds, seed, options);
     }
@@ -604,6 +610,63 @@ TEST_F(SupervisedDaemonTest, WorkerCountNeverChangesTheOutcome)
                 << "workers=" << workers
                 << " diverged from workers=1";
     }
+}
+
+/** Hex hash of the canonical daemon report. */
+std::string
+reportHash(const DaemonResult &result)
+{
+    std::ostringstream os;
+    os << std::hex << util::hashSeed(formatDaemonReport(result));
+    return os.str();
+}
+
+TEST_F(SupervisedDaemonTest, SoakReportHashIsPinned)
+{
+    // 24 supervised rounds under the hostile plan, no re-execution:
+    // the report must hash to one literal on a first run, on a
+    // repeat and with a journal (persistence is invisible). The
+    // unsupervised control run is pinned alongside.
+    const std::string journal = "/tmp/vmargin_supervisor_soak_golden";
+    std::remove(journal.c_str());
+    const char *const supervised = "80ced1edda7dcdc2";
+    EXPECT_EQ(reportHash(runSession(6.0, 24, 11, "", 0, true, false)),
+              supervised);
+    EXPECT_EQ(reportHash(runSession(6.0, 24, 11, "", 0, true, false)),
+              supervised)
+        << "the supervised soak is not deterministic on a repeat";
+    EXPECT_EQ(
+        reportHash(runSession(6.0, 24, 11, journal, 0, true, false)),
+        supervised)
+        << "journaling changed the supervised report";
+    std::remove(journal.c_str());
+    EXPECT_EQ(reportHash(runSession(6.0, 24, 11, "", 0, false, false)),
+              "93e25c898547c26a");
+}
+
+TEST_F(SupervisedDaemonTest, TelemetrySinkIsOutOfBandAndCarriesTheKeys)
+{
+    const std::string path = "/tmp/vmargin_supervisor_telemetry.jsonl";
+    std::remove(path.c_str());
+    obs::Registry::global().reset();
+    const DaemonResult result =
+        runSession(6.0, 24, 11, "", 0, true, false, 1, path);
+    EXPECT_EQ(reportHash(result), "80ced1edda7dcdc2")
+        << "the telemetry sink moved daemon report bytes";
+
+    std::ifstream in(path);
+    std::string last;
+    for (std::string line; std::getline(in, line);)
+        last = line;
+    std::remove(path.c_str());
+    ASSERT_FALSE(last.empty()) << "no snapshot written to " << path;
+    for (const char *key :
+         {"\"schema\":\"vmargin-telemetry-v1\"",
+          "\"daemon.rounds_served\":24",
+          "\"supervisor.quarantine_entries\":",
+          "\"supervisor.backoffs\":", "\"daemon.round\":{"})
+        EXPECT_NE(last.find(key), std::string::npos)
+            << "final snapshot lacks " << key << ": " << last;
 }
 
 } // namespace

@@ -75,6 +75,19 @@ hashRun(uint64_t hash, const RunResult &r)
     return hash;
 }
 
+/** Onsets that put every fault regime inside the golden grids. */
+OnsetSet
+goldenOnsets()
+{
+    OnsetSet onsets;
+    onsets.sdc = 900;
+    onsets.ce = 905;
+    onsets.ue = 885;
+    onsets.ac = 880;
+    onsets.sc = 870;
+    return onsets;
+}
+
 /** The kernel's exact per-run streams, reproduced from their seeds. */
 TEST(KernelGolden, FaultRngAndAddressStreamSequences)
 {
@@ -111,12 +124,7 @@ TEST(KernelGolden, RunResultAcrossVoltageGrid)
     CacheHierarchy caches(params);
     Core core(0, params, &caches);
 
-    OnsetSet onsets;
-    onsets.sdc = 900;
-    onsets.ce = 905;
-    onsets.ue = 885;
-    onsets.ac = 880;
-    onsets.sc = 870;
+    const OnsetSet onsets = goldenOnsets();
 
     uint64_t hash = kFnvBasis;
     // Above every onset; straddling CE/SDC; inside UE/AC; deep in
@@ -147,6 +155,39 @@ TEST(KernelGolden, RunResultAcrossVoltageGrid)
 
     EXPECT_EQ(hash, 0x80175df6fa2a45b3ULL)
         << "kernel draw order or outcome semantics changed";
+}
+
+/**
+ * The fixed grid bench/run_kernel times (40 reps x 2 workloads x 5
+ * voltages), hashed as that bench hashes it, so its result hash is
+ * pinned here rather than by whoever runs the bench.
+ */
+TEST(KernelGolden, RunKernelGridHash)
+{
+    XGene2Params params;
+    CacheHierarchy caches(params);
+    Core core(0, params, &caches);
+
+    const OnsetSet onsets = goldenOnsets();
+
+    uint64_t hash = kFnvBasis;
+    for (uint64_t rep = 0; rep < 40; ++rep) {
+        for (const char *name : {"bwaves/ref", "mcf/ref"}) {
+            for (const MilliVolt v : {980, 910, 890, 875, 860}) {
+                ExecutionConfig config;
+                config.voltage = v;
+                config.seed = util::mixSeed(
+                    0xBE7C4ULL + rep, static_cast<uint64_t>(v));
+                config.maxEpochs = 20;
+                caches.invalidateAll();
+                hash = hashRun(hash, core.run(wl::findWorkload(name),
+                                              onsets, config));
+            }
+        }
+    }
+
+    EXPECT_EQ(hash, 0xb5e50ea7a36483f7ULL)
+        << "run_kernel grid outcome changed";
 }
 
 } // namespace
