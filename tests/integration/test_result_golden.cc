@@ -10,11 +10,16 @@
  * reformatted number — fails here, at every worker count and for
  * either chip enumeration order, so a margin finding stays
  * reproducible bit for bit from the repository's own test suite.
+ * The journal of the same sweep is pinned too, so the ledger codec
+ * cannot change the bytes it writes without failing here.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,6 +27,7 @@
 #include "core/fleet.hh"
 #include "core/framework.hh"
 #include "core/resultstore.hh"
+#include "obs/metrics.hh"
 #include "util/rng.hh"
 #include "workloads/spec.hh"
 
@@ -95,6 +101,38 @@ TEST(ResultGolden, CampaignReportHashAtAnyWorkerCount)
         EXPECT_EQ(campaignHash(workers), "8084f6245892415e")
             << "campaign report bytes changed at " << workers
             << " workers";
+}
+
+TEST(ResultGolden, JournalBytesAndResumeArePinned)
+{
+    // Cells commit in completion order, so the journal bytes are
+    // pinned at one worker only; the resumed report is not.
+    const std::string path = "/tmp/vmargin_result_golden_journal";
+    std::remove(path.c_str());
+    FrameworkConfig config = eightCellConfig(1);
+    config.journalPath = path;
+    {
+        sim::Platform platform = templatePlatform();
+        CharacterizationFramework framework(&platform);
+        (void)framework.characterize(config);
+    }
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+    EXPECT_EQ(bytes.size(), 49111u);
+    EXPECT_EQ(hex(util::hashSeed(bytes)), "c28ca62f8d953e5c")
+        << "journal bytes changed";
+
+    obs::Counter &from_journal = obs::Registry::global().counter(
+        "executor.cells_from_journal");
+    const uint64_t before = from_journal.value();
+    sim::Platform platform = templatePlatform();
+    CharacterizationFramework framework(&platform);
+    EXPECT_EQ(hex(util::hashSeed(
+                  serializeReport(framework.characterize(config)))),
+              "8084f6245892415e");
+    EXPECT_EQ(from_journal.value() - before, 8u);
+    std::remove(path.c_str());
 }
 
 TEST(ResultGolden, FleetReportHashPerFleetSize)
