@@ -8,6 +8,7 @@
  *      extension attributing corrected errors to cache levels.
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "common.hh"
@@ -62,20 +63,31 @@ main()
                       "parser extension)");
     const auto breakdown =
         summarizeErrorSites(chip.report.allRuns);
+    // Sites that logged any event, by corrected count descending.
+    std::vector<sim::ErrorSite> ranked;
+    for (const auto &[site, name] : sim::kSiteNames)
+        if (breakdown.corrected[site] || breakdown.uncorrected[site])
+            ranked.push_back(site);
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [&](sim::ErrorSite a, sim::ErrorSite b) {
+                         return breakdown.corrected[a] >
+                                breakdown.corrected[b];
+                     });
+    const uint64_t corrected_total = breakdown.corrected.total();
     util::TablePrinter sites({"site", "CE events", "share"});
-    for (const auto &site : breakdown.sitesByCount()) {
-        const auto it = breakdown.corrected.find(site);
-        const uint64_t count =
-            it == breakdown.corrected.end() ? 0 : it->second;
-        sites.addRow({site, std::to_string(count),
-                      util::formatDouble(
-                          100.0 * breakdown.correctedShare(site),
-                          1) +
-                          "%"});
+    for (const sim::ErrorSite site : ranked) {
+        const uint64_t count = breakdown.corrected[site];
+        const double share =
+            corrected_total ? static_cast<double>(count) /
+                                  static_cast<double>(corrected_total)
+                            : 0.0;
+        sites.addRow({std::string(sim::errorSiteName(site)),
+                      std::to_string(count),
+                      util::formatDouble(100.0 * share, 1) + "%"});
     }
     sites.print(std::cout);
     std::cout << "\nuncorrected events logged: "
-              << breakdown.totalUncorrected()
+              << breakdown.uncorrected.total()
               << "; the L2 dominates detection because every "
                  "undervolted access path crosses it first.\n";
     return 0;

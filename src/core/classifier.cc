@@ -144,12 +144,16 @@ parseRunLog(const std::vector<std::string> &lines)
             if (kind_it == fields.end() || site_it == fields.end())
                 panicf("parseRunLog: malformed EDAC_SITE line: ",
                        line);
+            const auto site = sim::siteFromName(site_it->second);
+            if (!site)
+                panicf("parseRunLog: unknown site '", site_it->second,
+                       "' in: ", line);
             const auto count = static_cast<uint64_t>(
                 asLong(fields, "count", line));
             if (kind_it->second == "CE")
-                run.correctedBySite[site_it->second] += count;
+                run.correctedBySite[*site] += count;
             else
-                run.uncorrectedBySite[site_it->second] += count;
+                run.uncorrectedBySite[*site] += count;
         }
     }
 
@@ -175,7 +179,9 @@ double
 throughLogPrecision(double value, int precision)
 {
     const std::string text = util::formatDouble(value, precision);
-    return std::strtod(text.c_str(), nullptr);
+    double parsed = 0.0;
+    std::from_chars(text.data(), text.data() + text.size(), parsed);
+    return parsed;
 }
 
 } // namespace
@@ -195,11 +201,11 @@ classifyRunRecord(const RunKey &key, const sim::RunResult &run)
         throughLogPrecision(run.activityFactor, 4);
 
     for (const auto &record : run.errors) {
-        const std::string site = sim::errorSiteName(record.site);
-        if (sim::errorKindName(record.kind) == "CE")
-            out.correctedBySite[site] += record.count;
-        else
-            out.uncorrectedBySite[site] += record.count;
+        sim::SiteCounts &sites =
+            record.kind == sim::ErrorKind::Corrected
+                ? out.correctedBySite
+                : out.uncorrectedBySite;
+        sites[record.site] += record.count;
     }
 
     if (run.systemCrashed)
@@ -246,36 +252,6 @@ parseCampaignLog(const std::vector<std::string> &lines)
     return runs;
 }
 
-std::string
-encodeSiteCounts(const std::map<std::string, uint64_t> &sites)
-{
-    std::vector<std::string> parts;
-    for (const auto &[site, count] : sites)
-        parts.push_back(site + ":" + std::to_string(count));
-    return util::join(parts, ";");
-}
-
-std::optional<std::map<std::string, uint64_t>>
-decodeSiteCounts(const std::string &text)
-{
-    std::map<std::string, uint64_t> sites;
-    if (text.empty())
-        return sites;
-    for (const auto &token : util::split(text, ';')) {
-        const auto colon = token.find(':');
-        if (colon == std::string::npos)
-            return std::nullopt;
-        const char *first = token.data() + colon + 1;
-        const char *last = token.data() + token.size();
-        uint64_t count = 0;
-        const auto [end, ec] = std::from_chars(first, last, count);
-        if (ec != std::errc{} || end != last)
-            return std::nullopt;
-        sites[token.substr(0, colon)] += count;
-    }
-    return sites;
-}
-
 std::vector<std::string>
 classifiedRunCsvHeader()
 {
@@ -302,8 +278,8 @@ classifiedRunCsvRow(const ClassifiedRun &run)
             util::formatDouble(run.seconds, 6),
             util::formatDouble(run.avgIpc, 4),
             util::formatDouble(run.activityFactor, 4),
-            encodeSiteCounts(run.correctedBySite),
-            encodeSiteCounts(run.uncorrectedBySite)};
+            sim::encodeSiteCounts(run.correctedBySite),
+            sim::encodeSiteCounts(run.uncorrectedBySite)};
 }
 
 } // namespace vmargin

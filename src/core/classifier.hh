@@ -15,8 +15,6 @@
 #ifndef VMARGIN_CORE_CLASSIFIER_HH
 #define VMARGIN_CORE_CLASSIFIER_HH
 
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,12 +51,12 @@ struct ClassifiedRun
     double avgIpc = 0.0;
     double activityFactor = 0.0;
 
-    /** Corrected-error counts by detection site ("L2Cache", ...) —
-     *  the location detail of section 2.2's extended parser. */
-    std::map<std::string, uint64_t> correctedBySite;
+    /** Corrected-error counts by detection site — the location
+     *  detail of section 2.2's extended parser. */
+    sim::SiteCounts correctedBySite;
 
     /** Uncorrected-error counts by detection site. */
-    std::map<std::string, uint64_t> uncorrectedBySite;
+    sim::SiteCounts uncorrectedBySite;
 
     bool operator==(const ClassifiedRun &other) const = default;
 };
@@ -110,14 +108,6 @@ ClassifiedRun classifyRunRecord(const RunKey &key,
  *  raw-log view: formatRunLog over every record, concatenated). */
 std::vector<std::string>
 formatCampaignLog(const std::vector<RunLogRecord> &records);
-
-/** Encode a site-count map as "L2Cache:9;L3Cache:2" (empty -> ""). */
-std::string encodeSiteCounts(const std::map<std::string, uint64_t> &sites);
-
-/** Parse the encodeSiteCounts format; nullopt on an entry without a
- *  "site:count" shape or whose count is not a decimal uint64. */
-std::optional<std::map<std::string, uint64_t>>
-decodeSiteCounts(const std::string &text);
 
 /** CSV header for classified-run rows (the framework's final CSV). */
 std::vector<std::string> classifiedRunCsvHeader();

@@ -8,8 +8,6 @@
 #ifndef VMARGIN_CORE_ERRORSITES_HH
 #define VMARGIN_CORE_ERRORSITES_HH
 
-#include <map>
-#include <string>
 #include <vector>
 
 #include "classifier.hh"
@@ -20,25 +18,21 @@ namespace vmargin
 /** Aggregated CE/UE location distribution. */
 struct ErrorSiteBreakdown
 {
-    std::map<std::string, uint64_t> corrected;
-    std::map<std::string, uint64_t> uncorrected;
-
-    /** Total corrected events across all sites. */
-    uint64_t totalCorrected() const;
-
-    /** Total uncorrected events across all sites. */
-    uint64_t totalUncorrected() const;
-
-    /** Fraction of corrected events at @p site (0 when none). */
-    double correctedShare(const std::string &site) const;
-
-    /** Site names seen, sorted by corrected count descending. */
-    std::vector<std::string> sitesByCount() const;
+    sim::SiteCounts corrected;
+    sim::SiteCounts uncorrected;
 };
 
-/** Aggregate the per-run location detail of classified runs. */
-ErrorSiteBreakdown
-summarizeErrorSites(const std::vector<ClassifiedRun> &runs);
+/** Sum the per-run location detail of classified runs. */
+inline ErrorSiteBreakdown
+summarizeErrorSites(const std::vector<ClassifiedRun> &runs)
+{
+    ErrorSiteBreakdown breakdown;
+    for (const auto &run : runs) {
+        breakdown.corrected += run.correctedBySite;
+        breakdown.uncorrected += run.uncorrectedBySite;
+    }
+    return breakdown;
+}
 
 } // namespace vmargin
 

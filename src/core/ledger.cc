@@ -74,20 +74,23 @@ putF64(std::string &out, double value)
 }
 
 void
-putString(std::string &out, const std::string &text)
+putString(std::string &out, std::string_view text)
 {
     putU32(out, static_cast<uint32_t>(text.size()));
     out.append(text);
 }
 
+/** A site-count list: the populated sites in name order, each as
+ *  its name and count, as the text form lists them. */
 void
-putSiteCounts(std::string &out,
-              const std::map<std::string, uint64_t> &sites)
+putSiteCounts(std::string &out, const sim::SiteCounts &sites)
 {
-    putU32(out, static_cast<uint32_t>(sites.size()));
-    for (const auto &[site, count] : sites) {
-        putString(out, site);
-        putU64(out, count);
+    putU32(out, static_cast<uint32_t>(sites.populated()));
+    for (const auto &[site, name] : sim::kSiteNames) {
+        if (!sites[site])
+            continue;
+        putString(out, name);
+        putU64(out, sites[site]);
     }
 }
 
@@ -149,16 +152,19 @@ class PayloadReader
         return text;
     }
 
-    std::map<std::string, uint64_t>
+    /** A putSiteCounts list. An entry SiteCounts::addNamed refuses
+     *  (unknown or repeated site, zero count) makes the payload
+     *  malformed, as a short read does. */
+    sim::SiteCounts
     siteCounts()
     {
-        std::map<std::string, uint64_t> sites;
+        sim::SiteCounts sites;
         const uint32_t entries = u32();
         for (uint32_t i = 0; i < entries && ok_; ++i) {
-            std::string site = str();
+            const std::string site = str();
             const uint64_t count = u64();
-            if (ok_)
-                sites[std::move(site)] = count;
+            if (ok_ && !sites.addNamed(site, count))
+                ok_ = false;
         }
         return sites;
     }
@@ -400,7 +406,8 @@ namespace
 // Per-kind decode bodies, positioned after the kind byte: the only
 // decoder of record frames. Replay decodes straight into its target
 // structs through these. Each returns false on a malformed payload
-// (short buffer, unknown effect name) and replay skips the frame.
+// (short buffer, unknown effect name, refused site entry) and replay
+// skips the frame.
 
 bool
 readRunRecord(PayloadReader &reader, RunRecord &run)

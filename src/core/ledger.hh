@@ -141,7 +141,8 @@ struct CellResult
  * `ClassifiedRun` already carries exactly the ledger columns — the
  * (workload, core, voltage, frequency, campaign, run) coordinates,
  * the `EffectSet`, and the per-run telemetry (error counts, exit
- * code, timing, per-site EDAC detail) — so it *is* the run record;
+ * code, timing, and the per-site EDAC detail as two typed
+ * `sim::SiteCounts`, CE and UE) — so it *is* the run record;
  * the alias fixes the canonical name. The CSV emitter
  * (`classifiedRunCsvRow`) and the binary codec below are the two
  * encoders over this one schema.

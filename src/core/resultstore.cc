@@ -189,11 +189,11 @@ deserializeReport(const std::string &text,
         read(run.avgIpc, col_ipc);
         read(run.activityFactor, col_activity);
         run.correctedBySite =
-            decode(decodeSiteCounts(row[col_ce_sites]), col_ce_sites,
-                   "a site:count list");
+            decode(sim::decodeSiteCounts(row[col_ce_sites]),
+                   col_ce_sites, "a site:count list");
         run.uncorrectedBySite =
-            decode(decodeSiteCounts(row[col_ue_sites]), col_ue_sites,
-                   "a site:count list");
+            decode(sim::decodeSiteCounts(row[col_ue_sites]),
+                   col_ue_sites, "a site:count list");
         view.add(run);
         report.allRuns.push_back(std::move(run));
     }

@@ -5,8 +5,8 @@
  * One sink owns one output file. Every flush appends one line — a
  * full Registry::snapshotJson() — so the artifact is a time series
  * of snapshots, and the *last* line is the end-of-run drain whose
- * exact-counter section is deterministic for any worker count. CI
- * jobs upload the file and gate on that last line with jq.
+ * exact-counter section is deterministic for any worker count. The
+ * telemetry and supervisor tests assert the keys of that last line.
  *
  * The sink is strictly out-of-band: it only ever reads the registry,
  * and nothing it writes feeds back into reports, journals or caches.

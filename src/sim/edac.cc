@@ -1,25 +1,76 @@
 #include "edac.hh"
 
+#include <charconv>
+
 #include "util/logging.hh"
+#include "util/strings.hh"
 
 namespace vmargin::sim
 {
 
-std::string
+std::string_view
 errorSiteName(ErrorSite site)
 {
-    switch (site) {
-      case ErrorSite::L1Cache:
-        return "L1Cache";
-      case ErrorSite::L2Cache:
-        return "L2Cache";
-      case ErrorSite::L3Cache:
-        return "L3Cache";
-      case ErrorSite::Dram:
-        return "DRAM";
+    for (const auto &[named, name] : kSiteNames)
+        if (named == site)
+            return name;
+    util::panicf("errorSiteName: invalid site ", static_cast<int>(site));
+}
+
+std::optional<ErrorSite>
+siteFromName(std::string_view name)
+{
+    for (const auto &[site, spelled] : kSiteNames)
+        if (spelled == name)
+            return site;
+    return std::nullopt;
+}
+
+bool
+SiteCounts::addNamed(std::string_view name, uint64_t count)
+{
+    const auto site = siteFromName(name);
+    if (!site || count == 0 || (*this)[*site] != 0)
+        return false;
+    (*this)[*site] = count;
+    return true;
+}
+
+std::string
+encodeSiteCounts(const SiteCounts &sites)
+{
+    std::string text;
+    for (const auto &[site, name] : kSiteNames) {
+        if (!sites[site])
+            continue;
+        if (!text.empty())
+            text += ';';
+        text.append(name).append(":").append(
+            std::to_string(sites[site]));
     }
-    util::panicf("errorSiteName: invalid site ",
-                 static_cast<int>(site));
+    return text;
+}
+
+std::optional<SiteCounts>
+decodeSiteCounts(const std::string &text)
+{
+    SiteCounts sites;
+    if (text.empty())
+        return sites;
+    for (const auto &entry : util::split(text, ';')) {
+        const auto colon = entry.find(':');
+        if (colon == std::string::npos)
+            return std::nullopt;
+        const char *last = entry.data() + entry.size();
+        uint64_t count = 0;
+        const auto [end, ec] =
+            std::from_chars(entry.data() + colon + 1, last, count);
+        if (ec != std::errc{} || end != last ||
+            !sites.addNamed(std::string_view(entry).substr(0, colon),
+                            count))
+            return std::nullopt;
+    }
+    return sites;
 }
 
 std::string
@@ -57,16 +108,6 @@ EdacLog::uncorrectedCount() const
     uint64_t total = 0;
     for (const auto &r : records_)
         if (r.kind == ErrorKind::Uncorrected)
-            total += r.count;
-    return total;
-}
-
-uint64_t
-EdacLog::correctedAt(ErrorSite site) const
-{
-    uint64_t total = 0;
-    for (const auto &r : records_)
-        if (r.kind == ErrorKind::Corrected && r.site == site)
             total += r.count;
     return total;
 }

@@ -10,8 +10,15 @@
 #ifndef VMARGIN_SIM_EDAC_HH
 #define VMARGIN_SIM_EDAC_HH
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <numeric>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/types.hh"
@@ -35,8 +42,83 @@ enum class ErrorSite
     Dram
 };
 
-/** Printable site name ("L2Cache", ...). */
-std::string errorSiteName(ErrorSite site);
+/** Number of ErrorSite values. */
+inline constexpr size_t kErrorSites = 4;
+
+/** The one site-name table, in name order: the order every text
+ *  form of a site list (run log, report CSV, ledger payload) uses. */
+inline constexpr std::array<std::pair<ErrorSite, std::string_view>,
+                            kErrorSites>
+    kSiteNames = {{{ErrorSite::Dram, "DRAM"},
+                   {ErrorSite::L1Cache, "L1Cache"},
+                   {ErrorSite::L2Cache, "L2Cache"},
+                   {ErrorSite::L3Cache, "L3Cache"}}};
+static_assert(std::is_sorted(
+    kSiteNames.begin(), kSiteNames.end(),
+    [](const auto &a, const auto &b) { return a.second < b.second; }));
+
+/** Printable site name, from kSiteNames. */
+std::string_view errorSiteName(ErrorSite site);
+
+/** The site @p name spells; nullopt for a name not in kSiteNames. */
+std::optional<ErrorSite> siteFromName(std::string_view name);
+
+/**
+ * Event counts per detection site: the location detail of the
+ * paper's extended parser (section 2.2), one typed record from the
+ * classifier through the ledger, the report and the breakdown.
+ */
+struct SiteCounts
+{
+    std::array<uint64_t, kErrorSites> bySite{};
+
+    uint64_t &
+    operator[](ErrorSite site) { return bySite[static_cast<size_t>(site)]; }
+
+    uint64_t
+    operator[](ErrorSite site) const
+    {
+        return bySite[static_cast<size_t>(site)];
+    }
+
+    SiteCounts &
+    operator+=(const SiteCounts &other)
+    {
+        for (size_t i = 0; i < kErrorSites; ++i)
+            bySite[i] += other.bySite[i];
+        return *this;
+    }
+
+    /** Events across all sites. */
+    uint64_t
+    total() const
+    {
+        return std::accumulate(bySite.begin(), bySite.end(), uint64_t{0});
+    }
+
+    /** Number of sites with a nonzero count. */
+    size_t
+    populated() const
+    {
+        return bySite.size() -
+               std::count(bySite.begin(), bySite.end(), uint64_t{0});
+    }
+
+    /** Record @p count events at the site spelled @p name; false,
+     *  recording nothing, for an unknown or already recorded site or
+     *  a zero count, none of which an encoder writes. */
+    bool addNamed(std::string_view name, uint64_t count);
+
+    bool operator==(const SiteCounts &other) const = default;
+};
+
+/** Encode as "site:count" entries joined by ';', in name order,
+ *  zero counts omitted (no events -> ""). */
+std::string encodeSiteCounts(const SiteCounts &sites);
+
+/** Parse the encodeSiteCounts format; nullopt on a malformed entry
+ *  or one addNamed refuses. */
+std::optional<SiteCounts> decodeSiteCounts(const std::string &text);
 
 /** Printable kind name ("CE" / "UE"). */
 std::string errorKindName(ErrorKind kind);
@@ -69,9 +151,6 @@ class EdacLog
 
     /** Total uncorrected-error events logged. */
     uint64_t uncorrectedCount() const;
-
-    /** Corrected events detected at @p site. */
-    uint64_t correctedAt(ErrorSite site) const;
 
     /** Drop all records. */
     void clear() { records_.clear(); }

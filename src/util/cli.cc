@@ -52,7 +52,7 @@ CliParser::addOption(const std::string &name, const std::string &def,
 {
     if (options_.count(name))
         panicf("CliParser: duplicate option --", name);
-    options_[name] = Option{help, def, false, false};
+    options_[name] = Option{.help = help, .value = def};
     order_.push_back(name);
 }
 
@@ -61,7 +61,7 @@ CliParser::addFlag(const std::string &name, const std::string &help)
 {
     if (options_.count(name))
         panicf("CliParser: duplicate option --", name);
-    options_[name] = Option{help, "", true, false};
+    options_[name] = Option{.help = help, .isFlag = true};
     order_.push_back(name);
 }
 
@@ -71,10 +71,7 @@ CliParser::addRepeatable(const std::string &name,
 {
     if (options_.count(name))
         panicf("CliParser: duplicate option --", name);
-    Option opt;
-    opt.help = help;
-    opt.isRepeatable = true;
-    options_[name] = std::move(opt);
+    options_[name] = Option{.help = help, .isRepeatable = true};
     order_.push_back(name);
 }
 
@@ -114,7 +111,8 @@ CliParser::parse(int argc, const char *const *argv)
                           << " takes no value\n";
                 return false;
             }
-            opt.value = "1";
+            // Not `= "1"`: that trips a g++ 12 -Wrestrict false positive.
+            opt.value.assign(1, '1');
         } else {
             if (!has_inline && i + 1 >= argc) {
                 std::cerr << program_ << ": option --" << name

@@ -101,11 +101,13 @@ class CliParser
     struct Option
     {
         std::string help;
-        std::string value;
+        // `{}` lets the designated initializers in cli.cc omit these
+        // without -Wmissing-field-initializers.
+        std::string value{};
         bool isFlag = false;
         bool seen = false;
         bool isRepeatable = false;
-        std::vector<std::string> list;
+        std::vector<std::string> list{};
     };
 
     std::string program_;

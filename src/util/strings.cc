@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
-#include <sstream>
 
 namespace vmargin::util
 {
@@ -100,11 +100,16 @@ isNumber(const std::string &text)
 std::string
 formatDouble(double value, int precision)
 {
-    std::ostringstream os;
-    os.setf(std::ios::fixed);
-    os.precision(precision);
-    os << value;
-    return os.str();
+    // Specified as printf "%.*f" (a negative precision means 6), as
+    // iostream `fixed` is. The buffer fits a double's 309 integer
+    // digits, sign, point and fraction.
+    std::string text(312 + static_cast<size_t>(std::max(precision, 6)),
+                     '\0');
+    const auto result =
+        std::to_chars(text.data(), text.data() + text.size(), value,
+                      std::chars_format::fixed, precision);
+    text.resize(static_cast<size_t>(result.ptr - text.data()));
+    return text;
 }
 
 std::string

@@ -88,9 +88,9 @@ TEST(Classifier, EdacCountsAndSites)
     EXPECT_TRUE(parsed.effects.has(Effect::UE));
     EXPECT_EQ(parsed.correctedErrors, 9u);
     EXPECT_EQ(parsed.uncorrectedErrors, 2u);
-    ASSERT_EQ(parsed.correctedBySite.count("L2Cache"), 1u);
-    EXPECT_EQ(parsed.correctedBySite.at("L2Cache"), 9u);
-    EXPECT_TRUE(parsed.uncorrectedBySite.empty());
+    EXPECT_EQ(parsed.correctedBySite[sim::ErrorSite::L2Cache], 9u);
+    EXPECT_EQ(parsed.correctedBySite.populated(), 1u);
+    EXPECT_EQ(parsed.uncorrectedBySite, sim::SiteCounts{});
 }
 
 TEST(Classifier, ApplicationCrash)
@@ -151,21 +151,33 @@ TEST(Classifier, CsvRowMatchesHeader)
 
 TEST(Classifier, SiteCountEncodingRoundTrip)
 {
-    const std::map<std::string, uint64_t> sites = {
-        {"L2Cache", 9}, {"L3Cache", 2}, {"DRAM", 1}};
-    EXPECT_EQ(decodeSiteCounts(encodeSiteCounts(sites)), sites);
-    EXPECT_TRUE(decodeSiteCounts("")->empty());
-    EXPECT_EQ(encodeSiteCounts({}), "");
+    sim::SiteCounts sites;
+    sites[sim::ErrorSite::L2Cache] = 9;
+    sites[sim::ErrorSite::L3Cache] = 2;
+    sites[sim::ErrorSite::Dram] = 1;
+    // Name order, which the report and ledger bytes depend on.
+    EXPECT_EQ(sim::encodeSiteCounts(sites), "DRAM:1;L2Cache:9;L3Cache:2");
+    EXPECT_EQ(sim::decodeSiteCounts(sim::encodeSiteCounts(sites)), sites);
+    EXPECT_EQ(sim::decodeSiteCounts(""), sim::SiteCounts{});
+    EXPECT_EQ(sim::encodeSiteCounts({}), "");
 }
 
 TEST(Classifier, MalformedSiteCountsAreReported)
 {
     // Malformed site counts are reported, not fatal: the caller
     // decides (the report decoder names the value, column and row).
-    EXPECT_FALSE(decodeSiteCounts("L2Cache").has_value());
-    EXPECT_FALSE(decodeSiteCounts("L2Cache:x").has_value());
-    EXPECT_FALSE(decodeSiteCounts("L2Cache:").has_value());
-    EXPECT_FALSE(decodeSiteCounts("L2Cache:-1").has_value());
+    EXPECT_FALSE(sim::decodeSiteCounts("L2Cache").has_value());
+    EXPECT_FALSE(sim::decodeSiteCounts("L2Cache:x").has_value());
+    EXPECT_FALSE(sim::decodeSiteCounts("L2Cache:").has_value());
+    EXPECT_FALSE(sim::decodeSiteCounts("L2Cache:-1").has_value());
+    EXPECT_FALSE(sim::decodeSiteCounts("L2Cache:1;").has_value());
+    // Entries no encoder writes: an unknown site, a repeated site, a
+    // zero count (it would not re-encode to the same text).
+    EXPECT_FALSE(sim::decodeSiteCounts("Bogus:3").has_value());
+    EXPECT_FALSE(sim::decodeSiteCounts(":3").has_value());
+    EXPECT_FALSE(
+        sim::decodeSiteCounts("L2Cache:1;L2Cache:2").has_value());
+    EXPECT_FALSE(sim::decodeSiteCounts("DRAM:0").has_value());
 }
 
 TEST(Classifier, DeathOnEmptyLog)

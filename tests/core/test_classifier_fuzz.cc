@@ -2,13 +2,19 @@
  * @file
  * Property/fuzz tests for the log format: randomized RunResults
  * must round-trip through formatRunLog/parseRunLog with their
- * classification and counts intact, for any mix of effects.
+ * classification and counts intact, for any mix of effects, and the
+ * typed site counts must survive the report text and the ledger.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "core/classifier.hh"
+#include "core/ledger.hh"
 #include "util/rng.hh"
+#include "util/strings.hh"
 
 namespace vmargin
 {
@@ -39,17 +45,23 @@ randomRun(util::Rng &rng)
             rng.bernoulli(0.3)
                 ? static_cast<uint64_t>(rng.uniformInt(1, 20))
                 : 0;
-        // Split the corrected errors over random sites.
-        uint64_t remaining = run.correctedErrors;
-        while (remaining > 0) {
-            sim::ErrorRecord record;
-            record.kind = sim::ErrorKind::Corrected;
-            record.site = static_cast<sim::ErrorSite>(
-                rng.uniformInt(0, 3));
-            record.count = static_cast<uint64_t>(rng.uniformInt(
-                1, static_cast<int64_t>(remaining)));
-            remaining -= record.count;
-            run.errors.push_back(record);
+        // Split the corrected and uncorrected errors over random
+        // sites.
+        for (const auto kind : {sim::ErrorKind::Corrected,
+                                sim::ErrorKind::Uncorrected}) {
+            uint64_t remaining = kind == sim::ErrorKind::Corrected
+                                     ? run.correctedErrors
+                                     : run.uncorrectedErrors;
+            while (remaining > 0) {
+                sim::ErrorRecord record;
+                record.kind = kind;
+                record.site = static_cast<sim::ErrorSite>(
+                    rng.uniformInt(0, 3));
+                record.count = static_cast<uint64_t>(rng.uniformInt(
+                    1, static_cast<int64_t>(remaining)));
+                remaining -= record.count;
+                run.errors.push_back(record);
+            }
         }
     }
     run.simulatedSeconds = rng.uniform(0.001, 2.0);
@@ -78,14 +90,46 @@ class ClassifierFuzzTest : public ::testing::TestWithParam<int>
 {
 };
 
+/** True when the site entries of @p text are in strict name order. */
+bool
+inNameOrder(const std::string &text)
+{
+    std::string previous;
+    for (const auto &entry : util::split(text, ';')) {
+        const std::string name = entry.substr(0, entry.find(':'));
+        if (!previous.empty() && !(previous < name))
+            return false;
+        previous = name;
+    }
+    return true;
+}
+
 TEST_P(ClassifierFuzzTest, RoundTripPreservesEverything)
 {
     util::Rng rng(static_cast<Seed>(GetParam()));
+    CellMeasurement cell;
+    cell.workloadId = "fuzz";
     for (int i = 0; i < 200; ++i) {
         const RunKey key = randomKey(rng);
         const sim::RunResult run = randomRun(rng);
         const ClassifiedRun parsed =
             parseRunLog(formatRunLog(key, run));
+
+        // The typed record is exactly what the text log parses to.
+        const ClassifiedRun direct = classifyRunRecord(key, run);
+        EXPECT_EQ(direct, parsed) << "iteration " << i;
+        cell.runs.push_back(direct);
+
+        // The report's site text lists sites by name and decodes back
+        // to the same typed counts.
+        for (const sim::SiteCounts *sites :
+             {&direct.correctedBySite, &direct.uncorrectedBySite}) {
+            const std::string text = sim::encodeSiteCounts(*sites);
+            EXPECT_TRUE(inNameOrder(text)) << text;
+            EXPECT_EQ(sim::decodeSiteCounts(text), *sites) << text;
+        }
+        EXPECT_EQ(direct.uncorrectedBySite.total(),
+                  run.uncorrectedErrors);
 
         EXPECT_EQ(parsed.key.workloadId, key.workloadId);
         EXPECT_EQ(parsed.key.core, key.core);
@@ -104,11 +148,31 @@ TEST_P(ClassifierFuzzTest, RoundTripPreservesEverything)
         EXPECT_EQ(parsed.exitCode, run.exitCode);
 
         // Site counts must sum back to the CE total.
-        uint64_t site_total = 0;
-        for (const auto &[site, count] : parsed.correctedBySite)
-            site_total += count;
-        EXPECT_EQ(site_total, run.correctedErrors);
+        EXPECT_EQ(parsed.correctedBySite.total(), run.correctedErrors);
     }
+
+    // The ledger codec replays the same typed counts.
+    const std::string path = "/tmp/vmargin_test_classifier_fuzz_" +
+                             std::to_string(GetParam());
+    std::remove(path.c_str());
+    {
+        RunLedger ledger(path, "fuzz");
+        ledger.open("h");
+        ledger.append(1, cell);
+    }
+    RunLedger replayed(path, "fuzz");
+    replayed.open("h");
+    ASSERT_EQ(replayed.size(), 1u);
+    const auto &runs = replayed.entries()[0].cell.runs;
+    ASSERT_EQ(runs.size(), cell.runs.size());
+    for (size_t i = 0; i < runs.size(); ++i) {
+        EXPECT_EQ(runs[i].correctedBySite, cell.runs[i].correctedBySite)
+            << "run " << i;
+        EXPECT_EQ(runs[i].uncorrectedBySite,
+                  cell.runs[i].uncorrectedBySite)
+            << "run " << i;
+    }
+    std::remove(path.c_str());
 }
 
 TEST_P(ClassifierFuzzTest, CampaignLogOfManyRunsSplitsExactly)

@@ -41,7 +41,7 @@ makeRun(const std::string &workload, CoreId core, MilliVolt voltage,
     run.seconds = 1.25 + 0.001 * voltage;
     run.avgIpc = 1.618033988749895;
     run.activityFactor = 0.5772156649015329;
-    run.correctedBySite["L2Cache"] = 3;
+    run.correctedBySite[sim::ErrorSite::L2Cache] = 3;
     return run;
 }
 
@@ -91,7 +91,7 @@ TEST(LedgerCodec, RunRecordRoundTripsBitExact)
     run.sdcEvents = 4;
     run.correctedErrors = 9;
     run.uncorrectedErrors = 1;
-    run.uncorrectedBySite["L3Cache"] = 1;
+    run.uncorrectedBySite[sim::ErrorSite::L3Cache] = 1;
     CellMeasurement cell;
     cell.workloadId = run.key.workloadId;
     cell.core = run.key.core;
@@ -194,39 +194,65 @@ TEST(LedgerCodec, RejectsUnknownKindAndShortPayloads)
 
 TEST(RunLedger, UnknownEffectNameIsSkippedNotFatal)
 {
-    // A run frame whose checksum is valid but whose effects field
-    // names no effect ("NO" patched to "ZZ", checksum recomputed)
-    // used to abort replay. It is now a malformed record: skipped,
-    // counted, and its cell refused. The next cell still loads.
-    const std::string path = "/tmp/vmargin_test_ledger_bad_effect";
-    std::remove(path.c_str());
-    {
-        RunLedger ledger(path, "test");
-        ledger.open("h");
-    }
-    std::string run = encodeRunRecord(makeRun("bwaves/ref", 0, 930));
-    const std::string no_field("\x02\x00\x00\x00NO", 6);
-    const size_t at = run.find(no_field);
-    ASSERT_NE(at, std::string::npos);
-    run.replace(at + 4, 2, "ZZ");
-    CellCommit commit;
-    commit.workloadId = "bwaves/ref";
-    commit.runCount = 1;
-    appendRawFrames(path, {run, encodeCellCommit(commit)});
+    // A run frame whose checksum is valid but which carries a value
+    // no encoder writes (one field patched, checksum recomputed) is
+    // a malformed record: skipped, counted, and its cell refused.
+    // The next cell still loads. The cases: an effects field naming
+    // no effect ("NO" patched to "ZZ"), and a site list with an
+    // unknown site, a repeated site or a zero count.
+    const auto patched = [](const std::string &from,
+                            const std::string &to) {
+        RunRecord run = makeRun("bwaves/ref", 0, 930);
+        run.correctedBySite[sim::ErrorSite::L3Cache] = 1;
+        std::string payload = encodeRunRecord(run);
+        const size_t at = payload.find(from);
+        EXPECT_NE(at, std::string::npos) << "no field to patch";
+        if (at != std::string::npos)
+            payload.replace(at, from.size(), to);
+        return payload;
+    };
+    const std::string length_2("\x02\x00\x00\x00", 4);
+    const std::string count_3("\x03\x00\x00\x00\x00\x00\x00\x00", 8);
+    const std::string count_0(8, '\0');
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"unknown effect name",
+         patched(length_2 + "NO", length_2 + "ZZ")},
+        {"unknown site name", patched("L3Cache", "L9Cache")},
+        {"repeated site name", patched("L3Cache", "L2Cache")},
+        {"zero site count",
+         patched("L2Cache" + count_3, "L2Cache" + count_0)},
+    };
 
-    const uint64_t skipped_before = counterValue("ledger.replay_skipped");
-    {
-        RunLedger reopened(path, "test");
-        reopened.open("h");
-        EXPECT_EQ(counterValue("ledger.replay_skipped") - skipped_before,
-                  1u);
-        EXPECT_EQ(reopened.size(), 0u) << "the cell must be refused";
-        reopened.append(1, makeCell("leslie3d/ref", 1));
+    const std::string path = "/tmp/vmargin_test_ledger_bad_effect";
+    for (const auto &[what, run] : cases) {
+        SCOPED_TRACE(what);
+        std::remove(path.c_str());
+        {
+            RunLedger ledger(path, "test");
+            ledger.open("h");
+        }
+        CellCommit commit;
+        commit.workloadId = "bwaves/ref";
+        commit.runCount = 1;
+        appendRawFrames(path, {run, encodeCellCommit(commit)});
+
+        const uint64_t skipped_before =
+            counterValue("ledger.replay_skipped");
+        {
+            RunLedger reopened(path, "test");
+            reopened.open("h");
+            EXPECT_EQ(counterValue("ledger.replay_skipped") -
+                          skipped_before,
+                      1u);
+            EXPECT_EQ(reopened.size(), 0u)
+                << "the cell must be refused";
+            reopened.append(1, makeCell("leslie3d/ref", 1));
+        }
+        RunLedger again(path, "test");
+        again.open("h");
+        EXPECT_EQ(again.size(), 1u);
+        EXPECT_NE(again.find(1, ChipRef{}, "leslie3d/ref", 1), nullptr);
     }
-    RunLedger again(path, "test");
-    again.open("h");
-    EXPECT_EQ(again.size(), 1u);
-    EXPECT_NE(again.find(1, ChipRef{}, "leslie3d/ref", 1), nullptr);
     std::remove(path.c_str());
 }
 

@@ -57,7 +57,7 @@ makeRun(const std::string &workload, CoreId core, MilliVolt voltage,
     if (run_index == 2) {
         run.effects.add(Effect::CE);
         run.correctedErrors = 7;
-        run.correctedBySite["L2Cache"] = 7;
+        run.correctedBySite[sim::ErrorSite::L2Cache] = 7;
     }
     return run;
 }

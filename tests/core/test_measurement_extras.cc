@@ -75,26 +75,26 @@ TEST(Repeatability, DeathOnMissingCell)
 
 TEST(ErrorSites, AggregatesAcrossRuns)
 {
+    using sim::ErrorSite;
     ClassifiedRun a, b;
-    a.correctedBySite["L2Cache"] = 5;
-    a.correctedBySite["L3Cache"] = 1;
-    a.uncorrectedBySite["L2Cache"] = 2;
-    b.correctedBySite["L2Cache"] = 3;
+    a.correctedBySite[ErrorSite::L2Cache] = 5;
+    a.correctedBySite[ErrorSite::L3Cache] = 1;
+    a.uncorrectedBySite[ErrorSite::L2Cache] = 2;
+    b.correctedBySite[ErrorSite::L2Cache] = 3;
     const auto breakdown = summarizeErrorSites({a, b});
-    EXPECT_EQ(breakdown.corrected.at("L2Cache"), 8u);
-    EXPECT_EQ(breakdown.totalCorrected(), 9u);
-    EXPECT_EQ(breakdown.totalUncorrected(), 2u);
-    EXPECT_NEAR(breakdown.correctedShare("L2Cache"), 8.0 / 9.0,
-                1e-12);
-    EXPECT_DOUBLE_EQ(breakdown.correctedShare("DRAM"), 0.0);
-    EXPECT_EQ(breakdown.sitesByCount().front(), "L2Cache");
+    EXPECT_EQ(breakdown.corrected[ErrorSite::L2Cache], 8u);
+    EXPECT_EQ(breakdown.corrected[ErrorSite::L3Cache], 1u);
+    EXPECT_EQ(breakdown.corrected[ErrorSite::Dram], 0u);
+    EXPECT_EQ(breakdown.corrected.total(), 9u);
+    EXPECT_EQ(breakdown.uncorrected[ErrorSite::L2Cache], 2u);
+    EXPECT_EQ(breakdown.uncorrected.total(), 2u);
 }
 
 TEST(ErrorSites, EmptyInput)
 {
     const auto breakdown = summarizeErrorSites({});
-    EXPECT_EQ(breakdown.totalCorrected(), 0u);
-    EXPECT_TRUE(breakdown.sitesByCount().empty());
+    EXPECT_EQ(breakdown.corrected, sim::SiteCounts{});
+    EXPECT_EQ(breakdown.uncorrected, sim::SiteCounts{});
 }
 
 TEST(FrameworkConfigFile, DefaultsAndOverrides)
@@ -161,7 +161,8 @@ TEST(CrossValidate, RecoversLinearSignal)
     }
     dataset.x = stats::Matrix::fromRows(rows);
     for (int j = 0; j < 10; ++j)
-        dataset.featureNames.push_back("f" + std::to_string(j));
+        dataset.featureNames.push_back(
+            std::string("f").append(std::to_string(j)));
 
     EvaluationConfig config;
     config.keepFeatures = 2;

@@ -117,7 +117,7 @@ TEST_F(ResultStoreTest, ErrorSitesSurvive)
         EXPECT_EQ(loaded.allRuns[i].uncorrectedBySite,
                   report_->allRuns[i].uncorrectedBySite);
         runs_with_sites +=
-            !loaded.allRuns[i].correctedBySite.empty();
+            loaded.allRuns[i].correctedBySite.total() != 0;
     }
     EXPECT_GT(runs_with_sites, 0u)
         << "the sweep must have produced EDAC location detail";
@@ -278,6 +278,19 @@ TEST(ResultStoreHostile, MalformedCeSitesIsFatal)
                 ::testing::ExitedWithCode(1),
                 "run row 2, column 'ce_sites': 'L2Cache' is not a "
                 "site:count list");
+    // Well-shaped entries no encoder writes: an unknown site and a
+    // repeated one.
+    EXPECT_EXIT((void)deserializeReport(twoRunReport(
+                    kMetadata, setField("ce_sites", "Bogus:3"))),
+                ::testing::ExitedWithCode(1),
+                "run row 2, column 'ce_sites': 'Bogus:3' is not a "
+                "site:count list");
+    EXPECT_EXIT((void)deserializeReport(twoRunReport(
+                    kMetadata,
+                    setField("ce_sites", "L2Cache:1;L2Cache:2"))),
+                ::testing::ExitedWithCode(1),
+                "run row 2, column 'ce_sites': 'L2Cache:1;L2Cache:2' "
+                "is not a site:count list");
 }
 
 TEST(ResultStoreHostile, MalformedUeSitesIsFatal)
@@ -286,6 +299,12 @@ TEST(ResultStoreHostile, MalformedUeSitesIsFatal)
                     kMetadata, setField("ue_sites", "L3Cache:x"))),
                 ::testing::ExitedWithCode(1),
                 "run row 2, column 'ue_sites': 'L3Cache:x' is not a "
+                "site:count list");
+    // A zero count: no encoder writes one.
+    EXPECT_EXIT((void)deserializeReport(twoRunReport(
+                    kMetadata, setField("ue_sites", "L3Cache:0"))),
+                ::testing::ExitedWithCode(1),
+                "run row 2, column 'ue_sites': 'L3Cache:0' is not a "
                 "site:count list");
 }
 

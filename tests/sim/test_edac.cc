@@ -44,15 +44,16 @@ TEST(Edac, CountsByKind)
 
 TEST(Edac, CountsBySite)
 {
-    EdacLog log;
-    log.report(record(ErrorKind::Corrected, ErrorSite::L2Cache, 3));
-    log.report(record(ErrorKind::Corrected, ErrorSite::L2Cache, 4));
-    log.report(record(ErrorKind::Corrected, ErrorSite::Dram, 1));
-    log.report(
-        record(ErrorKind::Uncorrected, ErrorSite::L2Cache, 9));
-    EXPECT_EQ(log.correctedAt(ErrorSite::L2Cache), 7u);
-    EXPECT_EQ(log.correctedAt(ErrorSite::Dram), 1u);
-    EXPECT_EQ(log.correctedAt(ErrorSite::L1Cache), 0u);
+    // The per-site record the classifier builds from a run's log.
+    SiteCounts corrected;
+    corrected[ErrorSite::L2Cache] += 3;
+    corrected[ErrorSite::L2Cache] += 4;
+    corrected[ErrorSite::Dram] += 1;
+    EXPECT_EQ(corrected[ErrorSite::L2Cache], 7u);
+    EXPECT_EQ(corrected[ErrorSite::Dram], 1u);
+    EXPECT_EQ(corrected[ErrorSite::L1Cache], 0u);
+    EXPECT_EQ(corrected.total(), 8u);
+    EXPECT_EQ(corrected.populated(), 2u);
 }
 
 TEST(Edac, Clear)
@@ -72,6 +73,12 @@ TEST(Edac, Names)
     EXPECT_EQ(errorSiteName(ErrorSite::L2Cache), "L2Cache");
     EXPECT_EQ(errorSiteName(ErrorSite::L3Cache), "L3Cache");
     EXPECT_EQ(errorSiteName(ErrorSite::Dram), "DRAM");
+    for (size_t i = 0; i < kErrorSites; ++i) {
+        const auto site = static_cast<ErrorSite>(i);
+        EXPECT_EQ(siteFromName(errorSiteName(site)), site);
+    }
+    EXPECT_FALSE(siteFromName("Bogus").has_value());
+    EXPECT_FALSE(siteFromName("l2cache").has_value());
 }
 
 } // namespace

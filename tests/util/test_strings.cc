@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <sstream>
+
+#include "util/rng.hh"
 #include "util/strings.hh"
 
 namespace vmargin::util
@@ -97,6 +101,24 @@ TEST(FormatDouble, FixedPrecision)
     EXPECT_EQ(formatDouble(0.1234, 2), "0.12");
     EXPECT_EQ(formatDouble(19.4, 1), "19.4");
     EXPECT_EQ(formatDouble(-2.5, 0), "-2");
+    EXPECT_EQ(formatDouble(-1e-9, 4), "-0.0000");
+    EXPECT_EQ(formatDouble(1.7976931348623157e308, 0).size(), 309u);
+
+    // Same bytes as an iostream in `fixed` mode, the reference the
+    // report and log formats were written with.
+    Rng rng(7);
+    for (int i = 0; i < 2000; ++i) {
+        const double scale =
+            std::pow(10.0, static_cast<double>(rng.uniformInt(-8, 12)));
+        const double value = rng.uniform(-1.0, 1.0) * scale;
+        const int precision = static_cast<int>(rng.uniformInt(0, 8));
+        std::ostringstream os;
+        os.setf(std::ios::fixed);
+        os.precision(precision);
+        os << value;
+        EXPECT_EQ(formatDouble(value, precision), os.str())
+            << "value " << value << " precision " << precision;
+    }
 }
 
 TEST(Pad, Basic)
