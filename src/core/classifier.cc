@@ -252,34 +252,4 @@ parseCampaignLog(const std::vector<std::string> &lines)
     return runs;
 }
 
-std::vector<std::string>
-classifiedRunCsvHeader()
-{
-    return {"workload", "core",     "voltage_mv", "freq_mhz",
-            "campaign", "run",      "effects",    "sdc_events",
-            "ce",       "ue",       "exit_code",  "seconds",
-            "ipc",      "activity", "ce_sites",   "ue_sites"};
-}
-
-std::vector<std::string>
-classifiedRunCsvRow(const ClassifiedRun &run)
-{
-    return {run.key.workloadId,
-            std::to_string(run.key.core),
-            std::to_string(run.key.voltage),
-            std::to_string(run.key.frequency),
-            std::to_string(run.key.campaign),
-            std::to_string(run.key.runIndex),
-            run.effects.toString(),
-            std::to_string(run.sdcEvents),
-            std::to_string(run.correctedErrors),
-            std::to_string(run.uncorrectedErrors),
-            std::to_string(run.exitCode),
-            util::formatDouble(run.seconds, 6),
-            util::formatDouble(run.avgIpc, 4),
-            util::formatDouble(run.activityFactor, 4),
-            sim::encodeSiteCounts(run.correctedBySite),
-            sim::encodeSiteCounts(run.uncorrectedBySite)};
-}
-
 } // namespace vmargin

@@ -109,12 +109,6 @@ ClassifiedRun classifyRunRecord(const RunKey &key,
 std::vector<std::string>
 formatCampaignLog(const std::vector<RunLogRecord> &records);
 
-/** CSV header for classified-run rows (the framework's final CSV). */
-std::vector<std::string> classifiedRunCsvHeader();
-
-/** CSV row for one classified run. */
-std::vector<std::string> classifiedRunCsvRow(const ClassifiedRun &run);
-
 } // namespace vmargin
 
 #endif // VMARGIN_CORE_CLASSIFIER_HH

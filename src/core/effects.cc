@@ -107,12 +107,12 @@ EffectSet::toString() const
 {
     if (normal())
         return "NO";
-    std::vector<std::string> names;
+    std::string text;
     for (Effect e : {Effect::SDC, Effect::CE, Effect::UE, Effect::AC,
                      Effect::SC})
         if (has(e))
-            names.push_back(effectName(e));
-    return util::join(names, ",");
+            text.append(text.empty() ? "" : ",").append(effectName(e));
+    return text;
 }
 
 std::optional<EffectSet>

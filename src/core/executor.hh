@@ -13,8 +13,8 @@
  * CampaignExecutor is its one-chip call; FleetExecutor (core/fleet)
  * is its N-chip call.
  *
- * Determinism contract: the emitted report — CSV, summary and
- * serialized form — is byte-identical for any worker count,
+ * Determinism contract: the emitted report — run CSV, per-cell
+ * analyses and serialized form — is identical for any worker count,
  * including 1, and identical to a journal-resumed or cache-served
  * sweep of the same configuration. The write-ahead journal and the
  * cell-result cache are appended from worker threads in completion

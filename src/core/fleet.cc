@@ -8,6 +8,7 @@
 
 #include "executor.hh"
 #include "resultstore.hh"
+#include "util/csv.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "util/strings.hh"
@@ -180,28 +181,31 @@ FleetReport::fleetSavingsPercent() const
     return (1.0 - ratio * ratio) * 100.0;
 }
 
-std::string
-FleetReport::comparisonCsv() const
+namespace
+{
+
+/** Append the comparison CSV of @p fleet to @p out. */
+void
+appendComparison(std::string &out, const FleetReport &fleet)
 {
     // Workload rows in first-seen order across canonical chips, so
     // a chip that only measured a subset still contributes rows in
     // a deterministic position.
     std::vector<std::string> workload_ids;
     std::set<std::string> seen;
-    for (const auto &entry : chips)
+    for (const auto &entry : fleet.chips)
         for (const auto &cell : entry.report.cells)
             if (seen.insert(cell.workloadId).second)
                 workload_ids.push_back(cell.workloadId);
 
-    std::ostringstream os;
-    os << "workload";
-    for (const auto &entry : chips)
-        os << ',' << entry.chip.name();
-    os << '\n';
+    util::CsvWriter csv(out);
+    csv.field("workload");
+    for (const auto &entry : fleet.chips)
+        csv.field(entry.chip.name());
+    csv.endRow();
     for (const auto &workload_id : workload_ids) {
-        os << workload_id;
-        for (const auto &entry : chips) {
-            os << ',';
+        csv.field(workload_id);
+        for (const auto &entry : fleet.chips) {
             const auto &cells = entry.report.cells;
             const bool has = std::any_of(
                 cells.begin(), cells.end(),
@@ -209,44 +213,65 @@ FleetReport::comparisonCsv() const
                     return cell.workloadId == workload_id;
                 });
             if (has)
-                os << entry.report.bestCoreVmin(workload_id);
+                csv.field(entry.report.bestCoreVmin(workload_id));
+            else
+                csv.field("");
         }
-        os << '\n';
+        csv.endRow();
     }
-    return os.str();
+}
+
+} // namespace
+
+std::string
+FleetReport::comparisonCsv() const
+{
+    std::string out;
+    appendComparison(out, *this);
+    return out;
 }
 
 std::string
 FleetReport::serialize() const
 {
-    std::ostringstream os;
-    os << "# vmargin-fleet chips=" << chips.size() << " corners=";
+    size_t runs = 0;
+    for (const auto &entry : chips)
+        runs += entry.report.allRuns.size();
+    std::string out;
+    out.reserve(runs * kReportBytesPerRun + 4096);
+
+    out.append("# vmargin-fleet chips=" + std::to_string(chips.size()) +
+               " corners=");
     for (size_t i = 0; i < chips.size(); ++i)
-        os << (i ? "," : "") << chips[i].chip.name();
-    os << " freq=" << frequency << " nominal_mv=" << nominalMv
-       << '\n';
-
+        out.append(i ? "," : "").append(chips[i].chip.name());
+    out.append(" freq=" + std::to_string(frequency) +
+               " nominal_mv=" + std::to_string(nominalMv) + "\n");
     for (const auto &entry : chips) {
-        os << "== chip " << entry.chip.name() << " ==\n";
-        os << serializeReport(entry.report);
+        out.append("== chip " + entry.chip.name() + " ==\n");
+        appendReport(out, entry.report);
     }
 
-    os << "== corner summary ==\n"
-       << "corner,chips,cells,best_vmin_mv,worst_vmin_mv,"
-          "mean_vmin_mv,guardband_mv,savings_pct\n";
-    for (const auto &summary : cornerSummaries()) {
-        os << sim::cornerName(summary.corner) << ','
-           << summary.chips << ',' << summary.cells << ','
-           << summary.bestVmin << ',' << summary.worstVmin << ','
-           << util::formatDouble(summary.meanVmin, 1) << ','
-           << summary.guardbandMv << ','
-           << util::formatDouble(summary.savingsPercent, 2) << '\n';
-    }
+    out.append("== corner summary ==\n");
+    util::CsvWriter csv(out);
+    csv.row({"corner", "chips", "cells", "best_vmin_mv", "worst_vmin_mv",
+             "mean_vmin_mv", "guardband_mv", "savings_pct"});
+    for (const auto &summary : cornerSummaries())
+        csv.field(sim::cornerName(summary.corner))
+            .field(summary.chips)
+            .field(summary.cells)
+            .field(summary.bestVmin)
+            .field(summary.worstVmin)
+            .field(summary.meanVmin, 1)
+            .field(summary.guardbandMv)
+            .field(summary.savingsPercent, 2)
+            .endRow();
 
-    os << "== comparison ==\n" << comparisonCsv();
-    os << "fleet_savings_pct="
-       << util::formatDouble(fleetSavingsPercent(), 2) << '\n';
-    return os.str();
+    out.append("== comparison ==\n");
+    appendComparison(out, *this);
+    out.append("fleet_savings_pct=");
+    util::appendFixed(out, fleetSavingsPercent(), 2);
+    out += '\n';
+    return out;
 }
 
 std::string

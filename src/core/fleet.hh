@@ -143,7 +143,8 @@ struct FleetReport
     /**
      * Deterministic full rendering: fleet header, each chip's
      * serializeReport() block in canonical order, the corner-summary
-     * CSV, the comparison table and the fleet savings rollup.
+     * CSV, the comparison table and the fleet savings rollup, all
+     * appended into one buffer reserved from the run count.
      * Byte-identical for any worker count and chip enumeration
      * order.
      */

@@ -2,12 +2,10 @@
 
 #include <cstdlib>
 #include <memory>
-#include <sstream>
 
 #include "executor.hh"
 #include "resultstore.hh"
 #include "util/cli.hh"
-#include "util/csv.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 #include "workloads/spec.hh"
@@ -166,31 +164,9 @@ CharacterizationReport::averageVmin(
 std::string
 CharacterizationReport::toCsv() const
 {
-    std::ostringstream os;
-    util::CsvWriter writer(os);
-    writer.writeHeader(classifiedRunCsvHeader());
-    for (const auto &run : allRuns)
-        writer.writeRow(classifiedRunCsvRow(run));
-    return os.str();
-}
-
-std::string
-CharacterizationReport::summaryCsv() const
-{
-    std::ostringstream os;
-    util::CsvWriter writer(os);
-    writer.writeHeader({"chip", "workload", "core", "vmin_mv",
-                        "highest_crash_mv", "unsafe_width_mv",
-                        "guardband_mv"});
-    for (const auto &c : cells) {
-        writer.writeRow(
-            {chipName, c.workloadId, std::to_string(c.core),
-             std::to_string(c.analysis.vmin),
-             std::to_string(c.analysis.highestCrashVoltage),
-             std::to_string(c.analysis.unsafeWidth()),
-             std::to_string(c.analysis.guardband(980))});
-    }
-    return os.str();
+    std::string out;
+    appendRunCsv(out, allRuns);
+    return out;
 }
 
 CharacterizationFramework::CharacterizationFramework(

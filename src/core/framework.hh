@@ -160,9 +160,6 @@ struct CharacterizationReport
 
     /** Final CSV of every classified run (parsing-phase output). */
     std::string toCsv() const;
-
-    /** Summary CSV: one row per cell with Vmin/crash/regions. */
-    std::string summaryCsv() const;
 };
 
 /** The orchestrator. */

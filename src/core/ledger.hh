@@ -134,6 +134,8 @@ struct CellResult
     std::string workloadId;
     CoreId core = 0;
     RegionAnalysis analysis;
+
+    bool operator==(const CellResult &other) const = default;
 };
 
 /**
@@ -143,9 +145,9 @@ struct CellResult
  * the `EffectSet`, and the per-run telemetry (error counts, exit
  * code, timing, and the per-site EDAC detail as two typed
  * `sim::SiteCounts`, CE and UE) — so it *is* the run record;
- * the alias fixes the canonical name. The CSV emitter
- * (`classifiedRunCsvRow`) and the binary codec below are the two
- * encoders over this one schema.
+ * the alias fixes the canonical name. The report's run-row emitter
+ * (`appendRunCsv`, core/resultstore) and the binary codec below are
+ * the two encoders over this one schema.
  */
 using RunRecord = ClassifiedRun;
 

@@ -74,6 +74,8 @@ struct RegionAnalysis
     {
         return nominal - vmin;
     }
+
+    bool operator==(const RegionAnalysis &other) const = default;
 };
 
 /**

@@ -1,5 +1,6 @@
 #include "resultstore.hh"
 
+#include <array>
 #include <charconv>
 #include <fstream>
 #include <sstream>
@@ -18,6 +19,39 @@ namespace
 {
 
 constexpr const char *kMagic = "# vmargin-report";
+
+/** The report's run columns, in emission order. */
+enum RunColumn : size_t
+{
+    kWorkload, kCore, kVoltage, kFrequency, kCampaign, kRun,
+    kEffects, kSdcEvents, kCe, kUe, kExitCode, kSeconds, kIpc,
+    kActivity, kCeSites, kUeSites, kNumRunColumns
+};
+
+/** The one spelling of each run column's name. */
+constexpr std::array<const char *, kNumRunColumns> kRunColumnNames = {
+    "workload", "core",     "voltage_mv", "freq_mhz",
+    "campaign", "run",      "effects",    "sdc_events",
+    "ce",       "ue",       "exit_code",  "seconds",
+    "ipc",      "activity", "ce_sites",   "ue_sites"};
+
+/** The metadata line's counters after freq=, in emission order,
+ *  each with the field it carries. */
+template <typename Report>
+auto
+metadataCounters(Report &report)
+{
+    auto &telemetry = report.telemetry;
+    return std::array{
+        std::pair{"watchdog", &report.watchdogInterventions},
+        std::pair{"retries", &telemetry.retries},
+        std::pair{"backoff_events", &telemetry.backoffEvents},
+        std::pair{"backoff_us", &telemetry.backoffUsTotal},
+        std::pair{"watchdog_retries", &telemetry.watchdogRetries},
+        std::pair{"lost", &telemetry.lostMeasurements},
+        std::pair{"fallback_rounds", &telemetry.fallbackRounds},
+    };
+}
 
 /**
  * Parse a numeric report field into T. Fatal — naming where() and
@@ -48,23 +82,57 @@ parseField(const std::string &text, const Where &where)
 
 } // namespace
 
+void
+appendRunCsv(std::string &out, const std::vector<ClassifiedRun> &runs)
+{
+    util::CsvWriter csv(out);
+    for (const char *name : kRunColumnNames)
+        csv.field(name);
+    csv.endRow();
+    for (const ClassifiedRun &run : runs)
+        csv.field(run.key.workloadId)
+            .field(run.key.core)
+            .field(run.key.voltage)
+            .field(run.key.frequency)
+            .field(run.key.campaign)
+            .field(run.key.runIndex)
+            .field(run.effects.toString())
+            .field(run.sdcEvents)
+            .field(run.correctedErrors)
+            .field(run.uncorrectedErrors)
+            .field(run.exitCode)
+            .field(run.seconds, 6)
+            .field(run.avgIpc, 4)
+            .field(run.activityFactor, 4)
+            .field(sim::encodeSiteCounts(run.correctedBySite))
+            .field(sim::encodeSiteCounts(run.uncorrectedBySite))
+            .endRow();
+}
+
+void
+appendReport(std::string &out, const CharacterizationReport &report)
+{
+    out.append(kMagic)
+        .append(" chip=")
+        .append(report.chipName)
+        .append(" corner=")
+        .append(sim::cornerName(report.corner))
+        .append(" freq=")
+        .append(std::to_string(report.frequency));
+    for (const auto &[name, counter] : metadataCounters(report))
+        out.append(" ").append(name).append("=").append(
+            std::to_string(*counter));
+    out += '\n';
+    appendRunCsv(out, report.allRuns);
+}
+
 std::string
 serializeReport(const CharacterizationReport &report)
 {
-    std::ostringstream os;
-    os << kMagic << " chip=" << report.chipName
-       << " corner=" << sim::cornerName(report.corner)
-       << " freq=" << report.frequency
-       << " watchdog=" << report.watchdogInterventions
-       << " retries=" << report.telemetry.retries
-       << " backoff_events=" << report.telemetry.backoffEvents
-       << " backoff_us=" << report.telemetry.backoffUsTotal
-       << " watchdog_retries=" << report.telemetry.watchdogRetries
-       << " lost=" << report.telemetry.lostMeasurements
-       << " fallback_rounds=" << report.telemetry.fallbackRounds
-       << '\n';
-    os << report.toCsv();
-    return os.str();
+    std::string out;
+    out.reserve(report.allRuns.size() * kReportBytesPerRun + 512);
+    appendReport(out, report);
+    return out;
 }
 
 CharacterizationReport
@@ -80,16 +148,7 @@ deserializeReport(const std::string &text,
 
     CharacterizationReport report;
     // Parse the metadata header.
-    RecoveryTelemetry &telemetry = report.telemetry;
-    const std::pair<const char *, uint64_t *> counters[] = {
-        {"watchdog", &report.watchdogInterventions},
-        {"retries", &telemetry.retries},
-        {"backoff_events", &telemetry.backoffEvents},
-        {"backoff_us", &telemetry.backoffUsTotal},
-        {"watchdog_retries", &telemetry.watchdogRetries},
-        {"lost", &telemetry.lostMeasurements},
-        {"fallback_rounds", &telemetry.fallbackRounds},
-    };
+    const auto counters = metadataCounters(report);
     for (const auto &token :
          util::split(text.substr(0, newline), ' ')) {
         const auto eq = token.find('=');
@@ -114,29 +173,14 @@ deserializeReport(const std::string &text,
     // Parse the run rows.
     const util::CsvDocument doc =
         util::parseCsv(text.substr(newline + 1));
-    const auto column = [&](const char *name) {
-        const int index = doc.columnIndex(name);
+    std::array<size_t, kNumRunColumns> col{};
+    for (size_t c = 0; c < kNumRunColumns; ++c) {
+        const int index = doc.columnIndex(kRunColumnNames[c]);
         if (index < 0)
             util::fatalError("deserializeReport: missing column '" +
-                             std::string(name) + "'");
-        return static_cast<size_t>(index);
-    };
-    const size_t col_workload = column("workload");
-    const size_t col_core = column("core");
-    const size_t col_voltage = column("voltage_mv");
-    const size_t col_freq = column("freq_mhz");
-    const size_t col_campaign = column("campaign");
-    const size_t col_run = column("run");
-    const size_t col_effects = column("effects");
-    const size_t col_sdc = column("sdc_events");
-    const size_t col_ce = column("ce");
-    const size_t col_ue = column("ue");
-    const size_t col_exit = column("exit_code");
-    const size_t col_seconds = column("seconds");
-    const size_t col_ipc = column("ipc");
-    const size_t col_activity = column("activity");
-    const size_t col_ce_sites = column("ce_sites");
-    const size_t col_ue_sites = column("ue_sites");
+                             std::string(kRunColumnNames[c]) + "'");
+        col[c] = static_cast<size_t>(index);
+    }
 
     // One pass: every row lands in allRuns and streams into the
     // LedgerView, which derives all per-cell analyses (regions,
@@ -173,27 +217,27 @@ deserializeReport(const std::string &text,
             return *std::move(parsed);
         };
         ClassifiedRun run;
-        run.key.workloadId = row[col_workload];
-        read(run.key.core, col_core);
-        read(run.key.voltage, col_voltage);
-        read(run.key.frequency, col_freq);
-        read(run.key.campaign, col_campaign);
-        read(run.key.runIndex, col_run);
-        run.effects = decode(EffectSet::fromString(row[col_effects]),
-                             col_effects, "a list of effect names");
-        read(run.sdcEvents, col_sdc);
-        read(run.correctedErrors, col_ce);
-        read(run.uncorrectedErrors, col_ue);
-        read(run.exitCode, col_exit);
-        read(run.seconds, col_seconds);
-        read(run.avgIpc, col_ipc);
-        read(run.activityFactor, col_activity);
+        run.key.workloadId = row[col[kWorkload]];
+        read(run.key.core, col[kCore]);
+        read(run.key.voltage, col[kVoltage]);
+        read(run.key.frequency, col[kFrequency]);
+        read(run.key.campaign, col[kCampaign]);
+        read(run.key.runIndex, col[kRun]);
+        run.effects = decode(EffectSet::fromString(row[col[kEffects]]),
+                             col[kEffects], "a list of effect names");
+        read(run.sdcEvents, col[kSdcEvents]);
+        read(run.correctedErrors, col[kCe]);
+        read(run.uncorrectedErrors, col[kUe]);
+        read(run.exitCode, col[kExitCode]);
+        read(run.seconds, col[kSeconds]);
+        read(run.avgIpc, col[kIpc]);
+        read(run.activityFactor, col[kActivity]);
         run.correctedBySite =
-            decode(sim::decodeSiteCounts(row[col_ce_sites]),
-                   col_ce_sites, "a site:count list");
+            decode(sim::decodeSiteCounts(row[col[kCeSites]]),
+                   col[kCeSites], "a site:count list");
         run.uncorrectedBySite =
-            decode(sim::decodeSiteCounts(row[col_ue_sites]),
-                   col_ue_sites, "a site:count list");
+            decode(sim::decodeSiteCounts(row[col[kUeSites]]),
+                   col[kUeSites], "a site:count list");
         view.add(run);
         report.allRuns.push_back(std::move(run));
     }

@@ -30,6 +30,21 @@ namespace vmargin
  */
 std::string serializeReport(const CharacterizationReport &report);
 
+/** Append serializeReport's bytes to @p out. */
+void appendReport(std::string &out, const CharacterizationReport &report);
+
+/**
+ * Append the classified-run CSV — the header of run columns, then
+ * one row per run — to @p out. This emitter and deserializeReport
+ * share the one spelling of the run columns.
+ */
+void appendRunCsv(std::string &out,
+                  const std::vector<ClassifiedRun> &runs);
+
+/** A generous estimate of one run row's bytes; serializeReport and
+ *  FleetReport::serialize reserve their buffer from it. */
+inline constexpr size_t kReportBytesPerRun = 96;
+
 /**
  * Rebuild a report from serializeReport() output. Region analyses
  * and severity tables are recomputed from the run rows with the

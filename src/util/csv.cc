@@ -1,6 +1,7 @@
 #include "csv.hh"
 
 #include "logging.hh"
+#include "strings.hh"
 
 namespace vmargin::util
 {
@@ -30,65 +31,72 @@ CsvDocument::at(size_t row, const std::string &column) const
     return fields[static_cast<size_t>(col)];
 }
 
-CsvWriter::CsvWriter(std::ostream &out, char sep) : out_(out), sep_(sep)
+CsvWriter::CsvWriter(std::string &out, char sep)
+    : out_(out), sep_(sep), rowStart_(out.size())
 {
 }
 
-std::string
-CsvWriter::escape(const std::string &field, char sep)
+void
+CsvWriter::separate()
 {
-    const bool needs_quotes =
-        field.find(sep) != std::string::npos ||
-        field.find('"') != std::string::npos ||
-        field.find('\n') != std::string::npos ||
-        field.find('\r') != std::string::npos;
-    if (!needs_quotes)
-        return field;
-    std::string quoted = "\"";
-    for (char c : field) {
+    if (rowFields_++)
+        out_ += sep_;
+}
+
+CsvWriter &
+CsvWriter::field(std::string_view text)
+{
+    separate();
+    const char specials[] = {sep_, '"', '\n', '\r'};
+    if (text.find_first_of(std::string_view(specials, sizeof(specials))) ==
+        std::string_view::npos) {
+        out_.append(text);
+        return *this;
+    }
+    out_ += '"';
+    for (const char c : text) {
         if (c == '"')
-            quoted += "\"\"";
-        else
-            quoted += c;
+            out_ += '"';
+        out_ += c;
     }
-    quoted += '"';
-    return quoted;
+    out_ += '"';
+    return *this;
+}
+
+CsvWriter &
+CsvWriter::field(double value, int precision)
+{
+    separate();
+    appendFixed(out_, value, precision);
+    return *this;
 }
 
 void
-CsvWriter::writeHeader(const std::vector<std::string> &columns)
+CsvWriter::row(std::initializer_list<std::string_view> fields)
 {
-    writeRow(columns);
+    for (const std::string_view text : fields)
+        field(text);
+    endRow();
 }
 
 void
-CsvWriter::writeRow(const std::vector<std::string> &fields)
+CsvWriter::endRow()
 {
-    if (fields.size() == 1 && fields.front().empty()) {
-        // A single empty field would serialize as a bare newline,
-        // which parsers (ours included, per RFC 4180's blank-line
-        // rule) drop as an empty row. Quote it to keep the row.
-        out_ << "\"\"\n";
-        ++rowsWritten_;
-        return;
-    }
-    for (size_t i = 0; i < fields.size(); ++i) {
-        if (i)
-            out_ << sep_;
-        out_ << escape(fields[i], sep_);
-    }
-    out_ << '\n';
-    ++rowsWritten_;
+    // A single empty field would serialize as a bare newline, which
+    // parsers (ours included, per RFC 4180's blank-line rule) drop
+    // as an empty row. Quote it to keep the row.
+    if (rowFields_ == 1 && out_.size() == rowStart_)
+        out_ += "\"\"";
+    out_ += '\n';
+    rowStart_ = out_.size();
+    rowFields_ = 0;
 }
 
 namespace
 {
 
-/**
- * Incremental CSV scanner shared by parseCsv and parseCsvLine.
- * Consumes @p text and invokes emitField/emitRow through the two
- * output vectors.
- */
+/** Incremental CSV scanner behind parseCsv: every row of @p text,
+ *  header included, appended to @p out_rows. */
 void
 scanCsv(const std::string &text, char sep,
         std::vector<std::vector<std::string>> &out_rows)
@@ -157,16 +165,6 @@ parseCsv(const std::string &text, char sep)
     doc.header = all_rows.front();
     doc.rows.assign(all_rows.begin() + 1, all_rows.end());
     return doc;
-}
-
-std::vector<std::string>
-parseCsvLine(const std::string &line, char sep)
-{
-    std::vector<std::vector<std::string>> all_rows;
-    scanCsv(line, sep, all_rows);
-    if (all_rows.empty())
-        return {};
-    return all_rows.front();
 }
 
 } // namespace vmargin::util

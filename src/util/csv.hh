@@ -4,16 +4,22 @@
  *
  * The characterization framework's parsing phase reports every
  * classified run into CSV files (paper section 2.2); the prediction
- * pipeline reads them back. Quoting follows RFC 4180: fields
- * containing separator, quote or newline are quoted and embedded
- * quotes are doubled.
+ * pipeline reads them back. CsvWriter appends rows field by field
+ * into a caller-owned string, so every report section writes into
+ * one buffer: text fields are quoted per RFC 4180 (a field holding
+ * the separator, a quote, CR or LF is quoted and embedded quotes are
+ * doubled), integers go through std::to_chars and doubles through
+ * util::appendFixed.
  */
 
 #ifndef VMARGIN_UTIL_CSV_HH
 #define VMARGIN_UTIL_CSV_HH
 
-#include <ostream>
+#include <charconv>
+#include <concepts>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace vmargin::util
@@ -33,31 +39,48 @@ struct CsvDocument
 };
 
 /**
- * Streaming CSV writer. Owns nothing; writes to a caller-supplied
- * stream so it can target files, string streams or stdout alike.
+ * Append-only CSV writer over a caller-owned string. Owns nothing:
+ * fields land directly in the caller's buffer, one endRow() per row.
  */
 class CsvWriter
 {
   public:
-    /** @param out destination stream @param sep field separator */
-    explicit CsvWriter(std::ostream &out, char sep = ',');
+    /** @param out buffer rows are appended to @param sep separator */
+    explicit CsvWriter(std::string &out, char sep = ',');
 
-    /** Write the header row (only sensible as the first row). */
-    void writeHeader(const std::vector<std::string> &columns);
+    /** A text field, quoted when it needs to be. */
+    CsvWriter &field(std::string_view text);
 
-    /** Write one data row. */
-    void writeRow(const std::vector<std::string> &fields);
+    /** An integer field in decimal. */
+    template <std::integral T>
+    CsvWriter &
+    field(T value)
+    {
+        separate();
+        char digits[24];
+        out_.append(digits,
+                    std::to_chars(digits, digits + sizeof(digits), value)
+                        .ptr);
+        return *this;
+    }
 
-    /** Number of rows written so far (header included). */
-    size_t rowsWritten() const { return rowsWritten_; }
+    /** A double field at fixed @p precision. */
+    CsvWriter &field(double value, int precision);
 
-    /** Quote a single field according to RFC 4180. */
-    static std::string escape(const std::string &field, char sep = ',');
+    /** Write @p fields as one whole row. */
+    void row(std::initializer_list<std::string_view> fields);
+
+    /** End the current row. */
+    void endRow();
 
   private:
-    std::ostream &out_;
+    /** Start a field: the separator unless it is the row's first. */
+    void separate();
+
+    std::string &out_;
     char sep_;
-    size_t rowsWritten_ = 0;
+    size_t rowStart_;
+    size_t rowFields_ = 0;
 };
 
 /**
@@ -65,10 +88,6 @@ class CsvWriter
  * Handles quoted fields, doubled quotes and embedded newlines.
  */
 CsvDocument parseCsv(const std::string &text, char sep = ',');
-
-/** Parse a single CSV line (no embedded newlines). */
-std::vector<std::string> parseCsvLine(const std::string &line,
-                                      char sep = ',');
 
 } // namespace vmargin::util
 

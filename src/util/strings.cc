@@ -97,18 +97,30 @@ isNumber(const std::string &text)
     return end == begin + text.size();
 }
 
+void
+appendFixed(std::string &out, double value, int precision)
+{
+    // Most values fit a small buffer; the fallback fits a double's
+    // 309 integer digits, sign, point and fraction.
+    char small[64];
+    auto result = std::to_chars(small, small + sizeof(small), value,
+                                std::chars_format::fixed, precision);
+    if (result.ec == std::errc()) {
+        out.append(small, result.ptr);
+        return;
+    }
+    const size_t start = out.size();
+    out.resize(start + 312 + static_cast<size_t>(std::max(precision, 6)));
+    result = std::to_chars(out.data() + start, out.data() + out.size(),
+                           value, std::chars_format::fixed, precision);
+    out.resize(static_cast<size_t>(result.ptr - out.data()));
+}
+
 std::string
 formatDouble(double value, int precision)
 {
-    // Specified as printf "%.*f" (a negative precision means 6), as
-    // iostream `fixed` is. The buffer fits a double's 309 integer
-    // digits, sign, point and fraction.
-    std::string text(312 + static_cast<size_t>(std::max(precision, 6)),
-                     '\0');
-    const auto result =
-        std::to_chars(text.data(), text.data() + text.size(), value,
-                      std::chars_format::fixed, precision);
-    text.resize(static_cast<size_t>(result.ptr - text.data()));
+    std::string text;
+    appendFixed(text, value, precision);
     return text;
 }
 

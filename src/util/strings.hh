@@ -38,6 +38,11 @@ bool isInteger(const std::string &text);
 /** True if the whole string parses as a floating point number. */
 bool isNumber(const std::string &text);
 
+/** Append @p value at fixed @p precision to @p out: printf "%.*f"
+ *  (a negative precision means 6), as iostream `fixed` renders it.
+ *  The one fixed-precision formatter. */
+void appendFixed(std::string &out, double value, int precision);
+
 /** Fixed-precision formatting, e.g. formatDouble(0.1234, 2) == "0.12". */
 std::string formatDouble(double value, int precision);
 

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "core/classifier.hh"
+#include "core/resultstore.hh"
 #include "sim/cache_hierarchy.hh"
+#include "util/csv.hh"
 #include "util/rng.hh"
 #include "workloads/spec.hh"
 
@@ -142,11 +144,19 @@ TEST(Classifier, CsvRowMatchesHeader)
     run.completed = true;
     run.outputMatches = false;
     const ClassifiedRun parsed = parseRunLog(formatRunLog(key(), run));
-    const auto header = classifiedRunCsvHeader();
-    const auto row = classifiedRunCsvRow(parsed);
-    EXPECT_EQ(header.size(), row.size());
-    EXPECT_EQ(row[0], "bwaves/ref");
-    EXPECT_EQ(row[6], "SDC");
+    ClassifiedRun multi = parsed;
+    multi.effects.add(Effect::CE);
+    std::string csv;
+    appendRunCsv(csv, {parsed, multi});
+    const util::CsvDocument doc = util::parseCsv(csv);
+    ASSERT_EQ(doc.rows.size(), 2u);
+    EXPECT_EQ(doc.header.size(), doc.rows[0].size());
+    EXPECT_EQ(doc.at(0, "workload"), "bwaves/ref");
+    EXPECT_EQ(doc.at(0, "effects"), "SDC");
+    // A multi-effect field is quoted, since its names are
+    // comma-separated.
+    EXPECT_NE(csv.find(",\"SDC,CE\","), std::string::npos) << csv;
+    EXPECT_EQ(doc.at(1, "effects"), "SDC,CE");
 }
 
 TEST(Classifier, SiteCountEncodingRoundTrip)

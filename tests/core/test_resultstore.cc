@@ -10,9 +10,8 @@
 #include <fstream>
 #include <functional>
 
-#include "core/classifier.hh"
 #include "core/resultstore.hh"
-#include "util/strings.hh"
+#include "util/csv.hh"
 #include "workloads/spec.hh"
 
 namespace vmargin
@@ -129,6 +128,20 @@ TEST_F(ResultStoreTest, SerializedFormIsStable)
     const std::string twice =
         serializeReport(deserializeReport(once));
     EXPECT_EQ(once, twice);
+
+    // Workload ids the emitter must quote: each comes back from the
+    // decoder and re-serializes to the same bytes.
+    for (const std::string id :
+         {"a,b", "say \"hi\"", "line1\nline2", "a\r\nb,c\"d"}) {
+        CharacterizationReport hostile = *report_;
+        for (auto &run : hostile.allRuns)
+            if (run.key.workloadId == "bwaves/ref")
+                run.key.workloadId = id;
+        const std::string bytes = serializeReport(hostile);
+        const auto loaded = deserializeReport(bytes);
+        EXPECT_EQ(loaded.allRuns, hostile.allRuns) << id;
+        EXPECT_EQ(serializeReport(loaded), bytes) << id;
+    }
 }
 
 TEST_F(ResultStoreTest, FileRoundTrip)
@@ -170,19 +183,28 @@ using CsvEdit = std::function<void(std::vector<std::string> &header,
                                    std::vector<std::string> &row)>;
 
 /** A two-run report document; @p edit rewrites the CSV header and
- *  the second run row before they are joined. */
+ *  the second run row before they are written. */
 std::string
 twoRunReport(const std::string &metadata, const CsvEdit &edit)
 {
     ClassifiedRun run;
     run.key.workloadId = "bwaves/ref";
-    std::vector<std::string> header = classifiedRunCsvHeader();
-    const std::vector<std::string> first = classifiedRunCsvRow(run);
+    std::string emitted;
+    appendRunCsv(emitted, {run});
+    const util::CsvDocument doc = util::parseCsv(emitted);
+    std::vector<std::string> header = doc.header;
+    std::vector<std::string> first = doc.rows.at(0);
     std::vector<std::string> second = first;
     edit(header, second);
-    return "# vmargin-report " + metadata + "\n" +
-           util::join(header, ",") + "\n" + util::join(first, ",") +
-           "\n" + util::join(second, ",") + "\n";
+
+    std::string text = "# vmargin-report " + metadata + "\n";
+    util::CsvWriter csv(text);
+    for (const auto *row : {&header, &first, &second}) {
+        for (const std::string &field : *row)
+            csv.field(field);
+        csv.endRow();
+    }
+    return text;
 }
 
 /** Set @p column of the run row to @p value. */

@@ -38,7 +38,7 @@ TEST(Determinism, TwoFreshPlatformsAgree)
     const auto ra = fa.characterize(smallConfig());
     const auto rb = fb.characterize(smallConfig());
     EXPECT_EQ(ra.toCsv(), rb.toCsv());
-    EXPECT_EQ(ra.summaryCsv(), rb.summaryCsv());
+    EXPECT_EQ(ra.cells, rb.cells);
 }
 
 TEST(Determinism, RepeatOnSamePlatformAgrees)
@@ -76,7 +76,7 @@ TEST(Determinism, FaultyRunsOnFreshPlatformsAgree)
     const auto ra = fa.characterize(smallConfig());
     const auto rb = fb.characterize(smallConfig());
     EXPECT_EQ(ra.toCsv(), rb.toCsv());
-    EXPECT_EQ(ra.summaryCsv(), rb.summaryCsv());
+    EXPECT_EQ(ra.cells, rb.cells);
     EXPECT_EQ(ra.telemetry.retries, rb.telemetry.retries);
     EXPECT_EQ(ra.telemetry.lostMeasurements,
               rb.telemetry.lostMeasurements);

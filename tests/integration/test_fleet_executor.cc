@@ -137,7 +137,7 @@ TEST(FleetExecutor, SingleChipFleetMatchesCampaignExecutor)
     const std::string bytes = serializeReport(solo);
 
     EXPECT_EQ(serializeReport(fleet.chips[0].report), bytes);
-    EXPECT_EQ(fleet.chips[0].report.summaryCsv(), solo.summaryCsv());
+    EXPECT_EQ(fleet.chips[0].report.cells, solo.cells);
 
     // Kill+resume: 3 fresh cells per session chop the 8 cells into
     // 3 sessions, for each entry point at each worker count.

@@ -218,8 +218,14 @@ class SinkTest : public ::testing::Test
   protected:
     void SetUp() override
     {
+        // One file per test: ctest runs the tests of this suite as
+        // concurrent processes.
         path_ = (std::filesystem::temp_directory_path() /
-                 "vmargin_obs_sink_test.jsonl")
+                 (std::string("vmargin_obs_sink_") +
+                  ::testing::UnitTest::GetInstance()
+                      ->current_test_info()
+                      ->name() +
+                  ".jsonl"))
                     .string();
         std::remove(path_.c_str());
     }
