@@ -9,6 +9,7 @@
  *       --tasks bwaves,cactusADM,dealII,gromacs,leslie3d,mcf,milc,namd
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "core/framework.hh"
@@ -46,9 +47,13 @@ main(int argc, char **argv)
                            1);
     CharacterizationFramework framework(&platform);
 
+    // A task listed twice is placed twice but characterized once.
     FrameworkConfig config;
     for (const auto &id : tasks)
-        config.workloads.push_back(wl::findWorkload(id));
+        if (std::none_of(config.workloads.begin(),
+                         config.workloads.end(),
+                         [&](const auto &w) { return w.id() == id; }))
+            config.workloads.push_back(wl::findWorkload(id));
     config.cores = {0, 1, 2, 3, 4, 5, 6, 7};
     config.campaigns = static_cast<int>(cli.intValue("campaigns"));
     config.startVoltage = 930;

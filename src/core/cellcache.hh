@@ -55,8 +55,9 @@ class CellResultCache
      * key — but cellConfigHash() mixes the chip identity, so any v1
      * entry matching @p config_hash was necessarily recorded for the
      * chip mixed into that hash; the lookup falls back to the
-     * implicit key and the hit is sound. The pointer is invalidated
-     * by the next put().
+     * implicit key and the hit is sound. Only cells loaded by
+     * open() are served, not those put since; the pointer stays
+     * valid across put().
      */
     const CellMeasurement *find(Seed config_hash,
                                 const ChipRef &chip,

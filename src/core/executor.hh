@@ -20,7 +20,8 @@
  * cell-result cache are appended from worker threads in completion
  * order (their append paths are mutex-guarded), so their on-disk
  * cell order is the one artifact that may differ between worker
- * counts; both tolerate arbitrary order on load.
+ * counts; both tolerate arbitrary order on load. One worker
+ * measures the cells in plan order, so its journal bytes are fixed.
  */
 
 #ifndef VMARGIN_CORE_EXECUTOR_HH
@@ -38,7 +39,8 @@ namespace vmargin
 
 /**
  * Run all campaign repetitions of one (workload, core) cell through
- * @p runner and collect runs, raw logs and recovery telemetry.
+ * @p runner and collect its classified runs and recovery telemetry
+ * (the cell's `records` stay empty).
  * Shared by the sequential measureCell() entry point and the
  * executor's workers (each worker passes a runner bound to its own
  * platform replica).
@@ -53,11 +55,14 @@ CellMeasurement measureCellWith(CampaignRunner &runner,
  * assembled: runs stream into @p view and the report's aggregate
  * counters, while a cell whose every run was lost to management
  * faults is degraded — accounted and omitted — rather than aborting
- * the sweep.
+ * the sweep. The const form copies the cell's runs into
+ * `report.allRuns`; the rvalue form moves them.
  */
 void mergeCellIntoReport(CharacterizationReport &report,
                          LedgerView &view,
                          const CellMeasurement &cell);
+void mergeCellIntoReport(CharacterizationReport &report,
+                         LedgerView &view, CellMeasurement &&cell);
 
 /**
  * Run one sweep of @p config over @p prototypes (not owned, never

@@ -109,8 +109,21 @@ FrameworkConfig::validate() const
             std::to_string(flushIntervalMs) + ")");
     retryPolicy.validate();
     weights.validate();
-    for (const auto &workload : workloads)
-        workload.validate();
+    // A repeat would plan (and merge) the same cell twice.
+    for (size_t i = 0; i < workloads.size(); ++i) {
+        workloads[i].validate();
+        for (size_t j = i + 1; j < workloads.size(); ++j)
+            if (workloads[i].id() == workloads[j].id())
+                util::fatalError("framework: workload " +
+                                 workloads[i].id() +
+                                 " is listed twice");
+    }
+    for (size_t i = 0; i < cores.size(); ++i)
+        for (size_t j = i + 1; j < cores.size(); ++j)
+            if (cores[i] == cores[j])
+                util::fatalError("framework: core " +
+                                 std::to_string(cores[i]) +
+                                 " is listed twice");
 }
 
 const CellResult &

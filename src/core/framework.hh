@@ -110,7 +110,8 @@ struct FrameworkConfig
         return options;
     }
 
-    /** Basic validation; fatal on an unusable configuration. */
+    /** Basic validation; fatal on an unusable configuration,
+     *  including a workload id or core listed twice. */
     void validate() const;
 
     /**
@@ -184,8 +185,8 @@ class CharacterizationFramework
                                 const FrameworkConfig &config);
 
     /**
-     * Run all campaign repetitions of one cell and collect runs,
-     * raw logs and recovery telemetry. Both characterize() and
+     * Run all campaign repetitions of one cell and collect its
+     * classified runs and recovery telemetry. Both characterize() and
      * characterizeCell() route through this, so the journal and
      * recovery hooks live in exactly one place.
      */

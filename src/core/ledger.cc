@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #if __has_include(<sys/mman.h>)
 #include <fcntl.h>
@@ -1026,19 +1027,17 @@ RunLedger::open(const std::string &app_header,
                 !pending_corrupt &&
                 pending.runs.size() == commit.runCount;
             if (intact &&
-                !findLocked(commit.configHash, commit.chip.key(),
-                            commit.workloadId, commit.core)) {
+                byKey_
+                    .emplace(Key{commit.configHash, commit.chip.key(),
+                                 commit.workloadId, commit.core},
+                             entries_.size())
+                    .second) {
                 pending.chip = commit.chip;
                 pending.workloadId = commit.workloadId;
                 pending.core = commit.core;
                 pending.watchdogInterventions =
                     commit.watchdogInterventions;
                 pending.telemetry = commit.telemetry;
-                byKey_.emplace(
-                    std::make_tuple(commit.configHash,
-                                    commit.chip.key(),
-                                    commit.workloadId, commit.core),
-                    entries_.size());
                 entries_.push_back(
                     Entry{commit.configHash, std::move(pending)});
             }
@@ -1064,30 +1063,35 @@ RunLedger::open(const std::string &app_header,
 }
 
 const CellMeasurement *
-RunLedger::findLocked(Seed config_hash, uint64_t chip_key,
-                      const std::string &workload_id,
-                      CoreId core) const
-{
-    const auto it = byKey_.find(
-        std::make_tuple(config_hash, chip_key, workload_id, core));
-    if (it == byKey_.end())
-        return nullptr;
-    return &entries_[it->second].cell;
-}
-
-const CellMeasurement *
 RunLedger::find(Seed config_hash, const ChipRef &chip,
                 const std::string &workload_id, CoreId core) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return findLocked(config_hash, chip.key(), workload_id, core);
+    const auto it =
+        byKey_.find(Key{config_hash, chip.key(), workload_id, core});
+    if (it == byKey_.end() || it->second == kNotKept)
+        return nullptr;
+    return &entries_[it->second].cell;
+}
+
+std::optional<CellMeasurement>
+RunLedger::take(Seed config_hash, const ChipRef &chip,
+                const std::string &workload_id, CoreId core)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it =
+        byKey_.find(Key{config_hash, chip.key(), workload_id, core});
+    if (it == byKey_.end() || it->second == kNotKept)
+        return std::nullopt;
+    const size_t index = std::exchange(it->second, kNotKept);
+    return std::exchange(entries_[index].cell, {});
 }
 
 size_t
 RunLedger::size() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
+    return byKey_.size();
 }
 
 namespace
@@ -1127,12 +1131,12 @@ encodeScratch()
 void
 RunLedger::append(Seed config_hash, const CellMeasurement &cell)
 {
+    Key key{config_hash, cell.chip.key(), cell.workloadId, cell.core};
     {
         // Cheap racy pre-check: losing the race is handled by the
         // re-check below; winning it skips the encode entirely.
         std::lock_guard<std::mutex> lock(mutex_);
-        if (findLocked(config_hash, cell.chip.key(),
-                       cell.workloadId, cell.core))
+        if (byKey_.count(key))
             return; // first write wins
     }
 
@@ -1158,17 +1162,10 @@ RunLedger::append(Seed config_hash, const CellMeasurement &cell)
                          encodeCellCommitInto(out, c, fileVersion_);
                      });
 
-    Entry entry{config_hash, cell}; // deep copy outside the lock
-
     std::lock_guard<std::mutex> lock(mutex_);
-    if (findLocked(config_hash, cell.chip.key(), cell.workloadId,
-                   cell.core))
+    if (!byKey_.emplace(std::move(key), kNotKept).second)
         return; // raced: the first writer's cell stands
     writer_.append(scratch.frames, options_);
-    byKey_.emplace(std::make_tuple(config_hash, cell.chip.key(),
-                                   cell.workloadId, cell.core),
-                   entries_.size());
-    entries_.push_back(std::move(entry));
 }
 
 void

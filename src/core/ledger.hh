@@ -42,6 +42,7 @@
 #include <cstdio>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -103,12 +104,13 @@ struct ChipRef
 
 /**
  * One (workload, core) cell's complete measurement: the classified
- * runs of all campaign repetitions plus the zero-copy run records
- * and the recovery/watchdog record that produced them. This is the
- * unit the ledger commits and replays. Run records exist only for
- * freshly measured cells — the ledger persists the classified
- * records, not the raw results they were built from; the legacy
- * text log is rendered on demand by rawLog().
+ * runs of all campaign repetitions plus the recovery/watchdog
+ * record that produced them. This is the unit the ledger commits
+ * and replays. The ledger persists the classified records, not the
+ * raw results they were built from, and the sweep engine does not
+ * keep raw results either: `records` is empty in every cell the
+ * library builds (only the benchmark driver's traced sweep fills
+ * it).
  */
 struct CellMeasurement
 {
@@ -120,12 +122,6 @@ struct CellMeasurement
     std::vector<RunLogRecord> records;
     uint64_t watchdogInterventions = 0;
     RecoveryTelemetry telemetry;
-
-    /** Legacy text-log view, rendered lazily from `records`. */
-    std::vector<std::string> rawLog() const
-    {
-        return formatCampaignLog(records);
-    }
 };
 
 /** Result cell for one (workload, core) pair. */
@@ -459,6 +455,11 @@ class LedgerWriter
  * first intact occurrence wins, so racing sessions appending the
  * same cell — or a resume merging out-of-order parallel appends —
  * converge on one measurement per key.
+ *
+ * Memory: the ledger keeps the key of every committed cell, but the
+ * contents only of the cells open() replayed. An appended cell is
+ * on disk and in its caller's hands; holding a second copy would
+ * make every fresh run resident twice.
  */
 class RunLedger
 {
@@ -500,9 +501,10 @@ class RunLedger
     void flush();
 
     /**
-     * Committed measurement for the cell on @p chip, or nullptr;
+     * Replayed measurement for the cell on @p chip, or nullptr;
      * entries recorded under a different @p config_hash are not
-     * found. The pointer is invalidated by the next append.
+     * found, and neither are cells appended since open() or taken.
+     * The pointer stays valid across append(); take() empties it.
      */
     const CellMeasurement *find(Seed config_hash,
                                 const ChipRef &chip,
@@ -510,10 +512,24 @@ class RunLedger
                                 CoreId core) const;
 
     /**
+     * Move a replayed cell out of the ledger: the contents find()
+     * would return, or nothing (then and for every later take() or
+     * find() of the key). The key stays committed, so size() and
+     * first-write-wins are unchanged. For a caller about to drop
+     * the ledger that wants the runs without a copy.
+     */
+    std::optional<CellMeasurement> take(Seed config_hash,
+                                        const ChipRef &chip,
+                                        const std::string &workload_id,
+                                        CoreId core);
+
+    /**
      * Append a cell's run records plus its commit frame and flush.
      * The cell's chip coordinate is part of the key and (in
      * version-2 files) of the commit frame. Safe to call
      * concurrently. A duplicate key is ignored — first write wins.
+     * Only the key is kept in memory: find() does not serve the
+     * appended cell until the file is reopened.
      */
     void append(Seed config_hash, const CellMeasurement &cell);
 
@@ -523,8 +539,9 @@ class RunLedger
     /** Number of committed cells across all configuration hashes. */
     size_t size() const;
 
-    /** Loaded cells in on-disk (completion) order, with their keys.
-     *  Invalidated by the next append. */
+    /** Cells replayed by open(), in on-disk (completion) order,
+     *  with their keys. append() neither adds to nor invalidates
+     *  it; a taken cell's slot is left empty. */
     struct Entry
     {
         Seed configHash = 0;
@@ -561,23 +578,24 @@ class RunLedger
     const std::string &path() const { return path_; }
 
   private:
-    const CellMeasurement *findLocked(Seed config_hash,
-                                      uint64_t chip_key,
-                                      const std::string &workload_id,
-                                      CoreId core) const;
+    /** (configHash, chip key, workload, core) of one cell. */
+    using Key = std::tuple<Seed, uint64_t, std::string, CoreId>;
+
+    /** byKey_ value of a committed cell whose contents are not
+     *  kept: appended this session, or taken. */
+    static constexpr size_t kNotKept = SIZE_MAX;
 
     std::string path_;
     std::string name_;
     LedgerWriteOptions options_;
-    mutable std::mutex mutex_; ///< guards entries_ and the writer
+    mutable std::mutex mutex_; ///< guards the cell maps and writer
     LedgerWriter writer_;
-    std::vector<Entry> entries_;
-    /** (configHash, chip key, workload, core) -> entries_ index.
-     *  The historical writer scanned entries_ per lookup, which
-     *  made both replay and the per-append duplicate check
-     *  quadratic in the cell count. */
-    std::map<std::tuple<Seed, uint64_t, std::string, CoreId>, size_t>
-        byKey_;
+    std::vector<Entry> entries_; ///< replayed cells
+    /** Every committed cell's key -> its entries_ index, or
+     *  kNotKept. A map, not a scan of entries_: a scan made both
+     *  replay and the per-append duplicate check quadratic in the
+     *  cell count. */
+    std::map<Key, size_t> byKey_;
     std::vector<DaemonRoundEntry> daemonRounds_;
     uint32_t fileVersion_ = kLedgerVersion;
 };

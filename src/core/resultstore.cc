@@ -399,6 +399,13 @@ CampaignJournal::find(const ChipRef &chip,
     return ledger_.find(0, chip, workload_id, core);
 }
 
+std::optional<CellMeasurement>
+CampaignJournal::take(const ChipRef &chip,
+                      const std::string &workload_id, CoreId core)
+{
+    return ledger_.take(0, chip, workload_id, core);
+}
+
 size_t
 CampaignJournal::size() const
 {

@@ -15,6 +15,7 @@
 #ifndef VMARGIN_CORE_RESULTSTORE_HH
 #define VMARGIN_CORE_RESULTSTORE_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -150,11 +151,18 @@ class CampaignJournal
     void open(const std::string &header,
               ChipRef implicit_chip = {});
 
-    /** Journaled measurement for the cell on @p chip, or nullptr.
-     *  The pointer is invalidated by the next append(). */
+    /** Measurement open() replayed for the cell on @p chip, or
+     *  nullptr (cells appended since open() are not kept). The
+     *  pointer stays valid across append(). */
     const CellMeasurement *find(const ChipRef &chip,
                                 const std::string &workload_id,
                                 CoreId core) const;
+
+    /** Move the replayed cell out of the journal, once; see
+     *  RunLedger::take(). */
+    std::optional<CellMeasurement> take(const ChipRef &chip,
+                                        const std::string &workload_id,
+                                        CoreId core);
 
     /**
      * Append a finished cell; the group-commit policy decides when
@@ -170,8 +178,8 @@ class CampaignJournal
     /** Number of completed cells on record. */
     size_t size() const;
 
-    /** Loaded cells in on-disk (completion) order; invalidated by
-     *  the next append(). */
+    /** Replayed cells in on-disk (completion) order; append()
+     *  leaves them be. */
     const std::vector<RunLedger::Entry> &entries() const
     {
         return ledger_.entries();

@@ -215,7 +215,7 @@ fullSuite()
 WorkloadProfile
 findWorkload(const std::string &id)
 {
-    const auto suite = fullSuite();
+    static const std::vector<WorkloadProfile> suite = fullSuite();
     // Exact "name/dataset" match first, then first "name" match.
     for (const auto &p : suite)
         if (p.id() == id)

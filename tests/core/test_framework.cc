@@ -121,6 +121,23 @@ TEST_F(FrameworkTest, ValidationCatchesEmptyConfig)
                 ::testing::ExitedWithCode(1), "empty workload");
 }
 
+TEST_F(FrameworkTest, ValidationRefusesARepeatedWorkload)
+{
+    // A repeat would plan the cell twice and count its runs twice.
+    FrameworkConfig bad = config_;
+    bad.workloads.push_back(wl::findWorkload("bwaves/ref"));
+    EXPECT_EXIT(bad.validate(), ::testing::ExitedWithCode(1),
+                "workload bwaves/ref is listed twice");
+}
+
+TEST_F(FrameworkTest, ValidationRefusesARepeatedCore)
+{
+    FrameworkConfig bad = config_;
+    bad.cores = {0, 4, 2, 4};
+    EXPECT_EXIT(bad.validate(), ::testing::ExitedWithCode(1),
+                "core 4 is listed twice");
+}
+
 TEST_F(FrameworkTest, HalfSpeedShowsUniform760Vmin)
 {
     // The paper's 1.2 GHz result: Vmin 760 mV for every core and

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -300,6 +301,90 @@ TEST(RunLedger, AppendFindRoundTripsAcrossReopen)
     EXPECT_EQ(found->telemetry.retries, 5u);
     // Different config hash: not found.
     EXPECT_EQ(reopened.find(78, ChipRef{}, "bwaves/ref", 2), nullptr);
+    std::remove(path.c_str());
+}
+
+TEST(RunLedger, AppendKeepsTheKeyNotTheCell)
+{
+    const std::string path = "/tmp/vmargin_test_ledger_keys";
+    std::remove(path.c_str());
+    CellMeasurement second = makeCell("bwaves/ref", 2);
+    second.runs.resize(1);
+    {
+        RunLedger ledger(path, "test");
+        ledger.open("h");
+        ledger.append(7, makeCell("bwaves/ref", 2));
+        ledger.append(7, second); // same key, other runs
+        EXPECT_EQ(ledger.size(), 1u);
+        EXPECT_EQ(ledger.find(7, ChipRef{}, "bwaves/ref", 2), nullptr)
+            << "an appended cell's contents are not kept";
+        EXPECT_TRUE(ledger.entries().empty());
+    }
+    RunLedger reopened(path, "test");
+    reopened.open("h");
+    ASSERT_EQ(reopened.size(), 1u);
+    const CellMeasurement *found =
+        reopened.find(7, ChipRef{}, "bwaves/ref", 2);
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(found->runs.size(), 3u) << "the first writer's runs";
+    std::remove(path.c_str());
+}
+
+TEST(RunLedger, ReplayedCellSurvivesLaterAppends)
+{
+    const std::string path = "/tmp/vmargin_test_ledger_stable";
+    std::remove(path.c_str());
+    {
+        RunLedger ledger(path, "test");
+        ledger.open("h");
+        ledger.append(1, makeCell("bwaves/ref", 0));
+    }
+    RunLedger reopened(path, "test");
+    reopened.open("h");
+    const CellMeasurement *found =
+        reopened.find(1, ChipRef{}, "bwaves/ref", 0);
+    ASSERT_NE(found, nullptr);
+    for (CoreId core = 1; core <= 64; ++core)
+        reopened.append(1, makeCell("bwaves/ref", core));
+    EXPECT_EQ(reopened.size(), 65u);
+    EXPECT_EQ(reopened.find(1, ChipRef{}, "bwaves/ref", 0), found);
+    ASSERT_EQ(found->runs.size(), 3u);
+    EXPECT_EQ(found->runs[2].effects.toString(), "SC");
+    EXPECT_EQ(found->telemetry.retries, 5u);
+    std::remove(path.c_str());
+}
+
+TEST(RunLedger, TakeMovesAReplayedCellOutOnce)
+{
+    const std::string path = "/tmp/vmargin_test_ledger_take";
+    std::remove(path.c_str());
+    {
+        RunLedger ledger(path, "test");
+        ledger.open("h");
+        ledger.append(3, makeCell("mcf/ref", 6));
+    }
+    RunLedger reopened(path, "test");
+    reopened.open("h");
+    EXPECT_EQ(reopened.take(4, ChipRef{}, "mcf/ref", 6), std::nullopt)
+        << "other config hash";
+    std::optional<CellMeasurement> taken =
+        reopened.take(3, ChipRef{}, "mcf/ref", 6);
+    ASSERT_TRUE(taken.has_value());
+    EXPECT_EQ(taken->workloadId, "mcf/ref");
+    EXPECT_EQ(taken->core, 6u);
+    ASSERT_EQ(taken->runs.size(), 3u);
+    EXPECT_EQ(taken->runs[0].key.voltage, 930);
+    EXPECT_EQ(taken->watchdogInterventions, 2u);
+
+    EXPECT_EQ(reopened.take(3, ChipRef{}, "mcf/ref", 6), std::nullopt)
+        << "a second take finds nothing";
+    EXPECT_EQ(reopened.find(3, ChipRef{}, "mcf/ref", 6), nullptr);
+    EXPECT_EQ(reopened.size(), 1u) << "the key stays committed";
+    ASSERT_EQ(reopened.entries().size(), 1u);
+    EXPECT_TRUE(reopened.entries()[0].cell.runs.empty());
+
+    reopened.append(3, makeCell("mcf/ref", 6)); // still first-write-wins
+    EXPECT_EQ(reopened.size(), 1u);
     std::remove(path.c_str());
 }
 

@@ -105,8 +105,10 @@ TEST(ResultGolden, CampaignReportHashAtAnyWorkerCount)
 
 TEST(ResultGolden, JournalBytesAndResumeArePinned)
 {
-    // Cells commit in completion order, so the journal bytes are
-    // pinned at one worker only; the resumed report is not.
+    // One worker measures the cells in plan order, so its journal
+    // bytes are fixed; more workers commit cells in completion
+    // order. The journal is pinned at one worker only; the resumed
+    // report is not.
     const std::string path = "/tmp/vmargin_result_golden_journal";
     std::remove(path.c_str());
     FrameworkConfig config = eightCellConfig(1);
@@ -120,7 +122,7 @@ TEST(ResultGolden, JournalBytesAndResumeArePinned)
     const std::string bytes{std::istreambuf_iterator<char>(in),
                             std::istreambuf_iterator<char>()};
     EXPECT_EQ(bytes.size(), 49111u);
-    EXPECT_EQ(hex(util::hashSeed(bytes)), "c28ca62f8d953e5c")
+    EXPECT_EQ(hex(util::hashSeed(bytes)), "583604082bf3bc70")
         << "journal bytes changed";
 
     obs::Counter &from_journal = obs::Registry::global().counter(
@@ -133,6 +135,40 @@ TEST(ResultGolden, JournalBytesAndResumeArePinned)
               "8084f6245892415e");
     EXPECT_EQ(from_journal.value() - before, 8u);
     std::remove(path.c_str());
+}
+
+TEST(ResultGolden, JournaledAndCachedSweepResumesToTheSameReport)
+{
+    // Fresh cells move out of the plan, replayed ones out of the
+    // journal, cached ones are copied: every path gives one report.
+    const std::string journal = "/tmp/vmargin_result_golden_jc_journal";
+    const std::string cache = "/tmp/vmargin_result_golden_jc_cache";
+    for (const int workers : {1, 2, 8}) {
+        SCOPED_TRACE(workers);
+        std::remove(journal.c_str());
+        std::remove(cache.c_str());
+        FrameworkConfig config = eightCellConfig(workers);
+        config.journalPath = journal;
+        config.cachePath = cache;
+        for (const char *pass : {"fresh", "resumed"}) {
+            sim::Platform platform = templatePlatform();
+            CharacterizationFramework framework(&platform);
+            EXPECT_EQ(hex(util::hashSeed(serializeReport(
+                          framework.characterize(config)))),
+                      "8084f6245892415e")
+                << pass;
+        }
+        // Journal gone, cache kept: every cell is served copied.
+        std::remove(journal.c_str());
+        sim::Platform platform = templatePlatform();
+        CharacterizationFramework framework(&platform);
+        EXPECT_EQ(hex(util::hashSeed(
+                      serializeReport(framework.characterize(config)))),
+                  "8084f6245892415e")
+            << "cache-served";
+    }
+    std::remove(journal.c_str());
+    std::remove(cache.c_str());
 }
 
 TEST(ResultGolden, FleetReportHashPerFleetSize)
