@@ -86,7 +86,7 @@ main()
     util::TablePrinter effects({"effect", "description"});
     effects.setAlignment({util::Align::Left, util::Align::Left});
     for (Effect e : kAllEffects)
-        effects.addRow({effectName(e), effectDescription(e)});
+        effects.addRow({std::string(effectName(e)), effectDescription(e)});
     effects.print(std::cout);
 
     return ok ? 0 : 1;

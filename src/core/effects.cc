@@ -1,12 +1,14 @@
 #include "effects.hh"
 
+#include <cctype>
+#include <utility>
+
 #include "util/logging.hh"
-#include "util/strings.hh"
 
 namespace vmargin
 {
 
-std::string
+std::string_view
 effectName(Effect effect)
 {
     switch (effect) {
@@ -57,7 +59,7 @@ effectDescription(Effect effect)
 }
 
 std::optional<Effect>
-effectFromName(const std::string &name)
+effectFromName(std::string_view name)
 {
     for (Effect e : kAllEffects)
         if (effectName(e) == name)
@@ -105,30 +107,53 @@ EffectSet::count() const
 std::string
 EffectSet::toString() const
 {
-    if (normal())
-        return "NO";
     std::string text;
-    for (Effect e : {Effect::SDC, Effect::CE, Effect::UE, Effect::AC,
-                     Effect::SC})
-        if (has(e))
-            text.append(text.empty() ? "" : ",").append(effectName(e));
+    appendTo(text);
     return text;
 }
 
+void
+EffectSet::appendTo(std::string &out) const
+{
+    if (normal()) {
+        out.append("NO");
+        return;
+    }
+    bool first = true;
+    for (Effect e : {Effect::SDC, Effect::CE, Effect::UE, Effect::AC,
+                     Effect::SC}) {
+        if (!has(e))
+            continue;
+        if (!std::exchange(first, false))
+            out += ',';
+        out.append(effectName(e));
+    }
+}
+
 std::optional<EffectSet>
-EffectSet::fromString(const std::string &text)
+EffectSet::fromString(std::string_view text)
 {
     EffectSet set;
     if (text.empty() || text == "NO")
         return set;
-    for (const auto &token : util::split(text, ',')) {
-        const std::optional<Effect> effect =
-            effectFromName(util::trim(token));
+    const auto space = [](char c) {
+        return std::isspace(static_cast<unsigned char>(c)) != 0;
+    };
+    for (;;) {
+        const size_t comma = text.find(',');
+        std::string_view token = text.substr(0, comma);
+        while (!token.empty() && space(token.front()))
+            token.remove_prefix(1);
+        while (!token.empty() && space(token.back()))
+            token.remove_suffix(1);
+        const std::optional<Effect> effect = effectFromName(token);
         if (!effect)
             return std::nullopt;
         set.add(*effect);
+        if (comma == std::string_view::npos)
+            return set;
+        text.remove_prefix(comma + 1);
     }
-    return set;
 }
 
 EffectSet

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/core.hh"
@@ -40,13 +41,13 @@ inline constexpr Effect kAllEffects[] = {Effect::NO,  Effect::SDC,
                                          Effect::AC,  Effect::SC};
 
 /** Short effect name ("SDC", "CE", ...). */
-std::string effectName(Effect effect);
+std::string_view effectName(Effect effect);
 
 /** Table 3 description of the effect. */
 std::string effectDescription(Effect effect);
 
 /** Parse a short effect name; nullopt on an unknown one. */
-std::optional<Effect> effectFromName(const std::string &name);
+std::optional<Effect> effectFromName(std::string_view name);
 
 /** The set of effects one run manifested. */
 class EffectSet
@@ -70,9 +71,14 @@ class EffectSet
     /** Comma-separated names, or "NO" when empty. */
     std::string toString() const;
 
-    /** Parse the toString() format back; nullopt when a name in
-     *  @p text is not an effect. */
-    static std::optional<EffectSet> fromString(const std::string &text);
+    /** Append toString()'s text to @p out. */
+    void appendTo(std::string &out) const;
+
+    /** Parse the toString() format back: names separated by commas,
+     *  each with ASCII whitespace around it trimmed; "NO" or empty
+     *  text is the empty set. nullopt when a token, empty ones
+     *  included, is not an effect name. */
+    static std::optional<EffectSet> fromString(std::string_view text);
 
     bool operator==(const EffectSet &other) const = default;
 

@@ -1,5 +1,6 @@
 #include "executor.hh"
 
+#include <algorithm>
 #include <iterator>
 #include <memory>
 
@@ -117,6 +118,10 @@ struct PlanEntry
      *  Replayed cells are not copied here: the merge takes them out
      *  of the journal (or copies them from the cache). */
     CellMeasurement measured;
+
+    /** A replayed cell's run count, so the merge can size its
+     *  report before taking the cell. */
+    size_t servedRuns = 0;
 };
 
 /** The executor's telemetry handles, fetched once per sweep. */
@@ -189,6 +194,8 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
                  (served = cache->find(config_hashes[entry.chip],
                                        chip, id, entry.core)))
             entry.source = Source::Cache;
+        if (served)
+            entry.servedRuns = served->runs.size();
         return served;
     };
 
@@ -305,8 +312,15 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
             report.complete = complete;
             LedgerView view(config.weights);
             const ChipRef chip_ref = chipRefOf(*prototypes[chip]);
-            for (; entry != plan.end() && entry->chip == chip;
-                 ++entry) {
+            const auto chip_end = std::find_if(
+                entry, plan.end(),
+                [chip](const PlanEntry &e) { return e.chip != chip; });
+            size_t runs = 0;
+            for (auto e = entry; e != chip_end; ++e)
+                runs += e->source == Source::Fresh ? e->measured.runs.size()
+                                                   : e->servedRuns;
+            report.allRuns.reserve(runs);
+            for (; entry != chip_end; ++entry) {
                 switch (entry->source) {
                 case Source::Fresh:
                     mergeCellIntoReport(report, view,

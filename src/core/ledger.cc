@@ -1,5 +1,7 @@
 #include "ledger.hh"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cerrno>
 #include <cstring>
@@ -24,17 +26,61 @@ namespace vmargin
 
 // ---- framing -----------------------------------------------------
 
+namespace
+{
+
+// FNV-1a 32: tiny, deterministic, and strong enough to catch the
+// bit rot and torn writes the framing defends against.
+constexpr uint32_t kFnvOffset = 2166136261u;
+constexpr uint32_t kFnvPrime = 16777619u;
+
+/** Continue an FNV-1a hash over @p bytes. */
+uint32_t
+fnv1a(uint32_t hash, std::string_view bytes)
+{
+    for (const char c : bytes)
+        hash = (hash ^ static_cast<unsigned char>(c)) * kFnvPrime;
+    return hash;
+}
+
+} // namespace
+
 uint32_t
 ledgerChecksum(std::string_view payload)
 {
-    // FNV-1a 32: tiny, deterministic, and strong enough to catch the
-    // bit rot and torn writes the framing defends against.
-    uint32_t hash = 2166136261u;
-    for (const char c : payload) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 16777619u;
+    return fnv1a(kFnvOffset, payload);
+}
+
+void
+ledgerChecksums(std::span<const std::string_view> payloads,
+                std::span<uint32_t> sums)
+{
+    // One FNV-1a chain is a serial multiply per byte. A group's
+    // chains, stepped together over their common length, keep one
+    // multiply per lane in flight; each lane then finishes its own
+    // tail.
+    constexpr size_t kLanes = kLedgerChecksumLanes;
+    size_t first = 0;
+    for (; first + kLanes <= payloads.size(); first += kLanes) {
+        const std::string_view *group = &payloads[first];
+        std::array<const unsigned char *, kLanes> data;
+        std::array<uint32_t, kLanes> hash;
+        size_t common = group[0].size();
+        for (size_t lane = 0; lane < kLanes; ++lane) {
+            data[lane] = reinterpret_cast<const unsigned char *>(
+                group[lane].data());
+            hash[lane] = kFnvOffset;
+            common = std::min(common, group[lane].size());
+        }
+        for (size_t i = 0; i < common; ++i)
+            for (size_t lane = 0; lane < kLanes; ++lane)
+                hash[lane] = (hash[lane] ^ data[lane][i]) * kFnvPrime;
+        for (size_t lane = 0; lane < kLanes; ++lane)
+            sums[first + lane] =
+                fnv1a(hash[lane], group[lane].substr(common));
     }
-    return hash;
+    for (; first < payloads.size(); ++first)
+        sums[first] = ledgerChecksum(payloads[first]);
 }
 
 namespace
@@ -142,16 +188,19 @@ class PayloadReader
 
     double f64() { return std::bit_cast<double>(u64()); }
 
-    std::string
-    str()
+    /** A putString text, as a view into the payload. */
+    std::string_view
+    view()
     {
         const uint32_t length = u32();
         if (!require(length))
             return {};
-        std::string text(payload_.substr(pos_, length));
+        const std::string_view text = payload_.substr(pos_, length);
         pos_ += length;
         return text;
     }
+
+    std::string str() { return std::string(view()); }
 
     /** A putSiteCounts list. An entry SiteCounts::addNamed refuses
      *  (unknown or repeated site, zero count) makes the payload
@@ -162,7 +211,7 @@ class PayloadReader
         sim::SiteCounts sites;
         const uint32_t entries = u32();
         for (uint32_t i = 0; i < entries && ok_; ++i) {
-            const std::string site = str();
+            const std::string_view site = view();
             const uint64_t count = u64();
             if (ok_ && !sites.addNamed(site, count))
                 ok_ = false;
@@ -419,7 +468,7 @@ readRunRecord(PayloadReader &reader, RunRecord &run)
     run.key.frequency = static_cast<MegaHertz>(reader.u32());
     run.key.campaign = reader.u32();
     run.key.runIndex = reader.u32();
-    const auto effects = EffectSet::fromString(reader.str());
+    const auto effects = EffectSet::fromString(reader.view());
     if (!effects)
         return false;
     run.effects = *effects;
@@ -856,8 +905,12 @@ RunLedger::open(const std::string &app_header,
         have_pending_round = false;
     };
 
+    // Replayed cells in one ledger are similar in size: each pending
+    // cell reserves the last committed cell's run count.
+    size_t expected_runs = 0;
     const auto resetPending = [&]() {
         pending = CellMeasurement{};
+        pending.runs.reserve(expected_runs);
         pending_corrupt = false;
         pending_records = 0;
     };
@@ -872,33 +925,16 @@ RunLedger::open(const std::string &app_header,
     // count on a later replay.
     size_t committed = kMagicBytes;
 
-    FrameCursor cursor(bytes, kMagicBytes);
-    std::string_view payload;
-    uint32_t checksum = 0;
-    for (;;) {
-        const FrameCursor::Status status =
-            cursor.next(payload, checksum);
-        if (status == FrameCursor::Status::End)
-            break;
-        if (status == FrameCursor::Status::Truncated) {
-            statTornTails.inc();
-            if (bytes.size() - cursor.offset() < kFramePrefixBytes)
-                util::warnf(name_, ": '", path_,
-                            "' ends in a truncated frame prefix; "
-                            "discarding the tail");
-            else
-                util::warnf(name_, ": '", path_,
-                            "' ends in a truncated record; "
-                            "discarding the tail");
-            break;
-        }
-
+    // Replay one whole frame ending at file offset @p end, whose
+    // checksum matched (@p intact) or not.
+    const auto replayFrame = [&](std::string_view payload, bool intact,
+                                 size_t end) {
         statReplayFrames.inc();
 
         if (!saw_header) {
             // First frame binds the file: framing version and the
             // application header must both match.
-            if (ledgerChecksum(payload) != checksum)
+            if (!intact)
                 util::fatalError(name_ + ": '" + path_ +
                                  "' has a corrupt header frame");
             PayloadReader reader(payload);
@@ -923,11 +959,11 @@ RunLedger::open(const std::string &app_header,
                                             "header mismatch")
                                       : mismatch_hint));
             saw_header = true;
-            committed = cursor.offset();
-            continue;
+            committed = end;
+            return;
         }
 
-        if (ledgerChecksum(payload) != checksum) {
+        if (!intact) {
             statReplaySkipped.inc();
             util::warnf(name_, ": '", path_,
                         "' frame checksum mismatch; skipping the "
@@ -937,7 +973,7 @@ RunLedger::open(const std::string &app_header,
             // daemon stream loses its sequence guarantee too.
             pending_corrupt = true;
             poisonDaemon("frame checksum mismatch");
-            continue;
+            return;
         }
 
         // Decode straight into the destination slot through the
@@ -957,56 +993,56 @@ RunLedger::open(const std::string &app_header,
             if (!readRunRecord(reader, run)) {
                 pending.runs.pop_back();
                 markMalformed();
-                continue;
+                return;
             }
             if (pending_records == 0)
                 pending.workloadId = run.key.workloadId;
             ++pending_records;
-            continue;
+            return;
         }
 
         if (kind == FrameKind::DaemonRound) {
             DaemonRoundRecord round;
             if (!readDaemonRound(reader, round)) {
                 markMalformed();
-                continue;
+                return;
             }
             if (daemon_poisoned)
-                continue;
+                return;
             if (have_pending_round) {
                 poisonDaemon("daemon round without its checkpoint");
-                continue;
+                return;
             }
             if (round.round !=
                 static_cast<int>(daemonRounds_.size())) {
                 poisonDaemon("daemon round out of sequence");
-                continue;
+                return;
             }
             pending_round = round;
             have_pending_round = true;
-            continue;
+            return;
         }
 
         if (kind == FrameKind::Supervisor) {
             SupervisorCheckpoint state;
             if (!readSupervisorCheckpoint(reader, state)) {
                 markMalformed();
-                continue;
+                return;
             }
             if (daemon_poisoned)
-                continue;
+                return;
             if (!have_pending_round ||
                 state.roundsCompleted !=
                     static_cast<uint32_t>(pending_round.round) + 1) {
                 poisonDaemon(
                     "supervisor checkpoint out of sequence");
-                continue;
+                return;
             }
             daemonRounds_.push_back(
                 DaemonRoundEntry{pending_round, std::move(state)});
             have_pending_round = false;
-            committed = cursor.offset();
-            continue;
+            committed = end;
+            return;
         }
 
         if (kind == FrameKind::Commit) {
@@ -1017,16 +1053,16 @@ RunLedger::open(const std::string &app_header,
             CellCommit commit;
             if (!readCellCommit(reader, commit, fileVersion_)) {
                 markMalformed();
-                continue;
+                return;
             }
             if (fileVersion_ < 2)
                 // Legacy file: every cell belongs to the implicit
                 // single chip the caller supplied.
                 commit.chip = implicit_chip;
-            const bool intact =
+            const bool cell_intact =
                 !pending_corrupt &&
                 pending.runs.size() == commit.runCount;
-            if (intact &&
+            if (cell_intact &&
                 byKey_
                     .emplace(Key{commit.configHash, commit.chip.key(),
                                  commit.workloadId, commit.core},
@@ -1040,16 +1076,53 @@ RunLedger::open(const std::string &app_header,
                 pending.telemetry = commit.telemetry;
                 entries_.push_back(
                     Entry{commit.configHash, std::move(pending)});
+                expected_runs = commit.runCount;
             }
             resetPending();
             // The unit ended here even when the cell was refused (a
             // poisoned or duplicate cell is simply re-run); appended
             // frames after this boundary stand on their own.
-            committed = cursor.offset();
-            continue;
+            committed = end;
+            return;
         }
 
         markMalformed(); // unknown record kind
+    };
+
+    // Walk the frames in groups of kLedgerChecksumLanes: a group's
+    // checksums are computed together (ledgerChecksums), then its
+    // frames are replayed one by one in file order, each exactly as
+    // if verified alone, so no skip, refuse or fatal decision moves.
+    constexpr size_t kLanes = kLedgerChecksumLanes;
+    std::array<std::string_view, kLanes> payloads;
+    std::array<uint32_t, kLanes> recorded{};
+    std::array<uint32_t, kLanes> computed{};
+    std::array<size_t, kLanes> ends{};
+    FrameCursor cursor(bytes, kMagicBytes);
+    FrameCursor::Status status = FrameCursor::Status::Frame;
+    while (status == FrameCursor::Status::Frame) {
+        size_t count = 0;
+        while (count < kLanes &&
+               (status = cursor.next(payloads[count],
+                                     recorded[count])) ==
+                   FrameCursor::Status::Frame)
+            ends[count++] = cursor.offset();
+        ledgerChecksums(std::span(payloads).first(count),
+                        std::span(computed).first(count));
+        for (size_t i = 0; i < count; ++i)
+            replayFrame(payloads[i], computed[i] == recorded[i],
+                        ends[i]);
+    }
+    if (status == FrameCursor::Status::Truncated) {
+        statTornTails.inc();
+        if (bytes.size() - cursor.offset() < kFramePrefixBytes)
+            util::warnf(name_, ": '", path_,
+                        "' ends in a truncated frame prefix; "
+                        "discarding the tail");
+        else
+            util::warnf(name_, ": '", path_,
+                        "' ends in a truncated record; "
+                        "discarding the tail");
     }
     if (!saw_header)
         util::fatalError(name_ + ": '" + path_ +
@@ -1194,39 +1267,53 @@ LedgerView::LedgerView(SeverityWeights weights)
 void
 LedgerView::add(const RunRecord &record)
 {
-    const auto key =
-        std::make_pair(record.key.workloadId, record.key.core);
-    const auto it = index_.find(key);
-    size_t slot;
-    if (it == index_.end()) {
-        slot = groups_.size();
-        index_.emplace(key, slot);
-        Group group;
-        group.key =
-            CellKey{record.key.workloadId, record.key.core};
-        groups_.push_back(std::move(group));
-        order_.push_back(groups_.back().key);
-    } else {
-        slot = it->second;
-    }
-    Group &group = groups_[slot];
-    group.runsByVoltage[record.key.voltage].push_back(
-        record.effects);
-    group.analyzed = false;
-    ++runCount_;
+    addAll({&record, 1});
+}
+
+LedgerView::Group &
+LedgerView::groupFor(const std::string &workload_id, CoreId core)
+{
+    const auto it =
+        index_.find(std::pair(std::string_view(workload_id), core));
+    if (it != index_.end())
+        return groups_[it->second];
+    index_.emplace(std::pair(workload_id, core), groups_.size());
+    Group &group = groups_.emplace_back();
+    group.key = CellKey{workload_id, core};
+    order_.push_back(group.key);
+    return group;
 }
 
 void
-LedgerView::addAll(const std::vector<RunRecord> &records)
+LedgerView::addAll(std::span<const RunRecord> records)
 {
-    for (const auto &record : records)
-        add(record);
+    // A cell's runs arrive together and, within a campaign, voltage
+    // by voltage: the group and the voltage's bucket are looked up
+    // again only when the key changes.
+    Group *group = nullptr;
+    std::vector<EffectSet> *bucket = nullptr;
+    MilliVolt bucket_voltage = 0;
+    for (const RunRecord &record : records) {
+        const RunKey &key = record.key;
+        if (group == nullptr || key.core != group->key.core ||
+            key.workloadId != group->key.workloadId) {
+            group = &groupFor(key.workloadId, key.core);
+            group->analyzed = false;
+            bucket = nullptr;
+        }
+        if (bucket == nullptr || key.voltage != bucket_voltage) {
+            bucket = &group->runsByVoltage[key.voltage];
+            bucket_voltage = key.voltage;
+        }
+        bucket->push_back(record.effects);
+    }
+    runCount_ += records.size();
 }
 
 const LedgerView::Group *
-LedgerView::group(const std::string &workload_id, CoreId core) const
+LedgerView::group(std::string_view workload_id, CoreId core) const
 {
-    const auto it = index_.find(std::make_pair(workload_id, core));
+    const auto it = index_.find(std::pair(workload_id, core));
     if (it == index_.end())
         return nullptr;
     return &groups_[it->second];

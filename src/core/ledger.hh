@@ -43,6 +43,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -284,6 +285,19 @@ inline constexpr uint32_t kLedgerMinVersion = 1;
 
 /** Frame checksum (FNV-1a 32) over a payload. */
 uint32_t ledgerChecksum(std::string_view payload);
+
+/** Frames whose checksums ledgerChecksums() computes together. */
+inline constexpr size_t kLedgerChecksumLanes = 4;
+
+/**
+ * ledgerChecksum() of every payload into @p sums (same size):
+ * each full group of kLedgerChecksumLanes payloads in interleaved
+ * lanes, so that many independent multiply chains are in flight at
+ * once; the payloads after the last full group one by one. The
+ * values are ledgerChecksum()'s, bit for bit.
+ */
+void ledgerChecksums(std::span<const std::string_view> payloads,
+                     std::span<uint32_t> sums);
 
 /** Append one frame (length + checksum + payload) to @p out. */
 void appendFrame(std::string &out, std::string_view payload);
@@ -618,8 +632,9 @@ class LedgerView
     /** Stream one run record into the view. */
     void add(const RunRecord &record);
 
-    /** Stream a batch of records. */
-    void addAll(const std::vector<RunRecord> &records);
+    /** Stream a batch of records. A run of records of one cell,
+     *  and within it of one voltage, finds its group once. */
+    void addAll(std::span<const RunRecord> records);
 
     /** Number of records streamed so far. */
     size_t runCount() const { return runCount_; }
@@ -676,13 +691,33 @@ class LedgerView
         mutable bool analyzed = false;
     };
 
-    const Group *group(const std::string &workload_id,
+    /** Orders index_ keys against (workload view, core) probes, so
+     *  a lookup copies no workload id. */
+    struct KeyLess
+    {
+        using is_transparent = void;
+
+        template <typename A, typename B>
+        bool
+        operator()(const A &a, const B &b) const
+        {
+            return std::pair<std::string_view, CoreId>(a.first,
+                                                       a.second) <
+                   std::pair<std::string_view, CoreId>(b.first,
+                                                       b.second);
+        }
+    };
+
+    const Group *group(std::string_view workload_id,
                        CoreId core) const;
+    /** The group of (@p workload_id, @p core), created at the end
+     *  of the first-seen order when new. */
+    Group &groupFor(const std::string &workload_id, CoreId core);
     void analyze(const Group &group) const;
 
     SeverityWeights weights_;
     std::vector<Group> groups_;
-    std::map<std::pair<std::string, CoreId>, size_t> index_;
+    std::map<std::pair<std::string, CoreId>, size_t, KeyLess> index_;
     std::vector<CellKey> order_;
     size_t runCount_ = 0;
 };

@@ -96,7 +96,7 @@ appendRunCsv(std::string &out, const std::vector<ClassifiedRun> &runs)
             .field(run.key.frequency)
             .field(run.key.campaign)
             .field(run.key.runIndex)
-            .field(run.effects.toString())
+            .fieldFrom([&](std::string &o) { run.effects.appendTo(o); })
             .field(run.sdcEvents)
             .field(run.correctedErrors)
             .field(run.uncorrectedErrors)
@@ -104,8 +104,12 @@ appendRunCsv(std::string &out, const std::vector<ClassifiedRun> &runs)
             .field(run.seconds, 6)
             .field(run.avgIpc, 4)
             .field(run.activityFactor, 4)
-            .field(sim::encodeSiteCounts(run.correctedBySite))
-            .field(sim::encodeSiteCounts(run.uncorrectedBySite))
+            .fieldFrom([&](std::string &o) {
+                sim::appendSiteCounts(o, run.correctedBySite);
+            })
+            .fieldFrom([&](std::string &o) {
+                sim::appendSiteCounts(o, run.uncorrectedBySite);
+            })
             .endRow();
 }
 
@@ -182,8 +186,8 @@ deserializeReport(const std::string &text,
         col[c] = static_cast<size_t>(index);
     }
 
-    // One pass: every row lands in allRuns and streams into the
-    // LedgerView, which derives all per-cell analyses (regions,
+    // Every row lands in allRuns, which then streams into the
+    // LedgerView once; it derives all per-cell analyses (regions,
     // severity, Vmin) without re-walking the rows per cell.
     LedgerView view(weights);
     report.allRuns.reserve(doc.rows.size());
@@ -238,9 +242,9 @@ deserializeReport(const std::string &text,
         run.uncorrectedBySite =
             decode(sim::decodeSiteCounts(row[col[kUeSites]]),
                    col[kUeSites], "a site:count list");
-        view.add(run);
         report.allRuns.push_back(std::move(run));
     }
+    view.addAll(report.allRuns);
     report.totalRuns = report.allRuns.size();
     // Cells come out in first-seen order — the view preserves the
     // stream order, which is the report's canonical cell order.

@@ -34,16 +34,29 @@ SeverityWeights::validate() const
             util::panicf("SeverityWeights: negative weight ", w);
 }
 
-double
-severityOfSet(const EffectSet &set, const SeverityWeights &weights)
+namespace
 {
-    weights.validate();
+
+/** severityOfSet without the weight check, for callers that made it
+ *  once for a whole batch. */
+double
+weightOfSet(const EffectSet &set, const SeverityWeights &weights)
+{
     double total = 0.0;
     for (Effect e : {Effect::SDC, Effect::CE, Effect::UE, Effect::AC,
                      Effect::SC})
         if (set.has(e))
             total += weights.weight(e);
     return total;
+}
+
+} // namespace
+
+double
+severityOfSet(const EffectSet &set, const SeverityWeights &weights)
+{
+    weights.validate();
+    return weightOfSet(set, weights);
 }
 
 double
@@ -55,7 +68,7 @@ severity(const std::vector<EffectSet> &runs,
     weights.validate();
     double total = 0.0;
     for (const auto &set : runs)
-        total += severityOfSet(set, weights);
+        total += weightOfSet(set, weights);
     return total / static_cast<double>(runs.size());
 }
 

@@ -3,7 +3,6 @@
 #include <charconv>
 
 #include "util/logging.hh"
-#include "util/strings.hh"
 
 namespace vmargin::sim
 {
@@ -36,41 +35,47 @@ SiteCounts::addNamed(std::string_view name, uint64_t count)
     return true;
 }
 
-std::string
-encodeSiteCounts(const SiteCounts &sites)
+void
+appendSiteCounts(std::string &out, const SiteCounts &sites)
 {
-    std::string text;
+    bool first = true;
     for (const auto &[site, name] : kSiteNames) {
         if (!sites[site])
             continue;
-        if (!text.empty())
-            text += ';';
-        text.append(name).append(":").append(
-            std::to_string(sites[site]));
+        if (!std::exchange(first, false))
+            out += ';';
+        out.append(name).append(1, ':');
+        char digits[24];
+        out.append(digits,
+                   std::to_chars(digits, digits + sizeof(digits),
+                                 sites[site])
+                       .ptr);
     }
-    return text;
 }
 
 std::optional<SiteCounts>
-decodeSiteCounts(const std::string &text)
+decodeSiteCounts(std::string_view text)
 {
     SiteCounts sites;
     if (text.empty())
         return sites;
-    for (const auto &entry : util::split(text, ';')) {
+    for (;;) {
+        const size_t semicolon = text.find(';');
+        const std::string_view entry = text.substr(0, semicolon);
         const auto colon = entry.find(':');
-        if (colon == std::string::npos)
+        if (colon == std::string_view::npos)
             return std::nullopt;
         const char *last = entry.data() + entry.size();
         uint64_t count = 0;
         const auto [end, ec] =
             std::from_chars(entry.data() + colon + 1, last, count);
         if (ec != std::errc{} || end != last ||
-            !sites.addNamed(std::string_view(entry).substr(0, colon),
-                            count))
+            !sites.addNamed(entry.substr(0, colon), count))
             return std::nullopt;
+        if (semicolon == std::string_view::npos)
+            return sites;
+        text.remove_prefix(semicolon + 1);
     }
-    return sites;
 }
 
 std::string

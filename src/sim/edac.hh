@@ -112,13 +112,15 @@ struct SiteCounts
     bool operator==(const SiteCounts &other) const = default;
 };
 
-/** Encode as "site:count" entries joined by ';', in name order,
- *  zero counts omitted (no events -> ""). */
-std::string encodeSiteCounts(const SiteCounts &sites);
+/** Append @p sites as "site:count" entries joined by ';', in name
+ *  order, zero counts omitted (no events: nothing), to @p out. */
+void appendSiteCounts(std::string &out, const SiteCounts &sites);
 
-/** Parse the encodeSiteCounts format; nullopt on a malformed entry
- *  or one addNamed refuses. */
-std::optional<SiteCounts> decodeSiteCounts(const std::string &text);
+/** Parse the appendSiteCounts format; nullopt on a malformed entry
+ *  (an empty one, one without ':', a count that is not all decimal
+ *  digits or overflows) or one addNamed refuses. Nothing is
+ *  trimmed. */
+std::optional<SiteCounts> decodeSiteCounts(std::string_view text);
 
 /** Printable kind name ("CE" / "UE"). */
 std::string errorKindName(ErrorKind kind);

@@ -36,23 +36,22 @@ CsvWriter::CsvWriter(std::string &out, char sep)
 {
 }
 
-void
-CsvWriter::separate()
-{
-    if (rowFields_++)
-        out_ += sep_;
-}
-
 CsvWriter &
 CsvWriter::field(std::string_view text)
 {
-    separate();
+    return fieldFrom([text](std::string &out) { out.append(text); });
+}
+
+void
+CsvWriter::quoteFrom(size_t start)
+{
     const char specials[] = {sep_, '"', '\n', '\r'};
-    if (text.find_first_of(std::string_view(specials, sizeof(specials))) ==
-        std::string_view::npos) {
-        out_.append(text);
-        return *this;
-    }
+    if (std::string_view(out_).substr(start).find_first_of(
+            std::string_view(specials, sizeof(specials))) ==
+        std::string_view::npos)
+        return;
+    const std::string text = out_.substr(start);
+    out_.resize(start);
     out_ += '"';
     for (const char c : text) {
         if (c == '"')
@@ -60,7 +59,6 @@ CsvWriter::field(std::string_view text)
         out_ += c;
     }
     out_ += '"';
-    return *this;
 }
 
 CsvWriter &

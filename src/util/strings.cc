@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <iterator>
 
 namespace vmargin::util
 {
@@ -37,18 +40,6 @@ trim(const std::string &text)
            std::isspace(static_cast<unsigned char>(text[end - 1])))
         --end;
     return text.substr(begin, end - begin);
-}
-
-std::string
-join(const std::vector<std::string> &parts, const std::string &sep)
-{
-    std::string result;
-    for (size_t i = 0; i < parts.size(); ++i) {
-        if (i)
-            result += sep;
-        result += parts[i];
-    }
-    return result;
 }
 
 bool
@@ -97,9 +88,69 @@ isNumber(const std::string &text)
     return end == begin + text.size();
 }
 
+namespace
+{
+
+/** Powers of ten, each exact in a double. */
+constexpr double kPow10[] = {1e0, 1e1, 1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
+                             1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15};
+
+/** Largest scaled value the on-grid path takes: far enough below
+ *  2^52 that one ulp of the value is under 10^-precision. */
+constexpr double kOnGridBound = 1e15;
+
+/**
+ * Append @p value as the integer round(value * 10^precision) with
+ * the decimal point put in, when that is exactly what to_chars would
+ * print; false, appending nothing, otherwise. The test
+ * double(n) / 10^p == value (division is correctly rounded) proves
+ * value is the double nearest n / 10^p. Below kOnGridBound the
+ * value's exact binary expansion is then within half an ulp, less
+ * than half a unit in the last printed digit, of n / 10^p, so
+ * rounding it to p digits gives n's digits under any tie rule.
+ * Negative values and -0.0 (whose sign would need printing), NaN,
+ * infinities and larger magnitudes are left to to_chars.
+ */
+bool
+appendOnGrid(std::string &out, double value, int precision)
+{
+    if (precision < 0 ||
+        precision >= static_cast<int>(std::size(kPow10)) ||
+        std::signbit(value))
+        return false;
+    const double scale = kPow10[precision];
+    const double scaled = value * scale;
+    if (!(scaled < kOnGridBound)) // also refuses NaN
+        return false;
+    // Exact: below the bound a double's ulp is at most 1/8.
+    const auto n = static_cast<uint64_t>(scaled + 0.5);
+    if (static_cast<double>(n) / scale != value)
+        return false;
+
+    char digits[24];
+    const size_t length = static_cast<size_t>(
+        std::to_chars(digits, digits + sizeof(digits), n).ptr - digits);
+    const auto fraction = static_cast<size_t>(precision);
+    if (fraction == 0) {
+        out.append(digits, length);
+    } else if (length > fraction) {
+        out.append(digits, length - fraction)
+            .append(1, '.')
+            .append(digits + length - fraction, fraction);
+    } else {
+        out.append("0.").append(fraction - length, '0').append(digits,
+                                                               length);
+    }
+    return true;
+}
+
+} // namespace
+
 void
 appendFixed(std::string &out, double value, int precision)
 {
+    if (appendOnGrid(out, value, precision))
+        return;
     // Most values fit a small buffer; the fallback fits a double's
     // 309 integer digits, sign, point and fraction.
     char small[64];

@@ -19,10 +19,6 @@ std::vector<std::string> split(const std::string &text, char sep);
 /** Strip ASCII whitespace from both ends. */
 std::string trim(const std::string &text);
 
-/** Join @p parts with @p sep between consecutive elements. */
-std::string join(const std::vector<std::string> &parts,
-                 const std::string &sep);
-
 /** True if @p text begins with @p prefix. */
 bool startsWith(const std::string &text, const std::string &prefix);
 
@@ -40,7 +36,9 @@ bool isNumber(const std::string &text);
 
 /** Append @p value at fixed @p precision to @p out: printf "%.*f"
  *  (a negative precision means 6), as iostream `fixed` renders it.
- *  The one fixed-precision formatter. */
+ *  The one fixed-precision formatter. A nonnegative value already
+ *  on the 10^-precision grid, as every quantized run value is, is
+ *  printed from an integer; everything else through to_chars. */
 void appendFixed(std::string &out, double value, int precision);
 
 /** Fixed-precision formatting, e.g. formatDouble(0.1234, 2) == "0.12". */

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <string_view>
+
 #include "core/classifier.hh"
 #include "core/resultstore.hh"
 #include "sim/cache_hierarchy.hh"
@@ -165,11 +169,16 @@ TEST(Classifier, SiteCountEncodingRoundTrip)
     sites[sim::ErrorSite::L2Cache] = 9;
     sites[sim::ErrorSite::L3Cache] = 2;
     sites[sim::ErrorSite::Dram] = 1;
-    // Name order, which the report and ledger bytes depend on.
-    EXPECT_EQ(sim::encodeSiteCounts(sites), "DRAM:1;L2Cache:9;L3Cache:2");
-    EXPECT_EQ(sim::decodeSiteCounts(sim::encodeSiteCounts(sites)), sites);
+    // Name order, which the report and ledger bytes depend on; the
+    // text is appended after what the buffer already holds.
+    std::string text = "row,";
+    sim::appendSiteCounts(text, sites);
+    EXPECT_EQ(text, "row,DRAM:1;L2Cache:9;L3Cache:2");
+    EXPECT_EQ(sim::decodeSiteCounts(std::string_view(text).substr(4)),
+              sites);
     EXPECT_EQ(sim::decodeSiteCounts(""), sim::SiteCounts{});
-    EXPECT_EQ(sim::encodeSiteCounts({}), "");
+    sim::appendSiteCounts(text, {});
+    EXPECT_EQ(text, "row,DRAM:1;L2Cache:9;L3Cache:2");
 }
 
 TEST(Classifier, MalformedSiteCountsAreReported)
@@ -188,6 +197,30 @@ TEST(Classifier, MalformedSiteCountsAreReported)
     EXPECT_FALSE(
         sim::decodeSiteCounts("L2Cache:1;L2Cache:2").has_value());
     EXPECT_FALSE(sim::decodeSiteCounts("DRAM:0").has_value());
+}
+
+TEST(Classifier, SiteCountsHostileText)
+{
+    sim::SiteCounts two;
+    two[sim::ErrorSite::Dram] = 1;
+    two[sim::ErrorSite::L2Cache] = 9;
+    // Accepted: any entry order, the largest count; nothing else.
+    EXPECT_EQ(sim::decodeSiteCounts("L2Cache:9;DRAM:1"), two);
+    EXPECT_EQ(sim::decodeSiteCounts("DRAM:1;L2Cache:9"), two);
+    sim::SiteCounts most;
+    most[sim::ErrorSite::L1Cache] = UINT64_MAX;
+    EXPECT_EQ(sim::decodeSiteCounts("L1Cache:18446744073709551615"),
+              most);
+    EXPECT_EQ(sim::decodeSiteCounts(""), sim::SiteCounts{});
+    // Refused: nothing is trimmed, no entry may be empty, a count is
+    // decimal digits that fit, and addNamed's rules hold (unknown
+    // or repeated site, zero count).
+    for (const char *text :
+         {" DRAM:1", "DRAM :1", "DRAM: 1", "DRAM:1 ", "DRAM:1;;L2Cache:9",
+          ";DRAM:1", "DRAM:1;", ";", " ", "DRAM:+1", "DRAM:0x1",
+          "DRAM:1:2", "DRAM:18446744073709551616", "dram:1", "NO",
+          "DRAM:1;DRAM:1", "DRAM:1;L2Cache:0", "DRAM,1", "DRAM:1,L2Cache:9"})
+        EXPECT_EQ(sim::decodeSiteCounts(text), std::nullopt) << text;
 }
 
 TEST(Classifier, DeathOnEmptyLog)

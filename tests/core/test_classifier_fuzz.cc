@@ -124,7 +124,8 @@ TEST_P(ClassifierFuzzTest, RoundTripPreservesEverything)
         // to the same typed counts.
         for (const sim::SiteCounts *sites :
              {&direct.correctedBySite, &direct.uncorrectedBySite}) {
-            const std::string text = sim::encodeSiteCounts(*sites);
+            std::string text;
+            sim::appendSiteCounts(text, *sites);
             EXPECT_TRUE(inNameOrder(text)) << text;
             EXPECT_EQ(sim::decodeSiteCounts(text), *sites) << text;
         }

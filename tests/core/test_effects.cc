@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <optional>
+
 #include "core/effects.hh"
 
 namespace vmargin
@@ -76,6 +79,39 @@ TEST(EffectSet, StringRoundTrip)
     EXPECT_EQ(EffectSet::fromString(" SDC , CE "),
               EffectSet::fromString("SDC,CE"));
     EXPECT_FALSE(EffectSet::fromString("SDC,ZZ").has_value());
+}
+
+TEST(EffectSet, FromStringHostileText)
+{
+    const auto set = [](std::initializer_list<Effect> effects) {
+        EffectSet out;
+        for (const Effect e : effects)
+            out.add(e);
+        return std::optional<EffectSet>(out);
+    };
+    // Accepted: ASCII whitespace around a token is trimmed, "NO" is
+    // the empty set alone or among other names, a repeated name
+    // counts once.
+    EXPECT_EQ(EffectSet::fromString(""), set({}));
+    EXPECT_EQ(EffectSet::fromString("NO"), set({}));
+    EXPECT_EQ(EffectSet::fromString(" NO "), set({}));
+    EXPECT_EQ(EffectSet::fromString("NO,NO"), set({}));
+    EXPECT_EQ(EffectSet::fromString("SDC,NO"), set({Effect::SDC}));
+    EXPECT_EQ(EffectSet::fromString(" SDC"), set({Effect::SDC}));
+    EXPECT_EQ(EffectSet::fromString("\tSDC ,\n CE\r"),
+              set({Effect::SDC, Effect::CE}));
+    EXPECT_EQ(EffectSet::fromString("SC,SDC,SC"),
+              set({Effect::SDC, Effect::SC}));
+    EXPECT_EQ(EffectSet::fromString("SDC,CE,UE,AC,SC"),
+              set({Effect::SDC, Effect::CE, Effect::UE, Effect::AC,
+                   Effect::SC}));
+    // Refused: empty tokens (leading, doubled or trailing
+    // separators, blank text), unknown or mis-cased names, another
+    // separator.
+    for (const char *text :
+         {"SDC,,CE", "SDC,", ",SDC", ",", " ", "SDC, ,CE", "sdc", "XYZ",
+          "SDC,XYZ", "SDC;CE", "SDC CE", "NO SDC"})
+        EXPECT_EQ(EffectSet::fromString(text), std::nullopt) << text;
 }
 
 TEST(ClassifyRun, NormalOperation)

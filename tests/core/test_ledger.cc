@@ -18,6 +18,7 @@
 
 #include "core/ledger.hh"
 #include "obs/metrics.hh"
+#include "util/rng.hh"
 
 namespace vmargin
 {
@@ -253,6 +254,147 @@ TEST(RunLedger, UnknownEffectNameIsSkippedNotFatal)
         again.open("h");
         EXPECT_EQ(again.size(), 1u);
         EXPECT_NE(again.find(1, ChipRef{}, "leslie3d/ref", 1), nullptr);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(LedgerCodec, ChecksumLanesMatchOneByOne)
+{
+    EXPECT_EQ(ledgerChecksum(""), 2166136261u); // FNV-1a 32 basis
+    EXPECT_EQ(ledgerChecksum("a"), 0xe40c292cu);
+
+    // Payloads of mixed lengths, empty and equal ones among them, so
+    // every lane stops at a different byte; every count from none
+    // through three full lane groups plus a remainder.
+    util::Rng rng(5);
+    std::vector<std::string> texts = {"", "", "abc", "abc"};
+    while (texts.size() < 3 * kLedgerChecksumLanes + 3) {
+        std::string text(static_cast<size_t>(rng.uniformInt(0, 300)),
+                         '\0');
+        for (char &c : text)
+            c = static_cast<char>(rng.uniformInt(0, 255));
+        texts.push_back(std::move(text));
+    }
+    for (size_t count = 0; count <= texts.size(); ++count) {
+        const std::vector<std::string_view> payloads(
+            texts.begin(), texts.begin() + static_cast<long>(count));
+        std::vector<uint32_t> sums(count, 0);
+        ledgerChecksums(payloads, sums);
+        for (size_t i = 0; i < count; ++i)
+            EXPECT_EQ(sums[i], ledgerChecksum(payloads[i]))
+                << "payload " << i << " of " << count;
+    }
+}
+
+/** A cell of @p runs run records, all on core 0. */
+CellMeasurement
+cellOfRuns(const std::string &workload, size_t runs)
+{
+    CellMeasurement cell;
+    cell.workloadId = workload;
+    for (size_t i = 0; i < runs; ++i)
+        cell.runs.push_back(makeRun(workload, 0,
+                                    930 - 5 * static_cast<MilliVolt>(i),
+                                    static_cast<uint32_t>(i)));
+    return cell;
+}
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
+TEST(RunLedger, LaneVerifiedReplayMatchesFrameByFrame)
+{
+    // Replay checks frame checksums kLedgerChecksumLanes at a time.
+    // Corrupting one payload byte of any single record frame, at
+    // every position in a lane group and in the frames after the
+    // last full group, must give what a frame-by-frame check gives:
+    // one skipped frame; a corrupt run frame refuses its cell; a
+    // corrupt commit frame refuses its cell and, since the pending
+    // cell is not reset without a commit, the next one too; the
+    // file is cut back only when the dangling frames end it.
+    const std::string path = "/tmp/vmargin_test_ledger_lanes";
+    const std::vector<size_t> runs_per_cell = {3, 1, 2, 4, 3, 2};
+    const auto name = [](size_t cell) {
+        return "cell" + std::to_string(cell) + "/ref";
+    };
+    std::remove(path.c_str());
+    {
+        RunLedger ledger(path, "test");
+        ledger.open("h");
+        for (size_t c = 0; c < runs_per_cell.size(); ++c)
+            ledger.append(1, cellOfRuns(name(c), runs_per_cell[c]));
+    }
+    const std::string pristine = readBytes(path);
+
+    // Each frame's payload span and owning cell (-1: the header).
+    std::vector<size_t> starts;
+    std::vector<size_t> ends;
+    std::vector<int> owner = {-1};
+    std::vector<bool> is_commit = {false};
+    for (size_t c = 0; c < runs_per_cell.size(); ++c)
+        for (size_t f = 0; f <= runs_per_cell[c]; ++f) {
+            owner.push_back(static_cast<int>(c));
+            is_commit.push_back(f == runs_per_cell[c]);
+        }
+    FrameCursor cursor(pristine, 4);
+    std::string_view payload;
+    uint32_t checksum = 0;
+    while (cursor.next(payload, checksum) == FrameCursor::Status::Frame) {
+        starts.push_back(static_cast<size_t>(payload.data() -
+                                             pristine.data()));
+        ends.push_back(cursor.offset());
+    }
+    const size_t frames = ends.size();
+    ASSERT_EQ(frames, owner.size());
+    ASSERT_GE(frames, 2 * kLedgerChecksumLanes);
+    ASSERT_GE(frames % kLedgerChecksumLanes, 2u)
+        << "the journal must end in a partial lane group";
+
+    for (size_t f = 1; f < frames; ++f) {
+        SCOPED_TRACE("frame " + std::to_string(f) + ", lane " +
+                     std::to_string(f % kLedgerChecksumLanes) +
+                     (f >= frames - frames % kLedgerChecksumLanes
+                          ? ", after the last full group"
+                          : ""));
+        std::string bytes = pristine;
+        bytes[(starts[f] + ends[f]) / 2] ^= 0x5a;
+        writeBytes(path, bytes);
+
+        const uint64_t skipped0 = counterValue("ledger.replay_skipped");
+        RunLedger ledger(path, "test");
+        ledger.open("h");
+        EXPECT_EQ(counterValue("ledger.replay_skipped") - skipped0, 1u);
+        const auto cell = static_cast<size_t>(owner[f]);
+        size_t refused = 0;
+        for (size_t c = 0; c < runs_per_cell.size(); ++c) {
+            const bool expect_refused =
+                c == cell || (is_commit[f] && c == cell + 1);
+            refused += expect_refused;
+            EXPECT_EQ(ledger.find(1, ChipRef{}, name(c), 0) == nullptr,
+                      expect_refused)
+                << "cell " << c;
+        }
+        EXPECT_EQ(ledger.size(), runs_per_cell.size() - refused);
+        // The committed prefix: all of it, unless the corrupt frame
+        // is the last commit; then the last cell's run frames dangle
+        // after the previous commit and are cut.
+        const size_t prefix =
+            f + 1 == frames ? ends[f - runs_per_cell.back() - 1]
+                            : pristine.size();
+        EXPECT_EQ(std::filesystem::file_size(path), prefix);
     }
     std::remove(path.c_str());
 }
@@ -849,6 +991,29 @@ TEST(RunLedgerDeath, RefusesForeignFile)
     RunLedger ledger(path, "test");
     EXPECT_EXIT(ledger.open("h"), ::testing::ExitedWithCode(1),
                 "not a vmargin ledger");
+    std::remove(path.c_str());
+}
+
+TEST(RunLedgerDeath, CorruptHeaderFrameIsFatal)
+{
+    // The header frame is checked in the first lane group, together
+    // with the record frames after it; a corrupt header still ends
+    // the open, whatever those frames hold.
+    const std::string path = "/tmp/vmargin_test_ledger_bad_header";
+    std::remove(path.c_str());
+    {
+        RunLedger ledger(path, "test");
+        ledger.open("h");
+        ledger.append(1, makeCell("bwaves/ref", 0));
+        ledger.append(1, makeCell("leslie3d/ref", 1));
+    }
+    std::string bytes = readBytes(path);
+    bytes.back() ^= 0x5a; // a record frame is corrupt too
+    bytes[4 + 8] ^= 0x01; // the header's version field
+    writeBytes(path, bytes);
+    RunLedger ledger(path, "test");
+    EXPECT_EXIT(ledger.open("h"), ::testing::ExitedWithCode(1),
+                "corrupt header frame");
     std::remove(path.c_str());
 }
 

@@ -121,5 +121,16 @@ TEST(Severity, DeathOnNegativeWeight)
     EXPECT_DEATH(severity({EffectSet{}}, w), "negative weight");
 }
 
+TEST(Severity, SeverityOfSetDeathOnNegativeWeight)
+{
+    // severity() checks the weights once per call; the public
+    // single-set form still checks them on every call, whatever the
+    // set holds.
+    SeverityWeights w;
+    w.sc = -16.0;
+    EXPECT_DEATH(severityOfSet(EffectSet{}, w), "negative weight");
+    EXPECT_DEATH(severityOfSet(setOf({Effect::CE}), w), "negative weight");
+}
+
 } // namespace
 } // namespace vmargin

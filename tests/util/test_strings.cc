@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "util/rng.hh"
 #include "util/strings.hh"
@@ -45,13 +48,6 @@ TEST(Trim, Whitespace)
     EXPECT_EQ(trim(""), "");
     EXPECT_EQ(trim("   "), "");
     EXPECT_EQ(trim("a"), "a");
-}
-
-TEST(Join, Basic)
-{
-    EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-    EXPECT_EQ(join({}, ","), "");
-    EXPECT_EQ(join({"x"}, ","), "x");
 }
 
 TEST(StartsEndsWith, Basic)
@@ -119,6 +115,71 @@ TEST(FormatDouble, FixedPrecision)
         EXPECT_EQ(formatDouble(value, precision), os.str())
             << "value " << value << " precision " << precision;
     }
+}
+
+/** std::to_chars in fixed notation: the bytes appendFixed must
+ *  reproduce on every path. */
+std::string
+toCharsFixed(double value, int precision)
+{
+    char text[512];
+    const auto result = std::to_chars(text, text + sizeof(text), value,
+                                      std::chars_format::fixed,
+                                      precision);
+    return std::string(text, result.ptr);
+}
+
+/** Re-parse formatDouble's text: a value on the decimal grid of
+ *  @p precision, as throughLogPrecision quantizes run values. */
+double
+onGrid(double value, int precision)
+{
+    const std::string text = formatDouble(value, precision);
+    double parsed = 0.0;
+    std::from_chars(text.data(), text.data() + text.size(), parsed);
+    return parsed;
+}
+
+TEST(FormatDouble, OnGridValuesMatchToChars)
+{
+    // The random test above almost never lands on the grid, which is
+    // where the integer path runs; here every value does.
+    Rng rng(11);
+    for (int precision = 0; precision <= 8; ++precision) {
+        for (int i = 0; i < 3000; ++i) {
+            const double scale = std::pow(
+                10.0, static_cast<double>(rng.uniformInt(-9, 9)));
+            const double value =
+                onGrid(rng.uniform(0.0, 1.0) * scale, precision);
+            EXPECT_EQ(formatDouble(value, precision),
+                      toCharsFixed(value, precision))
+                << "value " << value << " precision " << precision;
+        }
+    }
+}
+
+TEST(FormatDouble, EdgeValuesMatchToChars)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double subnormal = std::numeric_limits<double>::denorm_min();
+    const std::vector<double> values = {
+        0.0, -0.0, 1.0, -1.0, 0.5, 2.5, -2.5, 0.125, 1234.5678,
+        -0.0001, -1234.5678, onGrid(-3.14159, 4), onGrid(-0.000001, 6),
+        // At and past the integer path's bound, 1e15 after scaling.
+        1e15, 1e15 - 1.0, 1e15 + 1.0, 999999999999999.9, 1e7 - 1e-8,
+        1e7, 1e16, 123456789012345.6, 9007199254740992.0, 1e300,
+        subnormal, -subnormal, std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(), inf, -inf, nan, -nan};
+    for (const double value : values)
+        for (int precision = -1; precision <= 17; ++precision)
+            EXPECT_EQ(formatDouble(value, precision),
+                      toCharsFixed(value, precision))
+                << "value " << value << " precision " << precision;
+    EXPECT_EQ(formatDouble(-0.0, 2), "-0.00");
+    EXPECT_EQ(formatDouble(0.0, 0), "0");
+    EXPECT_EQ(formatDouble(0.05, 2), "0.05");
+    EXPECT_EQ(formatDouble(1.5, 4), "1.5000");
 }
 
 TEST(Pad, Basic)
