@@ -916,6 +916,20 @@ RunLedger::open(const std::string &app_header,
     };
     resetPending();
 
+    // A record frame was lost (checksum mismatch or malformed). With
+    // runs pending, the lost frame was one of them or the commit
+    // that ended them: drop them, so a cell missing a run falls
+    // short of its commit's count and is refused, while after a
+    // lost commit the next cell starts clean. With nothing pending,
+    // the lost frame may have been the next cell's first run:
+    // poison that cell so its commit is refused.
+    const auto losePendingFrame = [&]() {
+        if (pending.runs.empty())
+            pending_corrupt = true;
+        else
+            resetPending();
+    };
+
     // Byte offset one past the last *committed unit* (header frame,
     // commit frame, accepted checkpoint). Everything after it —
     // torn frames, but also complete-but-uncommitted record frames
@@ -968,10 +982,9 @@ RunLedger::open(const std::string &app_header,
             util::warnf(name_, ": '", path_,
                         "' frame checksum mismatch; skipping the "
                         "record");
-            // The cell this record belonged to can no longer prove
-            // integrity; poison it so its commit is refused. The
-            // daemon stream loses its sequence guarantee too.
-            pending_corrupt = true;
+            // The pending cell lost a frame; the daemon stream loses
+            // its sequence guarantee too.
+            losePendingFrame();
             poisonDaemon("frame checksum mismatch");
             return;
         }
@@ -982,7 +995,7 @@ RunLedger::open(const std::string &app_header,
             statReplaySkipped.inc();
             util::warnf(name_, ": '", path_,
                         "' malformed record; skipping it");
-            pending_corrupt = true;
+            losePendingFrame();
             poisonDaemon("malformed record");
         };
         PayloadReader reader(payload);
@@ -1047,9 +1060,10 @@ RunLedger::open(const std::string &app_header,
 
         if (kind == FrameKind::Commit) {
             // Commit: accept the pending cell only when intact —
-            // the run count matches, nothing in between was corrupt,
-            // and the key is not already present (first occurrence
-            // wins; racing sessions may append the same cell twice).
+            // the run count matches, it is not poisoned (see
+            // losePendingFrame), and the key is not already present
+            // (first occurrence wins; racing sessions may append the
+            // same cell twice).
             CellCommit commit;
             if (!readCellCommit(reader, commit, fileVersion_)) {
                 markMalformed();

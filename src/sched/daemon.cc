@@ -350,6 +350,13 @@ GovernorDaemon::run(const std::vector<Placement> &placements,
         observations.push_back(std::move(obs));
     }
 
+    // Each placement's workload profile, resolved once per session
+    // rather than per placement per round.
+    std::vector<wl::WorkloadProfile> workloads;
+    workloads.reserve(placements.size());
+    for (const auto &placement : placements)
+        workloads.push_back(wl::findWorkload(placement.workloadId));
+
     const power::EnergyAccountant accountant(
         power::PowerModel{}, platform_->chip().variation(), 950);
 
@@ -481,7 +488,9 @@ GovernorDaemon::run(const std::vector<Placement> &placements,
 
         std::vector<CoreRoundEvents> events;
         events.reserve(placements.size());
-        for (const auto &placement : placements) {
+        for (size_t task = 0; task < placements.size(); ++task) {
+            const Placement &placement = placements[task];
+            const wl::WorkloadProfile &workload = workloads[task];
             CoreRoundEvents ev;
             ev.core = placement.core;
             if (!platform_->responsive()) {
@@ -491,8 +500,6 @@ GovernorDaemon::run(const std::vector<Placement> &placements,
                 continue;
             }
             ev.ran = true;
-            const auto workload =
-                wl::findWorkload(placement.workloadId);
             sim::ExecutionConfig exec;
             exec.maxEpochs = options.maxEpochs;
             const Seed run_seed = util::mixSeed(

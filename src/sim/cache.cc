@@ -30,6 +30,11 @@ Cache::Cache(std::string name, int size_kb, int assoc, int line_bytes,
 {
     if (size_kb <= 0 || assoc <= 0 || line_bytes <= 0)
         panicf("Cache ", name_, ": non-positive geometry");
+    if (assoc > kMaxAssoc)
+        util::fatalError(util::concat(
+            "Cache ", name_, ": associativity ", assoc,
+            " exceeds the ", kMaxAssoc,
+            " ways a set's fill count can hold"));
     if (line_bytes & (line_bytes - 1))
         panicf("Cache ", name_, ": line size must be a power of two");
     const auto total_lines =
@@ -44,56 +49,43 @@ Cache::Cache(std::string name, int size_kb, int assoc, int line_bytes,
                " must be a non-zero power of two");
     lineShift_ = log2OfPow2(line_bytes);
     const size_t lines = sets_ * static_cast<size_t>(assoc_);
-    // Only the key array needs a defined initial value (generation
-    // field 0 != gen_ marks every way invalid). The timestamp array
-    // is deliberately left uninitialized — an invalid way's
-    // timestamp/dirty word is never read before the way is filled —
-    // which keeps hierarchy construction cheap: platforms are built
-    // per worker and per cell, and zero-filling the 8 MB L3's
-    // arrays dominated that cost.
-    keys_.resize(lines, 0);
+    // Only the fill counts need a defined initial value (every set
+    // starts empty); the tag and timestamp arrays are deliberately
+    // left uninitialized, since a way past its set's fill count is
+    // never read before it is filled. That keeps hierarchy
+    // construction cheap: platforms are built per worker and per
+    // cell, and zero-filling the 8 MB L3's arrays once dominated
+    // that cost.
+    keys_.reset(new uint64_t[lines]);
     lastUse_.reset(new uint64_t[lines]);
+    fill_.reset(new uint8_t[sets_]());
 }
 
 bool
 Cache::contains(uint64_t addr) const
 {
-    const size_t base =
-        setIndex(addr) * static_cast<size_t>(assoc_);
-    const uint64_t key = keyOf(tagOf(addr));
-    for (int w = 0; w < assoc_; ++w) {
-        if (keys_[base + static_cast<size_t>(w)] == key)
-            return true;
-    }
-    return false;
+    const size_t set = setIndex(addr);
+    const uint64_t *keys =
+        keys_.get() + set * static_cast<size_t>(assoc_);
+    const uint64_t *end = keys + fill_[set];
+    return std::find(keys, end, tagOf(addr)) != end;
 }
 
 void
 Cache::invalidateAll()
 {
-    // Bumping the generation invalidates every way at once (stale
-    // generations read as invalid and not dirty, exactly like the
-    // old clear-every-way walk). When the generation field would
-    // overflow its bits of the packed key, fall back to one full
-    // clear and restart — semantics are identical, and the walk is
-    // amortized over ~16.7M cheap invalidations.
-    if (gen_ == kGenLimit) {
-        std::fill(keys_.begin(), keys_.end(), 0);
-        gen_ = 1;
-        return;
-    }
-    ++gen_;
+    // Every set becomes empty; the stale tags and timestamps past
+    // the (now zero) fill counts are never read again before their
+    // ways are refilled.
+    std::fill(fill_.get(), fill_.get() + sets_, uint8_t{0});
 }
 
 size_t
 Cache::validLines() const
 {
-    const uint64_t genField =
-        static_cast<uint64_t>(gen_) << kTagBits;
     size_t count = 0;
-    for (const uint64_t key : keys_)
-        if ((key & ~kTagMask) == genField)
-            ++count;
+    for (size_t set = 0; set < sets_; ++set)
+        count += fill_[set];
     return count;
 }
 

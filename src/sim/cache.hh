@@ -13,10 +13,10 @@
 #ifndef VMARGIN_SIM_CACHE_HH
 #define VMARGIN_SIM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace vmargin::sim
 {
@@ -33,6 +33,7 @@ struct AccessResult
 {
     bool hit = false;
     bool evictedDirty = false; ///< a dirty victim was written back
+    size_t slot = 0; ///< the way hit or filled (see Cache::repeatHit)
 };
 
 /** Running statistics of one cache instance. */
@@ -57,28 +58,73 @@ struct CacheStats
     void reset() { *this = CacheStats(); }
 };
 
-/** One set-associative, write-back, write-allocate cache. */
+/**
+ * One set-associative, write-back, write-allocate cache.
+ *
+ * Valid-prefix sets: a miss fills the first invalid way of its set,
+ * and only invalidateAll() ever invalidates a way, so a set's valid
+ * ways are always ways [0, fill) for a per-set fill count. The hit
+ * scan covers only that prefix; a miss in a set that is not full
+ * takes way fill without a victim scan (the first invalid way is
+ * the way the full scan would have chosen); the LRU scan runs only
+ * when the set is full. invalidateAll() zeroes the fill counts.
+ * Hits, victims and writebacks are therefore exactly those of a
+ * cache with a valid bit per way, first-invalid fill and true LRU.
+ *
+ * Same-line repeats: access() returns the slot it hit or filled, and
+ * repeatHit() serves the next access to that same line from the slot
+ * (the hierarchy's batch walks use it for back-to-back accesses to
+ * one L1 line). On an 8-core characterization sweep 63% of data
+ * accesses repeat the line of the access before them, and the L3,
+ * which misses 97% of its probes, rarely fills between power cycles,
+ * so both rules remove most of the scanning (DESIGN.md §8).
+ */
 class Cache
 {
   public:
     /**
      * @param name instance name for diagnostics ("core3.l1d")
      * @param size_kb total capacity
-     * @param assoc ways per set
+     * @param assoc ways per set (at most kMaxAssoc)
      * @param line_bytes line size (power of two)
      * @param protection parity or ECC
      */
     Cache(std::string name, int size_kb, int assoc, int line_bytes,
           Protection protection);
 
+    /** Largest associativity a set's fill count can hold. */
+    static constexpr int kMaxAssoc = 255;
+
     /**
-     * Look up @p addr; on a miss the line is allocated (evicting the
-     * LRU way). @p is_write marks the line dirty on hit/allocate.
-     * Defined inline below — it is the innermost loop of every
-     * characterization run and must inline into the hierarchy's
-     * batch walks.
+     * Look up @p addr; on a miss the line is allocated (into the
+     * first invalid way, else evicting the LRU way). @p is_write
+     * marks the line dirty on hit/allocate. The result names the
+     * slot hit or filled. Defined inline below — it is the innermost
+     * loop of every characterization run and must inline into the
+     * hierarchy's batch walks.
      */
     AccessResult access(uint64_t addr, bool is_write);
+
+    /**
+     * Serve an access to the line the previous access() of this
+     * cache returned as @p slot, with no access() in between: that
+     * line is still valid in @p slot, so the access is a hit. Does
+     * exactly what access() would: advances the use clock, counts a
+     * hit and the write, and stamps the slot (setting its dirty bit
+     * on a write). No other line's state can tell the difference.
+     */
+    void repeatHit(size_t slot, bool is_write)
+    {
+        ++useClock_;
+        ++hits_;
+        writes_ += is_write ? 1 : 0;
+        uint64_t &use = lastUse_[slot];
+        use = (useClock_ << 1) | (is_write ? 1 : (use & 1));
+    }
+
+    /** Line tag of @p addr: two addresses share a line iff their
+     *  tags are equal. */
+    uint64_t tagOf(uint64_t addr) const;
 
     /** Probe without side effects: would @p addr hit? */
     bool contains(uint64_t addr) const;
@@ -125,27 +171,7 @@ class Cache
     size_t validLines() const;
 
   private:
-    /** Bits of a packed way key holding the line tag. Addresses are
-     *  bounded by the per-core address-space split (core << 40 plus
-     *  a sub-2^40 offset), so line tags (address >> lineShift_)
-     *  occupy well under 40 bits. */
-    static constexpr int kTagBits = 40;
-    static constexpr uint64_t kTagMask = (1ULL << kTagBits) - 1;
-
-    /** Generations live in the key's high 64-kTagBits bits and wrap
-     *  after ~16.7M invalidations; invalidateAll() then falls back
-     *  to one full key-array clear and restarts from generation 1,
-     *  preserving semantics exactly (amortized cost ~0). */
-    static constexpr uint32_t kGenLimit =
-        (1U << (64 - kTagBits)) - 1;
-
     size_t setIndex(uint64_t addr) const;
-    uint64_t tagOf(uint64_t addr) const;
-
-    uint64_t keyOf(uint64_t tag) const
-    {
-        return (static_cast<uint64_t>(gen_) << kTagBits) | tag;
-    }
 
     /** access() body with the associativity as a compile-time
      *  constant when non-zero (the scans fully unroll); 0 falls back
@@ -162,19 +188,16 @@ class Cache
     int lineShift_;
 
     /**
-     * Packed way keys (generation << kTagBits | tag) in
-     * structure-of-arrays layout, sets_ x assoc_ row-major: the hit
-     * scan is one 64-bit compare per way over one contiguous cache
-     * line per set. A way is valid iff its key's generation field
-     * matches the cache's current generation (0 = never filled), so
-     * invalidateAll() costs a single counter bump instead of a walk
-     * over every way — the X-Gene 2's 8 MB L3 made the
-     * per-power-cycle full-array clear one of the hottest functions
-     * of a whole characterization sweep. Only keys_ needs
-     * zero-initialization; lastUse_ is allocated uninitialized (its
-     * content is never read before the way is filled, because a
-     * stale generation reads as invalid), which keeps per-cell
-     * platform construction cheap.
+     * Per-set state in structure-of-arrays layout, sets_ x assoc_
+     * row-major: keys_ holds each way's bare line tag, so the hit
+     * scan is one 64-bit compare per valid way over one contiguous
+     * cache line per set. fill_ holds each set's valid-way count;
+     * it is the only array that needs zero-initialization. keys_ and
+     * lastUse_ are allocated uninitialized (a way at or past its
+     * set's fill count is never read before it is filled), which
+     * keeps per-cell platform construction cheap, and
+     * invalidateAll() clears only the fill counts (8 KiB for the
+     * X-Gene 2's 8 MB L3, not its tag array).
      *
      * lastUse_ packs (useClock << 1 | dirty): the clock strictly
      * increases, so two ways never share a clock value and the LRU
@@ -182,10 +205,10 @@ class Cache
      * clocks — folding the dirty bit in saves a whole separate
      * byte array (and its cache-line traffic) on the hot path.
      */
-    std::vector<uint64_t> keys_;
+    std::unique_ptr<uint64_t[]> keys_;
     std::unique_ptr<uint64_t[]> lastUse_;
+    std::unique_ptr<uint8_t[]> fill_;
 
-    uint32_t gen_ = 1; ///< current validity generation
     uint64_t useClock_ = 0;
     uint64_t clockAtReset_ = 0;
     uint64_t writes_ = 0;
@@ -214,54 +237,47 @@ Cache::accessImpl(uint64_t addr, bool is_write)
     ++useClock_;
     writes_ += is_write ? 1 : 0;
 
-    const size_t base =
-        setIndex(addr) * static_cast<size_t>(assoc);
-    const uint64_t key = keyOf(tagOf(addr));
-    const uint64_t *keys = keys_.data() + base;
+    const size_t set = setIndex(addr);
+    const size_t base = set * static_cast<size_t>(assoc);
+    const uint64_t tag = tagOf(addr);
+    const uint64_t *keys = keys_.get() + base;
+    const int fill = fill_[set];
 
     AccessResult result;
-    // Hit scan first, kept free of victim bookkeeping: hits are the
-    // overwhelmingly common outcome and this loop is the innermost
-    // code of the whole simulator. One 64-bit compare checks both
-    // validity (generation field) and the tag.
-    for (int w = 0; w < assoc; ++w) {
-        if (keys[w] == key) {
+    // Hit scan over the valid prefix only, kept free of victim
+    // bookkeeping: hits are the common outcome and this loop is the
+    // innermost code of the whole simulator.
+    for (int w = 0; w < fill; ++w) {
+        if (keys[w] == tag) {
             ++hits_;
-            uint64_t &use = lastUse_[base + static_cast<size_t>(w)];
+            result.slot = base + static_cast<size_t>(w);
+            uint64_t &use = lastUse_[result.slot];
             use = (useClock_ << 1) | (is_write ? 1 : (use & 1));
             result.hit = true;
             return result;
         }
     }
 
-    // Miss: pick the eviction candidate — any invalid way wins,
-    // otherwise least recently used (first-encountered on ties,
-    // matching the historical single-pass scan).
-    const uint64_t genField =
-        static_cast<uint64_t>(gen_) << kTagBits;
-    int victim = -1;
-    for (int w = 0; w < assoc; ++w) {
-        if ((keys[w] & ~kTagMask) != genField) {
-            victim = w;
-            break;
-        }
-    }
-    const bool evicting_valid = victim < 0;
-    if (evicting_valid) {
+    // Miss: a set with an invalid way fills way `fill` (the first
+    // invalid one); only a full set evicts its least recently used
+    // way (first-encountered on ties).
+    int victim = fill;
+    if (fill < assoc) {
+        fill_[set] = static_cast<uint8_t>(fill + 1);
+    } else {
         const uint64_t *use = lastUse_.get() + base;
         victim = 0;
         for (int w = 1; w < assoc; ++w)
             if (use[w] < use[victim])
                 victim = w;
+        if (use[victim] & 1) {
+            ++writebacks_;
+            result.evictedDirty = true;
+        }
     }
-    const size_t slot = base + static_cast<size_t>(victim);
-
-    if (evicting_valid && (lastUse_[slot] & 1)) {
-        ++writebacks_;
-        result.evictedDirty = true;
-    }
-    keys_[slot] = key;
-    lastUse_[slot] = (useClock_ << 1) | (is_write ? 1 : 0);
+    result.slot = base + static_cast<size_t>(victim);
+    keys_[result.slot] = tag;
+    lastUse_[result.slot] = (useClock_ << 1) | (is_write ? 1 : 0);
     return result;
 }
 
@@ -270,9 +286,9 @@ Cache::access(uint64_t addr, bool is_write)
 {
     // The X-Gene 2 geometries are 8-way (L1s, L2) and 16-way (L3);
     // dispatching on the associativity gives those bodies
-    // fixed-trip-count scans the compiler unrolls fully. Each Cache
-    // instance always takes the same arm, so the branch predicts
-    // perfectly inside the batch loops.
+    // fixed-trip-count LRU scans the compiler unrolls fully. Each
+    // Cache instance always takes the same arm, so the branch
+    // predicts perfectly inside the batch loops.
     switch (assoc_) {
     case 8:
         return accessImpl<8>(addr, is_write);

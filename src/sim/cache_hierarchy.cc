@@ -80,42 +80,6 @@ CacheHierarchy::l2(PmdId pmd) const
     return *l2_[static_cast<size_t>(pmd)];
 }
 
-HierarchyAccess
-CacheHierarchy::dataAccess(CoreId core, uint64_t addr, bool is_write)
-{
-    checkCore(core);
-    // Per-core address spaces are disjoint so concurrent workloads
-    // on different cores don't alias in the shared levels; the PMD
-    // pair still shares L2 capacity, the chip shares L3.
-    const uint64_t global =
-        addr + (static_cast<uint64_t>(core) << 40);
-
-    HierarchyAccess out;
-    const AccessResult l1r = l1d(core).access(global, is_write);
-    if (l1r.hit)
-        return out;
-    out.l1Miss = true;
-    out.writebackFromL1 = l1r.evictedDirty;
-
-    const PmdId pmd = params_.pmdOfCore(core);
-    // The L1 victim writeback and the demand fill both touch L2; the
-    // demand access dominates statistics, writebacks are recorded as
-    // writes.
-    if (l1r.evictedDirty)
-        l2(pmd).access(global ^ 0x1000, true);
-    const AccessResult l2r = l2(pmd).access(global, is_write);
-    if (l2r.hit)
-        return out;
-    out.l2Miss = true;
-    out.writebackFromL2 = l2r.evictedDirty;
-
-    if (l2r.evictedDirty)
-        l3().access(global ^ 0x2000, true);
-    const AccessResult l3r = l3().access(global, is_write);
-    out.l3Miss = !l3r.hit;
-    return out;
-}
-
 DataBatchCounts
 CacheHierarchy::dataAccessBatch(CoreId core,
                                 const uint64_t *__restrict addrs,
@@ -123,6 +87,9 @@ CacheHierarchy::dataAccessBatch(CoreId core,
                                 uint32_t count)
 {
     checkCore(core);
+    // Per-core address spaces are disjoint so concurrent workloads
+    // on different cores don't alias in the shared levels; the PMD
+    // pair still shares L2 capacity, the chip shares L3.
     const uint64_t base = static_cast<uint64_t>(core) << 40;
     Cache &l1 = *l1d_[static_cast<size_t>(core)];
     Cache &l2c =
@@ -130,13 +97,26 @@ CacheHierarchy::dataAccessBatch(CoreId core,
     Cache &l3c = *l3_;
 
     DataBatchCounts out;
+    // The previous access's L1 line and slot; the complement of the
+    // first line differs from it, so the first access walks.
+    uint64_t last_line = count ? ~l1.tagOf(addrs[0] + base) : 0;
+    size_t last_slot = 0;
     for (uint32_t i = 0; i < count; ++i) {
         const uint64_t global = addrs[i] + base;
         const bool write = is_write[i] != 0;
+        const uint64_t line = l1.tagOf(global);
+        if (line == last_line) {
+            l1.repeatHit(last_slot, write);
+            continue;
+        }
         const AccessResult l1r = l1.access(global, write);
+        last_line = line;
+        last_slot = l1r.slot;
         if (l1r.hit)
             continue;
         ++out.l1Miss;
+        // The L1 victim writeback and the demand fill both touch L2;
+        // writebacks are recorded as writes.
         if (l1r.evictedDirty) {
             ++out.writebacksFromL1;
             l2c.access(global ^ 0x1000, true);
@@ -161,6 +141,7 @@ CacheHierarchy::instrFetchBatch(CoreId core,
                                 uint32_t count)
 {
     checkCore(core);
+    // Code and data live in disjoint regions of the core's space.
     const uint64_t base =
         (static_cast<uint64_t>(core) << 40) + (1ULL << 39);
     Cache &l1 = *l1i_[static_cast<size_t>(core)];
@@ -169,9 +150,19 @@ CacheHierarchy::instrFetchBatch(CoreId core,
     Cache &l3c = *l3_;
 
     InstrBatchCounts out;
+    uint64_t last_line = count ? ~l1.tagOf(addrs[0] + base) : 0;
+    size_t last_slot = 0;
     for (uint32_t i = 0; i < count; ++i) {
         const uint64_t global = addrs[i] + base;
-        if (l1.access(global, false).hit)
+        const uint64_t line = l1.tagOf(global);
+        if (line == last_line) {
+            l1.repeatHit(last_slot, false);
+            continue;
+        }
+        const AccessResult l1r = l1.access(global, false);
+        last_line = line;
+        last_slot = l1r.slot;
+        if (l1r.hit)
             continue;
         ++out.l1Miss;
         if (l2c.access(global, false).hit)
@@ -179,31 +170,6 @@ CacheHierarchy::instrFetchBatch(CoreId core,
         ++out.l2Miss;
         l3c.access(global, false);
     }
-    return out;
-}
-
-HierarchyAccess
-CacheHierarchy::instrFetch(CoreId core, uint64_t addr)
-{
-    checkCore(core);
-    const uint64_t global =
-        addr + (static_cast<uint64_t>(core) << 40) +
-        (1ULL << 39); // code and data live in disjoint regions
-
-    HierarchyAccess out;
-    const AccessResult l1r = l1i(core).access(global, false);
-    if (l1r.hit)
-        return out;
-    out.l1Miss = true;
-
-    const PmdId pmd = params_.pmdOfCore(core);
-    const AccessResult l2r = l2(pmd).access(global, false);
-    if (l2r.hit)
-        return out;
-    out.l2Miss = true;
-
-    const AccessResult l3r = l3().access(global, false);
-    out.l3Miss = !l3r.hit;
     return out;
 }
 

@@ -17,16 +17,6 @@
 namespace vmargin::sim
 {
 
-/** Which levels a data access missed in. */
-struct HierarchyAccess
-{
-    bool l1Miss = false;
-    bool l2Miss = false;
-    bool l3Miss = false; ///< true means the access went to DRAM
-    bool writebackFromL1 = false;
-    bool writebackFromL2 = false;
-};
-
 /** Summed outcome of one batched data walk (dataAccessBatch). */
 struct DataBatchCounts
 {
@@ -51,30 +41,25 @@ class CacheHierarchy
     explicit CacheHierarchy(const XGene2Params &params);
 
     /**
-     * Data access by @p core at @p addr; walks L1D -> L2 -> L3 and
-     * allocates on the way back.
-     */
-    HierarchyAccess dataAccess(CoreId core, uint64_t addr,
-                               bool is_write);
-
-    /** Instruction fetch by @p core; walks L1I -> L2 -> L3. */
-    HierarchyAccess instrFetch(CoreId core, uint64_t addr);
-
-    /**
-     * Walk @p count data accesses in one tight loop and return the
-     * summed per-level miss/writeback counts. Per-access behaviour
-     * (walk order, allocation, writeback side channels, statistics)
-     * is identical to @p count calls of dataAccess(); the batch form
-     * hoists the core check, the per-level cache lookups and the
-     * address-space base out of the loop — this is the hot path of
-     * every characterization run.
+     * Walk @p count data accesses by @p core in one tight loop and
+     * return the summed per-level miss/writeback counts. Each access
+     * walks L1D -> L2 -> L3 and allocates on the way back; a dirty
+     * L1 (L2) victim is written into L2 (L3) before the demand
+     * access. An access to the same L1 line as the access just
+     * before it is served from the slot that access hit or filled
+     * (Cache::repeatHit): it is an L1 hit by construction, and the
+     * L1 line, statistics and every other line end exactly as a
+     * full walk would leave them. This is the hot path of every
+     * characterization run.
      */
     DataBatchCounts dataAccessBatch(CoreId core,
                                     const uint64_t *addrs,
                                     const uint8_t *is_write,
                                     uint32_t count);
 
-    /** Batched instrFetch(); same contract as dataAccessBatch(). */
+    /** Batched instruction fetch by @p core (L1I -> L2 -> L3, code
+     *  and data in disjoint regions); same contract as
+     *  dataAccessBatch(). */
     InstrBatchCounts instrFetchBatch(CoreId core,
                                      const uint64_t *addrs,
                                      uint32_t count);

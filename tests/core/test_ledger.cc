@@ -14,6 +14,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/ledger.hh"
@@ -315,16 +316,34 @@ writeBytes(const std::string &path, const std::string &bytes)
     out << bytes;
 }
 
+/** Payload start offsets and end offsets of every frame of a
+ *  ledger file's bytes. */
+std::pair<std::vector<size_t>, std::vector<size_t>>
+frameSpans(const std::string &bytes)
+{
+    std::vector<size_t> starts;
+    std::vector<size_t> ends;
+    FrameCursor cursor(bytes, 4);
+    std::string_view payload;
+    uint32_t checksum = 0;
+    while (cursor.next(payload, checksum) == FrameCursor::Status::Frame) {
+        starts.push_back(static_cast<size_t>(payload.data() -
+                                             bytes.data()));
+        ends.push_back(cursor.offset());
+    }
+    return {starts, ends};
+}
+
 TEST(RunLedger, LaneVerifiedReplayMatchesFrameByFrame)
 {
     // Replay checks frame checksums kLedgerChecksumLanes at a time.
     // Corrupting one payload byte of any single record frame, at
     // every position in a lane group and in the frames after the
     // last full group, must give what a frame-by-frame check gives:
-    // one skipped frame; a corrupt run frame refuses its cell; a
-    // corrupt commit frame refuses its cell and, since the pending
-    // cell is not reset without a commit, the next one too; the
-    // file is cut back only when the dangling frames end it.
+    // one skipped frame; a corrupt run or commit frame refuses its
+    // own cell and no other (a lost frame drops the pending runs, so
+    // the next cell starts clean); the file is cut back only when
+    // the dangling frames end it.
     const std::string path = "/tmp/vmargin_test_ledger_lanes";
     const std::vector<size_t> runs_per_cell = {3, 1, 2, 4, 3, 2};
     const auto name = [](size_t cell) {
@@ -340,23 +359,11 @@ TEST(RunLedger, LaneVerifiedReplayMatchesFrameByFrame)
     const std::string pristine = readBytes(path);
 
     // Each frame's payload span and owning cell (-1: the header).
-    std::vector<size_t> starts;
-    std::vector<size_t> ends;
+    const auto [starts, ends] = frameSpans(pristine);
     std::vector<int> owner = {-1};
-    std::vector<bool> is_commit = {false};
     for (size_t c = 0; c < runs_per_cell.size(); ++c)
-        for (size_t f = 0; f <= runs_per_cell[c]; ++f) {
+        for (size_t f = 0; f <= runs_per_cell[c]; ++f)
             owner.push_back(static_cast<int>(c));
-            is_commit.push_back(f == runs_per_cell[c]);
-        }
-    FrameCursor cursor(pristine, 4);
-    std::string_view payload;
-    uint32_t checksum = 0;
-    while (cursor.next(payload, checksum) == FrameCursor::Status::Frame) {
-        starts.push_back(static_cast<size_t>(payload.data() -
-                                             pristine.data()));
-        ends.push_back(cursor.offset());
-    }
     const size_t frames = ends.size();
     ASSERT_EQ(frames, owner.size());
     ASSERT_GE(frames, 2 * kLedgerChecksumLanes);
@@ -380,8 +387,7 @@ TEST(RunLedger, LaneVerifiedReplayMatchesFrameByFrame)
         const auto cell = static_cast<size_t>(owner[f]);
         size_t refused = 0;
         for (size_t c = 0; c < runs_per_cell.size(); ++c) {
-            const bool expect_refused =
-                c == cell || (is_commit[f] && c == cell + 1);
+            const bool expect_refused = c == cell;
             refused += expect_refused;
             EXPECT_EQ(ledger.find(1, ChipRef{}, name(c), 0) == nullptr,
                       expect_refused)
@@ -395,6 +401,77 @@ TEST(RunLedger, LaneVerifiedReplayMatchesFrameByFrame)
             f + 1 == frames ? ends[f - runs_per_cell.back() - 1]
                             : pristine.size();
         EXPECT_EQ(std::filesystem::file_size(path), prefix);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(RunLedger, CorruptLastCommitRefusesOnlyItsCell)
+{
+    // Cells of 2, 3 and 2 runs. Losing the last commit frame leaves
+    // the last cell's runs dangling after the previous commit: that
+    // cell alone is refused, the file is cut back to the previous
+    // commit, and re-appending the cell makes the ledger whole.
+    // Losing the middle commit as well refuses the middle cell too
+    // (and only it) and cuts the file back to the first commit.
+    const std::string path = "/tmp/vmargin_test_ledger_last_commit";
+    const std::vector<size_t> runs_per_cell = {2, 3, 2};
+    const auto name = [](size_t cell) {
+        return "cell" + std::to_string(cell) + "/ref";
+    };
+    std::remove(path.c_str());
+    {
+        RunLedger ledger(path, "test");
+        ledger.open("h");
+        for (size_t c = 0; c < runs_per_cell.size(); ++c)
+            ledger.append(1, cellOfRuns(name(c), runs_per_cell[c]));
+    }
+    const std::string pristine = readBytes(path);
+    const auto [starts, ends] = frameSpans(pristine);
+    ASSERT_EQ(ends.size(), 1u + 3 + 4 + 3); // header + cells
+    ASSERT_EQ(ends.back(), pristine.size());
+    const size_t commit0 = 3;  // frame index of cell 0's commit
+    const size_t commit1 = 7;  // cell 1's
+    const size_t commit2 = 10; // cell 2's: the last frame
+    const auto corrupt = [&](std::string &bytes, size_t frame) {
+        bytes[(starts[frame] + ends[frame]) / 2] ^= 0x5a;
+    };
+
+    for (const bool lose_middle : {false, true}) {
+        SCOPED_TRACE(lose_middle ? "middle and last commits lost"
+                                 : "last commit lost");
+        std::string bytes = pristine;
+        corrupt(bytes, commit2);
+        if (lose_middle)
+            corrupt(bytes, commit1);
+        writeBytes(path, bytes);
+        {
+            RunLedger ledger(path, "test");
+            ledger.open("h");
+            EXPECT_NE(ledger.find(1, ChipRef{}, name(0), 0), nullptr);
+            EXPECT_EQ(ledger.find(1, ChipRef{}, name(1), 0) == nullptr,
+                      lose_middle);
+            EXPECT_EQ(ledger.find(1, ChipRef{}, name(2), 0), nullptr);
+            EXPECT_EQ(ledger.size(), lose_middle ? 1u : 2u);
+            // The committed prefix ends at the last intact commit.
+            EXPECT_EQ(std::filesystem::file_size(path),
+                      ends[lose_middle ? commit0 : commit1]);
+            for (size_t c = lose_middle ? 1 : 2;
+                 c < runs_per_cell.size(); ++c)
+                ledger.append(1, cellOfRuns(name(c), runs_per_cell[c]));
+        }
+        // The re-run cells land on the cut and replay cleanly.
+        const uint64_t skipped0 = counterValue("ledger.replay_skipped");
+        RunLedger ledger(path, "test");
+        ledger.open("h");
+        EXPECT_EQ(counterValue("ledger.replay_skipped"), skipped0);
+        EXPECT_EQ(ledger.size(), runs_per_cell.size());
+        for (size_t c = 0; c < runs_per_cell.size(); ++c) {
+            const CellMeasurement *cell =
+                ledger.find(1, ChipRef{}, name(c), 0);
+            ASSERT_NE(cell, nullptr) << "cell " << c;
+            EXPECT_EQ(cell->runs.size(), runs_per_cell[c]);
+        }
+        EXPECT_EQ(readBytes(path), pristine);
     }
     std::remove(path.c_str());
 }

@@ -166,5 +166,17 @@ TEST(Cache, DeathOnBadGeometry)
                  "divisible");
 }
 
+TEST(Cache, RefusesAssociativityPastTheFillCount)
+{
+    // 1 MiB / 64 B = 16384 lines: 64 sets of 256 ways, one more way
+    // than a set's fill count holds.
+    EXPECT_EXIT(Cache("wide", 1024, Cache::kMaxAssoc + 1, 64,
+                      Protection::Ecc),
+                testing::ExitedWithCode(1), "associativity 256");
+    const Cache widest("widest", 1020, Cache::kMaxAssoc, 64,
+                       Protection::Ecc);
+    EXPECT_EQ(widest.numSets(), 64u);
+}
+
 } // namespace
 } // namespace vmargin::sim

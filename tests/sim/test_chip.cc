@@ -88,7 +88,10 @@ TEST(Chip, ResetRestoresEverything)
     chip.pmdDomain().set(760);
     chip.socDomain().set(900);
     chip.pmd(0).clock().set(300);
-    chip.caches().dataAccess(0, 0x1000, true);
+    const uint64_t addr = 0x1000;
+    const uint8_t write = 1;
+    const uint8_t read = 0;
+    chip.caches().dataAccessBatch(0, &addr, &write, 1);
     ErrorRecord record;
     chip.edac().report(record);
 
@@ -97,7 +100,8 @@ TEST(Chip, ResetRestoresEverything)
     EXPECT_EQ(chip.socDomain().voltage(), 950);
     EXPECT_EQ(chip.pmd(0).clock().frequency(), 2400);
     EXPECT_TRUE(chip.edac().records().empty());
-    EXPECT_TRUE(chip.caches().dataAccess(0, 0x1000, false).l1Miss);
+    EXPECT_EQ(chip.caches().dataAccessBatch(0, &addr, &read, 1).l1Miss,
+              1u);
 }
 
 TEST(Chip, SameSerialSameBehaviour)
