@@ -50,7 +50,8 @@ main(int argc, char **argv)
 
     sim::Platform platform(
         sim::XGene2Params{}, sim::cornerFromName(cli.value("chip")),
-        static_cast<uint32_t>(cli.intValue("serial")));
+        util::narrowInt<uint32_t>(cli.intValue("serial"),
+                                  "--serial"));
     CharacterizationFramework framework(&platform);
 
     FrameworkConfig config;
@@ -63,16 +64,17 @@ main(int argc, char **argv)
                                : wl::headlineSuite();
         for (const auto &token :
              util::split(cli.value("cores"), ','))
-            config.cores.push_back(static_cast<CoreId>(
-                util::parseLong(util::trim(token), "--cores")));
-        config.campaigns =
-            static_cast<int>(cli.intValue("campaigns"));
-        config.frequency =
-            static_cast<MegaHertz>(cli.intValue("frequency"));
-        config.startVoltage =
-            static_cast<MilliVolt>(cli.intValue("start"));
-        config.endVoltage =
-            static_cast<MilliVolt>(cli.intValue("end"));
+            config.cores.push_back(util::narrowInt<CoreId>(
+                util::parseLong(util::trim(token), "--cores"),
+                "--cores"));
+        config.campaigns = util::narrowInt<int>(
+            cli.intValue("campaigns"), "--campaigns");
+        config.frequency = util::narrowInt<MegaHertz>(
+            cli.intValue("frequency"), "--frequency");
+        config.startVoltage = util::narrowInt<MilliVolt>(
+            cli.intValue("start"), "--start");
+        config.endVoltage = util::narrowInt<MilliVolt>(
+            cli.intValue("end"), "--end");
     }
     if (!cli.value("telemetry").empty())
         config.telemetryPath = cli.value("telemetry");

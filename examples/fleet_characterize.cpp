@@ -64,18 +64,19 @@ main(int argc, char **argv)
                                      ? wl::fullSuite()
                                      : wl::headlineSuite();
     for (const auto &token : util::split(cli.value("cores"), ','))
-        config.framework.cores.push_back(static_cast<CoreId>(
-            util::parseLong(util::trim(token), "--cores")));
-    config.framework.campaigns =
-        static_cast<int>(cli.intValue("campaigns"));
-    config.framework.frequency =
-        static_cast<MegaHertz>(cli.intValue("frequency"));
-    config.framework.startVoltage =
-        static_cast<MilliVolt>(cli.intValue("start"));
-    config.framework.endVoltage =
-        static_cast<MilliVolt>(cli.intValue("end"));
-    config.framework.workers =
-        static_cast<int>(cli.intValue("workers"));
+        config.framework.cores.push_back(util::narrowInt<CoreId>(
+            util::parseLong(util::trim(token), "--cores"),
+            "--cores"));
+    config.framework.campaigns = util::narrowInt<int>(
+        cli.intValue("campaigns"), "--campaigns");
+    config.framework.frequency = util::narrowInt<MegaHertz>(
+        cli.intValue("frequency"), "--frequency");
+    config.framework.startVoltage = util::narrowInt<MilliVolt>(
+        cli.intValue("start"), "--start");
+    config.framework.endVoltage = util::narrowInt<MilliVolt>(
+        cli.intValue("end"), "--end");
+    config.framework.workers = util::narrowInt<int>(
+        cli.intValue("workers"), "--workers");
     config.framework.journalPath = cli.value("journal");
     config.framework.telemetryPath = cli.value("telemetry");
 

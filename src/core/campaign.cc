@@ -68,7 +68,10 @@ CampaignRunner::run(const CampaignConfig &config)
     config.retry.validate();
     const auto &params = platform_->chip().params();
     if (config.core < 0 || config.core >= params.numCores)
-        util::fatalError("campaign: core out of range");
+        util::fatalError(util::concat(
+            "campaign: core ", config.core, " is out of range (chip ",
+            platform_->chip().name(), " has ", params.numCores,
+            " cores, 0..", params.numCores - 1, ")"));
     if (config.runsPerVoltage < 1)
         util::fatalError("campaign: runsPerVoltage must be >= 1");
     if (config.startVoltage < config.endVoltage)

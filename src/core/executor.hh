@@ -41,9 +41,9 @@ namespace vmargin
  * Run all campaign repetitions of one (workload, core) cell through
  * @p runner and collect its classified runs and recovery telemetry
  * (the cell's `records` stay empty).
- * Shared by the sequential measureCell() entry point and the
- * executor's workers (each worker passes a runner bound to its own
- * platform replica).
+ * Shared by CharacterizationFramework::measureCell() (one cell on
+ * the framework's own platform) and executeSweep()'s workers (each
+ * passes a runner bound to its own platform replica).
  */
 CellMeasurement measureCellWith(CampaignRunner &runner,
                                 const wl::WorkloadProfile &workload,

@@ -28,37 +28,38 @@ FrameworkConfig::fromConfig(const util::ConfigFile &file)
     config.cores.clear();
     if (file.has("cores")) {
         for (const auto &token : file.getList("cores"))
-            config.cores.push_back(static_cast<CoreId>(
-                util::parseLong(token, "config key 'cores'")));
+            config.cores.push_back(util::narrowInt<CoreId>(
+                util::parseLong(token, "config key 'cores'"),
+                "config key 'cores'"));
     } else {
         for (CoreId c = 0; c < 8; ++c)
             config.cores.push_back(c);
     }
 
-    config.frequency = static_cast<MegaHertz>(
-        file.getInt("frequency_mhz", config.frequency));
-    config.startVoltage = static_cast<MilliVolt>(
-        file.getInt("start_mv", config.startVoltage));
-    config.endVoltage = static_cast<MilliVolt>(
-        file.getInt("end_mv", config.endVoltage));
-    config.campaigns =
-        static_cast<int>(file.getInt("campaigns", config.campaigns));
-    config.runsPerVoltage = static_cast<int>(
-        file.getInt("runs_per_voltage", config.runsPerVoltage));
-    config.maxEpochs = static_cast<uint32_t>(
-        file.getInt("max_epochs", config.maxEpochs));
+    // Every integer key narrows through util::narrowInt, so a value
+    // outside its field's type is refused instead of wrapping.
+    const auto intKey = [&file](const char *key, auto fallback) {
+        return util::narrowInt<decltype(fallback)>(
+            file.getInt(key, fallback),
+            util::concat("config key '", key, "'"));
+    };
+    config.frequency = intKey("frequency_mhz", config.frequency);
+    config.startVoltage = intKey("start_mv", config.startVoltage);
+    config.endVoltage = intKey("end_mv", config.endVoltage);
+    config.campaigns = intKey("campaigns", config.campaigns);
+    config.runsPerVoltage =
+        intKey("runs_per_voltage", config.runsPerVoltage);
+    config.maxEpochs = intKey("max_epochs", config.maxEpochs);
     config.journalPath = file.get("journal", config.journalPath);
-    config.cellBudget = static_cast<int>(
-        file.getInt("cell_budget", config.cellBudget));
-    config.workers =
-        static_cast<int>(file.getInt("workers", config.workers));
+    config.cellBudget = intKey("cell_budget", config.cellBudget);
+    config.workers = intKey("workers", config.workers);
     config.cachePath = file.get("cache", config.cachePath);
     config.telemetryPath =
         file.get("telemetry", config.telemetryPath);
-    config.flushEveryCells = static_cast<int>(file.getInt(
-        "flush_every_cells", config.flushEveryCells));
-    config.flushIntervalMs = static_cast<int>(file.getInt(
-        "flush_interval_ms", config.flushIntervalMs));
+    config.flushEveryCells =
+        intKey("flush_every_cells", config.flushEveryCells);
+    config.flushIntervalMs =
+        intKey("flush_interval_ms", config.flushIntervalMs);
     config.validate();
     return config;
 }

@@ -185,10 +185,11 @@ class CharacterizationFramework
                                 const FrameworkConfig &config);
 
     /**
-     * Run all campaign repetitions of one cell and collect its
-     * classified runs and recovery telemetry. Both characterize() and
-     * characterizeCell() route through this, so the journal and
-     * recovery hooks live in exactly one place.
+     * Run all campaign repetitions of one cell on this framework's
+     * platform and collect its classified runs and recovery
+     * telemetry, through measureCellWith() — the per-cell body the
+     * sweep engine's workers share. characterizeCell() routes
+     * through this; characterize() goes through executeSweep().
      */
     CellMeasurement measureCell(const wl::WorkloadProfile &workload,
                                 CoreId core,

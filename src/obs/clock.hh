@@ -74,8 +74,6 @@ class ManualClock final : public Clock
         steadyNs_ += static_cast<uint64_t>(ms) * 1000000ull;
     }
 
-    void setWallMillis(int64_t ms) { wallMs_ = ms; }
-
   private:
     int64_t wallMs_ = 0;
     uint64_t steadyNs_ = 0;

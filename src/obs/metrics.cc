@@ -28,52 +28,6 @@ SystemClock::instance()
     return clock;
 }
 
-// ---- Histogram ---------------------------------------------------
-
-Histogram::Histogram(std::vector<uint64_t> bounds)
-    : bounds_(std::move(bounds))
-{
-    if (bounds_.empty())
-        obsPanic("obs: histogram needs at least one bucket bound");
-    for (size_t i = 1; i < bounds_.size(); ++i)
-        if (bounds_[i] <= bounds_[i - 1])
-            obsPanic("obs: histogram bounds must strictly increase");
-    counts_ = std::make_unique<std::atomic<uint64_t>[]>(
-        bounds_.size() + 1);
-    for (size_t i = 0; i <= bounds_.size(); ++i)
-        counts_[i].store(0, std::memory_order_relaxed);
-}
-
-void
-Histogram::observe(uint64_t value)
-{
-    const auto it =
-        std::lower_bound(bounds_.begin(), bounds_.end(), value);
-    const size_t bucket =
-        static_cast<size_t>(it - bounds_.begin());
-    counts_[bucket].fetch_add(1, std::memory_order_relaxed);
-    total_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
-}
-
-std::vector<uint64_t>
-Histogram::counts() const
-{
-    std::vector<uint64_t> out(bounds_.size() + 1);
-    for (size_t i = 0; i <= bounds_.size(); ++i)
-        out[i] = counts_[i].load(std::memory_order_relaxed);
-    return out;
-}
-
-void
-Histogram::reset()
-{
-    for (size_t i = 0; i <= bounds_.size(); ++i)
-        counts_[i].store(0, std::memory_order_relaxed);
-    total_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-}
-
 // ---- SpanStat ----------------------------------------------------
 
 void
@@ -113,7 +67,7 @@ SpanStat::reset()
 
 Registry::Entry &
 Registry::lookup(const std::string &name, Kind kind,
-                 Stability stability, std::vector<uint64_t> *bounds)
+                 Stability stability)
 {
     if (name.empty())
         obsPanic("obs: empty metric name");
@@ -137,10 +91,6 @@ Registry::lookup(const std::string &name, Kind kind,
     case Kind::Gauge:
         entry->gauge = std::make_unique<Gauge>();
         break;
-    case Kind::Histogram:
-        entry->histogram =
-            std::make_unique<Histogram>(std::move(*bounds));
-        break;
     case Kind::Span:
         entry->span = std::make_unique<SpanStat>();
         break;
@@ -152,7 +102,7 @@ Registry::lookup(const std::string &name, Kind kind,
 Counter &
 Registry::counter(const std::string &name, Stability stability)
 {
-    return *lookup(name, Kind::Counter, stability, nullptr).counter;
+    return *lookup(name, Kind::Counter, stability).counter;
 }
 
 Gauge &
@@ -160,22 +110,14 @@ Registry::gauge(const std::string &name)
 {
     // Gauges describe instantaneous levels (queue depths, high-water
     // marks); those are scheduling-dependent by nature.
-    return *lookup(name, Kind::Gauge, Stability::Sched, nullptr)
+    return *lookup(name, Kind::Gauge, Stability::Sched)
                 .gauge;
-}
-
-Histogram &
-Registry::histogram(const std::string &name,
-                    std::vector<uint64_t> bounds)
-{
-    return *lookup(name, Kind::Histogram, Stability::Sched, &bounds)
-                .histogram;
 }
 
 SpanStat &
 Registry::span(const std::string &name)
 {
-    return *lookup(name, Kind::Span, Stability::Sched, nullptr).span;
+    return *lookup(name, Kind::Span, Stability::Sched).span;
 }
 
 std::vector<std::string>
@@ -257,13 +199,6 @@ Registry::snapshotJson(uint64_t seq, const Clock &clock) const
         uint64_t count, total, min, max;
     };
     std::vector<SpanRow> spans;
-    struct HistRow
-    {
-        std::string name;
-        std::vector<uint64_t> bounds, counts;
-        uint64_t total, sum;
-    };
-    std::vector<HistRow> hists;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         for (const auto &entry : entries_) {
@@ -289,13 +224,6 @@ Registry::snapshotJson(uint64_t seq, const Clock &clock) const
                                  entry->span->minNs(),
                                  entry->span->maxNs()});
                 break;
-            case Kind::Histogram:
-                hists.push_back({entry->name,
-                                 entry->histogram->bounds(),
-                                 entry->histogram->counts(),
-                                 entry->histogram->totalCount(),
-                                 entry->histogram->sum()});
-                break;
             }
         }
     }
@@ -306,10 +234,6 @@ Registry::snapshotJson(uint64_t seq, const Clock &clock) const
     std::sort(sched.begin(), sched.end(), byName);
     std::sort(spans.begin(), spans.end(),
               [](const SpanRow &a, const SpanRow &b) {
-                  return a.name < b.name;
-              });
-    std::sort(hists.begin(), hists.end(),
-              [](const HistRow &a, const HistRow &b) {
                   return a.name < b.name;
               });
 
@@ -344,26 +268,6 @@ Registry::snapshotJson(uint64_t seq, const Clock &clock) const
                ",\"min_ns\":" + std::to_string(spans[i].min) +
                ",\"max_ns\":" + std::to_string(spans[i].max) + "}";
     }
-    out += "},\"histograms\":{";
-    for (size_t i = 0; i < hists.size(); ++i) {
-        if (i)
-            out.push_back(',');
-        appendJsonString(out, hists[i].name);
-        out += ":{\"bounds\":[";
-        for (size_t j = 0; j < hists[i].bounds.size(); ++j) {
-            if (j)
-                out.push_back(',');
-            out += std::to_string(hists[i].bounds[j]);
-        }
-        out += "],\"counts\":[";
-        for (size_t j = 0; j < hists[i].counts.size(); ++j) {
-            if (j)
-                out.push_back(',');
-            out += std::to_string(hists[i].counts[j]);
-        }
-        out += "],\"total\":" + std::to_string(hists[i].total) +
-               ",\"sum\":" + std::to_string(hists[i].sum) + "}";
-    }
     out += "}}";
     return out;
 }
@@ -379,9 +283,6 @@ Registry::reset()
             break;
         case Kind::Gauge:
             entry->gauge->reset();
-            break;
-        case Kind::Histogram:
-            entry->histogram->reset();
             break;
         case Kind::Span:
             entry->span->reset();

@@ -12,7 +12,6 @@
  *
  *  - **Counter** — monotonic uint64, relaxed atomic increments.
  *  - **Gauge**   — last-write-wins int64 level (queue depths).
- *  - **Histogram** — fixed upper-bound buckets, atomic counts.
  *  - **SpanStat** — begin/end phase tracing aggregated per name
  *    (count, total/min/max steady-clock nanoseconds); `ScopedSpan`
  *    is the RAII begin/end pair.
@@ -120,47 +119,6 @@ class Gauge
 };
 
 /**
- * Fixed-bucket histogram: bucket i counts observations <=
- * bounds[i]; one implicit overflow bucket counts the rest. Bounds
- * are fixed at registration — no resizing, no locking on observe().
- */
-class Histogram
-{
-  public:
-    explicit Histogram(std::vector<uint64_t> bounds);
-
-    Histogram(const Histogram &) = delete;
-    Histogram &operator=(const Histogram &) = delete;
-
-    void observe(uint64_t value);
-
-    const std::vector<uint64_t> &bounds() const { return bounds_; }
-
-    /** Per-bucket counts (bounds().size() + 1 entries, the last the
-     *  overflow bucket). */
-    std::vector<uint64_t> counts() const;
-
-    uint64_t totalCount() const
-    {
-        return total_.load(std::memory_order_relaxed);
-    }
-
-    uint64_t sum() const
-    {
-        return sum_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    friend class Registry;
-    void reset();
-
-    std::vector<uint64_t> bounds_;
-    std::unique_ptr<std::atomic<uint64_t>[]> counts_;
-    std::atomic<uint64_t> total_{0};
-    std::atomic<uint64_t> sum_{0};
-};
-
-/**
  * Aggregated phase/span timing for one name: how many times the
  * phase ran and the total/min/max steady-clock duration. Counts of
  * per-cell or per-round spans are configuration-determined; the
@@ -223,7 +181,7 @@ class ScopedSpan
 
 /**
  * The metrics registry. Handles returned by counter()/gauge()/
- * histogram()/span() are stable for the registry's lifetime;
+ * span() are stable for the registry's lifetime;
  * fetching the same name again returns the same object (a kind
  * mismatch on re-registration aborts — it is a programming error).
  * Most code uses the process-wide global() instance; tests build
@@ -239,8 +197,6 @@ class Registry
     Counter &counter(const std::string &name,
                      Stability stability = Stability::Exact);
     Gauge &gauge(const std::string &name);
-    Histogram &histogram(const std::string &name,
-                         std::vector<uint64_t> bounds);
     SpanStat &span(const std::string &name);
 
     /** Registered names in registration order. */
@@ -257,8 +213,8 @@ class Registry
      * One full snapshot as a single JSON object (one JSONL line
      * without the trailing newline): schema tag, @p seq, wall-clock
      * from @p clock, then the "counters" (exact), "scheduling"
-     * (sched counters + gauges), "spans" and "histograms" sections,
-     * each name-sorted.
+     * (sched counters + gauges) and "spans" sections, each
+     * name-sorted.
      */
     std::string snapshotJson(uint64_t seq,
                              const Clock &clock =
@@ -276,7 +232,6 @@ class Registry
     {
         Counter,
         Gauge,
-        Histogram,
         Span,
     };
 
@@ -287,13 +242,11 @@ class Registry
         Stability stability = Stability::Exact;
         std::unique_ptr<Counter> counter;
         std::unique_ptr<Gauge> gauge;
-        std::unique_ptr<Histogram> histogram;
         std::unique_ptr<SpanStat> span;
     };
 
     Entry &lookup(const std::string &name, Kind kind,
-                  Stability stability,
-                  std::vector<uint64_t> *bounds);
+                  Stability stability);
 
     mutable std::mutex mutex_; ///< guards entries_ (registration)
     std::vector<std::unique_ptr<Entry>> entries_;

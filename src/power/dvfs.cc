@@ -18,26 +18,4 @@ voltageSweep(MilliVolt from, MilliVolt to, MilliVolt step)
     return sweep;
 }
 
-std::vector<MegaHertz>
-frequencyLadder(const sim::XGene2Params &params)
-{
-    std::vector<MegaHertz> ladder;
-    for (MegaHertz f = params.maxFrequency; f >= params.minFrequency;
-         f -= params.frequencyStep)
-        ladder.push_back(f);
-    return ladder;
-}
-
-std::vector<OperatingPoint>
-operatingGrid(const sim::XGene2Params &params, MilliVolt min_voltage)
-{
-    std::vector<OperatingPoint> grid;
-    for (MilliVolt v : voltageSweep(params.nominalPmdVoltage,
-                                    min_voltage,
-                                    params.voltageStepSize))
-        for (MegaHertz f : frequencyLadder(params))
-            grid.push_back(OperatingPoint{v, f});
-    return grid;
-}
-
 } // namespace vmargin::power

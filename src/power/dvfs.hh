@@ -1,7 +1,6 @@
 /**
  * @file
- * DVFS operating points and sweep helpers shared by the campaign
- * layer and the trade-off explorer.
+ * The voltage sweep the campaign layer steps through.
  */
 
 #ifndef VMARGIN_POWER_DVFS_HH
@@ -9,20 +8,10 @@
 
 #include <vector>
 
-#include "sim/param.hh"
 #include "util/types.hh"
 
 namespace vmargin::power
 {
-
-/** One voltage/frequency setting. */
-struct OperatingPoint
-{
-    MilliVolt voltage = 980;
-    MegaHertz frequency = 2400;
-
-    bool operator==(const OperatingPoint &other) const = default;
-};
 
 /**
  * Descending list of voltages from @p from down to @p to inclusive
@@ -31,17 +20,6 @@ struct OperatingPoint
  */
 std::vector<MilliVolt> voltageSweep(MilliVolt from, MilliVolt to,
                                     MilliVolt step);
-
-/** Every legal frequency of the platform, descending. */
-std::vector<MegaHertz> frequencyLadder(const sim::XGene2Params &params);
-
-/**
- * Every legal (voltage, frequency) pair between nominal and
- * (@p min_voltage, min frequency). Mostly used by tests sweeping
- * the configuration space.
- */
-std::vector<OperatingPoint>
-operatingGrid(const sim::XGene2Params &params, MilliVolt min_voltage);
 
 } // namespace vmargin::power
 

@@ -53,18 +53,6 @@ PowerModel::socPower(MilliVolt soc_voltage, Celsius temperature,
                leakTempFactor(temperature);
 }
 
-Watt
-PowerModel::packagePower(const std::vector<CoreOperatingPoint> &cores,
-                         MilliVolt soc_voltage, Celsius temperature,
-                         double chip_leakage_factor) const
-{
-    Watt total =
-        socPower(soc_voltage, temperature, chip_leakage_factor);
-    for (const auto &op : cores)
-        total += corePower(op);
-    return total;
-}
-
 double
 relativeDynamicPower(MilliVolt v, MilliVolt v_nominal,
                      double freq_rel)

@@ -71,11 +71,6 @@ class PowerModel
     Watt socPower(MilliVolt soc_voltage, Celsius temperature,
                   double leakage_factor) const;
 
-    /** Whole package: all cores plus the SoC domain. */
-    Watt packagePower(const std::vector<CoreOperatingPoint> &cores,
-                      MilliVolt soc_voltage, Celsius temperature,
-                      double chip_leakage_factor) const;
-
     const PowerParams &params() const { return params_; }
 
   private:

@@ -9,20 +9,6 @@ namespace vmargin::sched
 {
 
 const char *
-coreModeName(CoreMode mode)
-{
-    switch (mode) {
-    case CoreMode::Normal:
-        return "normal";
-    case CoreMode::Quarantined:
-        return "quarantined";
-    case CoreMode::Canary:
-        return "canary";
-    }
-    return "unknown";
-}
-
-const char *
 clampReasonName(ClampReason reason)
 {
     switch (reason) {

@@ -53,9 +53,6 @@ enum class CoreMode : uint8_t
     Canary,      ///< under a canary probe toward re-admission
 };
 
-/** Printable mode name. */
-const char *coreModeName(CoreMode mode);
-
 /** Why the supervisor clamped the daemon to the safe voltage. */
 enum class ClampReason : uint8_t
 {

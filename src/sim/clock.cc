@@ -1,22 +1,7 @@
 #include "clock.hh"
 
-#include "util/logging.hh"
-
 namespace vmargin::sim
 {
-
-std::string
-speedClassName(SpeedClass speed_class)
-{
-    switch (speed_class) {
-      case SpeedClass::Full:
-        return "full";
-      case SpeedClass::Half:
-        return "half";
-    }
-    util::panicf("speedClassName: invalid class ",
-                 static_cast<int>(speed_class));
-}
 
 ClockController::ClockController(const XGene2Params &params)
     : params_(params), frequency_(params.maxFrequency)
@@ -45,13 +30,6 @@ ClockController::speedClassOf(MegaHertz mhz) const
 {
     return mhz > params_.clockDivisionThreshold ? SpeedClass::Full
                                                 : SpeedClass::Half;
-}
-
-double
-ClockController::relativePerformance() const
-{
-    return static_cast<double>(frequency_) /
-           static_cast<double>(params_.maxFrequency);
 }
 
 } // namespace vmargin::sim

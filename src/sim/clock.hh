@@ -15,8 +15,6 @@
 #ifndef VMARGIN_SIM_CLOCK_HH
 #define VMARGIN_SIM_CLOCK_HH
 
-#include <string>
-
 #include "param.hh"
 #include "util/types.hh"
 
@@ -29,9 +27,6 @@ enum class SpeedClass
     Full, ///< clock skipping: timing margins as at 2.4 GHz
     Half  ///< clock division: timing margins as at 1.2 GHz
 };
-
-/** Printable speed-class name. */
-std::string speedClassName(SpeedClass speed_class);
 
 /** Per-PMD frequency control. */
 class ClockController
@@ -57,9 +52,6 @@ class ClockController
 
     /** Speed class a given frequency would run in. */
     SpeedClass speedClassOf(MegaHertz mhz) const;
-
-    /** Performance relative to the maximum frequency (0..1]. */
-    double relativePerformance() const;
 
     /** Reset to the maximum frequency. */
     void reset() { frequency_ = params_.maxFrequency; }

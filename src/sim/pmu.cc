@@ -5,41 +5,6 @@
 namespace vmargin::sim
 {
 
-namespace
-{
-
-const std::vector<std::string> &
-nameTable()
-{
-    static const std::vector<std::string> names = {
-#define VMARGIN_PMU_NAME(name) #name,
-        VMARGIN_PMU_EVENTS(VMARGIN_PMU_NAME)
-#undef VMARGIN_PMU_NAME
-    };
-    return names;
-}
-
-} // namespace
-
-const std::string &
-pmuEventName(PmuEvent event)
-{
-    const auto index = static_cast<size_t>(event);
-    if (index >= kNumPmuEvents)
-        util::panicf("pmuEventName: invalid event ", index);
-    return nameTable()[index];
-}
-
-PmuEvent
-pmuEventByName(const std::string &name)
-{
-    const auto &names = nameTable();
-    for (size_t i = 0; i < names.size(); ++i)
-        if (names[i] == name)
-            return static_cast<PmuEvent>(i);
-    util::panicf("pmuEventByName: unknown event '", name, "'");
-}
-
 void
 Pmu::add(PmuEvent event, uint64_t count)
 {
@@ -67,7 +32,11 @@ Pmu::reset()
 std::vector<std::string>
 Pmu::eventNames()
 {
-    return nameTable();
+    return {
+#define VMARGIN_PMU_NAME(name) #name,
+        VMARGIN_PMU_EVENTS(VMARGIN_PMU_NAME)
+#undef VMARGIN_PMU_NAME
+    };
 }
 
 } // namespace vmargin::sim

@@ -95,12 +95,6 @@ constexpr size_t kNumPmuEvents = []() {
     return n;
 }();
 
-/** Printable event name. */
-const std::string &pmuEventName(PmuEvent event);
-
-/** Event with the given name; panics on an unknown name. */
-PmuEvent pmuEventByName(const std::string &name);
-
 /** Counter values captured at the end of a run. */
 using PmuSnapshot = std::array<uint64_t, kNumPmuEvents>;
 

@@ -67,15 +67,6 @@ SlimPro::setPmdFrequency(PmdId pmd, MegaHertz mhz)
     return platform_->chip().pmd(pmd).clock().set(mhz);
 }
 
-bool
-SlimPro::setAllFrequencies(MegaHertz mhz)
-{
-    bool ok = true;
-    for (PmdId p = 0; p < platform_->chip().params().numPmds; ++p)
-        ok = setPmdFrequency(p, mhz) && ok;
-    return ok;
-}
-
 MilliVolt
 SlimPro::pmdVoltage() const
 {
@@ -85,23 +76,6 @@ SlimPro::pmdVoltage() const
     lastPmdVoltage_ = fresh;
     hasLastPmdVoltage_ = true;
     return fresh;
-}
-
-MilliVolt
-SlimPro::socVoltage() const
-{
-    const MilliVolt fresh = platform_->chip().socDomain().voltage();
-    if (hasLastSocVoltage_ && readIsStale())
-        return lastSocVoltage_;
-    lastSocVoltage_ = fresh;
-    hasLastSocVoltage_ = true;
-    return fresh;
-}
-
-MegaHertz
-SlimPro::pmdFrequency(PmdId pmd) const
-{
-    return platform_->chip().pmd(pmd).clock().frequency();
 }
 
 Celsius
@@ -122,18 +96,6 @@ SlimPro::setFanTarget(Celsius target)
         return false;
     platform_->thermal().setTarget(target);
     return true;
-}
-
-const EdacLog &
-SlimPro::errorLog() const
-{
-    return platform_->chip().edac();
-}
-
-void
-SlimPro::clearErrorLog()
-{
-    platform_->chip().edac().clear();
 }
 
 SlimPro::SensorCache

@@ -38,17 +38,8 @@ class SlimPro
     /** Set one PMD's frequency. Same failure rules. */
     bool setPmdFrequency(PmdId pmd, MegaHertz mhz);
 
-    /** Set every PMD to @p mhz. */
-    bool setAllFrequencies(MegaHertz mhz);
-
     /** Current PMD domain voltage. */
     MilliVolt pmdVoltage() const;
-
-    /** Current PCP/SoC domain voltage. */
-    MilliVolt socVoltage() const;
-
-    /** Current frequency of @p pmd. */
-    MegaHertz pmdFrequency(PmdId pmd) const;
 
     /**
      * Package temperature sensor. Under an installed fault plan the
@@ -62,12 +53,6 @@ class SlimPro
      * the transaction fails (machine down or injected fault).
      */
     bool setFanTarget(Celsius target);
-
-    /** Error log access (the EDAC driver's data source). */
-    const EdacLog &errorLog() const;
-
-    /** Clear the error log (done between characterization runs). */
-    void clearErrorLog();
 
     /**
      * The temperature sensor's stale-read cache. A stale I2C read
@@ -106,8 +91,6 @@ class SlimPro
     mutable bool hasLastTemperature_ = false;
     mutable MilliVolt lastPmdVoltage_ = 0;
     mutable bool hasLastPmdVoltage_ = false;
-    mutable MilliVolt lastSocVoltage_ = 0;
-    mutable bool hasLastSocVoltage_ = false;
 };
 
 } // namespace vmargin::sim

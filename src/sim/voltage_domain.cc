@@ -36,16 +36,4 @@ VoltageDomain::set(MilliVolt mv)
     return true;
 }
 
-bool
-VoltageDomain::stepDown()
-{
-    return set(voltage_ - step_);
-}
-
-bool
-VoltageDomain::stepUp()
-{
-    return set(voltage_ + step_);
-}
-
 } // namespace vmargin::sim

@@ -57,12 +57,6 @@ class VoltageDomain
      */
     bool set(MilliVolt mv);
 
-    /** Step the output down once; false at the floor. */
-    bool stepDown();
-
-    /** Step the output up once; false at nominal. */
-    bool stepUp();
-
     /** Return to the nominal setpoint. */
     void reset() { voltage_ = nominal_; }
 

@@ -5,42 +5,6 @@
 namespace vmargin::sim
 {
 
-const char *
-watchdogContextName(WatchdogContext context)
-{
-    switch (context) {
-    case WatchdogContext::Poll:
-        return "poll";
-    case WatchdogContext::CampaignStart:
-        return "campaign-start";
-    case WatchdogContext::PreRunCheck:
-        return "pre-run-check";
-    case WatchdogContext::CampaignEnd:
-        return "campaign-end";
-    case WatchdogContext::DaemonRoundStart:
-        return "daemon-round-start";
-    case WatchdogContext::DaemonEnd:
-        return "daemon-end";
-    case WatchdogContext::RecoveryPoll:
-        return "recovery-poll";
-    case WatchdogContext::CanaryProbe:
-        return "canary-probe";
-    }
-    return "unknown";
-}
-
-const char *
-watchdogOutcomeName(WatchdogOutcome outcome)
-{
-    switch (outcome) {
-    case WatchdogOutcome::PowerCycled:
-        return "power-cycled";
-    case WatchdogOutcome::MissedCycle:
-        return "missed-cycle";
-    }
-    return "unknown";
-}
-
 Watchdog::Watchdog(Platform *platform) : platform_(platform)
 {
     if (!platform_)

@@ -165,43 +165,6 @@ dot(const Vector &a, const Vector &b)
     return sum;
 }
 
-double
-norm(const Vector &v)
-{
-    return std::sqrt(dot(v, v));
-}
-
-Vector
-subtract(const Vector &a, const Vector &b)
-{
-    if (a.size() != b.size())
-        panicf("subtract: size mismatch ", a.size(), " vs ", b.size());
-    Vector out(a.size());
-    for (size_t i = 0; i < a.size(); ++i)
-        out[i] = a[i] - b[i];
-    return out;
-}
-
-Vector
-add(const Vector &a, const Vector &b)
-{
-    if (a.size() != b.size())
-        panicf("add: size mismatch ", a.size(), " vs ", b.size());
-    Vector out(a.size());
-    for (size_t i = 0; i < a.size(); ++i)
-        out[i] = a[i] + b[i];
-    return out;
-}
-
-Vector
-scale(const Vector &v, double s)
-{
-    Vector out(v.size());
-    for (size_t i = 0; i < v.size(); ++i)
-        out[i] = v[i] * s;
-    return out;
-}
-
 Vector
 solveLinearSystem(Matrix a, Vector b)
 {

@@ -75,18 +75,6 @@ class Matrix
 /** Dot product; sizes must match. */
 double dot(const Vector &a, const Vector &b);
 
-/** Euclidean norm. */
-double norm(const Vector &v);
-
-/** a - b elementwise. */
-Vector subtract(const Vector &a, const Vector &b);
-
-/** a + b elementwise. */
-Vector add(const Vector &a, const Vector &b);
-
-/** v scaled by s. */
-Vector scale(const Vector &v, double s);
-
 /**
  * Solve the square system A x = b by Gaussian elimination with
  * partial pivoting. Panics if A is singular to working precision.

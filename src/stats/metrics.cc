@@ -71,36 +71,4 @@ rmse(const Vector &truth, const Vector &predicted)
     return std::sqrt(sum / static_cast<double>(truth.size()));
 }
 
-double
-meanAbsoluteError(const Vector &truth, const Vector &predicted)
-{
-    if (truth.size() != predicted.size() || truth.empty())
-        panicf("meanAbsoluteError: size mismatch ", truth.size(),
-               " vs ", predicted.size());
-    double sum = 0.0;
-    for (size_t i = 0; i < truth.size(); ++i)
-        sum += std::fabs(truth[i] - predicted[i]);
-    return sum / static_cast<double>(truth.size());
-}
-
-double
-pearson(const Vector &a, const Vector &b)
-{
-    if (a.size() != b.size() || a.empty())
-        panicf("pearson: size mismatch ", a.size(), " vs ", b.size());
-    const double mu_a = mean(a);
-    const double mu_b = mean(b);
-    double cov = 0.0;
-    double var_a = 0.0;
-    double var_b = 0.0;
-    for (size_t i = 0; i < a.size(); ++i) {
-        cov += (a[i] - mu_a) * (b[i] - mu_b);
-        var_a += (a[i] - mu_a) * (a[i] - mu_a);
-        var_b += (b[i] - mu_b) * (b[i] - mu_b);
-    }
-    if (var_a == 0.0 || var_b == 0.0)
-        return 0.0;
-    return cov / std::sqrt(var_a * var_b);
-}
-
 } // namespace vmargin::stats

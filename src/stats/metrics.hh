@@ -34,12 +34,6 @@ double r2Score(const Vector &truth, const Vector &predicted);
 /** Root mean square error between truth and prediction. */
 double rmse(const Vector &truth, const Vector &predicted);
 
-/** Mean absolute error. */
-double meanAbsoluteError(const Vector &truth, const Vector &predicted);
-
-/** Pearson correlation; 0 when either side is constant. */
-double pearson(const Vector &a, const Vector &b);
-
 } // namespace vmargin::stats
 
 #endif // VMARGIN_STATS_METRICS_HH

@@ -49,20 +49,4 @@ StandardScaler::fitTransform(const Matrix &x)
     return transform(x);
 }
 
-Vector
-StandardScaler::transformOne(const Vector &sample) const
-{
-    if (!trained_)
-        panicf("StandardScaler: transform before fit");
-    if (sample.size() != means_.size())
-        panicf("StandardScaler: sample has ", sample.size(),
-               " features, fitted ", means_.size());
-    Vector out(sample.size());
-    for (size_t c = 0; c < sample.size(); ++c)
-        out[c] = stddevs_[c] > 0.0
-                     ? (sample[c] - means_[c]) / stddevs_[c]
-                     : 0.0;
-    return out;
-}
-
 } // namespace vmargin::stats

@@ -32,9 +32,6 @@ class StandardScaler
     /** fit + transform in one call. */
     Matrix fitTransform(const Matrix &x);
 
-    /** Transform a single sample. */
-    Vector transformOne(const Vector &sample) const;
-
     const Vector &means() const { return means_; }
     const Vector &stddevs() const { return stddevs_; }
     bool trained() const { return trained_; }

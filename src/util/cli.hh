@@ -14,10 +14,14 @@
 #ifndef VMARGIN_UTIL_CLI_HH
 #define VMARGIN_UTIL_CLI_HH
 
+#include <limits>
 #include <map>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "logging.hh"
 
 namespace vmargin::util
 {
@@ -31,6 +35,24 @@ namespace vmargin::util
  * fails loudly instead of clamping.
  */
 long parseLong(const std::string &text, const std::string &context);
+
+/**
+ * @p value narrowed to the integer type T. Fatal — naming @p context,
+ * the value and T's range — when @p value does not fit T, so that a
+ * config key or CLI option never wraps silently (4294967297 is not
+ * an int 1, -1 is not a uint32_t 4294967295).
+ */
+template <typename T>
+T
+narrowInt(long value, const std::string &context)
+{
+    if (!std::in_range<T>(value))
+        fatalError(concat(context, ": ", value,
+                          " is out of range [",
+                          +std::numeric_limits<T>::min(), ", ",
+                          +std::numeric_limits<T>::max(), "]"));
+    return static_cast<T>(value);
+}
 
 /**
  * Parse the whole of @p text as a floating-point number. Fatal —

@@ -73,29 +73,6 @@ ConfigFile::getInt(const std::string &key, long fallback) const
                      concat("config key '", key, "'"));
 }
 
-double
-ConfigFile::getDouble(const std::string &key, double fallback) const
-{
-    if (!has(key))
-        return fallback;
-    return parseDouble(values_.at(key),
-                       concat("config key '", key, "'"));
-}
-
-bool
-ConfigFile::getBool(const std::string &key, bool fallback) const
-{
-    if (!has(key))
-        return fallback;
-    const std::string value = toLower(values_.at(key));
-    if (value == "true" || value == "1" || value == "yes")
-        return true;
-    if (value == "false" || value == "0" || value == "no")
-        return false;
-    fatalError(concat("config key '", key, "': '", value,
-                      "' is not a boolean"));
-}
-
 std::vector<std::string>
 ConfigFile::getList(const std::string &key) const
 {

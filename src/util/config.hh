@@ -43,12 +43,6 @@ class ConfigFile
     /** Integer value; fatal on parse failure. */
     long getInt(const std::string &key, long fallback) const;
 
-    /** Double value; fatal on parse failure. */
-    double getDouble(const std::string &key, double fallback) const;
-
-    /** Boolean: true/false/1/0/yes/no; fatal otherwise. */
-    bool getBool(const std::string &key, bool fallback) const;
-
     /** Comma-separated list value, trimmed per element. */
     std::vector<std::string>
     getList(const std::string &key) const;

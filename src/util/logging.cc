@@ -11,16 +11,12 @@ namespace
 LogLevel gLevel = LogLevel::Warn;
 } // namespace
 
-void
+LogLevel
 setLogLevel(LogLevel level)
 {
+    const LogLevel previous = gLevel;
     gLevel = level;
-}
-
-LogLevel
-logLevel()
-{
-    return gLevel;
+    return previous;
 }
 
 void

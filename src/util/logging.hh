@@ -29,11 +29,9 @@ enum class LogLevel
     Info    ///< show warnings and informational messages
 };
 
-/** Set the process-wide log level. Thread-unsafe by design. */
-void setLogLevel(LogLevel level);
-
-/** Current process-wide log level. */
-LogLevel logLevel();
+/** Set the process-wide log level and return the previous one.
+ *  Thread-unsafe by design. */
+LogLevel setLogLevel(LogLevel level);
 
 /**
  * Abort with a message; call for internal invariant violations.
@@ -73,13 +71,6 @@ void
 warnf(Args &&...args)
 {
     warn(concat(std::forward<Args>(args)...));
-}
-
-template <typename... Args>
-void
-informf(Args &&...args)
-{
-    inform(concat(std::forward<Args>(args)...));
 }
 
 template <typename... Args>

@@ -1,6 +1,5 @@
 #include "rng.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "logging.hh"
@@ -99,31 +98,6 @@ Rng::poisson(double mean)
     // Normal approximation with continuity correction.
     const double sample = gaussian(mean, std::sqrt(mean));
     return sample <= 0.0 ? 0 : static_cast<uint64_t>(sample + 0.5);
-}
-
-uint64_t
-Rng::binomial(uint64_t n, double p)
-{
-    const double clamped = std::clamp(p, 0.0, 1.0);
-    if (n == 0 || clamped == 0.0)
-        return 0;
-    if (clamped == 1.0)
-        return n;
-    const double np = static_cast<double>(n) * clamped;
-    if (n <= 128) {
-        uint64_t successes = 0;
-        for (uint64_t i = 0; i < n; ++i)
-            successes += bernoulli(clamped) ? 1 : 0;
-        return successes;
-    }
-    if (np < 32.0)
-        return std::min<uint64_t>(n, poisson(np));
-    // Normal approximation.
-    const double var = np * (1.0 - clamped);
-    const double sample = gaussian(np, std::sqrt(var));
-    if (sample <= 0.0)
-        return 0;
-    return std::min<uint64_t>(n, static_cast<uint64_t>(sample + 0.5));
 }
 
 double

@@ -82,13 +82,6 @@ class Rng
      */
     uint64_t poisson(double mean);
 
-    /**
-     * Binomial deviate: number of successes in n trials of
-     * probability p. Exact sampling for small n, Poisson/normal
-     * approximations for large n with small/large n*p.
-     */
-    uint64_t binomial(uint64_t n, double p);
-
     /** Exponential deviate with the given rate (lambda > 0). */
     double exponential(double rate);
 

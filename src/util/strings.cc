@@ -49,14 +49,6 @@ startsWith(const std::string &text, const std::string &prefix)
            text.compare(0, prefix.size(), prefix) == 0;
 }
 
-bool
-endsWith(const std::string &text, const std::string &suffix)
-{
-    return text.size() >= suffix.size() &&
-           text.compare(text.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
-}
-
 std::string
 toLower(const std::string &text)
 {

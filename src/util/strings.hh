@@ -22,9 +22,6 @@ std::string trim(const std::string &text);
 /** True if @p text begins with @p prefix. */
 bool startsWith(const std::string &text, const std::string &prefix);
 
-/** True if @p text ends with @p suffix. */
-bool endsWith(const std::string &text, const std::string &suffix);
-
 /** Lower-case copy (ASCII only). */
 std::string toLower(const std::string &text);
 

@@ -35,19 +35,6 @@ TablePrinter::addRow(std::vector<std::string> cells)
 }
 
 void
-TablePrinter::addNumericRow(const std::string &label,
-                            const std::vector<double> &values,
-                            int precision)
-{
-    std::vector<std::string> cells;
-    cells.reserve(values.size() + 1);
-    cells.push_back(label);
-    for (double value : values)
-        cells.push_back(formatDouble(value, precision));
-    addRow(std::move(cells));
-}
-
-void
 TablePrinter::print(std::ostream &out) const
 {
     std::vector<size_t> widths(columns_.size(), 0);

@@ -40,15 +40,8 @@ class TablePrinter
     /** Append one data row; must match the column count. */
     void addRow(std::vector<std::string> cells);
 
-    /** Convenience: numeric row, formatted at @p precision. */
-    void addNumericRow(const std::string &label,
-                       const std::vector<double> &values, int precision);
-
     /** Render the full table (header, rule, rows). */
     void print(std::ostream &out) const;
-
-    /** Number of data rows. */
-    size_t rowCount() const { return rows_.size(); }
 
   private:
     std::vector<std::string> columns_;

@@ -227,19 +227,4 @@ findWorkload(const std::string &id)
                      "' (try e.g. bwaves or gcc/166)");
 }
 
-std::vector<std::string>
-benchmarkNames()
-{
-    std::vector<std::string> names;
-    for (const auto &p : fullSuite()) {
-        bool seen = false;
-        for (const auto &n : names)
-            if (n == p.name)
-                seen = true;
-        if (!seen)
-            names.push_back(p.name);
-    }
-    return names;
-}
-
 } // namespace vmargin::wl

@@ -42,9 +42,6 @@ std::vector<WorkloadProfile> fullSuite();
  */
 WorkloadProfile findWorkload(const std::string &id);
 
-/** Names (no datasets) of every benchmark in the full suite. */
-std::vector<std::string> benchmarkNames();
-
 } // namespace vmargin::wl
 
 #endif // VMARGIN_WORKLOADS_SPEC_HH

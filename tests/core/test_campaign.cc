@@ -150,8 +150,9 @@ TEST_F(CampaignTest, RawLogParsesToSameRuns)
 TEST_F(CampaignTest, FatalOnBadConfig)
 {
     auto cfg = config("mcf/ref", 9, 900, 870);
+    // The fatal names the core and the chip's core count.
     EXPECT_EXIT(runner_.run(cfg), ::testing::ExitedWithCode(1),
-                "core out of range");
+                "campaign: core 9 is out of range .* has 8 cores");
 }
 
 } // namespace

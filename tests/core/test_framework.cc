@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/framework.hh"
+#include "util/config.hh"
 #include "util/csv.hh"
 #include "workloads/spec.hh"
 
@@ -136,6 +137,28 @@ TEST_F(FrameworkTest, ValidationRefusesARepeatedCore)
     bad.cores = {0, 4, 2, 4};
     EXPECT_EXIT(bad.validate(), ::testing::ExitedWithCode(1),
                 "core 4 is listed twice");
+}
+
+TEST_F(FrameworkTest, ConfigRefusesOutOfRangeIntegers)
+{
+    // Each value parses as a long but does not fit its field: a
+    // silent cast would run 1 campaign, measure core 0, or trim at
+    // 4294967295 epochs.
+    const auto load = [](const std::string &text) {
+        FrameworkConfig::fromConfig(util::ConfigFile::fromText(text));
+    };
+    EXPECT_EXIT(load("campaigns = 4294967297\n"),
+                ::testing::ExitedWithCode(1),
+                "config key 'campaigns': 4294967297 is out of range");
+    EXPECT_EXIT(load("cores = 0, 4294967296\n"),
+                ::testing::ExitedWithCode(1),
+                "config key 'cores': 4294967296 is out of range");
+    EXPECT_EXIT(load("max_epochs = -1\n"),
+                ::testing::ExitedWithCode(1),
+                "config key 'max_epochs': -1 is out of range");
+    EXPECT_EXIT(load("start_mv = -2147483649\n"),
+                ::testing::ExitedWithCode(1),
+                "config key 'start_mv': -2147483649 is out of range");
 }
 
 TEST_F(FrameworkTest, HalfSpeedShowsUniform760Vmin)

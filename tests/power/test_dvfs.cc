@@ -38,26 +38,5 @@ TEST(VoltageSweep, DeathOnBadArgs)
     EXPECT_DEATH(voltageSweep(980, 900, 0), "positive");
 }
 
-TEST(FrequencyLadder, FullGrid)
-{
-    const auto ladder = frequencyLadder(sim::XGene2Params{});
-    EXPECT_EQ(ladder.size(), 8u);
-    EXPECT_EQ(ladder.front(), 2400);
-    EXPECT_EQ(ladder.back(), 300);
-}
-
-TEST(OperatingGrid, SizeAndBounds)
-{
-    const auto grid = operatingGrid(sim::XGene2Params{}, 960);
-    // 5 voltages x 8 frequencies.
-    EXPECT_EQ(grid.size(), 40u);
-    for (const auto &point : grid) {
-        EXPECT_GE(point.voltage, 960);
-        EXPECT_LE(point.voltage, 980);
-        EXPECT_GE(point.frequency, 300);
-        EXPECT_LE(point.frequency, 2400);
-    }
-}
-
 } // namespace
 } // namespace vmargin::power

@@ -71,10 +71,10 @@ TEST(PowerModel, PackageWithinTdp)
     // Fully loaded nominal chip: inside the 35 W TDP but not
     // implausibly low.
     const PowerModel model;
-    std::vector<CoreOperatingPoint> cores(8, nominalPoint());
-    for (auto &op : cores)
-        op.activity = 0.75;
-    const Watt package = model.packagePower(cores, 950, 43.0, 1.0);
+    CoreOperatingPoint loaded = nominalPoint();
+    loaded.activity = 0.75;
+    const Watt package =
+        model.socPower(950, 43.0, 1.0) + 8 * model.corePower(loaded);
     EXPECT_LT(package, 35.0);
     EXPECT_GT(package, 20.0);
 }
@@ -82,7 +82,7 @@ TEST(PowerModel, PackageWithinTdp)
 TEST(PowerModel, SocPowerPresentWhenCoresIdle)
 {
     const PowerModel model;
-    const Watt package = model.packagePower({}, 950, 43.0, 1.0);
+    const Watt package = model.socPower(950, 43.0, 1.0);
     EXPECT_GT(package, 3.0);
     EXPECT_LT(package, 8.0);
 }

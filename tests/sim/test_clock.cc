@@ -52,28 +52,12 @@ TEST(Clock, SpeedClassBoundary)
     EXPECT_EQ(clock.speedClassOf(300), SpeedClass::Half);
 }
 
-TEST(Clock, RelativePerformance)
-{
-    ClockController clock{XGene2Params{}};
-    EXPECT_DOUBLE_EQ(clock.relativePerformance(), 1.0);
-    clock.set(1200);
-    EXPECT_DOUBLE_EQ(clock.relativePerformance(), 0.5);
-    clock.set(300);
-    EXPECT_DOUBLE_EQ(clock.relativePerformance(), 0.125);
-}
-
 TEST(Clock, Reset)
 {
     ClockController clock{XGene2Params{}};
     clock.set(300);
     clock.reset();
     EXPECT_EQ(clock.frequency(), 2400);
-}
-
-TEST(Clock, SpeedClassNames)
-{
-    EXPECT_EQ(speedClassName(SpeedClass::Full), "full");
-    EXPECT_EQ(speedClassName(SpeedClass::Half), "half");
 }
 
 } // namespace

@@ -53,26 +53,6 @@ TEST(VoltageDomain, RejectsBelowFloor)
     EXPECT_TRUE(domain.set(500));
 }
 
-TEST(VoltageDomain, StepDownToFloor)
-{
-    VoltageDomain domain("test", 510, 5, 500);
-    EXPECT_TRUE(domain.stepDown());
-    EXPECT_TRUE(domain.stepDown());
-    EXPECT_EQ(domain.voltage(), 500);
-    EXPECT_FALSE(domain.stepDown());
-    EXPECT_EQ(domain.voltage(), 500);
-}
-
-TEST(VoltageDomain, StepUpToNominal)
-{
-    auto domain = pmdDomain();
-    domain.set(970);
-    EXPECT_TRUE(domain.stepUp());
-    EXPECT_TRUE(domain.stepUp());
-    EXPECT_FALSE(domain.stepUp());
-    EXPECT_EQ(domain.voltage(), 980);
-}
-
 TEST(VoltageDomain, Reset)
 {
     auto domain = pmdDomain();

@@ -110,15 +110,10 @@ TEST(Matrix, InterceptColumn)
     EXPECT_DOUBLE_EQ(d(0, 1), 2.0);
 }
 
-TEST(VectorOps, DotNormAddSubScale)
+TEST(VectorOps, Dot)
 {
-    const Vector a{3, 4};
-    const Vector b{1, 2};
-    EXPECT_DOUBLE_EQ(dot(a, b), 11.0);
-    EXPECT_DOUBLE_EQ(norm(a), 5.0);
-    EXPECT_EQ(add(a, b), (Vector{4, 6}));
-    EXPECT_EQ(subtract(a, b), (Vector{2, 2}));
-    EXPECT_EQ(scale(a, 2.0), (Vector{6, 8}));
+    EXPECT_DOUBLE_EQ(dot({3, 4}, {1, 2}), 11.0);
+    EXPECT_DEATH(dot({1}, {1, 2}), "size mismatch");
 }
 
 TEST(Solve, KnownSystem)
@@ -208,14 +203,20 @@ TEST(LeastSquares, MinimizesResidual)
             a(i, j) = rng.uniform(-1, 1);
         b[i] = rng.uniform(-1, 1);
     }
+    const auto residual = [&](const Vector &x) {
+        Vector r = a.multiply(x);
+        for (size_t i = 0; i < r.size(); ++i)
+            r[i] -= b[i];
+        return std::sqrt(dot(r, r));
+    };
     const Vector x = leastSquares(a, b);
-    const double base = norm(subtract(a.multiply(x), b));
+    const double base = residual(x);
     // Any perturbation of the solution must not reduce the residual.
     for (size_t j = 0; j < 3; ++j) {
         for (double eps : {-1e-3, 1e-3}) {
             Vector y = x;
             y[j] += eps;
-            EXPECT_GE(norm(subtract(a.multiply(y), b)) + 1e-12, base);
+            EXPECT_GE(residual(y) + 1e-12, base);
         }
     }
 }

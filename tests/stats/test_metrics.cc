@@ -55,22 +55,6 @@ TEST(Rmse, KnownValue)
     EXPECT_DOUBLE_EQ(rmse({1, 2}, {1, 2}), 0.0);
 }
 
-TEST(Mae, KnownValue)
-{
-    EXPECT_DOUBLE_EQ(meanAbsoluteError({0, 0}, {3, -4}), 3.5);
-}
-
-TEST(Pearson, PerfectCorrelation)
-{
-    EXPECT_NEAR(pearson({1, 2, 3}, {2, 4, 6}), 1.0, 1e-12);
-    EXPECT_NEAR(pearson({1, 2, 3}, {6, 4, 2}), -1.0, 1e-12);
-}
-
-TEST(Pearson, ConstantSideIsZero)
-{
-    EXPECT_DOUBLE_EQ(pearson({1, 1, 1}, {1, 2, 3}), 0.0);
-}
-
 TEST(Metrics, DeathOnSizeMismatch)
 {
     EXPECT_DEATH(r2Score({1, 2}, {1}), "size mismatch");

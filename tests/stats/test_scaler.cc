@@ -44,16 +44,6 @@ TEST(Scaler, TransformUsesTrainingStatistics)
     EXPECT_NEAR(out(0, 0), 3.0, 1e-12);
 }
 
-TEST(Scaler, TransformOne)
-{
-    const Matrix train = Matrix::fromRows({{0.0, 1.0}, {10.0, 3.0}});
-    StandardScaler scaler;
-    scaler.fit(train);
-    const Vector out = scaler.transformOne({5.0, 2.0});
-    EXPECT_NEAR(out[0], 0.0, 1e-12);
-    EXPECT_NEAR(out[1], 0.0, 1e-12);
-}
-
 TEST(Scaler, ExposesMoments)
 {
     const Matrix train = Matrix::fromRows({{0.0}, {10.0}});

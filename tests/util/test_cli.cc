@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "util/cli.hh"
@@ -297,6 +298,24 @@ TEST(ParseDeath, ParseDoubleRejectsGarbageAndOverflow)
     EXPECT_EXIT((void)parseDouble("-1e999", "ctx"),
                 ::testing::ExitedWithCode(1),
                 "overflows a double");
+}
+
+TEST(Parse, NarrowIntKeepsInRangeValues)
+{
+    EXPECT_EQ(narrowInt<int>(-2147483648L, "t"), INT32_MIN);
+    EXPECT_EQ(narrowInt<uint32_t>(4294967295L, "t"), UINT32_MAX);
+    EXPECT_EQ(narrowInt<uint32_t>(0, "t"), 0u);
+}
+
+TEST(ParseDeath, NarrowIntRefusesValuesOutsideTheType)
+{
+    EXPECT_EXIT((void)narrowInt<int>(4294967297L, "ctx"),
+                ::testing::ExitedWithCode(1),
+                "ctx: 4294967297 is out of range "
+                "\\[-2147483648, 2147483647\\]");
+    EXPECT_EXIT((void)narrowInt<uint32_t>(-1, "ctx"),
+                ::testing::ExitedWithCode(1),
+                "ctx: -1 is out of range \\[0, 4294967295\\]");
 }
 
 } // namespace

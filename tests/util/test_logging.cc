@@ -17,7 +17,7 @@ namespace
 class LevelGuard
 {
   public:
-    LevelGuard() : saved_(logLevel()) {}
+    LevelGuard() : saved_(setLogLevel(LogLevel::Warn)) {}
     ~LevelGuard() { setLogLevel(saved_); }
 
   private:
@@ -27,10 +27,9 @@ class LevelGuard
 TEST(Logging, LevelRoundTrip)
 {
     LevelGuard guard;
-    setLogLevel(LogLevel::Silent);
-    EXPECT_EQ(logLevel(), LogLevel::Silent);
-    setLogLevel(LogLevel::Info);
-    EXPECT_EQ(logLevel(), LogLevel::Info);
+    EXPECT_EQ(setLogLevel(LogLevel::Silent), LogLevel::Warn);
+    EXPECT_EQ(setLogLevel(LogLevel::Info), LogLevel::Silent);
+    EXPECT_EQ(setLogLevel(LogLevel::Warn), LogLevel::Info);
 }
 
 TEST(Logging, WarnRespectsSilentLevel)
@@ -63,7 +62,7 @@ TEST(Logging, InformOnlyAtInfoLevel)
 
     setLogLevel(LogLevel::Info);
     ::testing::internal::CaptureStdout();
-    informf("chip ", "TTT");
+    inform(concat("chip ", "TTT"));
     EXPECT_NE(::testing::internal::GetCapturedStdout().find(
                   "info: chip TTT"),
               std::string::npos);

@@ -181,34 +181,6 @@ TEST(Rng, PoissonLargeMeanUsesApproximation)
     EXPECT_NEAR(sum / n, 200.0, 2.0);
 }
 
-TEST(Rng, BinomialEdges)
-{
-    Rng rng(23);
-    EXPECT_EQ(rng.binomial(0, 0.5), 0u);
-    EXPECT_EQ(rng.binomial(10, 0.0), 0u);
-    EXPECT_EQ(rng.binomial(10, 1.0), 10u);
-}
-
-TEST(Rng, BinomialSmallN)
-{
-    Rng rng(23);
-    double sum = 0.0;
-    const int n = 50000;
-    for (int i = 0; i < n; ++i) {
-        const uint64_t v = rng.binomial(20, 0.25);
-        EXPECT_LE(v, 20u);
-        sum += static_cast<double>(v);
-    }
-    EXPECT_NEAR(sum / n, 5.0, 0.1);
-}
-
-TEST(Rng, BinomialLargeNBounded)
-{
-    Rng rng(23);
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_LE(rng.binomial(100000, 0.9), 100000u);
-}
-
 TEST(Rng, ExponentialMean)
 {
     Rng rng(29);

@@ -28,24 +28,6 @@ TEST(Table, AlignsColumns)
     EXPECT_NE(out.find("---"), std::string::npos);
 }
 
-TEST(Table, NumericRowFormatting)
-{
-    TablePrinter table({"bench", "savings"});
-    table.addNumericRow("leslie3d", {19.4321}, 1);
-    std::ostringstream os;
-    table.print(os);
-    EXPECT_NE(os.str().find("19.4"), std::string::npos);
-    EXPECT_EQ(os.str().find("19.43"), std::string::npos);
-}
-
-TEST(Table, RowCount)
-{
-    TablePrinter table({"a"});
-    EXPECT_EQ(table.rowCount(), 0u);
-    table.addRow({"x"});
-    EXPECT_EQ(table.rowCount(), 1u);
-}
-
 TEST(Table, LeftAlignment)
 {
     TablePrinter table({"name", "v"});

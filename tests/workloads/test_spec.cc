@@ -79,7 +79,10 @@ TEST(Spec, FindWorkloadUnknownIsFatal)
 
 TEST(Spec, BenchmarkNamesMatchSuite)
 {
-    const auto names = benchmarkNames();
+    // 26 benchmarks; some run more than one dataset.
+    std::set<std::string> names;
+    for (const auto &p : fullSuite())
+        names.insert(p.name);
     EXPECT_EQ(names.size(), 26u);
 }
 
