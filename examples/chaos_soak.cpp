@@ -147,9 +147,10 @@ main(int argc, char **argv)
     if (!cli.parse(argc, argv))
         return 1;
 
-    const int rounds = static_cast<int>(cli.intValue("rounds"));
+    const int rounds = util::narrowInt<int>(
+        cli.intValue("rounds"), "--rounds");
     const double tolerance = cli.doubleValue("tolerance");
-    const Seed seed = static_cast<Seed>(cli.intValue("seed"));
+    const Seed seed = util::narrowInt<Seed>(cli.intValue("seed"), "--seed");
 
     // Offline phase on a clean platform; the soak sessions each run
     // on their own faulted replica of the same chip.

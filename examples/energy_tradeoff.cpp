@@ -55,7 +55,8 @@ main(int argc, char **argv)
                          [&](const auto &w) { return w.id() == id; }))
             config.workloads.push_back(wl::findWorkload(id));
     config.cores = {0, 1, 2, 3, 4, 5, 6, 7};
-    config.campaigns = static_cast<int>(cli.intValue("campaigns"));
+    config.campaigns = util::narrowInt<int>(
+        cli.intValue("campaigns"), "--campaigns");
     config.startVoltage = 930;
     config.endVoltage = 840;
 

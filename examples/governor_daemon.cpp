@@ -71,7 +71,7 @@ main(int argc, char **argv)
     governor_config.severityTolerance =
         cli.doubleValue("tolerance");
     governor_config.guardSteps =
-        static_cast<int>(cli.intValue("guard"));
+        util::narrowInt<int>(cli.intValue("guard"), "--guard");
     sched::VoltageGovernor governor(governor_config);
     for (CoreId core : cores) {
         const auto dataset =
@@ -92,7 +92,8 @@ main(int argc, char **argv)
         {"namd/ref", 4},
         {"mcf/ref", 6},
     };
-    const int rounds = static_cast<int>(cli.intValue("rounds"));
+    const int rounds = util::narrowInt<int>(
+        cli.intValue("rounds"), "--rounds");
     std::cout << "online: running " << rounds
               << " scheduling rounds...\n\n";
     sched::DaemonOptions options;

@@ -35,7 +35,7 @@ main(int argc, char **argv)
     if (!cli.parse(argc, argv))
         return 1;
 
-    const auto core = static_cast<CoreId>(cli.intValue("core"));
+    const auto core = util::narrowInt<CoreId>(cli.intValue("core"), "--core");
     sim::Platform platform(sim::XGene2Params{},
                            sim::cornerFromName(cli.value("chip")),
                            1);
@@ -46,7 +46,8 @@ main(int argc, char **argv)
     FrameworkConfig config;
     config.workloads = workloads;
     config.cores = {core};
-    config.campaigns = static_cast<int>(cli.intValue("campaigns"));
+    config.campaigns = util::narrowInt<int>(
+        cli.intValue("campaigns"), "--campaigns");
     config.startVoltage = 930;
     config.endVoltage = 830;
     std::cout << "phase 1: characterizing " << workloads.size()
@@ -63,7 +64,7 @@ main(int argc, char **argv)
     const auto dataset = buildSeverityDataset(profiles, report, core);
     EvaluationConfig eval_config;
     eval_config.keepFeatures =
-        static_cast<size_t>(cli.intValue("keep"));
+        util::narrowInt<size_t>(cli.intValue("keep"), "--keep");
     std::cout << "phase 3/4: " << dataset.y.size()
               << " unsafe-region samples, RFE to "
               << eval_config.keepFeatures << " features, 80/20 "

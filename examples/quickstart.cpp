@@ -47,7 +47,7 @@ main(int argc, char **argv)
     }
 
     const auto workload = wl::findWorkload(cli.value("workload"));
-    const auto core = static_cast<CoreId>(cli.intValue("core"));
+    const auto core = util::narrowInt<CoreId>(cli.intValue("core"), "--core");
     const auto corner = sim::cornerFromName(cli.value("chip"));
 
     // A platform is one micro-server around one fabricated chip.
@@ -62,8 +62,10 @@ main(int argc, char **argv)
         for (CoreId c = 0; c < 8; ++c)
             config.cores.push_back(c);
     }
-    config.campaigns = static_cast<int>(cli.intValue("campaigns"));
-    config.workers = static_cast<int>(cli.intValue("workers"));
+    config.campaigns = util::narrowInt<int>(
+        cli.intValue("campaigns"), "--campaigns");
+    config.workers = util::narrowInt<int>(
+        cli.intValue("workers"), "--workers");
     config.startVoltage = 930;
     config.endVoltage = 830;
 

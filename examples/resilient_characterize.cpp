@@ -56,7 +56,7 @@ main(int argc, char **argv)
 
     const auto corner = sim::cornerFromName(cli.value("chip"));
     const auto serial =
-        static_cast<uint32_t>(cli.intValue("serial"));
+        util::narrowInt<uint32_t>(cli.intValue("serial"), "--serial");
 
     sim::FaultPlanConfig faults;
     faults.i2cWriteFailure = cli.doubleValue("i2c-fail");
@@ -64,7 +64,7 @@ main(int argc, char **argv)
     faults.managementHang = cli.doubleValue("hang");
     faults.staleRead = cli.doubleValue("stale");
     faults.seed =
-        static_cast<Seed>(cli.intValue("fault-seed"));
+        util::narrowInt<Seed>(cli.intValue("fault-seed"), "--fault-seed");
     faults.validate();
 
     FrameworkConfig config;
@@ -72,9 +72,10 @@ main(int argc, char **argv)
                         wl::findWorkload("leslie3d/ref")};
     config.cores.clear();
     for (const auto &token : util::split(cli.value("cores"), ','))
-        config.cores.push_back(static_cast<CoreId>(
-            util::parseLong(util::trim(token), "--cores")));
-    config.campaigns = static_cast<int>(cli.intValue("campaigns"));
+        config.cores.push_back(util::narrowInt<CoreId>(
+            util::parseLong(util::trim(token), "--cores"), "--cores"));
+    config.campaigns = util::narrowInt<int>(
+        cli.intValue("campaigns"), "--campaigns");
     config.maxEpochs = 8;
     config.startVoltage = 930;
     config.endVoltage = 850;
@@ -92,8 +93,8 @@ main(int argc, char **argv)
     // fresh platform object — as if the driving process had been
     // killed and restarted — and only the journal carries state.
     config.journalPath = cli.value("journal");
-    config.cellBudget =
-        static_cast<int>(cli.intValue("cells-per-session"));
+    config.cellBudget = util::narrowInt<int>(
+        cli.intValue("cells-per-session"), "--cells-per-session");
     std::remove(config.journalPath.c_str());
 
     // Cells a session served from the journal: the delta of the

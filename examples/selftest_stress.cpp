@@ -31,7 +31,7 @@ main(int argc, char **argv)
     if (!cli.parse(argc, argv))
         return 1;
 
-    const auto core = static_cast<CoreId>(cli.intValue("core"));
+    const auto core = util::narrowInt<CoreId>(cli.intValue("core"), "--core");
     sim::Platform platform(sim::XGene2Params{},
                            sim::cornerFromName(cli.value("chip")),
                            1);
@@ -40,7 +40,8 @@ main(int argc, char **argv)
     FrameworkConfig config;
     config.workloads = wl::selfTestSuite();
     config.cores = {core};
-    config.campaigns = static_cast<int>(cli.intValue("campaigns"));
+    config.campaigns = util::narrowInt<int>(
+        cli.intValue("campaigns"), "--campaigns");
     config.startVoltage = 950;
     config.endVoltage = 780; // cache arrays die far below the rest
 

@@ -55,24 +55,21 @@ namespace
 {
 
 /** The one merge body. @p Cell is `const CellMeasurement` (runs are
- *  copied into the report) or `CellMeasurement` (runs are moved). */
+ *  copied into the report) or `CellMeasurement` (runs are moved).
+ *  Returns false when the cell was lost: every run fell to the
+ *  management plane, so only its telemetry was accounted. */
 template <typename Cell>
-void
+bool
 mergeCell(CharacterizationReport &report, LedgerView &view, Cell &cell)
 {
-    if (cell.runs.empty()) {
-        // Extreme hostility can lose a whole cell to the
-        // management plane. Degrade: account the loss, omit
-        // the cell, keep sweeping. (The empty cell was
-        // journaled, so a resume will not redo it.)
-        util::warnf("characterize: every run of ", cell.workloadId,
-                    " on core ", cell.core,
-                    " was lost to management faults; "
-                    "cell omitted from the report");
-        report.watchdogInterventions += cell.watchdogInterventions;
-        report.telemetry.merge(cell.telemetry);
-        return;
-    }
+    report.watchdogInterventions += cell.watchdogInterventions;
+    report.telemetry.merge(cell.telemetry);
+    // Extreme hostility can lose a whole cell to the management
+    // plane. Degrade: account the loss, omit the cell, keep
+    // sweeping. (The empty cell was journaled, so a resume will not
+    // redo it.)
+    if (cell.runs.empty())
+        return false;
 
     view.addAll(cell.runs);
     report.totalRuns += cell.runs.size();
@@ -80,8 +77,16 @@ mergeCell(CharacterizationReport &report, LedgerView &view, Cell &cell)
     report.allRuns.insert(report.allRuns.end(),
                           std::make_move_iterator(cell.runs.begin()),
                           std::make_move_iterator(cell.runs.end()));
-    report.watchdogInterventions += cell.watchdogInterventions;
-    report.telemetry.merge(cell.telemetry);
+    return true;
+}
+
+void
+warnLostCell(const std::string &workload_id, CoreId core)
+{
+    util::warnf("characterize: every run of ", workload_id, " on core ",
+                core,
+                " was lost to management faults; "
+                "cell omitted from the report");
 }
 
 } // namespace
@@ -90,14 +95,16 @@ void
 mergeCellIntoReport(CharacterizationReport &report, LedgerView &view,
                     const CellMeasurement &cell)
 {
-    mergeCell(report, view, cell);
+    if (!mergeCell(report, view, cell))
+        warnLostCell(cell.workloadId, cell.core);
 }
 
 void
 mergeCellIntoReport(CharacterizationReport &report, LedgerView &view,
                     CellMeasurement &&cell)
 {
-    mergeCell(report, view, cell);
+    if (!mergeCell(report, view, cell))
+        warnLostCell(cell.workloadId, cell.core);
 }
 
 namespace
@@ -122,6 +129,9 @@ struct PlanEntry
     /** A replayed cell's run count, so the merge can size its
      *  report before taking the cell. */
     size_t servedRuns = 0;
+
+    /** Set by the merge when every run of the cell was lost. */
+    bool lost = false;
 };
 
 /** The executor's telemetry handles, fetched once per sweep. */
@@ -152,6 +162,19 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
              const std::string &journal_header,
              const ChipRef &implicit_chip)
 {
+    // A core outside a chip would be refused per cell, from a worker
+    // thread, once the pool and replicas are up: refuse it first.
+    for (const sim::Platform *prototype : prototypes) {
+        const int cores = prototype->chip().params().numCores;
+        for (const CoreId core : config.cores)
+            if (core < 0 || core >= cores)
+                util::fatalError(util::concat(
+                    "characterize: core ", core,
+                    " is out of range (chip ",
+                    prototype->chip().name(), " has ", cores,
+                    " cores, 0..", cores - 1, ")"));
+    }
+
     ExecutorStats stats;
     // The sink (when enabled) is strictly out-of-band: it reads the
     // registry at deterministic boundaries and never feeds anything
@@ -251,7 +274,9 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
     // one-worker journal has one cell order. The task stays on the
     // pool's thread: on the caller's thread (glibc's main arena) the
     // per-cell replicas took ~3x the minor page faults and a
-    // one-worker sweep ~15% more wall time.
+    // one-worker sweep ~15% more wall time. The pool lives on
+    // through the merge.
+    util::ThreadPool pool(config.workers);
     {
         obs::ScopedSpan executing(stats.executeSpan);
         const auto measure = [&](PlanEntry &e) {
@@ -266,7 +291,6 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
             if (cache)
                 cache->put(config_hashes[e.chip], e.measured);
         };
-        util::ThreadPool pool(config.workers);
         if (pool.workerCount() == 1) {
             pool.submit([&] {
                 for (PlanEntry &entry : plan)
@@ -299,51 +323,75 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
     // byte-identical for any worker count. Each run is moved into
     // its report: fresh cells out of the plan, replayed cells out of
     // the journal (destroyed right after); cache-served cells are
-    // copied.
+    // copied. A chip's report is a pure function of its slice of the
+    // plan, so with several chips and workers each chip merges and
+    // derives as one pool task, deriving on its share of the
+    // workers. Concurrent takes and finds are safe: the ledger
+    // lookups hold the ledger's lock, and a cache-served entry's
+    // lookup writes only that entry.
     std::vector<CharacterizationReport> reports(prototypes.size());
+    const size_t chip_cells =
+        config.workloads.size() * config.cores.size();
+    const auto mergeChip = [&](size_t chip, int derive_workers) {
+        CharacterizationReport &report = reports[chip];
+        report.chipName = prototypes[chip]->chip().name();
+        report.corner = prototypes[chip]->chip().corner();
+        report.frequency = config.frequency;
+        report.complete = complete;
+        LedgerView view(config.weights);
+        const ChipRef chip_ref = chipRefOf(*prototypes[chip]);
+        // The plan is chip-major; the budget only cuts its tail.
+        const size_t begin = std::min(chip * chip_cells, plan.size());
+        const size_t end = std::min(begin + chip_cells, plan.size());
+        size_t runs = 0;
+        for (size_t i = begin; i < end; ++i)
+            runs += plan[i].source == Source::Fresh
+                        ? plan[i].measured.runs.size()
+                        : plan[i].servedRuns;
+        report.allRuns.reserve(runs);
+        for (size_t i = begin; i < end; ++i) {
+            PlanEntry &entry = plan[i];
+            switch (entry.source) {
+            case Source::Fresh:
+                entry.lost = !mergeCell(report, view, entry.measured);
+                break;
+            case Source::Journal: {
+                // The plan found the cell and holds no repeats.
+                CellMeasurement cell =
+                    journal
+                        ->take(chip_ref, entry.workload->id(), entry.core)
+                        .value();
+                entry.lost = !mergeCell(report, view, cell);
+                break;
+            }
+            case Source::Cache:
+                entry.lost = !mergeCell(report, view, *lookup(entry));
+                break;
+            }
+        }
+        view.deriveAll(derive_workers);
+        report.cells = view.cellResults();
+    };
     {
         obs::ScopedSpan merging(stats.mergeSpan);
-        auto entry = plan.begin();
-        for (size_t chip = 0; chip < prototypes.size(); ++chip) {
-            CharacterizationReport &report = reports[chip];
-            report.chipName = prototypes[chip]->chip().name();
-            report.corner = prototypes[chip]->chip().corner();
-            report.frequency = config.frequency;
-            report.complete = complete;
-            LedgerView view(config.weights);
-            const ChipRef chip_ref = chipRefOf(*prototypes[chip]);
-            const auto chip_end = std::find_if(
-                entry, plan.end(),
-                [chip](const PlanEntry &e) { return e.chip != chip; });
-            size_t runs = 0;
-            for (auto e = entry; e != chip_end; ++e)
-                runs += e->source == Source::Fresh ? e->measured.runs.size()
-                                                   : e->servedRuns;
-            report.allRuns.reserve(runs);
-            for (; entry != chip_end; ++entry) {
-                switch (entry->source) {
-                case Source::Fresh:
-                    mergeCellIntoReport(report, view,
-                                        std::move(entry->measured));
-                    break;
-                case Source::Journal:
-                    // The plan found the cell and holds no repeats.
-                    mergeCellIntoReport(
-                        report, view,
-                        journal
-                            ->take(chip_ref, entry->workload->id(),
-                                   entry->core)
-                            .value());
-                    break;
-                case Source::Cache:
-                    mergeCellIntoReport(report, view, *lookup(*entry));
-                    break;
-                }
-            }
-            view.deriveAll(config.workers);
-            report.cells = view.cellResults();
+        if (prototypes.size() > 1 && pool.workerCount() > 1) {
+            const int derive_workers = std::max(
+                1, pool.workerCount() /
+                       static_cast<int>(prototypes.size()));
+            for (size_t chip = 0; chip < prototypes.size(); ++chip)
+                pool.submit(
+                    [&, chip] { mergeChip(chip, derive_workers); });
+            pool.wait();
+        } else {
+            for (size_t chip = 0; chip < prototypes.size(); ++chip)
+                mergeChip(chip, pool.workerCount());
         }
         journal.reset();
+        // Lost-cell warnings print after the barrier, in chip and
+        // plan order, so they are the same for any worker count.
+        for (const PlanEntry &entry : plan)
+            if (entry.lost)
+                warnLostCell(entry.workload->id(), entry.core);
     }
 
     // The sink's destructor would drain too, but an explicit final

@@ -36,6 +36,7 @@ counterValue(const char *name)
 
 constexpr const char *kFromJournal = "executor.cells_from_journal";
 constexpr const char *kCacheHits = "executor.cache_hits";
+constexpr const char *kFresh = "executor.cells_fresh";
 
 sim::FaultPlanConfig
 hostilePlan()
@@ -256,6 +257,110 @@ TEST(FleetExecutor, SharedCacheServesEveryChipApart)
     EXPECT_EQ(counterValue(kCacheHits) - hits_before, 2u * 8u);
     EXPECT_EQ(cached.serialize(), fresh.serialize());
     std::remove(path.c_str());
+}
+
+TEST(FleetExecutor, MixedSourcesIdenticalAtAnyWorkerCount)
+{
+    // One run serves some cells from the journal, some from the
+    // cache and measures the rest, within and across chips; every
+    // source must merge to the all-fresh report at any worker count.
+    const std::string journal = "/tmp/vmargin_fleet_mixed_journal";
+    const std::string cache = "/tmp/vmargin_fleet_mixed_cache";
+    const std::vector<std::string> chips = {"TTT", "TFF:2", "TSS:3"};
+    const std::string bytes = fleetSweep(chips, 4).serialize();
+
+    for (const int workers : {1, 2, 8}) {
+        std::remove(journal.c_str());
+        std::remove(cache.c_str());
+        // The journal holds the first chip's first 5 cells.
+        (void)fleetSweep(chips, workers, journal, 5);
+        // The cache holds bwaves on TTT and TFF:2.
+        sim::Platform platform = templatePlatform();
+        FleetConfig config;
+        config.chips = parseFleetSpec({"TTT", "TFF:2"});
+        config.framework = sweepConfig();
+        config.framework.workloads = {wl::findWorkload("bwaves/ref")};
+        config.framework.workers = workers;
+        config.framework.cachePath = cache;
+        FleetExecutor warm(&platform);
+        (void)warm.run(config);
+
+        config.chips = parseFleetSpec(chips);
+        config.framework = sweepConfig();
+        config.framework.workers = workers;
+        config.framework.journalPath = journal;
+        config.framework.cachePath = cache;
+        const uint64_t journal_before = counterValue(kFromJournal);
+        const uint64_t cache_before = counterValue(kCacheHits);
+        const uint64_t fresh_before = counterValue(kFresh);
+        FleetExecutor executor(&platform);
+        const FleetReport mixed = executor.run(config);
+        EXPECT_EQ(counterValue(kFromJournal) - journal_before, 5u);
+        EXPECT_EQ(counterValue(kCacheHits) - cache_before, 4u);
+        EXPECT_EQ(counterValue(kFresh) - fresh_before, 15u);
+        EXPECT_EQ(mixed.serialize(), bytes)
+            << "mixed sources at " << workers << " workers";
+    }
+    std::remove(journal.c_str());
+    std::remove(cache.c_str());
+}
+
+TEST(FleetExecutor, LostCellWarningsInPlanOrder)
+{
+    // Every I2C write fails, so whole cells are lost. Their warnings
+    // print after the merge barrier in chip and plan order: stderr is
+    // the same at any worker count.
+    const auto lossySweep = [](int workers) {
+        sim::FaultPlanConfig plan = hostilePlan();
+        plan.i2cWriteFailure = 1.0;
+        sim::Platform platform(sim::XGene2Params{},
+                               sim::ChipCorner::TTT, 1);
+        platform.installFaultPlan(plan);
+        FleetConfig config;
+        config.chips = parseFleetSpec({"TTT", "TFF:2"});
+        config.framework = sweepConfig();
+        config.framework.workers = workers;
+        FleetExecutor executor(&platform);
+        ::testing::internal::CaptureStderr();
+        const FleetReport report = executor.run(config);
+        return std::make_pair(::testing::internal::GetCapturedStderr(),
+                              report.serialize());
+    };
+    std::string expected;
+    for (int chip = 0; chip < 2; ++chip)
+        for (const std::string workload : {"bwaves/ref", "leslie3d/ref"})
+            for (const int core : {0, 2, 4, 6})
+                expected += "warn: characterize: every run of " +
+                            workload + " on core " +
+                            std::to_string(core) +
+                            " was lost to management faults; "
+                            "cell omitted from the report\n";
+    const auto [one, one_bytes] = lossySweep(1);
+    EXPECT_EQ(one, expected);
+    const auto [eight, eight_bytes] = lossySweep(8);
+    EXPECT_EQ(eight, one);
+    EXPECT_EQ(eight_bytes, one_bytes);
+}
+
+TEST(FleetExecutorDeath, RefusesOutOfRangeCoreBeforeSweeping)
+{
+    // Refused before the journal opens or the pool starts, naming
+    // the core and the chip.
+    const std::string path = "/tmp/vmargin_fleet_core_range";
+    std::remove(path.c_str());
+    sim::Platform platform = templatePlatform();
+    FleetConfig config;
+    config.chips = parseFleetSpec({"TTT", "TFF:2"});
+    config.framework = sweepConfig();
+    config.framework.cores = {0, 99};
+    config.framework.workers = 2;
+    config.framework.journalPath = path;
+    FleetExecutor executor(&platform);
+    EXPECT_EXIT((void)executor.run(config),
+                ::testing::ExitedWithCode(1),
+                "core 99 is out of range \\(chip .*TTT.* has 8 cores");
+    EXPECT_EQ(std::fopen(path.c_str(), "r"), nullptr)
+        << "no journal may be created";
 }
 
 TEST(FleetExecutorDeath, RefusesJournalFromDifferentFleet)
