@@ -61,17 +61,25 @@ CampaignRunner::faultScope(const CampaignConfig &config) const
     return seed;
 }
 
+void
+checkCore(const sim::Platform &platform, CoreId core,
+          const char *context)
+{
+    const int cores = platform.chip().params().numCores;
+    if (core < 0 || core >= cores)
+        util::fatalError(util::concat(
+            context, ": core ", core, " is out of range (chip ",
+            platform.chip().name(), " has ", cores, " cores, 0..",
+            cores - 1, ")"));
+}
+
 CampaignResult
 CampaignRunner::run(const CampaignConfig &config)
 {
     config.workload.validate();
     config.retry.validate();
+    checkCore(*platform_, config.core, "campaign");
     const auto &params = platform_->chip().params();
-    if (config.core < 0 || config.core >= params.numCores)
-        util::fatalError(util::concat(
-            "campaign: core ", config.core, " is out of range (chip ",
-            platform_->chip().name(), " has ", params.numCores,
-            " cores, 0..", params.numCores - 1, ")"));
     if (config.runsPerVoltage < 1)
         util::fatalError("campaign: runsPerVoltage must be >= 1");
     if (config.startVoltage < config.endVoltage)

@@ -93,6 +93,11 @@ struct CampaignResult
     }
 };
 
+/** Refuse, fatally, a @p core outside @p platform's chip; the
+ *  message names the core and the chip after @p context. */
+void checkCore(const sim::Platform &platform, CoreId core,
+               const char *context);
+
 /** Executes campaigns against a platform. */
 class CampaignRunner
 {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
+#include <optional>
+#include <utility>
 
 #include "cellcache.hh"
 #include "obs/metrics.hh"
@@ -164,16 +166,9 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
 {
     // A core outside a chip would be refused per cell, from a worker
     // thread, once the pool and replicas are up: refuse it first.
-    for (const sim::Platform *prototype : prototypes) {
-        const int cores = prototype->chip().params().numCores;
+    for (const sim::Platform *prototype : prototypes)
         for (const CoreId core : config.cores)
-            if (core < 0 || core >= cores)
-                util::fatalError(util::concat(
-                    "characterize: core ", core,
-                    " is out of range (chip ",
-                    prototype->chip().name(), " has ", cores,
-                    " cores, 0..", cores - 1, ")"));
-    }
+            checkCore(*prototype, core, "characterize");
 
     ExecutorStats stats;
     // The sink (when enabled) is strictly out-of-band: it reads the
@@ -264,6 +259,14 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
     }
     stats.cellsPlanned.inc(plan.size());
     stats.cellsFresh.inc(static_cast<uint64_t>(fresh_cells));
+    // A chip's [begin, end) in the plan, which is chip-major; the
+    // budget only cuts its tail.
+    const size_t chip_cells =
+        config.workloads.size() * config.cores.size();
+    const auto chipSlice = [&](size_t chip) {
+        const size_t begin = std::min(chip * chip_cells, plan.size());
+        return std::pair(begin, std::min(begin + chip_cells, plan.size()));
+    };
 
     // ---- execute: fresh cells fan out across the pool -------------
     // Each task measures on a brand-new replica of its chip's
@@ -276,7 +279,7 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
     // per-cell replicas took ~3x the minor page faults and a
     // one-worker sweep ~15% more wall time. The pool lives on
     // through the merge.
-    util::ThreadPool pool(config.workers);
+    std::optional<util::ThreadPool> pool(std::in_place, config.workers);
     {
         obs::ScopedSpan executing(stats.executeSpan);
         const auto measure = [&](PlanEntry &e) {
@@ -291,8 +294,8 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
             if (cache)
                 cache->put(config_hashes[e.chip], e.measured);
         };
-        if (pool.workerCount() == 1) {
-            pool.submit([&] {
+        if (pool->workerCount() == 1) {
+            pool->submit([&] {
                 for (PlanEntry &entry : plan)
                     if (entry.source == Source::Fresh)
                         measure(entry);
@@ -300,11 +303,11 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
         } else {
             for (PlanEntry &entry : plan)
                 if (entry.source == Source::Fresh)
-                    pool.submit([&, e = &entry] { measure(*e); });
+                    pool->submit([&, e = &entry] { measure(*e); });
         }
         {
             obs::ScopedSpan barrier(stats.mergeBarrier);
-            pool.wait();
+            pool->wait();
         }
         // Merge barrier doubles as the durability barrier: a batched
         // group-commit policy drains here, so everything measured
@@ -314,8 +317,10 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
         if (cache)
             cache->flush();
     }
+    // Every execute-phase counter is booked but the pool's idle
+    // time, which its workers book as they wake or stop.
     if (sink)
-        sink->flush(); // all execute-phase counters are booked
+        sink->flush();
 
     // ---- merge: plan order, independent of completion -------------
     // One LedgerView per chip; cells keep first-seen (= plan) order
@@ -324,74 +329,70 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
     // its report: fresh cells out of the plan, replayed cells out of
     // the journal (destroyed right after); cache-served cells are
     // copied. A chip's report is a pure function of its slice of the
-    // plan, so with several chips and workers each chip merges and
-    // derives as one pool task, deriving on its share of the
-    // workers. Concurrent takes and finds are safe: the ledger
-    // lookups hold the ledger's lock, and a cache-served entry's
-    // lookup writes only that entry.
+    // plan, so each chip merges and derives as one pool task,
+    // deriving on its share of the workers. Concurrent takes and
+    // finds are safe: the ledger lookups hold the ledger's lock, and
+    // a cache-served entry's lookup writes only that entry.
     std::vector<CharacterizationReport> reports(prototypes.size());
-    const size_t chip_cells =
-        config.workloads.size() * config.cores.size();
-    const auto mergeChip = [&](size_t chip, int derive_workers) {
-        CharacterizationReport &report = reports[chip];
-        report.chipName = prototypes[chip]->chip().name();
-        report.corner = prototypes[chip]->chip().corner();
-        report.frequency = config.frequency;
-        report.complete = complete;
-        LedgerView view(config.weights);
-        const ChipRef chip_ref = chipRefOf(*prototypes[chip]);
-        // The plan is chip-major; the budget only cuts its tail.
-        const size_t begin = std::min(chip * chip_cells, plan.size());
-        const size_t end = std::min(begin + chip_cells, plan.size());
-        size_t runs = 0;
-        for (size_t i = begin; i < end; ++i)
-            runs += plan[i].source == Source::Fresh
-                        ? plan[i].measured.runs.size()
-                        : plan[i].servedRuns;
-        report.allRuns.reserve(runs);
-        for (size_t i = begin; i < end; ++i) {
-            PlanEntry &entry = plan[i];
-            switch (entry.source) {
-            case Source::Fresh:
-                entry.lost = !mergeCell(report, view, entry.measured);
-                break;
-            case Source::Journal: {
-                // The plan found the cell and holds no repeats.
-                CellMeasurement cell =
-                    journal
-                        ->take(chip_ref, entry.workload->id(), entry.core)
-                        .value();
-                entry.lost = !mergeCell(report, view, cell);
-                break;
-            }
-            case Source::Cache:
-                entry.lost = !mergeCell(report, view, *lookup(entry));
-                break;
-            }
-        }
-        view.deriveAll(derive_workers);
-        report.cells = view.cellResults();
-    };
     {
         obs::ScopedSpan merging(stats.mergeSpan);
-        if (prototypes.size() > 1 && pool.workerCount() > 1) {
-            const int derive_workers = std::max(
-                1, pool.workerCount() /
-                       static_cast<int>(prototypes.size()));
-            for (size_t chip = 0; chip < prototypes.size(); ++chip)
-                pool.submit(
-                    [&, chip] { mergeChip(chip, derive_workers); });
-            pool.wait();
-        } else {
-            for (size_t chip = 0; chip < prototypes.size(); ++chip)
-                mergeChip(chip, pool.workerCount());
-        }
+        const int derive_workers = std::max(
+            1, pool->workerCount() / static_cast<int>(prototypes.size()));
+        const auto mergeChip = [&](size_t chip) {
+            CharacterizationReport &report = reports[chip];
+            report.chipName = prototypes[chip]->chip().name();
+            report.corner = prototypes[chip]->chip().corner();
+            report.frequency = config.frequency;
+            report.complete = complete;
+            LedgerView view(config.weights);
+            const ChipRef chip_ref = chipRefOf(*prototypes[chip]);
+            const auto [begin, end] = chipSlice(chip);
+            size_t runs = 0;
+            for (size_t i = begin; i < end; ++i)
+                runs += plan[i].source == Source::Fresh
+                            ? plan[i].measured.runs.size()
+                            : plan[i].servedRuns;
+            report.allRuns.reserve(runs);
+            for (size_t i = begin; i < end; ++i) {
+                PlanEntry &entry = plan[i];
+                switch (entry.source) {
+                case Source::Fresh:
+                    entry.lost = !mergeCell(report, view, entry.measured);
+                    break;
+                case Source::Journal: {
+                    // The plan found the cell and holds no repeats.
+                    CellMeasurement cell =
+                        journal
+                            ->take(chip_ref, entry.workload->id(),
+                                   entry.core)
+                            .value();
+                    entry.lost = !mergeCell(report, view, cell);
+                    break;
+                }
+                case Source::Cache:
+                    entry.lost = !mergeCell(report, view, *lookup(entry));
+                    break;
+                }
+            }
+            view.deriveAll(derive_workers);
+            report.cells = view.cellResults();
+        };
+        for (size_t chip = 0; chip < prototypes.size(); ++chip)
+            pool->submit([&, chip] { mergeChip(chip); });
+        pool->wait();
+        pool.reset(); // idle workers book their last stretch
         journal.reset();
-        // Lost-cell warnings print after the barrier, in chip and
-        // plan order, so they are the same for any worker count.
-        for (const PlanEntry &entry : plan)
-            if (entry.lost)
-                warnLostCell(entry.workload->id(), entry.core);
+    }
+    // Warnings print after the barrier, chip by chip: its lost cells
+    // in plan order, then its censored cells in report order. So
+    // stderr is the same for any worker count.
+    for (size_t chip = 0; chip < prototypes.size(); ++chip) {
+        const auto [begin, end] = chipSlice(chip);
+        for (size_t i = begin; i < end; ++i)
+            if (plan[i].lost)
+                warnLostCell(plan[i].workload->id(), plan[i].core);
+        for (const CellResult &cell : reports[chip].cells)
+            warnIfCensored(cell.workloadId, cell.core, cell.analysis);
     }
 
     // The sink's destructor would drain too, but an explicit final

@@ -10,21 +10,22 @@
  * never shared across cells — so executeSweep() runs each fresh
  * cell on its own replica of its chip's prototype across a
  * work-stealing thread pool, then merges the cells in plan order.
- * Each chip's report is a pure function of its own cells, so on a
- * fleet the same pool then merges and derives each chip as one task.
+ * Each chip's report is a pure function of its own cells, so the
+ * same pool then merges and derives each chip as one task.
  * CampaignExecutor is its one-chip call; FleetExecutor (core/fleet)
  * is its N-chip call.
  *
  * Determinism contract: the emitted report — run CSV, per-cell
  * analyses and serialized form — is identical for any worker count,
  * including 1, and identical to a journal-resumed or cache-served
- * sweep of the same configuration; so are the lost-cell warnings,
- * which print after the merge in plan order. The write-ahead journal
- * and the cell-result cache are appended from worker threads in
- * completion order (their append paths are mutex-guarded), so their
- * on-disk cell order is the one artifact that may differ between
- * worker counts; both tolerate arbitrary order on load. One worker
- * measures the cells in plan order, so its journal bytes are fixed.
+ * sweep of the same configuration; so are the lost-cell and
+ * censored-Vmin warnings, which print after the merge, chip by chip
+ * in plan order. The write-ahead journal and the cell-result cache
+ * are appended from worker threads in completion order (their
+ * append paths are mutex-guarded), so their on-disk cell order is
+ * the one artifact that may differ between worker counts; both
+ * tolerate arbitrary order on load. One worker measures the cells
+ * in plan order, so its journal bytes are fixed.
  */
 
 #ifndef VMARGIN_CORE_EXECUTOR_HH
@@ -68,13 +69,14 @@ void mergeCellIntoReport(CharacterizationReport &report,
                          LedgerView &view, CellMeasurement &&cell);
 
 /**
- * Run one sweep of @p config over @p prototypes (not owned, never
- * executed on; their order is the plan and merge order), with the
- * journal bound to @p journal_header and legacy (version-1) journal
- * cells mapped onto @p implicit_chip. Returns one report per
- * prototype; `complete` is false in each when the fresh-cell budget,
- * counted across all chips, stopped the sweep early. Fatal, before
- * anything runs, on a planned core outside a prototype's chip.
+ * Run one sweep of @p config over one or more @p prototypes (not
+ * owned, never executed on; their order is the plan and merge
+ * order), with the journal bound to @p journal_header and legacy
+ * (version-1) journal cells mapped onto @p implicit_chip. Returns
+ * one report per prototype; `complete` is false in each when the
+ * fresh-cell budget, counted across all chips, stopped the sweep
+ * early. Fatal, before anything runs, on a planned core outside a
+ * prototype's chip.
  */
 std::vector<CharacterizationReport>
 executeSweep(const std::vector<const sim::Platform *> &prototypes,

@@ -1375,16 +1375,11 @@ LedgerView::analyze(const Group &group) const
             break;
         vmin = it->first;
     }
-    if (vmin == 0) {
-        // Even the highest measured voltage was abnormal; report the
-        // level just above it as the (censored) Vmin.
+    // Even the highest measured voltage was abnormal: report the
+    // level just above it as the (censored) Vmin. The warning is
+    // left to whoever owns the order of the cells (warnIfCensored).
+    if (vmin == 0)
         vmin = analysis.regions.rbegin()->first;
-        util::warnf("analyzeRegions: ", group.key.workloadId,
-                    " core ", group.key.core,
-                    " abnormal at the top of the sweep; Vmin is "
-                    "censored at ",
-                    vmin, " mV");
-    }
     analysis.vmin = vmin;
 
     group.analysis = std::move(analysis);
@@ -1398,8 +1393,10 @@ LedgerView::analysis(const std::string &workload_id,
     const Group *cell = group(workload_id, core);
     if (!cell)
         return nullptr;
-    if (!cell->analyzed)
+    if (!cell->analyzed) {
         analyze(*cell);
+        warnIfCensored(workload_id, core, cell->analysis);
+    }
     return &cell->analysis;
 }
 
@@ -1412,6 +1409,18 @@ LedgerView::severityByVoltage(const std::string &workload_id,
         util::panicf("LedgerView: no records for ", workload_id,
                      " on core ", core);
     return cell->severityByVoltage;
+}
+
+void
+warnIfCensored(std::string_view workload_id, CoreId core,
+               const RegionAnalysis &analysis)
+{
+    if (!analysis.regions.empty() &&
+        analysis.regions.rbegin()->second != Region::Safe)
+        util::warnf("analyzeRegions: ", workload_id, " core ", core,
+                    " abnormal at the top of the sweep; Vmin is "
+                    "censored at ",
+                    analysis.vmin, " mV");
 }
 
 void
@@ -1438,8 +1447,11 @@ LedgerView::cellResults() const
     std::vector<CellResult> cells;
     cells.reserve(groups_.size());
     for (const auto &group : groups_) {
-        if (!group.analyzed)
+        if (!group.analyzed) {
             analyze(group);
+            warnIfCensored(group.key.workloadId, group.key.core,
+                           group.analysis);
+        }
         CellResult cell;
         cell.workloadId = group.key.workloadId;
         cell.core = group.key.core;

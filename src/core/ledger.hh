@@ -614,6 +614,11 @@ class RunLedger
     uint32_t fileVersion_ = kLedgerVersion;
 };
 
+/** Warn when @p analysis of (@p workload_id, @p core) is censored:
+ *  even the sweep's highest voltage was abnormal. */
+void warnIfCensored(std::string_view workload_id, CoreId core,
+                    const RegionAnalysis &analysis);
+
 /**
  * Single-pass aggregator deriving every analysis view from a run
  * stream. Stream records in with add(); the per-cell region
@@ -671,7 +676,9 @@ class LedgerView
      * memoized analysis — and results are read back in canonical
      * first-seen order, so the derived views are identical for any
      * worker count. analysis()/cellResults() after deriveAll() are
-     * pure reads.
+     * pure reads. Derives silently: its caller warns of censored
+     * cells (warnIfCensored) in an order it owns, while analysis()
+     * and cellResults() warn as they derive a cell themselves.
      */
     void deriveAll(int workers = 0) const;
 

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -307,12 +308,14 @@ TEST(FleetExecutor, MixedSourcesIdenticalAtAnyWorkerCount)
 
 TEST(FleetExecutor, LostCellWarningsInPlanOrder)
 {
-    // Every I2C write fails, so whole cells are lost. Their warnings
-    // print after the merge barrier in chip and plan order: stderr is
-    // the same at any worker count.
-    const auto lossySweep = [](int workers) {
+    // Whole cells are lost to failed I2C writes, and some of the rest
+    // have a censored Vmin. Both warnings print after the merge
+    // barrier, chip by chip: the chip's lost cells in plan order,
+    // then its censored cells. So stderr is the same at any worker
+    // count.
+    const auto lossySweep = [](int workers, double i2c_failure) {
         sim::FaultPlanConfig plan = hostilePlan();
-        plan.i2cWriteFailure = 1.0;
+        plan.i2cWriteFailure = i2c_failure;
         sim::Platform platform(sim::XGene2Params{},
                                sim::ChipCorner::TTT, 1);
         platform.installFaultPlan(plan);
@@ -322,24 +325,56 @@ TEST(FleetExecutor, LostCellWarningsInPlanOrder)
         config.framework.workers = workers;
         FleetExecutor executor(&platform);
         ::testing::internal::CaptureStderr();
-        const FleetReport report = executor.run(config);
+        FleetReport report = executor.run(config);
         return std::make_pair(::testing::internal::GetCapturedStderr(),
-                              report.serialize());
+                              std::move(report));
     };
-    std::string expected;
-    for (int chip = 0; chip < 2; ++chip)
-        for (const std::string workload : {"bwaves/ref", "leslie3d/ref"})
-            for (const int core : {0, 2, 4, 6})
-                expected += "warn: characterize: every run of " +
-                            workload + " on core " +
-                            std::to_string(core) +
-                            " was lost to management faults; "
-                            "cell omitted from the report\n";
-    const auto [one, one_bytes] = lossySweep(1);
+    // The warnings a report implies, in the order above.
+    const auto warningsOf = [](const FleetReport &report) {
+        std::string out;
+        for (const FleetChipReport &chip : report.chips) {
+            const std::vector<CellResult> &cells = chip.report.cells;
+            for (const std::string workload :
+                 {"bwaves/ref", "leslie3d/ref"})
+                for (const int core : {0, 2, 4, 6})
+                    if (std::none_of(cells.begin(), cells.end(),
+                                     [&](const CellResult &cell) {
+                                         return cell.workloadId ==
+                                                    workload &&
+                                                cell.core == core;
+                                     }))
+                        out += "warn: characterize: every run of " +
+                               workload + " on core " +
+                               std::to_string(core) +
+                               " was lost to management faults; "
+                               "cell omitted from the report\n";
+            for (const CellResult &cell : cells)
+                if (cell.analysis.regions.rbegin()->second !=
+                    Region::Safe)
+                    out += "warn: analyzeRegions: " + cell.workloadId +
+                           " core " + std::to_string(cell.core) +
+                           " abnormal at the top of the sweep; Vmin "
+                           "is censored at " +
+                           std::to_string(cell.analysis.vmin) +
+                           " mV\n";
+        }
+        return out;
+    };
+
+    const auto [all_lost, all_lost_report] = lossySweep(1, 1.0);
+    EXPECT_TRUE(all_lost_report.chips[0].report.cells.empty());
+    EXPECT_EQ(all_lost, warningsOf(all_lost_report));
+
+    const auto [one, one_report] = lossySweep(1, 0.9);
+    const std::string expected = warningsOf(one_report);
+    EXPECT_NE(expected.find("was lost"), std::string::npos);
+    EXPECT_NE(expected.find("Vmin is censored"), std::string::npos);
     EXPECT_EQ(one, expected);
-    const auto [eight, eight_bytes] = lossySweep(8);
-    EXPECT_EQ(eight, one);
-    EXPECT_EQ(eight_bytes, one_bytes);
+    for (int repeat = 0; repeat < 3; ++repeat) {
+        const auto [eight, eight_report] = lossySweep(8, 0.9);
+        EXPECT_EQ(eight, one);
+        EXPECT_EQ(eight_report.serialize(), one_report.serialize());
+    }
 }
 
 TEST(FleetExecutorDeath, RefusesOutOfRangeCoreBeforeSweeping)
