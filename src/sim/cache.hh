@@ -33,7 +33,7 @@ struct AccessResult
 {
     bool hit = false;
     bool evictedDirty = false; ///< a dirty victim was written back
-    size_t slot = 0; ///< the way hit or filled (see Cache::repeatHit)
+    size_t slot = 0; ///< the way hit or filled (see Cache::repeatRun)
 };
 
 /** Running statistics of one cache instance. */
@@ -71,13 +71,14 @@ struct CacheStats
  * Hits, victims and writebacks are therefore exactly those of a
  * cache with a valid bit per way, first-invalid fill and true LRU.
  *
- * Same-line repeats: access() returns the slot it hit or filled, and
- * repeatHit() serves the next access to that same line from the slot
- * (the hierarchy's batch walks use it for back-to-back accesses to
- * one L1 line). On an 8-core characterization sweep 63% of data
- * accesses repeat the line of the access before them, and the L3,
- * which misses 97% of its probes, rarely fills between power cycles,
- * so both rules remove most of the scanning (DESIGN.md §8).
+ * Same-line runs: access() returns the slot it hit or filled, and
+ * repeatRun() serves every further access of an unbroken run to that
+ * same line in O(1) (the hierarchy's batch walks use it for the tail
+ * of each run of back-to-back accesses to one L1 line). On
+ * daemon_soak 73% of data accesses repeat the line of the access
+ * before them, and the L3, which misses most of its probes, rarely
+ * fills between power cycles, so both rules remove most of the
+ * scanning (DESIGN.md §8).
  */
 class Cache
 {
@@ -99,27 +100,32 @@ class Cache
      * Look up @p addr; on a miss the line is allocated (into the
      * first invalid way, else evicting the LRU way). @p is_write
      * marks the line dirty on hit/allocate. The result names the
-     * slot hit or filled. Defined inline below — it is the innermost
-     * loop of every characterization run and must inline into the
-     * hierarchy's batch walks.
+     * slot hit or filled. Defined inline below: the hierarchy's run
+     * walks call it once per same-line run head (repeatRun() serves
+     * the rest of the run), and g++ 12 -O3 inlines all of those
+     * calls. Nothing forces it; check the disassembly of
+     * cache_hierarchy.cc after changing either side.
      */
     AccessResult access(uint64_t addr, bool is_write);
 
     /**
-     * Serve an access to the line the previous access() of this
-     * cache returned as @p slot, with no access() in between: that
-     * line is still valid in @p slot, so the access is a hit. Does
-     * exactly what access() would: advances the use clock, counts a
-     * hit and the write, and stamps the slot (setting its dirty bit
-     * on a write). No other line's state can tell the difference.
+     * Serve @p n further accesses, @p writes of them writes, to the
+     * line the previous access() of this cache returned as @p slot,
+     * with no access() in between: that line is still valid in
+     * @p slot, so each is a hit. Does exactly what @p n access()
+     * calls would: advances the use clock by @p n, counts @p n hits
+     * and @p writes writes, stamps the slot with the last clock and
+     * sets its dirty bit if any of them writes. No other line's
+     * state can tell the difference. @p n = 0 leaves everything as
+     * it is (the slot already holds the current clock).
      */
-    void repeatHit(size_t slot, bool is_write)
+    void repeatRun(size_t slot, uint64_t n, uint64_t writes)
     {
-        ++useClock_;
-        ++hits_;
-        writes_ += is_write ? 1 : 0;
+        useClock_ += n;
+        hits_ += n;
+        writes_ += writes;
         uint64_t &use = lastUse_[slot];
-        use = (useClock_ << 1) | (is_write ? 1 : (use & 1));
+        use = (useClock_ << 1) | (use & 1) | (writes != 0 ? 1 : 0);
     }
 
     /** Line tag of @p addr: two addresses share a line iff their

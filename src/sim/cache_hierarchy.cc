@@ -1,5 +1,7 @@
 #include "cache_hierarchy.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace vmargin::sim
@@ -80,6 +82,81 @@ CacheHierarchy::l2(PmdId pmd) const
     return *l2_[static_cast<size_t>(pmd)];
 }
 
+namespace
+{
+
+/** Accesses per stack chunk of a batch walk's run-head pass. */
+constexpr uint32_t kRunChunk = 256;
+
+/**
+ * Walk @p count accesses through @p l1 by same-line runs: a run is a
+ * maximal stretch of consecutive accesses to one L1 line, and its
+ * head is its first access. Only heads call Cache::access();
+ * Cache::repeatRun() applies each run's tail in one step, which is
+ * exact because nothing touches @p l1 between a head and its tail.
+ * @p on_miss(global, write, result) walks the lower levels for each
+ * head that misses @p l1, in batch order. @p is_write is read only
+ * when kWrites is true (the fetch walk passes null).
+ *
+ * The batch is split into fixed stack chunks. Per chunk, a
+ * branch-free pass records each head's index and the chunk's writes
+ * before it; then a second loop visits only the heads. A run that
+ * crosses a chunk edge continues in the slot of the previous chunk's
+ * last head.
+ */
+template <bool kWrites, typename OnMiss>
+inline void
+walkRuns(Cache &l1, const uint64_t *__restrict addrs,
+         const uint8_t *__restrict is_write, uint32_t count,
+         uint64_t base, OnMiss &&on_miss)
+{
+    // Not zeroed: each chunk's pass writes entries [0, heads] before
+    // the head loop reads them.
+    uint32_t head[kRunChunk + 1];
+    uint32_t writes_before[kRunChunk + 1];
+    // The complement of the first line differs from it, so the
+    // batch's first access is always a head.
+    uint64_t last_line = count ? ~l1.tagOf(addrs[0] + base) : 0;
+    size_t last_slot = 0;
+    for (uint32_t start = 0; start < count; start += kRunChunk) {
+        const uint32_t n = std::min(count - start, kRunChunk);
+        const uint64_t *chunk = addrs + start;
+        const uint8_t *chunk_writes = kWrites ? is_write + start
+                                              : nullptr;
+
+        uint32_t heads = 0;
+        uint32_t writes = 0;
+        for (uint32_t i = 0; i < n; ++i) {
+            const uint64_t line = l1.tagOf(chunk[i] + base);
+            head[heads] = i;
+            writes_before[heads] = writes;
+            heads += line != last_line ? 1 : 0;
+            if constexpr (kWrites)
+                writes += chunk_writes[i] != 0 ? 1 : 0;
+            last_line = line;
+        }
+        head[heads] = n;
+        writes_before[heads] = writes;
+
+        if (head[0] != 0) // the tail of the previous chunk's last run
+            l1.repeatRun(last_slot, head[0], writes_before[0]);
+        for (uint32_t k = 0; k < heads; ++k) {
+            const uint32_t i = head[k];
+            const uint64_t global = chunk[i] + base;
+            const bool write = kWrites && chunk_writes[i] != 0;
+            const AccessResult l1r = l1.access(global, write);
+            last_slot = l1r.slot;
+            l1.repeatRun(l1r.slot, head[k + 1] - i - 1,
+                         writes_before[k + 1] - writes_before[k] -
+                             (write ? 1 : 0));
+            if (!l1r.hit)
+                on_miss(global, write, l1r);
+        }
+    }
+}
+
+} // namespace
+
 DataBatchCounts
 CacheHierarchy::dataAccessBatch(CoreId core,
                                 const uint64_t *__restrict addrs,
@@ -97,41 +174,26 @@ CacheHierarchy::dataAccessBatch(CoreId core,
     Cache &l3c = *l3_;
 
     DataBatchCounts out;
-    // The previous access's L1 line and slot; the complement of the
-    // first line differs from it, so the first access walks.
-    uint64_t last_line = count ? ~l1.tagOf(addrs[0] + base) : 0;
-    size_t last_slot = 0;
-    for (uint32_t i = 0; i < count; ++i) {
-        const uint64_t global = addrs[i] + base;
-        const bool write = is_write[i] != 0;
-        const uint64_t line = l1.tagOf(global);
-        if (line == last_line) {
-            l1.repeatHit(last_slot, write);
-            continue;
-        }
-        const AccessResult l1r = l1.access(global, write);
-        last_line = line;
-        last_slot = l1r.slot;
-        if (l1r.hit)
-            continue;
-        ++out.l1Miss;
-        // The L1 victim writeback and the demand fill both touch L2;
-        // writebacks are recorded as writes.
-        if (l1r.evictedDirty) {
-            ++out.writebacksFromL1;
-            l2c.access(global ^ 0x1000, true);
-        }
-        const AccessResult l2r = l2c.access(global, write);
-        if (l2r.hit)
-            continue;
-        ++out.l2Miss;
-        if (l2r.evictedDirty) {
-            ++out.writebacksFromL2;
-            l3c.access(global ^ 0x2000, true);
-        }
-        const AccessResult l3r = l3c.access(global, write);
-        out.l3Miss += l3r.hit ? 0 : 1;
-    }
+    walkRuns<true>(
+        l1, addrs, is_write, count, base,
+        [&](uint64_t global, bool write, const AccessResult &l1r) {
+            ++out.l1Miss;
+            // The L1 victim writeback and the demand fill both touch
+            // L2; writebacks are recorded as writes.
+            if (l1r.evictedDirty) {
+                ++out.writebacksFromL1;
+                l2c.access(global ^ 0x1000, true);
+            }
+            const AccessResult l2r = l2c.access(global, write);
+            if (l2r.hit)
+                return;
+            ++out.l2Miss;
+            if (l2r.evictedDirty) {
+                ++out.writebacksFromL2;
+                l3c.access(global ^ 0x2000, true);
+            }
+            out.l3Miss += l3c.access(global, write).hit ? 0 : 1;
+        });
     return out;
 }
 
@@ -150,26 +212,14 @@ CacheHierarchy::instrFetchBatch(CoreId core,
     Cache &l3c = *l3_;
 
     InstrBatchCounts out;
-    uint64_t last_line = count ? ~l1.tagOf(addrs[0] + base) : 0;
-    size_t last_slot = 0;
-    for (uint32_t i = 0; i < count; ++i) {
-        const uint64_t global = addrs[i] + base;
-        const uint64_t line = l1.tagOf(global);
-        if (line == last_line) {
-            l1.repeatHit(last_slot, false);
-            continue;
-        }
-        const AccessResult l1r = l1.access(global, false);
-        last_line = line;
-        last_slot = l1r.slot;
-        if (l1r.hit)
-            continue;
-        ++out.l1Miss;
-        if (l2c.access(global, false).hit)
-            continue;
-        ++out.l2Miss;
-        l3c.access(global, false);
-    }
+    walkRuns<false>(l1, addrs, nullptr, count, base,
+                    [&](uint64_t global, bool, const AccessResult &) {
+                        ++out.l1Miss;
+                        if (l2c.access(global, false).hit)
+                            return;
+                        ++out.l2Miss;
+                        l3c.access(global, false);
+                    });
     return out;
 }
 

@@ -41,15 +41,15 @@ class CacheHierarchy
     explicit CacheHierarchy(const XGene2Params &params);
 
     /**
-     * Walk @p count data accesses by @p core in one tight loop and
-     * return the summed per-level miss/writeback counts. Each access
-     * walks L1D -> L2 -> L3 and allocates on the way back; a dirty
-     * L1 (L2) victim is written into L2 (L3) before the demand
-     * access. An access to the same L1 line as the access just
-     * before it is served from the slot that access hit or filled
-     * (Cache::repeatHit): it is an L1 hit by construction, and the
-     * L1 line, statistics and every other line end exactly as a
-     * full walk would leave them. This is the hot path of every
+     * Walk @p count data accesses by @p core and return the summed
+     * per-level miss/writeback counts. Each access walks L1D -> L2
+     * -> L3 and allocates on the way back; a dirty L1 (L2) victim is
+     * written into L2 (L3) before the demand access. Only the first
+     * access of each same-line run walks: the rest of the run is an
+     * L1 hit by construction and is applied in one
+     * Cache::repeatRun() on the slot its first access hit or filled,
+     * so the L1 line, statistics and every other line end exactly as
+     * a full walk would leave them. This is the hot path of every
      * characterization run.
      */
     DataBatchCounts dataAccessBatch(CoreId core,

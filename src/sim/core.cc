@@ -91,10 +91,10 @@ Core::run(const wl::WorkloadProfile &workload, const OnsetSet &onsets,
     uint64_t total_instr = 0;
     uint64_t total_cycles = 0;
 
-    const double store_frac =
+    const uint64_t store_threshold = util::Rng::bernoulliThreshold(
         workload.memAccessFrac() > 0.0
             ? workload.mix.store / workload.memAccessFrac()
-            : 0.0;
+            : 0.0);
 
     double prev_ipc = -1.0;
 
@@ -126,7 +126,7 @@ Core::run(const wl::WorkloadProfile &workload, const OnsetSet &onsets,
         // hierarchy walk the whole sample array in one batch.
         for (uint32_t s = 0; s < data_samples; ++s)
             writeScratch_[s] =
-                fault_rng.bernoulli(store_frac) ? 1 : 0;
+                fault_rng.bernoulliBelow(store_threshold) ? 1 : 0;
         for (uint32_t s = 0; s < data_samples; ++s)
             addrScratch_[s] = data_stream.next();
         const DataBatchCounts data = caches_->dataAccessBatch(

@@ -100,15 +100,4 @@ Rng::poisson(double mean)
     return sample <= 0.0 ? 0 : static_cast<uint64_t>(sample + 0.5);
 }
 
-double
-Rng::exponential(double rate)
-{
-    if (rate <= 0.0)
-        panicf("exponential: rate must be positive, got ", rate);
-    double u = uniform();
-    while (u <= 0.0)
-        u = uniform();
-    return -std::log(u) / rate;
-}
-
 } // namespace vmargin::util

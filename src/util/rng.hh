@@ -49,10 +49,10 @@ class Rng
     /** Construct from a single seed, expanded via SplitMix64. */
     explicit Rng(Seed seed);
 
-    // next/uniform/uniformInt/bernoulli are defined inline below the
-    // class: they are drawn millions of times per characterization
-    // sweep (every sampled address and every fault trial) and must
-    // inline into the kernel's batch loops.
+    // next/uniform/uniformInt and the Bernoulli helpers are defined
+    // inline below the class: they are drawn millions of times per
+    // characterization sweep (every sampled address and every fault
+    // trial) and must inline into the kernel's batch loops.
 
     /** Next raw 64-bit value. */
     uint64_t next();
@@ -72,8 +72,23 @@ class Rng
     /** Normal deviate with the given mean and standard deviation. */
     double gaussian(double mean, double stddev);
 
-    /** Bernoulli trial with success probability p (clamped to [0,1]). */
+    /** Bernoulli trial with success probability p (clamped to [0,1]);
+     *  bernoulliBelow(bernoulliThreshold(p)). */
     bool bernoulli(double p);
+
+    /**
+     * The integer threshold T of a Bernoulli(@p p) trial: uniform()
+     * < clamp(p) holds exactly when next() >> 11 < T, with T =
+     * ceil(clamp(p) * 2^53) (scaling by 2^53 is exact, and x < y
+     * equals x < ceil(y) for an integer x). NaN gives 0, never true,
+     * as the float comparison does. Hot loops compute T once per
+     * stream or run and draw with bernoulliBelow().
+     */
+    static uint64_t bernoulliThreshold(double p);
+
+    /** One Bernoulli trial against a bernoulliThreshold() value;
+     *  consumes exactly one next(). */
+    bool bernoulliBelow(uint64_t threshold);
 
     /**
      * Poisson deviate with the given mean. Uses Knuth's method for
@@ -81,9 +96,6 @@ class Rng
      * event-count sampling).
      */
     uint64_t poisson(double mean);
-
-    /** Exponential deviate with the given rate (lambda > 0). */
-    double exponential(double rate);
 
     // UniformRandomBitGenerator interface
     using result_type = uint64_t;
@@ -151,11 +163,29 @@ Rng::uniformInt(int64_t lo, int64_t hi)
     return lo + static_cast<int64_t>(value % span);
 }
 
+inline uint64_t
+Rng::bernoulliThreshold(double p)
+{
+    constexpr uint64_t kOne = 1ULL << 53;
+    if (!(p > 0.0))
+        return 0; // zero, negative and NaN: never true
+    if (p >= 1.0)
+        return kOne; // every 53-bit draw is below 2^53
+    const double scaled = p * 0x1.0p53; // exact, and < 2^53
+    const auto floor = static_cast<uint64_t>(scaled);
+    return floor + (static_cast<double>(floor) < scaled ? 1 : 0);
+}
+
+inline bool
+Rng::bernoulliBelow(uint64_t threshold)
+{
+    return (next() >> 11) < threshold;
+}
+
 inline bool
 Rng::bernoulli(double p)
 {
-    const double clamped = p < 0.0 ? 0.0 : (p > 1.0 ? 1.0 : p);
-    return uniform() < clamped;
+    return bernoulliBelow(bernoulliThreshold(p));
 }
 
 } // namespace vmargin::util

@@ -12,7 +12,8 @@ AddressStream::AddressStream(uint64_t working_set_bytes, double spatial,
                              double temporal, Seed seed)
     : workingSet_(std::max<uint64_t>(working_set_bytes, 4096)),
       hotBytes_(std::max<uint64_t>(workingSet_ / 10, 1024)),
-      spatial_(spatial), temporal_(temporal),
+      spatial_(util::Rng::bernoulliThreshold(spatial)),
+      temporal_(util::Rng::bernoulliThreshold(temporal)),
       wsLimit_(~0ULL / workingSet_ * workingSet_),
       hotLimit_(~0ULL / hotBytes_ * hotBytes_), rng_(seed)
 {

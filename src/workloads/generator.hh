@@ -87,8 +87,8 @@ class AddressStream
 
     uint64_t workingSet_;
     uint64_t hotBytes_;
-    double spatial_;
-    double temporal_;
+    uint64_t spatial_;  ///< Rng::bernoulliThreshold of the spatial p
+    uint64_t temporal_; ///< Rng::bernoulliThreshold of the temporal p
     uint64_t wsLimit_;  ///< rejection limit for span workingSet_
     uint64_t hotLimit_; ///< rejection limit for span hotBytes_
     uint64_t cursor_ = 0;
@@ -98,14 +98,14 @@ class AddressStream
 inline uint64_t
 AddressStream::next()
 {
-    if (rng_.bernoulli(spatial_)) {
+    if (rng_.bernoulliBelow(spatial_)) {
         // Sequential advance by one 8-byte word, wrapping at the
         // working-set boundary. cursor_ < workingSet_ always holds,
         // so the wrap is a compare instead of a modulo.
         cursor_ += 8;
         if (cursor_ >= workingSet_)
             cursor_ -= workingSet_;
-    } else if (rng_.bernoulli(temporal_)) {
+    } else if (rng_.bernoulliBelow(temporal_)) {
         // Jump back into the hot subset at the bottom of the range.
         cursor_ = drawBelow(hotBytes_, hotLimit_);
     } else {

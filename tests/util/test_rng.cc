@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "util/rng.hh"
@@ -154,6 +156,84 @@ TEST(Rng, BernoulliRate)
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
+TEST(Rng, BernoulliThresholdEdgeValues)
+{
+    constexpr uint64_t kOne = 1ULL << 53;
+    EXPECT_EQ(Rng::bernoulliThreshold(0.0), 0u);
+    EXPECT_EQ(Rng::bernoulliThreshold(-0.0), 0u);
+    EXPECT_EQ(Rng::bernoulliThreshold(1.0), kOne);
+    EXPECT_EQ(Rng::bernoulliThreshold(0x1.0p-53), 1u);
+    EXPECT_EQ(Rng::bernoulliThreshold(1.0 - 0x1.0p-53), kOne - 1);
+    EXPECT_EQ(Rng::bernoulliThreshold(0.5), kOne / 2);
+    EXPECT_EQ(Rng::bernoulliThreshold(std::nextafter(0.5, 1.0)),
+              kOne / 2 + 1);
+    EXPECT_EQ(Rng::bernoulliThreshold(
+                  std::numeric_limits<double>::denorm_min()),
+              1u);
+    EXPECT_EQ(Rng::bernoulliThreshold(-0.25), 0u);
+    EXPECT_EQ(Rng::bernoulliThreshold(-1e300), 0u);
+    EXPECT_EQ(Rng::bernoulliThreshold(1.5), kOne);
+    EXPECT_EQ(Rng::bernoulliThreshold(
+                  std::numeric_limits<double>::infinity()),
+              kOne);
+    EXPECT_EQ(Rng::bernoulliThreshold(std::nan("")), 0u);
+}
+
+/** The oracle: twin streams, one drawing bernoulliBelow against the
+ *  threshold of @p p, the other comparing uniform() with @p p as it
+ *  stands (no clamp; NaN compares false). */
+void
+expectTwinTrials(Rng &integer, Rng &real, double p, int trials)
+{
+    const uint64_t threshold = Rng::bernoulliThreshold(p);
+    for (int i = 0; i < trials; ++i)
+        ASSERT_EQ(integer.bernoulliBelow(threshold), real.uniform() < p)
+            << "p = " << p << ", trial " << i;
+}
+
+TEST(Rng, BernoulliBelowMatchesUniformCompare)
+{
+    Rng integer(23), real(23), pick(29);
+    for (const double p :
+         {0.0, 1.0, 0x1.0p-53, 1.0 - 0x1.0p-53, 0.5,
+          std::numeric_limits<double>::denorm_min(),
+          std::numeric_limits<double>::min(), -0.0, -0.5, -1e300, 1.5,
+          1e300, std::numeric_limits<double>::infinity(),
+          std::nan("")})
+        expectTwinTrials(integer, real, p, 2000);
+    for (int i = 0; i < 20000; ++i) {
+        // Random p over [-0.1, 1.1), and small p down to 2^-60.
+        const double p = i % 2 ? pick.uniform(-0.1, 1.1)
+                               : std::ldexp(pick.uniform(),
+                                            -static_cast<int>(
+                                                pick.uniformInt(0, 60)));
+        expectTwinTrials(integer, real, p, 8);
+        if (testing::Test::HasFatalFailure())
+            return;
+    }
+}
+
+TEST(Rng, BernoulliBelowExactAtTheDrawnValue)
+{
+    // Random p almost never lands on the boundary, so aim at it: for
+    // the very draw about to happen, set p to that draw's value and
+    // its neighbours (equal is false, one ulp above is true).
+    Rng integer(31), real(31);
+    for (int i = 0; i < 20000; ++i) {
+        Rng peek = integer;
+        const double u = peek.uniform();
+        for (const double p : {u, std::nextafter(u, 0.0),
+                               std::nextafter(u, 2.0)}) {
+            Rng a = integer, b = real;
+            ASSERT_EQ(a.bernoulliBelow(Rng::bernoulliThreshold(p)),
+                      b.uniform() < p)
+                << "u = " << u << ", p = " << p;
+        }
+        integer.next();
+        real.next();
+    }
+}
+
 TEST(Rng, PoissonZeroMean)
 {
     Rng rng(19);
@@ -179,19 +259,6 @@ TEST(Rng, PoissonLargeMeanUsesApproximation)
     for (int i = 0; i < n; ++i)
         sum += static_cast<double>(rng.poisson(200.0));
     EXPECT_NEAR(sum / n, 200.0, 2.0);
-}
-
-TEST(Rng, ExponentialMean)
-{
-    Rng rng(29);
-    double sum = 0.0;
-    const int n = 100000;
-    for (int i = 0; i < n; ++i) {
-        const double v = rng.exponential(4.0);
-        EXPECT_GE(v, 0.0);
-        sum += v;
-    }
-    EXPECT_NEAR(sum / n, 0.25, 0.01);
 }
 
 } // namespace
