@@ -47,7 +47,9 @@ scaleCount(uint64_t count, double factor)
     // is at least one half. The subtraction is exact (Sterbenz for
     // scaled >= 1, trivially below 1, and 0 once scaled >= 2^52,
     // where every double is an integer), so this is llround's
-    // half-away-from-zero rule bit for bit.
+    // half-away-from-zero rule bit for bit. The cast goes through
+    // int64_t, which is one instruction on x86-64 (an unsigned cast
+    // needs a branch for the top half of the range).
     const auto whole =
         static_cast<uint64_t>(static_cast<int64_t>(scaled));
     return whole +
