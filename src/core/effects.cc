@@ -67,34 +67,6 @@ effectFromName(std::string_view name)
     return std::nullopt;
 }
 
-namespace
-{
-
-uint8_t
-bitOf(Effect effect)
-{
-    if (effect == Effect::NO)
-        return 0;
-    return static_cast<uint8_t>(1u
-                                << (static_cast<unsigned>(effect) - 1));
-}
-
-} // namespace
-
-void
-EffectSet::add(Effect effect)
-{
-    bits_ |= bitOf(effect);
-}
-
-bool
-EffectSet::has(Effect effect) const
-{
-    if (effect == Effect::NO)
-        return normal();
-    return (bits_ & bitOf(effect)) != 0;
-}
-
 int
 EffectSet::count() const
 {

@@ -13,7 +13,9 @@
 #ifndef VMARGIN_CORE_EFFECTS_HH
 #define VMARGIN_CORE_EFFECTS_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -40,6 +42,11 @@ inline constexpr Effect kAllEffects[] = {Effect::NO,  Effect::SDC,
                                          Effect::CE,  Effect::UE,
                                          Effect::AC,  Effect::SC};
 
+/** Number of distinct EffectSets: every subset of the abnormal
+ *  effects (NO is the empty set). */
+inline constexpr size_t kEffectSets = size_t{1}
+                                      << (std::size(kAllEffects) - 1);
+
 /** Short effect name ("SDC", "CE", ...). */
 std::string_view effectName(Effect effect);
 
@@ -57,13 +64,23 @@ class EffectSet
     EffectSet() = default;
 
     /** Add an effect (NO is represented by the empty set). */
-    void add(Effect effect);
+    void add(Effect effect) { bits_ |= bitOf(effect); }
 
     /** True when @p effect is in the set. */
-    bool has(Effect effect) const;
+    bool
+    has(Effect effect) const
+    {
+        if (effect == Effect::NO)
+            return normal();
+        return (bits_ & bitOf(effect)) != 0;
+    }
 
     /** True when no abnormal effect occurred. */
     bool normal() const { return bits_ == 0; }
+
+    /** The set as a mask below kEffectSets, one bit per abnormal
+     *  effect: distinct sets, distinct masks. */
+    uint8_t bits() const { return bits_; }
 
     /** Number of distinct abnormal effects. */
     int count() const;
@@ -83,6 +100,15 @@ class EffectSet
     bool operator==(const EffectSet &other) const = default;
 
   private:
+    static constexpr uint8_t
+    bitOf(Effect effect)
+    {
+        if (effect == Effect::NO)
+            return 0;
+        return static_cast<uint8_t>(
+            1u << (static_cast<unsigned>(effect) - 1));
+    }
+
     uint8_t bits_ = 0;
 };
 

@@ -141,6 +141,22 @@ putSiteCounts(std::string &out, const sim::SiteCounts &sites)
     }
 }
 
+/** The little-endian @p Word stored at @p bytes, in one load. */
+template <typename Word>
+Word
+loadLittleEndian(const char *bytes)
+{
+    Word value;
+    std::memcpy(&value, bytes, sizeof(Word));
+    if constexpr (std::endian::native == std::endian::big) {
+        Word swapped = 0;
+        for (size_t i = 0; i < sizeof(Word); ++i, value >>= 8)
+            swapped = static_cast<Word>(swapped << 8 | (value & 0xffu));
+        value = swapped;
+    }
+    return value;
+}
+
 /** Bounds-checked little-endian reader over one frame payload. */
 class PayloadReader
 {
@@ -160,31 +176,9 @@ class PayloadReader
         return static_cast<uint8_t>(payload_[pos_++]);
     }
 
-    uint32_t
-    u32()
-    {
-        if (!require(4))
-            return 0;
-        uint32_t value = 0;
-        for (int shift = 0; shift < 32; shift += 8)
-            value |= static_cast<uint32_t>(static_cast<unsigned char>(
-                         payload_[pos_++]))
-                     << shift;
-        return value;
-    }
+    uint32_t u32() { return word<uint32_t>(); }
 
-    uint64_t
-    u64()
-    {
-        if (!require(8))
-            return 0;
-        uint64_t value = 0;
-        for (int shift = 0; shift < 64; shift += 8)
-            value |= static_cast<uint64_t>(static_cast<unsigned char>(
-                         payload_[pos_++]))
-                     << shift;
-        return value;
-    }
+    uint64_t u64() { return word<uint64_t>(); }
 
     double f64() { return std::bit_cast<double>(u64()); }
 
@@ -220,6 +214,19 @@ class PayloadReader
     }
 
   private:
+    /** One little-endian word; 0 and not ok() on a short payload. */
+    template <typename Word>
+    Word
+    word()
+    {
+        if (!require(sizeof(Word)))
+            return 0;
+        const Word value =
+            loadLittleEndian<Word>(payload_.data() + pos_);
+        pos_ += sizeof(Word);
+        return value;
+    }
+
     bool
     require(size_t bytes)
     {
@@ -278,17 +285,9 @@ FrameCursor::next(std::string_view &payload, uint32_t &checksum)
         return Status::End;
     if (bytes_.size() - pos_ < kPrefixBytes)
         return Status::Truncated;
-    uint32_t length = 0;
-    for (int shift = 0; shift < 32; shift += 8)
-        length |= static_cast<uint32_t>(static_cast<unsigned char>(
-                      bytes_[pos_ + static_cast<size_t>(shift / 8)]))
-                  << shift;
-    checksum = 0;
-    for (int shift = 0; shift < 32; shift += 8)
-        checksum |=
-            static_cast<uint32_t>(static_cast<unsigned char>(
-                bytes_[pos_ + 4 + static_cast<size_t>(shift / 8)]))
-            << shift;
+    const uint32_t length =
+        loadLittleEndian<uint32_t>(bytes_.data() + pos_);
+    checksum = loadLittleEndian<uint32_t>(bytes_.data() + pos_ + 4);
     if (bytes_.size() - pos_ - kPrefixBytes < length)
         return Status::Truncated;
     payload = bytes_.substr(pos_ + kPrefixBytes, length);

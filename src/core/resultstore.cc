@@ -1,8 +1,11 @@
 #include "resultstore.hh"
 
+#include <algorithm>
 #include <array>
 #include <charconv>
+#include <concepts>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -80,6 +83,75 @@ parseField(const std::string &text, const Where &where)
     }
 }
 
+/** Widest decimal form of an integer of up to 64 bits, sign
+ *  included (UINT64_MAX's 20 digits, INT64_MIN's 19 and a sign). */
+constexpr size_t kIntegerChars = 21;
+
+/**
+ * The most bytes a run row takes besides its id and effects fields:
+ * its nine integers and three doubles at their widest (a double at
+ * DBL_MAX prints 309 integer digits), both site lists at their
+ * widest, the 15 separators and the newline.
+ */
+constexpr size_t kRowBytesBeside =
+    9 * kIntegerChars + util::fixedCharsBound(6) +
+    2 * util::fixedCharsBound(4) + 2 * sim::kSiteCountsMaxChars +
+    kNumRunColumns;
+
+/** The effects field of every EffectSet, indexed by its bits():
+ *  EffectSet::appendTo's text under the CSV quoting rule, so a set
+ *  holding the separator prints quoted ("CE,UE" as "\"CE,UE\""). */
+struct EffectFields
+{
+    std::array<std::string, kEffectSets> text;
+    size_t widest = 0; ///< the longest entry's bytes
+};
+
+const EffectFields &
+effectFields()
+{
+    static const EffectFields fields = [] {
+        EffectFields built;
+        for (size_t mask = 0; mask < kEffectSets; ++mask) {
+            EffectSet set;
+            for (size_t bit = 0; bit + 1 < std::size(kAllEffects); ++bit)
+                if (mask >> bit & 1)
+                    set.add(kAllEffects[bit + 1]);
+            std::string text;
+            set.appendTo(text);
+            std::string &field = built.text[set.bits()];
+            util::appendCsvField(field, text);
+            built.widest = std::max(built.widest, field.size());
+        }
+        return built;
+    }();
+    return fields;
+}
+
+/** Copy @p text to @p out; returns one past the copy. */
+char *
+putText(char *out, std::string_view text)
+{
+    return std::copy(text.begin(), text.end(), out);
+}
+
+/** End a field at @p out with @p separator; returns one past it. */
+char *
+endField(char *out, char separator = ',')
+{
+    *out = separator;
+    return out + 1;
+}
+
+/** Write @p value in decimal at @p out; returns one past it. */
+template <std::integral T>
+char *
+putInteger(char *out, T value)
+{
+    static_assert(sizeof(T) <= 8, "kIntegerChars covers 64 bits");
+    return std::to_chars(out, out + kIntegerChars, value).ptr;
+}
+
 } // namespace
 
 void
@@ -89,28 +161,51 @@ appendRunCsv(std::string &out, const std::vector<ClassifiedRun> &runs)
     for (const char *name : kRunColumnNames)
         csv.field(name);
     csv.endRow();
-    for (const ClassifiedRun &run : runs)
-        csv.field(run.key.workloadId)
-            .field(run.key.core)
-            .field(run.key.voltage)
-            .field(run.key.frequency)
-            .field(run.key.campaign)
-            .field(run.key.runIndex)
-            .fieldFrom([&](std::string &o) { run.effects.appendTo(o); })
-            .field(run.sdcEvents)
-            .field(run.correctedErrors)
-            .field(run.uncorrectedErrors)
-            .field(run.exitCode)
-            .field(run.seconds, 6)
-            .field(run.avgIpc, 4)
-            .field(run.activityFactor, 4)
-            .fieldFrom([&](std::string &o) {
-                sim::appendSiteCounts(o, run.correctedBySite);
-            })
-            .fieldFrom([&](std::string &o) {
-                sim::appendSiteCounts(o, run.uncorrectedBySite);
-            })
-            .endRow();
+
+    const EffectFields &effects = effectFields();
+    // Each row is written through a cursor into one buffer, then
+    // appended whole. The buffer holds the row at its widest: the
+    // quoted id (built once per run of equal ids), the widest
+    // effects field and kRowBytesBeside. Rows whose id does not fit
+    // the stack buffer take the heap one.
+    char stack[4096];
+    std::string heap;
+    std::string id_field;
+    const std::string *id = nullptr;
+    char *row = stack;
+    for (const ClassifiedRun &run : runs) {
+        if (!id || run.key.workloadId != *id) {
+            id = &run.key.workloadId;
+            id_field.clear();
+            util::appendCsvField(id_field, *id);
+            const size_t bound =
+                id_field.size() + effects.widest + kRowBytesBeside;
+            row = stack;
+            if (bound > sizeof(stack)) {
+                heap.resize(std::max(heap.size(), bound));
+                row = heap.data();
+            }
+        }
+        // The columns in kRunColumnNames order.
+        char *cursor = endField(putText(row, id_field));
+        cursor = endField(putInteger(cursor, run.key.core));
+        cursor = endField(putInteger(cursor, run.key.voltage));
+        cursor = endField(putInteger(cursor, run.key.frequency));
+        cursor = endField(putInteger(cursor, run.key.campaign));
+        cursor = endField(putInteger(cursor, run.key.runIndex));
+        cursor = endField(putText(cursor, effects.text[run.effects.bits()]));
+        cursor = endField(putInteger(cursor, run.sdcEvents));
+        cursor = endField(putInteger(cursor, run.correctedErrors));
+        cursor = endField(putInteger(cursor, run.uncorrectedErrors));
+        cursor = endField(putInteger(cursor, run.exitCode));
+        cursor = endField(util::writeFixed(cursor, run.seconds, 6));
+        cursor = endField(util::writeFixed(cursor, run.avgIpc, 4));
+        cursor = endField(util::writeFixed(cursor, run.activityFactor, 4));
+        cursor = endField(sim::writeSiteCounts(cursor, run.correctedBySite));
+        cursor = endField(
+            sim::writeSiteCounts(cursor, run.uncorrectedBySite), '\n');
+        out.append(row, cursor);
+    }
 }
 
 void

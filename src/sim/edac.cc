@@ -35,22 +35,20 @@ SiteCounts::addNamed(std::string_view name, uint64_t count)
     return true;
 }
 
-void
-appendSiteCounts(std::string &out, const SiteCounts &sites)
+char *
+writeSiteCounts(char *out, const SiteCounts &sites)
 {
     bool first = true;
     for (const auto &[site, name] : kSiteNames) {
         if (!sites[site])
             continue;
         if (!std::exchange(first, false))
-            out += ';';
-        out.append(name).append(1, ':');
-        char digits[24];
-        out.append(digits,
-                   std::to_chars(digits, digits + sizeof(digits),
-                                 sites[site])
-                       .ptr);
+            *out++ = ';';
+        out = std::copy(name.begin(), name.end(), out);
+        *out++ = ':';
+        out = std::to_chars(out, out + 20, sites[site]).ptr;
     }
+    return out;
 }
 
 std::optional<SiteCounts>

@@ -112,11 +112,22 @@ struct SiteCounts
     bool operator==(const SiteCounts &other) const = default;
 };
 
-/** Append @p sites as "site:count" entries joined by ';', in name
- *  order, zero counts omitted (no events: nothing), to @p out. */
-void appendSiteCounts(std::string &out, const SiteCounts &sites);
+/** The most bytes writeSiteCounts writes: every site named, each
+ *  with a 20-digit count, and the separators between them. */
+inline constexpr size_t kSiteCountsMaxChars = [] {
+    size_t bytes = kErrorSites - 1;
+    for (const auto &entry : kSiteNames)
+        bytes += entry.second.size() + 1 + 20;
+    return bytes;
+}();
 
-/** Parse the appendSiteCounts format; nullopt on a malformed entry
+/** Write @p sites as "site:count" entries joined by ';', in name
+ *  order, zero counts omitted (no events: nothing), at @p out, which
+ *  has room for kSiteCountsMaxChars bytes; returns one past the last
+ *  byte written. The one spelling of a site list's text. */
+char *writeSiteCounts(char *out, const SiteCounts &sites);
+
+/** Parse the writeSiteCounts format; nullopt on a malformed entry
  *  (an empty one, one without ':', a count that is not all decimal
  *  digits or overflows) or one addNamed refuses. Nothing is
  *  trimmed. */

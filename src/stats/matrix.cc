@@ -31,15 +31,6 @@ Matrix::fromRows(const std::vector<Vector> &rows)
     return m;
 }
 
-Matrix
-Matrix::identity(size_t n)
-{
-    Matrix m(n, n);
-    for (size_t i = 0; i < n; ++i)
-        m(i, i) = 1.0;
-    return m;
-}
-
 double &
 Matrix::operator()(size_t r, size_t c)
 {

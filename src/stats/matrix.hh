@@ -32,8 +32,6 @@ class Matrix
     /** Build from nested initializer data (rows of equal length). */
     static Matrix fromRows(const std::vector<Vector> &rows);
 
-    /** n x n identity. */
-    static Matrix identity(size_t n);
 
     size_t rows() const { return rows_; }
     size_t cols() const { return cols_; }

@@ -31,6 +31,24 @@ CsvDocument::at(size_t row, const std::string &column) const
     return fields[static_cast<size_t>(col)];
 }
 
+void
+appendCsvField(std::string &out, std::string_view text, char sep)
+{
+    const char specials[] = {sep, '"', '\n', '\r'};
+    if (text.find_first_of(std::string_view(
+            specials, sizeof(specials))) == std::string_view::npos) {
+        out.append(text);
+        return;
+    }
+    out += '"';
+    for (const char c : text) {
+        if (c == '"')
+            out += '"';
+        out += c;
+    }
+    out += '"';
+}
+
 CsvWriter::CsvWriter(std::string &out, char sep)
     : out_(out), sep_(sep), rowStart_(out.size())
 {
@@ -39,26 +57,9 @@ CsvWriter::CsvWriter(std::string &out, char sep)
 CsvWriter &
 CsvWriter::field(std::string_view text)
 {
-    return fieldFrom([text](std::string &out) { out.append(text); });
-}
-
-void
-CsvWriter::quoteFrom(size_t start)
-{
-    const char specials[] = {sep_, '"', '\n', '\r'};
-    if (std::string_view(out_).substr(start).find_first_of(
-            std::string_view(specials, sizeof(specials))) ==
-        std::string_view::npos)
-        return;
-    const std::string text = out_.substr(start);
-    out_.resize(start);
-    out_ += '"';
-    for (const char c : text) {
-        if (c == '"')
-            out_ += '"';
-        out_ += c;
-    }
-    out_ += '"';
+    separate();
+    appendCsvField(out_, text, sep_);
+    return *this;
 }
 
 CsvWriter &

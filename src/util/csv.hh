@@ -6,10 +6,9 @@
  * classified run into CSV files (paper section 2.2); the prediction
  * pipeline reads them back. CsvWriter appends rows field by field
  * into a caller-owned string, so every report section writes into
- * one buffer: text fields, given or appended in place by a writer,
- * are quoted per RFC 4180 (a field holding the separator, a quote,
- * CR or LF is quoted and embedded quotes are doubled), integers go
- * through std::to_chars and doubles through util::appendFixed.
+ * one buffer: text fields are quoted per RFC 4180 by
+ * appendCsvField, integers go through std::to_chars and doubles
+ * through util::appendFixed.
  */
 
 #ifndef VMARGIN_UTIL_CSV_HH
@@ -39,6 +38,14 @@ struct CsvDocument
 };
 
 /**
+ * Append @p text to @p out as one CSV field: as it is, or quoted
+ * when it holds @p sep, a quote, CR or LF, with embedded quotes
+ * doubled (RFC 4180). The one quoting rule every text field takes.
+ */
+void appendCsvField(std::string &out, std::string_view text,
+                    char sep = ',');
+
+/**
  * Append-only CSV writer over a caller-owned string. Owns nothing:
  * fields land directly in the caller's buffer, one endRow() per row.
  */
@@ -50,20 +57,6 @@ class CsvWriter
 
     /** A text field, quoted when it needs to be. */
     CsvWriter &field(std::string_view text);
-
-    /** A text field that @p write(out) appends straight into the
-     *  buffer; quoted afterwards, as field() quotes, when it needs
-     *  to be. */
-    template <typename Write>
-    CsvWriter &
-    fieldFrom(Write &&write)
-    {
-        separate();
-        const size_t start = out_.size();
-        write(out_);
-        quoteFrom(start);
-        return *this;
-    }
 
     /** An integer field in decimal. */
     template <std::integral T>
@@ -95,10 +88,6 @@ class CsvWriter
         if (rowFields_++)
             out_ += sep_;
     }
-
-    /** Quote the field text from @p start to the end of the buffer
-     *  when it holds the separator, a quote, CR or LF. */
-    void quoteFrom(size_t start);
 
     std::string &out_;
     char sep_;

@@ -40,11 +40,4 @@ warn(const std::string &msg)
         std::cerr << "warn: " << msg << std::endl;
 }
 
-void
-inform(const std::string &msg)
-{
-    if (gLevel >= LogLevel::Info)
-        std::cout << "info: " << msg << std::endl;
-}
-
 } // namespace vmargin::util

@@ -5,11 +5,9 @@
  * panic()  - internal invariant violated (a vmargin bug); aborts.
  * fatal()  - the user asked for something impossible; exits cleanly.
  * warn()   - something questionable happened, execution continues.
- * inform() - plain status output.
  *
- * All messages go to stderr except inform(), which goes to stdout.
- * A global log level filters warn()/inform() so that test binaries
- * can silence chatter.
+ * All messages go to stderr. A global log level filters warn() so
+ * that test binaries can silence chatter.
  */
 
 #ifndef VMARGIN_UTIL_LOGGING_HH
@@ -25,8 +23,7 @@ namespace vmargin::util
 enum class LogLevel
 {
     Silent, ///< suppress everything except panic/fatal
-    Warn,   ///< show warnings
-    Info    ///< show warnings and informational messages
+    Warn    ///< show warnings
 };
 
 /** Set the process-wide log level and return the previous one.
@@ -47,9 +44,6 @@ LogLevel setLogLevel(LogLevel level);
 
 /** Emit a warning if the log level permits. */
 void warn(const std::string &msg);
-
-/** Emit a status message if the log level permits. */
-void inform(const std::string &msg);
 
 /**
  * Tiny variadic formatter: joins the stream representation of every

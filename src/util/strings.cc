@@ -92,71 +92,77 @@ constexpr double kPow10[] = {1e0, 1e1, 1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
 constexpr double kOnGridBound = 1e15;
 
 /**
- * Append @p value as the integer round(value * 10^precision) with
- * the decimal point put in, when that is exactly what to_chars would
- * print; false, appending nothing, otherwise. The test
- * double(n) / 10^p == value (division is correctly rounded) proves
- * value is the double nearest n / 10^p. Below kOnGridBound the
- * value's exact binary expansion is then within half an ulp, less
- * than half a unit in the last printed digit, of n / 10^p, so
- * rounding it to p digits gives n's digits under any tie rule.
- * Negative values and -0.0 (whose sign would need printing), NaN,
- * infinities and larger magnitudes are left to to_chars.
+ * Write @p value as the integer round(value * 10^precision) with the
+ * decimal point put in, when that is exactly what to_chars would
+ * print, and return one past it; nullptr, writing nothing,
+ * otherwise. The test double(n) / 10^p == value (division is
+ * correctly rounded) proves value is the double nearest n / 10^p.
+ * Below kOnGridBound the value's exact binary expansion is then
+ * within half an ulp, less than half a unit in the last printed
+ * digit, of n / 10^p, so rounding it to p digits gives n's digits
+ * under any tie rule. Negative values and -0.0 (whose sign would
+ * need printing), NaN, infinities and larger magnitudes are left to
+ * to_chars.
  */
-bool
-appendOnGrid(std::string &out, double value, int precision)
+char *
+writeOnGrid(char *out, double value, int precision)
 {
     if (precision < 0 ||
         precision >= static_cast<int>(std::size(kPow10)) ||
         std::signbit(value))
-        return false;
+        return nullptr;
     const double scale = kPow10[precision];
     const double scaled = value * scale;
     if (!(scaled < kOnGridBound)) // also refuses NaN
-        return false;
+        return nullptr;
     // Exact: below the bound a double's ulp is at most 1/8.
     const auto n = static_cast<uint64_t>(scaled + 0.5);
     if (static_cast<double>(n) / scale != value)
-        return false;
+        return nullptr;
 
     char digits[24];
     const size_t length = static_cast<size_t>(
         std::to_chars(digits, digits + sizeof(digits), n).ptr - digits);
     const auto fraction = static_cast<size_t>(precision);
-    if (fraction == 0) {
-        out.append(digits, length);
-    } else if (length > fraction) {
-        out.append(digits, length - fraction)
-            .append(1, '.')
-            .append(digits + length - fraction, fraction);
-    } else {
-        out.append("0.").append(fraction - length, '0').append(digits,
-                                                               length);
+    if (fraction == 0)
+        return std::copy_n(digits, length, out);
+    if (length > fraction) {
+        out = std::copy_n(digits, length - fraction, out);
+        *out++ = '.';
+        return std::copy_n(digits + length - fraction, fraction, out);
     }
-    return true;
+    *out++ = '0';
+    *out++ = '.';
+    out = std::fill_n(out, fraction - length, '0');
+    return std::copy_n(digits, length, out);
 }
 
 } // namespace
 
+char *
+writeFixed(char *out, double value, int precision)
+{
+    if (char *end = writeOnGrid(out, value, precision))
+        return end;
+    return std::to_chars(out, out + fixedCharsBound(precision), value,
+                         std::chars_format::fixed, precision)
+        .ptr;
+}
+
 void
 appendFixed(std::string &out, double value, int precision)
 {
-    if (appendOnGrid(out, value, precision))
-        return;
-    // Most values fit a small buffer; the fallback fits a double's
-    // 309 integer digits, sign, point and fraction.
-    char small[64];
-    auto result = std::to_chars(small, small + sizeof(small), value,
-                                std::chars_format::fixed, precision);
-    if (result.ec == std::errc()) {
-        out.append(small, result.ptr);
+    // Common precisions fit a stack buffer; a larger one is written
+    // in place at the string's end.
+    char small[fixedCharsBound(16)];
+    if (fixedCharsBound(precision) <= sizeof(small)) {
+        out.append(small, writeFixed(small, value, precision));
         return;
     }
     const size_t start = out.size();
-    out.resize(start + 312 + static_cast<size_t>(std::max(precision, 6)));
-    result = std::to_chars(out.data() + start, out.data() + out.size(),
-                           value, std::chars_format::fixed, precision);
-    out.resize(static_cast<size_t>(result.ptr - out.data()));
+    out.resize(start + fixedCharsBound(precision));
+    out.resize(static_cast<size_t>(
+        writeFixed(out.data() + start, value, precision) - out.data()));
 }
 
 std::string

@@ -7,6 +7,7 @@
 #ifndef VMARGIN_UTIL_STRINGS_HH
 #define VMARGIN_UTIL_STRINGS_HH
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -31,11 +32,24 @@ bool isInteger(const std::string &text);
 /** True if the whole string parses as a floating point number. */
 bool isNumber(const std::string &text);
 
-/** Append @p value at fixed @p precision to @p out: printf "%.*f"
- *  (a negative precision means 6), as iostream `fixed` renders it.
- *  The one fixed-precision formatter. A nonnegative value already
- *  on the 10^-precision grid, as every quantized run value is, is
- *  printed from an integer; everything else through to_chars. */
+/** The most bytes writeFixed writes at @p precision: a sign, the
+ *  309 integer digits of DBL_MAX, the point and the fraction. */
+constexpr size_t
+fixedCharsBound(int precision)
+{
+    return 311 + static_cast<size_t>(precision < 0 ? 6 : precision);
+}
+
+/** Write @p value at fixed @p precision at @p out, which has room
+ *  for fixedCharsBound(precision) bytes; returns one past the last
+ *  byte written. printf "%.*f" (a negative precision means 6), as
+ *  iostream `fixed` renders it: the one fixed-precision formatter.
+ *  A nonnegative value already on the 10^-precision grid, as every
+ *  quantized run value is, is printed from an integer; everything
+ *  else through to_chars. */
+char *writeFixed(char *out, double value, int precision);
+
+/** Append writeFixed's bytes to @p out. */
 void appendFixed(std::string &out, double value, int precision);
 
 /** Fixed-precision formatting, e.g. formatDouble(0.1234, 2) == "0.12". */

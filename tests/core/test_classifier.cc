@@ -170,15 +170,13 @@ TEST(Classifier, SiteCountEncodingRoundTrip)
     sites[sim::ErrorSite::L3Cache] = 2;
     sites[sim::ErrorSite::Dram] = 1;
     // Name order, which the report and ledger bytes depend on; the
-    // text is appended after what the buffer already holds.
-    std::string text = "row,";
-    sim::appendSiteCounts(text, sites);
-    EXPECT_EQ(text, "row,DRAM:1;L2Cache:9;L3Cache:2");
-    EXPECT_EQ(sim::decodeSiteCounts(std::string_view(text).substr(4)),
-              sites);
+    // text is written at the cursor, after what the buffer holds.
+    char buffer[4 + sim::kSiteCountsMaxChars] = "row,";
+    char *end = sim::writeSiteCounts(buffer + 4, sites);
+    EXPECT_EQ(std::string(buffer, end), "row,DRAM:1;L2Cache:9;L3Cache:2");
+    EXPECT_EQ(sim::decodeSiteCounts(std::string(buffer + 4, end)), sites);
     EXPECT_EQ(sim::decodeSiteCounts(""), sim::SiteCounts{});
-    sim::appendSiteCounts(text, {});
-    EXPECT_EQ(text, "row,DRAM:1;L2Cache:9;L3Cache:2");
+    EXPECT_EQ(sim::writeSiteCounts(buffer + 4, {}), buffer + 4);
 }
 
 TEST(Classifier, MalformedSiteCountsAreReported)

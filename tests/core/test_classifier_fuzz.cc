@@ -124,8 +124,9 @@ TEST_P(ClassifierFuzzTest, RoundTripPreservesEverything)
         // to the same typed counts.
         for (const sim::SiteCounts *sites :
              {&direct.correctedBySite, &direct.uncorrectedBySite}) {
-            std::string text;
-            sim::appendSiteCounts(text, *sites);
+            char buffer[sim::kSiteCountsMaxChars];
+            const std::string text(buffer,
+                                   sim::writeSiteCounts(buffer, *sites));
             EXPECT_TRUE(inNameOrder(text)) << text;
             EXPECT_EQ(sim::decodeSiteCounts(text), *sites) << text;
         }

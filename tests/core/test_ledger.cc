@@ -946,6 +946,54 @@ TEST(LedgerCodec, SupervisorCheckpointRoundTripsBitExact)
               state.cores[0].cleanInQuarantine);
 }
 
+TEST(LedgerCodec, EveryStrictPrefixOfEveryRecordIsSkipped)
+{
+    // Each record kind's payload cut at every length short of whole,
+    // each cut framed with a valid checksum so it reaches the
+    // decoder: every cut is a malformed record, skipped and counted,
+    // and none leaves a cell or a daemon round behind.
+    RunRecord run = makeRun("bwaves/ref", 2, 905, 1, true);
+    run.effects.add(Effect::CE);
+    run.uncorrectedBySite[sim::ErrorSite::Dram] = 2;
+    CellCommit commit;
+    commit.workloadId = "bwaves/ref";
+    commit.core = 2;
+    commit.runCount = 1;
+    commit.chip = ChipRef{sim::ChipCorner::TSS, 9};
+    const std::vector<std::pair<std::string, std::string>> records = {
+        {"run", encodeRunRecord(run)},
+        {"commit", encodeCellCommit(commit)},
+        {"daemon round", encodeDaemonRound(makeDaemonRound(0))},
+        {"supervisor", encodeSupervisorCheckpoint(makeCheckpoint(1))}};
+    const std::string path = "/tmp/vmargin_test_ledger_prefixes";
+    for (const auto &[what, payload] : records) {
+        SCOPED_TRACE(what);
+        std::remove(path.c_str());
+        {
+            RunLedger ledger(path, "test");
+            ledger.open("h");
+        }
+        std::vector<std::string> prefixes;
+        for (size_t length = 0; length < payload.size(); ++length)
+            prefixes.push_back(payload.substr(0, length));
+        appendRawFrames(path, prefixes);
+
+        const uint64_t skipped_before =
+            counterValue("ledger.replay_skipped");
+        RunLedger reopened(path, "test");
+        ::testing::internal::CaptureStderr();
+        reopened.open("h");
+        const std::string warnings =
+            ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(counterValue("ledger.replay_skipped") - skipped_before,
+                  prefixes.size());
+        EXPECT_NE(warnings.find("malformed record"), std::string::npos);
+        EXPECT_EQ(reopened.size(), 0u);
+        EXPECT_TRUE(reopened.daemonRounds().empty());
+    }
+    std::remove(path.c_str());
+}
+
 TEST(RunLedger, DaemonRoundsSurviveReopen)
 {
     const std::string path = "/tmp/vmargin_test_ledger_daemon";

@@ -6,12 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cfloat>
+#include <charconv>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
 
 #include "core/resultstore.hh"
 #include "util/csv.hh"
+#include "util/rng.hh"
 #include "workloads/spec.hh"
 
 namespace vmargin
@@ -328,6 +335,274 @@ TEST(ResultStoreHostile, MalformedUeSitesIsFatal)
                 ::testing::ExitedWithCode(1),
                 "run row 2, column 'ue_sites': 'L3Cache:0' is not a "
                 "site:count list");
+}
+
+// ---- the run-row writer against a field-by-field reference -------
+
+/** std::to_chars in fixed notation: the bytes every double field
+ *  must carry, whichever path printed it. */
+std::string
+fixedText(double value, int precision)
+{
+    char text[512];
+    const auto result = std::to_chars(text, text + sizeof(text), value,
+                                      std::chars_format::fixed,
+                                      precision);
+    return std::string(text, result.ptr);
+}
+
+/** A site list spelled from kSiteNames: "site:count" entries in name
+ *  order, zero counts left out, joined by ';'. */
+std::string
+siteText(const sim::SiteCounts &sites)
+{
+    std::string text;
+    for (const auto &[site, name] : sim::kSiteNames) {
+        if (!sites[site])
+            continue;
+        if (!text.empty())
+            text += ';';
+        text.append(name).append(":").append(
+            std::to_string(sites[site]));
+    }
+    return text;
+}
+
+/** The run CSV written field by field through CsvWriter, every
+ *  number and list formatted on its own: the reference appendRunCsv
+ *  must match byte for byte. */
+std::string
+referenceRunCsv(const std::vector<ClassifiedRun> &runs)
+{
+    std::string out;
+    appendRunCsv(out, {}); // the column header
+    util::CsvWriter csv(out);
+    for (const ClassifiedRun &run : runs)
+        csv.field(run.key.workloadId)
+            .field(run.key.core)
+            .field(run.key.voltage)
+            .field(run.key.frequency)
+            .field(run.key.campaign)
+            .field(run.key.runIndex)
+            .field(run.effects.toString())
+            .field(run.sdcEvents)
+            .field(run.correctedErrors)
+            .field(run.uncorrectedErrors)
+            .field(run.exitCode)
+            .field(fixedText(run.seconds, 6))
+            .field(fixedText(run.avgIpc, 4))
+            .field(fixedText(run.activityFactor, 4))
+            .field(siteText(run.correctedBySite))
+            .field(siteText(run.uncorrectedBySite))
+            .endRow();
+    return out;
+}
+
+/** appendRunCsv's bytes for @p runs, after a prefix already in the
+ *  buffer (the prefix is checked to survive untouched). */
+std::string
+emittedRunCsv(const std::vector<ClassifiedRun> &runs)
+{
+    const std::string prefix = "prefix\n";
+    std::string out = prefix;
+    appendRunCsv(out, runs);
+    EXPECT_EQ(out.compare(0, prefix.size(), prefix), 0);
+    return out.substr(prefix.size());
+}
+
+/** The effect set with bit i of @p mask naming kAllEffects[i + 1]. */
+EffectSet
+effectsOf(size_t mask)
+{
+    EffectSet set;
+    for (size_t bit = 0; bit + 1 < std::size(kAllEffects); ++bit)
+        if (mask >> bit & 1)
+            set.add(kAllEffects[bit + 1]);
+    return set;
+}
+
+/** The site counts with site i of @p mask at @p count. */
+sim::SiteCounts
+sitesOf(size_t mask, uint64_t count)
+{
+    sim::SiteCounts sites;
+    for (size_t site = 0; site < sim::kErrorSites; ++site)
+        if (mask >> site & 1)
+            sites.bySite[site] = count;
+    return sites;
+}
+
+ClassifiedRun
+plainRun(const std::string &id)
+{
+    ClassifiedRun run;
+    run.key.workloadId = id;
+    run.key.core = 3;
+    run.key.voltage = 905;
+    run.seconds = 1.25;
+    run.avgIpc = 0.5;
+    run.activityFactor = 0.375;
+    return run;
+}
+
+TEST(RunCsvWriter, MatchesReferenceOnEveryEffectSet)
+{
+    std::vector<ClassifiedRun> runs;
+    for (size_t mask = 0; mask < kEffectSets; ++mask) {
+        runs.push_back(plainRun("bwaves/ref"));
+        runs.back().effects = effectsOf(mask);
+    }
+    const std::string emitted = emittedRunCsv(runs);
+    EXPECT_EQ(emitted, referenceRunCsv(runs));
+    // A set holding the separator is quoted.
+    EXPECT_NE(emitted.find(",\"CE,UE\","), std::string::npos);
+    EXPECT_NE(emitted.find(",NO,"), std::string::npos);
+}
+
+TEST(RunCsvWriter, MatchesReferenceOnEverySiteSubset)
+{
+    std::vector<ClassifiedRun> runs;
+    for (const uint64_t count : {uint64_t{1}, UINT64_MAX})
+        for (size_t ce = 0; ce < (size_t{1} << sim::kErrorSites); ++ce)
+            for (size_t ue = 0; ue < (size_t{1} << sim::kErrorSites);
+                 ++ue) {
+                runs.push_back(plainRun("mcf/ref"));
+                runs.back().correctedBySite = sitesOf(ce, count);
+                runs.back().uncorrectedBySite = sitesOf(ue, count);
+                runs.back().correctedErrors = count;
+            }
+    EXPECT_EQ(emittedRunCsv(runs), referenceRunCsv(runs));
+}
+
+TEST(RunCsvWriter, MatchesReferenceOnEdgeNumbers)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<double> doubles = {
+        0.0, 1.25, 0.123456, 0.1234, 2.5e-5, 1234.5678, // on-grid
+        0.1234567, 1.0 / 3.0, 1e-9, 123456.7891234,     // off-grid
+        -0.0, -1.25, -0.1234567, nan, -nan, inf, -inf, 1e300,
+        1e15, 1e16, DBL_MAX, -DBL_MAX, DBL_MIN,
+        std::numeric_limits<double>::denorm_min()};
+    std::vector<ClassifiedRun> runs;
+    for (const double value : doubles) {
+        runs.push_back(plainRun("lbm/ref"));
+        runs.back().seconds = value;
+        runs.back().avgIpc = value;
+        runs.back().activityFactor = value;
+    }
+    for (const int code : {INT_MIN, INT_MIN + 1, -1, 0, 139, INT_MAX}) {
+        runs.push_back(plainRun("lbm/ref"));
+        runs.back().exitCode = code;
+    }
+    // Every integer column at its extremes, every double at its
+    // widest: the longest row the writer can be handed.
+    ClassifiedRun widest = plainRun("lbm/ref");
+    widest.key.core = INT32_MIN;
+    widest.key.voltage = INT32_MIN;
+    widest.key.frequency = INT32_MIN;
+    widest.key.campaign = UINT32_MAX;
+    widest.key.runIndex = UINT32_MAX;
+    widest.effects = effectsOf(kEffectSets - 1);
+    widest.sdcEvents = widest.correctedErrors =
+        widest.uncorrectedErrors = UINT64_MAX;
+    widest.exitCode = INT_MIN;
+    widest.seconds = widest.avgIpc = widest.activityFactor = -DBL_MAX;
+    widest.correctedBySite = widest.uncorrectedBySite =
+        sitesOf((size_t{1} << sim::kErrorSites) - 1, UINT64_MAX);
+    runs.push_back(widest);
+    runs.push_back(widest);
+    runs.back().key.workloadId = std::string(5000, ',');
+    EXPECT_EQ(emittedRunCsv(runs), referenceRunCsv(runs));
+}
+
+TEST(RunCsvWriter, MatchesReferenceOnHostileIdsAndIdSwitches)
+{
+    const std::vector<std::string> ids = {
+        "",
+        ",",
+        "\"",
+        "\r",
+        "\n",
+        "a,b",
+        "say \"hi\"",
+        "a\r\nb,c\"d",
+        "bwaves/ref",
+        std::string(10000, 'x'),
+        std::string(10000, '"'),
+        std::string(4000, 'y') + ",",
+        "mcf/ref"};
+    // Each id alone, in runs of equal ids, and alternating with its
+    // neighbours, so every switch between short, long, quoted and
+    // plain ids is a row boundary.
+    std::vector<ClassifiedRun> runs;
+    for (size_t i = 0; i < ids.size(); ++i) {
+        for (int repeat = 0; repeat < 3; ++repeat) {
+            runs.push_back(plainRun(ids[i]));
+            runs.back().key.runIndex = static_cast<uint32_t>(repeat);
+        }
+        runs.push_back(plainRun(ids[(i + 1) % ids.size()]));
+        runs.push_back(plainRun(ids[i]));
+    }
+    const std::string emitted = emittedRunCsv(runs);
+    EXPECT_EQ(emitted, referenceRunCsv(runs));
+    // The quoting rule itself, spelled out.
+    const std::string header = referenceRunCsv({});
+    EXPECT_EQ(emittedRunCsv({plainRun("a,\"b\"")}).substr(header.size()),
+              "\"a,\"\"b\"\"\",3,905,2400,0,0,NO,0,0,0,0,1.250000,"
+              "0.5000,0.3750,,\n");
+    // An empty id stays an empty first field.
+    EXPECT_EQ(emittedRunCsv({plainRun("")}).substr(header.size()),
+              ",3,905,2400,0,0,NO,0,0,0,0,1.250000,0.5000,0.3750,,\n");
+}
+
+TEST(RunCsvWriter, MatchesReferenceOnSeededRandomRuns)
+{
+    const std::vector<std::string> ids = {"bwaves/ref", "mcf/ref",
+                                          "a,b", "q\"q", "", "lbm/ref"};
+    util::Rng rng(25);
+    const auto count = [&] {
+        // Mostly small counts, now and then one of any width.
+        return rng.uniform() < 0.8 ? rng.next() % 100 : rng.next();
+    };
+    const auto value = [&](int precision) {
+        switch (rng.uniformInt(0, 3)) {
+          case 0: // on the precision's grid, as quantized runs are
+            return std::round(rng.uniform(0.0, 1e4) *
+                              std::pow(10.0, precision)) /
+                   std::pow(10.0, precision);
+          case 1:
+            return rng.uniform(-1e6, 1e6);
+          case 2:
+            return std::bit_cast<double>(rng.next());
+          default:
+            return rng.uniform(0.0, 3.0);
+        }
+    };
+    std::vector<ClassifiedRun> runs;
+    for (int i = 0; i < 20000; ++i) {
+        ClassifiedRun run;
+        run.key.workloadId =
+            ids[static_cast<size_t>(rng.uniformInt(0, 5))];
+        run.key.core = static_cast<CoreId>(rng.next());
+        run.key.voltage = static_cast<MilliVolt>(rng.uniformInt(0, 1000));
+        run.key.frequency = static_cast<MegaHertz>(rng.next());
+        run.key.campaign = static_cast<uint32_t>(rng.next());
+        run.key.runIndex = static_cast<uint32_t>(rng.uniformInt(0, 9));
+        run.effects = effectsOf(rng.next() % kEffectSets);
+        run.sdcEvents = count();
+        run.correctedErrors = count();
+        run.uncorrectedErrors = count();
+        run.exitCode = static_cast<int>(rng.next());
+        run.seconds = value(6);
+        run.avgIpc = value(4);
+        run.activityFactor = value(4);
+        for (auto *sites : {&run.correctedBySite, &run.uncorrectedBySite})
+            for (auto &site : sites->bySite)
+                site = rng.uniform() < 0.3 ? count() : 0;
+        runs.push_back(run);
+    }
+    EXPECT_EQ(emittedRunCsv(runs), referenceRunCsv(runs));
 }
 
 } // namespace

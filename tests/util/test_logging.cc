@@ -28,8 +28,7 @@ TEST(Logging, LevelRoundTrip)
 {
     LevelGuard guard;
     EXPECT_EQ(setLogLevel(LogLevel::Silent), LogLevel::Warn);
-    EXPECT_EQ(setLogLevel(LogLevel::Info), LogLevel::Silent);
-    EXPECT_EQ(setLogLevel(LogLevel::Warn), LogLevel::Info);
+    EXPECT_EQ(setLogLevel(LogLevel::Warn), LogLevel::Silent);
 }
 
 TEST(Logging, WarnRespectsSilentLevel)
@@ -50,22 +49,6 @@ TEST(Logging, WarnEmitsAtWarnLevel)
     const std::string out =
         ::testing::internal::GetCapturedStderr();
     EXPECT_NE(out.find("warn: margin 42 mV"), std::string::npos);
-}
-
-TEST(Logging, InformOnlyAtInfoLevel)
-{
-    LevelGuard guard;
-    setLogLevel(LogLevel::Warn);
-    ::testing::internal::CaptureStdout();
-    inform("hidden");
-    EXPECT_EQ(::testing::internal::GetCapturedStdout(), "");
-
-    setLogLevel(LogLevel::Info);
-    ::testing::internal::CaptureStdout();
-    inform(concat("chip ", "TTT"));
-    EXPECT_NE(::testing::internal::GetCapturedStdout().find(
-                  "info: chip TTT"),
-              std::string::npos);
 }
 
 TEST(Logging, ConcatFormatsMixedTypes)

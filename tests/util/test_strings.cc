@@ -180,6 +180,33 @@ TEST(FormatDouble, EdgeValuesMatchToChars)
     EXPECT_EQ(formatDouble(1.5, 4), "1.5000");
 }
 
+TEST(FormatDouble, WriteFixedStaysWithinItsBound)
+{
+    // The widest outputs: writeFixed must stop inside
+    // fixedCharsBound, which -DBL_MAX fills exactly.
+    const double max = std::numeric_limits<double>::max();
+    const std::vector<double> values = {
+        max, -max, -1e300, -std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::denorm_min()};
+    for (const double value : values) {
+        for (int precision = -1; precision <= 40; ++precision) {
+            const size_t bound = fixedCharsBound(precision);
+            std::string buffer(bound + 8, '#');
+            char *end = writeFixed(buffer.data(), value, precision);
+            const auto written = static_cast<size_t>(end - buffer.data());
+            ASSERT_LE(written, bound);
+            EXPECT_EQ(buffer.substr(bound), std::string(8, '#'));
+            EXPECT_EQ(buffer.substr(0, written),
+                      toCharsFixed(value, precision))
+                << "value " << value << " precision " << precision;
+            if (value == -max && precision > 0) {
+                EXPECT_EQ(written, bound) << "precision " << precision;
+            }
+        }
+    }
+}
+
 TEST(Pad, Basic)
 {
     EXPECT_EQ(padRight("ab", 4), "ab  ");
