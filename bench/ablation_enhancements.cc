@@ -67,8 +67,11 @@ ceFirstCells(const CharacterizationReport &report)
         if (!first)
             continue;
         bool ce_only = true;
-        for (const auto &set :
-             cell.analysis.runsByVoltage.at(first)) {
+        for (const auto &run : report.allRuns) {
+            if (run.key.workloadId != cell.workloadId ||
+                run.key.core != cell.core || run.key.voltage != first)
+                continue;
+            const EffectSet &set = run.effects;
             if (set.normal())
                 continue;
             ce_only = ce_only && set.has(Effect::CE) &&

@@ -66,6 +66,9 @@ class EffectSet
     /** Add an effect (NO is represented by the empty set). */
     void add(Effect effect) { bits_ |= bitOf(effect); }
 
+    /** Add every effect of @p other. */
+    void merge(EffectSet other) { bits_ |= other.bits_; }
+
     /** True when @p effect is in the set. */
     bool
     has(Effect effect) const

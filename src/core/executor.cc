@@ -74,7 +74,6 @@ mergeCell(CharacterizationReport &report, LedgerView &view, Cell &cell)
         return false;
 
     view.addAll(cell.runs);
-    report.totalRuns += cell.runs.size();
     // A move_iterator over const runs copies them.
     report.allRuns.insert(report.allRuns.end(),
                           std::make_move_iterator(cell.runs.begin()),
@@ -401,23 +400,6 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
     if (sink)
         sink->flush();
     return reports;
-}
-
-CampaignExecutor::CampaignExecutor(sim::Platform *prototype)
-    : prototype_(prototype)
-{
-    if (!prototype_)
-        util::panicf("CampaignExecutor: null platform");
-}
-
-CharacterizationReport
-CampaignExecutor::run(const FrameworkConfig &config)
-{
-    return std::move(
-        executeSweep({prototype_}, config,
-                     journalHeaderFor(config, *prototype_),
-                     chipRefOf(*prototype_))
-            .front());
 }
 
 } // namespace vmargin

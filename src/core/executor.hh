@@ -12,8 +12,8 @@
  * work-stealing thread pool, then merges the cells in plan order.
  * Each chip's report is a pure function of its own cells, so the
  * same pool then merges and derives each chip as one task.
- * CampaignExecutor is its one-chip call; FleetExecutor (core/fleet)
- * is its N-chip call.
+ * CharacterizationFramework::characterize() is its one-chip call;
+ * FleetExecutor (core/fleet) is its N-chip call.
  *
  * Determinism contract: the emitted report — run CSV, per-cell
  * analyses and serialized form — is identical for any worker count,
@@ -83,24 +83,6 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
              const FrameworkConfig &config,
              const std::string &journal_header,
              const ChipRef &implicit_chip);
-
-/**
- * One sweep on one chip: executeSweep() over the prototype alone,
- * with the journalHeaderFor() header and the prototype's own chip as
- * the implicit chip, so existing journals stay valid.
- */
-class CampaignExecutor
-{
-  public:
-    /** @param prototype machine under test (not owned) */
-    explicit CampaignExecutor(sim::Platform *prototype);
-
-    /** Run the sweep described by @p config (already validated). */
-    CharacterizationReport run(const FrameworkConfig &config);
-
-  private:
-    sim::Platform *prototype_;
-};
 
 } // namespace vmargin
 

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <utility>
 
 #include "executor.hh"
 #include "resultstore.hh"
@@ -230,11 +231,16 @@ CharacterizationReport
 CharacterizationFramework::characterize(const FrameworkConfig &config)
 {
     config.validate();
-    // The executor fans the (workload, core) cells out across a
+    // The sweep engine fans the (workload, core) cells out across a
     // work-stealing pool, one fresh platform replica per in-flight
-    // cell, and merges in canonical order — see core/executor.
-    CampaignExecutor executor(platform_);
-    return executor.run(config);
+    // cell, and merges in canonical order — see core/executor. The
+    // platform is the one prototype, with the journalHeaderFor()
+    // header and its own chip as the implicit chip, so existing
+    // journals stay valid.
+    return std::move(executeSweep({platform_}, config,
+                                  journalHeaderFor(config, *platform_),
+                                  chipRefOf(*platform_))
+                         .front());
 }
 
 } // namespace vmargin

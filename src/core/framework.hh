@@ -139,7 +139,6 @@ struct CharacterizationReport
     std::vector<CellResult> cells;
     std::vector<ClassifiedRun> allRuns;
     uint64_t watchdogInterventions = 0;
-    uint64_t totalRuns = 0;
 
     /** Recovery counters aggregated over measured + replayed cells. */
     RecoveryTelemetry telemetry;

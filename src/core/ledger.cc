@@ -1292,8 +1292,8 @@ LedgerView::groupFor(const std::string &workload_id, CoreId core)
         return groups_[it->second];
     index_.emplace(std::pair(workload_id, core), groups_.size());
     Group &group = groups_.emplace_back();
-    group.key = CellKey{workload_id, core};
-    order_.push_back(group.key);
+    group.workloadId = workload_id;
+    group.core = core;
     return group;
 }
 
@@ -1301,26 +1301,26 @@ void
 LedgerView::addAll(std::span<const RunRecord> records)
 {
     // A cell's runs arrive together and, within a campaign, voltage
-    // by voltage: the group and the voltage's bucket are looked up
-    // again only when the key changes.
+    // by voltage: the group and the voltage's tally are looked up
+    // again only when the key changes. Each tally takes its runs in
+    // stream order, which fixes the bits of its weight sum.
     Group *group = nullptr;
-    std::vector<EffectSet> *bucket = nullptr;
-    MilliVolt bucket_voltage = 0;
+    SeverityTally *tally = nullptr;
+    MilliVolt tally_voltage = 0;
     for (const RunRecord &record : records) {
         const RunKey &key = record.key;
-        if (group == nullptr || key.core != group->key.core ||
-            key.workloadId != group->key.workloadId) {
+        if (group == nullptr || key.core != group->core ||
+            key.workloadId != group->workloadId) {
             group = &groupFor(key.workloadId, key.core);
             group->analyzed = false;
-            bucket = nullptr;
+            tally = nullptr;
         }
-        if (bucket == nullptr || key.voltage != bucket_voltage) {
-            bucket = &group->runsByVoltage[key.voltage];
-            bucket_voltage = key.voltage;
+        if (tally == nullptr || key.voltage != tally_voltage) {
+            tally = &group->byVoltage[key.voltage];
+            tally_voltage = key.voltage;
         }
-        bucket->push_back(record.effects);
+        tally->add(record.effects, weights_);
     }
-    runCount_ += records.size();
 }
 
 const LedgerView::Group *
@@ -1336,27 +1336,22 @@ void
 LedgerView::analyze(const Group &group) const
 {
     // The one computation site for regions and severity by voltage:
-    // a single pass over the cell's grouped effects. Every derived
-    // consumer — analyzeRegions(), the report rebuild, the severity
-    // datasets, the CSV paths — reads the result of this pass.
+    // a single pass over the cell's per-voltage tallies. Every
+    // derived consumer — analyzeRegions(), the report rebuild, the
+    // severity datasets, the CSV paths — reads the result of this
+    // pass.
     RegionAnalysis analysis;
-    analysis.runsByVoltage = group.runsByVoltage;
-    for (const auto &[voltage, effect_sets] :
-         analysis.runsByVoltage) {
-        bool any_abnormal = false;
-        bool any_crash = false;
-        for (const auto &set : effect_sets) {
-            any_abnormal = any_abnormal || !set.normal();
-            any_crash = any_crash || set.has(Effect::SC);
-        }
+    for (const auto &[voltage, tally] : group.byVoltage) {
+        const EffectSet seen = tally.effects();
+        const bool any_abnormal = !seen.normal();
+        const bool any_crash = seen.has(Effect::SC);
         Region region = Region::Safe;
         if (any_crash)
             region = Region::Crash;
         else if (any_abnormal)
             region = Region::Unsafe;
         analysis.regions[voltage] = region;
-        analysis.severityByVoltage[voltage] =
-            severity(effect_sets, weights_);
+        analysis.severityByVoltage[voltage] = tally.severity();
 
         if (any_crash && voltage > analysis.highestCrashVoltage)
             analysis.highestCrashVoltage = voltage;
@@ -1399,17 +1394,6 @@ LedgerView::analysis(const std::string &workload_id,
     return &cell->analysis;
 }
 
-const std::map<MilliVolt, double> &
-LedgerView::severityByVoltage(const std::string &workload_id,
-                              CoreId core) const
-{
-    const RegionAnalysis *cell = analysis(workload_id, core);
-    if (!cell)
-        util::panicf("LedgerView: no records for ", workload_id,
-                     " on core ", core);
-    return cell->severityByVoltage;
-}
-
 void
 warnIfCensored(std::string_view workload_id, CoreId core,
                const RegionAnalysis &analysis)
@@ -1432,9 +1416,9 @@ LedgerView::deriveAll(int workers) const
             todo.push_back(&group);
     // Groups are independent: each task writes only its own group's
     // memoized analysis, and analyze() is a pure function of the
-    // group's accumulated effects — so the derived views are
-    // identical for any worker count, and later analysis()/
-    // cellResults() calls are pure reads.
+    // group's tallies — so the derived views are identical for any
+    // worker count, and later analysis()/cellResults() calls are
+    // pure reads.
     util::ThreadPool::parallelFor(
         todo.size(), workers,
         [&](size_t i) { analyze(*todo[i]); });
@@ -1448,12 +1432,12 @@ LedgerView::cellResults() const
     for (const auto &group : groups_) {
         if (!group.analyzed) {
             analyze(group);
-            warnIfCensored(group.key.workloadId, group.key.core,
+            warnIfCensored(group.workloadId, group.core,
                            group.analysis);
         }
         CellResult cell;
-        cell.workloadId = group.key.workloadId;
-        cell.core = group.key.core;
+        cell.workloadId = group.workloadId;
+        cell.core = group.core;
         cell.analysis = group.analysis;
         cells.push_back(std::move(cell));
     }

@@ -623,7 +623,9 @@ void warnIfCensored(std::string_view workload_id, CoreId core,
  * Single-pass aggregator deriving every analysis view from a run
  * stream. Stream records in with add(); the per-cell region
  * analyses (regions, severity by voltage, Vmin, crash ceilings) are
- * computed once, lazily, from the grouped effects — `regions.cc`
+ * computed once, lazily, from one SeverityTally per (cell, voltage)
+ * — all that S_v and the regions read of a run — so the view keeps
+ * no run's effects of its own. `regions.cc`
  * and the report/CSV rebuild path both read severity from here
  * instead of recomputing it per stage. Cells keep first-seen
  * (canonical stream) order, so a view fed in canonical cell order
@@ -641,32 +643,14 @@ class LedgerView
      *  and within it of one voltage, finds its group once. */
     void addAll(std::span<const RunRecord> records);
 
-    /** Number of records streamed so far. */
-    size_t runCount() const { return runCount_; }
-
-    /** Cell keys in first-seen order. */
-    struct CellKey
-    {
-        std::string workloadId;
-        CoreId core = 0;
-    };
-    const std::vector<CellKey> &cellOrder() const { return order_; }
-
     /**
      * Region analysis of one cell, or nullptr when the cell has no
      * records. Computed on first access, single pass over the
-     * cell's grouped effects; later add() calls invalidate and
+     * cell's per-voltage tallies; later add() calls invalidate and
      * recompute.
      */
     const RegionAnalysis *analysis(const std::string &workload_id,
                                    CoreId core) const;
-
-    /** Severity-by-voltage view of one cell (the single source both
-     *  regions.cc and the report path read); panics when the cell
-     *  has no records. */
-    const std::map<MilliVolt, double> &
-    severityByVoltage(const std::string &workload_id,
-                      CoreId core) const;
 
     /**
      * Derive every not-yet-analyzed cell's region analysis across
@@ -690,10 +674,11 @@ class LedgerView
   private:
     struct Group
     {
-        CellKey key;
-        /** Effects grouped by voltage — the accumulation the whole
-         *  analysis derives from. */
-        std::map<MilliVolt, std::vector<EffectSet>> runsByVoltage;
+        std::string workloadId;
+        CoreId core = 0;
+        /** The cell's runs tallied by voltage — the accumulation the
+         *  whole analysis derives from. */
+        std::map<MilliVolt, SeverityTally> byVoltage;
         mutable RegionAnalysis analysis;
         mutable bool analyzed = false;
     };
@@ -725,8 +710,6 @@ class LedgerView
     SeverityWeights weights_;
     std::vector<Group> groups_;
     std::map<std::pair<std::string, CoreId>, size_t, KeyLess> index_;
-    std::vector<CellKey> order_;
-    size_t runCount_ = 0;
 };
 
 } // namespace vmargin

@@ -1,24 +1,13 @@
 #include "predictor.hh"
 
-#include <functional>
-
 #include "util/logging.hh"
 
 namespace vmargin
 {
 
-namespace
-{
-
-/** Resolves one workload's derived analysis on the target core —
- *  the only piece that differs between the report-backed and the
- *  ledger-backed dataset builders. */
-using AnalysisLookup =
-    std::function<const RegionAnalysis &(const std::string &)>;
-
 Dataset
-vminDatasetFrom(const std::vector<WorkloadCounters> &profiles,
-                const AnalysisLookup &analysisFor)
+buildVminDataset(const std::vector<WorkloadCounters> &profiles,
+                 const CharacterizationReport &report, CoreId core)
 {
     if (profiles.empty())
         util::panicf("buildVminDataset: no profiles");
@@ -29,15 +18,16 @@ vminDatasetFrom(const std::vector<WorkloadCounters> &profiles,
     dataset.y.reserve(profiles.size());
     for (const auto &profile : profiles) {
         dataset.y.push_back(static_cast<double>(
-            analysisFor(profile.workloadId).vmin));
+            report.cell(profile.workloadId, core).analysis.vmin));
         dataset.sampleIds.push_back(profile.workloadId);
     }
     return dataset;
 }
 
 Dataset
-severityDatasetFrom(const std::vector<WorkloadCounters> &profiles,
-                    const AnalysisLookup &analysisFor, CoreId core)
+buildSeverityDataset(const std::vector<WorkloadCounters> &profiles,
+                     const CharacterizationReport &report,
+                     CoreId core)
 {
     if (profiles.empty())
         util::panicf("buildSeverityDataset: no profiles");
@@ -51,7 +41,8 @@ severityDatasetFrom(const std::vector<WorkloadCounters> &profiles,
         // One sample per measured 5 mV step that showed abnormal
         // behaviour (severity > 0): counters at nominal + voltage.
         for (const auto &[voltage, sev] :
-             analysisFor(profile.workloadId).severityByVoltage) {
+             report.cell(profile.workloadId, core)
+                 .analysis.severityByVoltage) {
             if (sev <= 0.0)
                 continue;
             stats::Vector row;
@@ -72,62 +63,6 @@ severityDatasetFrom(const std::vector<WorkloadCounters> &profiles,
                      core);
     dataset.x = stats::Matrix::fromRows(rows);
     return dataset;
-}
-
-AnalysisLookup
-reportLookup(const CharacterizationReport &report, CoreId core)
-{
-    return [&report, core](const std::string &workload_id)
-               -> const RegionAnalysis & {
-        return report.cell(workload_id, core).analysis;
-    };
-}
-
-AnalysisLookup
-viewLookup(const LedgerView &view, CoreId core)
-{
-    return [&view, core](const std::string &workload_id)
-               -> const RegionAnalysis & {
-        const RegionAnalysis *analysis =
-            view.analysis(workload_id, core);
-        if (!analysis)
-            util::panicf("predictor: no ledger records for ",
-                         workload_id, " on core ", core);
-        return *analysis;
-    };
-}
-
-} // namespace
-
-Dataset
-buildVminDataset(const std::vector<WorkloadCounters> &profiles,
-                 const CharacterizationReport &report, CoreId core)
-{
-    return vminDatasetFrom(profiles, reportLookup(report, core));
-}
-
-Dataset
-buildSeverityDataset(const std::vector<WorkloadCounters> &profiles,
-                     const CharacterizationReport &report,
-                     CoreId core)
-{
-    return severityDatasetFrom(profiles, reportLookup(report, core),
-                               core);
-}
-
-Dataset
-buildVminDataset(const std::vector<WorkloadCounters> &profiles,
-                 const LedgerView &view, CoreId core)
-{
-    return vminDatasetFrom(profiles, viewLookup(view, core));
-}
-
-Dataset
-buildSeverityDataset(const std::vector<WorkloadCounters> &profiles,
-                     const LedgerView &view, CoreId core)
-{
-    return severityDatasetFrom(profiles, viewLookup(view, core),
-                               core);
 }
 
 void

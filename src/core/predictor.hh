@@ -53,21 +53,6 @@ Dataset buildSeverityDataset(
     const std::vector<WorkloadCounters> &profiles,
     const CharacterizationReport &report, CoreId core);
 
-/**
- * Ledger-native variants: targets come straight from a LedgerView's
- * derived analyses, so a dataset can be built from any run stream —
- * a journal, a cache, a loaded report's rows — without assembling a
- * CharacterizationReport first. Panics when a profiled workload has
- * no records on @p core.
- */
-Dataset buildVminDataset(
-    const std::vector<WorkloadCounters> &profiles,
-    const LedgerView &view, CoreId core);
-
-Dataset buildSeverityDataset(
-    const std::vector<WorkloadCounters> &profiles,
-    const LedgerView &view, CoreId core);
-
 /** RFE + OLS predictor over counter features. */
 class LinearPredictor
 {

@@ -42,9 +42,6 @@ std::string regionName(Region region);
 /** Region analysis of one (workload, core) cell. */
 struct RegionAnalysis
 {
-    /** Effect sets observed at each voltage (all campaigns). */
-    std::map<MilliVolt, std::vector<EffectSet>> runsByVoltage;
-
     /** Region classification per measured voltage. */
     std::map<MilliVolt, Region> regions;
 

@@ -340,7 +340,6 @@ deserializeReport(const std::string &text,
         report.allRuns.push_back(std::move(run));
     }
     view.addAll(report.allRuns);
-    report.totalRuns = report.allRuns.size();
     // Cells come out in first-seen order — the view preserves the
     // stream order, which is the report's canonical cell order.
     report.cells = view.cellResults();

@@ -34,49 +34,28 @@ SeverityWeights::validate() const
             util::panicf("SeverityWeights: negative weight ", w);
 }
 
-namespace
+void
+SeverityTally::add(EffectSet run, const SeverityWeights &weights)
 {
-
-/** severityOfSet without the weight check, for callers that made it
- *  once for a whole batch. */
-double
-weightOfSet(const EffectSet &set, const SeverityWeights &weights)
-{
-    double total = 0.0;
+    weights.validate();
+    // S_v is the mean of per-run weights: the run's own weights sum
+    // first, then join the voltage's total.
+    double weight = 0.0;
     for (Effect e : {Effect::SDC, Effect::CE, Effect::UE, Effect::AC,
                      Effect::SC})
-        if (set.has(e))
-            total += weights.weight(e);
-    return total;
-}
-
-} // namespace
-
-double
-severityOfSet(const EffectSet &set, const SeverityWeights &weights)
-{
-    weights.validate();
-    return weightOfSet(set, weights);
+        if (run.has(e))
+            weight += weights.weight(e);
+    weightSum_ += weight;
+    ++runs_;
+    effects_.merge(run);
 }
 
 double
-severity(const std::vector<EffectSet> &runs,
-         const SeverityWeights &weights)
+SeverityTally::severity() const
 {
-    if (runs.empty())
+    if (runs_ == 0)
         util::panicf("severity: needs at least one run (N >= 1)");
-    weights.validate();
-    double total = 0.0;
-    for (const auto &set : runs)
-        total += weightOfSet(set, weights);
-    return total / static_cast<double>(runs.size());
-}
-
-double
-maxSeverity(const SeverityWeights &weights)
-{
-    return weights.sdc + weights.ce + weights.ue + weights.ac +
-           weights.sc;
+    return weightSum_ / static_cast<double>(runs_);
 }
 
 } // namespace vmargin

@@ -14,7 +14,7 @@
 #ifndef VMARGIN_CORE_SEVERITY_HH
 #define VMARGIN_CORE_SEVERITY_HH
 
-#include <vector>
+#include <cstdint>
 
 #include "effects.hh"
 
@@ -38,21 +38,30 @@ struct SeverityWeights
 };
 
 /**
- * Severity of a set of runs at one voltage level.
- * Panics on an empty run vector (N must be >= 1).
+ * The runs at one voltage level, tallied for S_v: the run count N,
+ * the sum of each run's effect weights and the union of the effects
+ * seen. S_v is the mean of the per-run weights, summed run by run in
+ * the order the runs are added; a count-based sum (W_e times the
+ * runs showing e) would round differently for weights such as 0.1
+ * or 1/3, so the order is part of the result.
  */
-double severity(const std::vector<EffectSet> &runs,
-                const SeverityWeights &weights = {});
+class SeverityTally
+{
+  public:
+    /** Tally one run's effects; panics on a negative weight. */
+    void add(EffectSet run, const SeverityWeights &weights);
 
-/**
- * Severity of a single run's effect set (N = 1). The sum of the
- * weights of the effects present.
- */
-double severityOfSet(const EffectSet &set,
-                     const SeverityWeights &weights = {});
+    /** Union of the effects of every run tallied. */
+    EffectSet effects() const { return effects_; }
 
-/** Maximum reachable severity (all effects in every run). */
-double maxSeverity(const SeverityWeights &weights = {});
+    /** S_v; panics when no run was tallied (N must be >= 1). */
+    double severity() const;
+
+  private:
+    uint64_t runs_ = 0;
+    double weightSum_ = 0.0;
+    EffectSet effects_;
+};
 
 } // namespace vmargin
 

@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -1194,23 +1197,20 @@ TEST(LedgerView, DerivesRegionsSeverityAndOrder)
     view.add(makeRun("a", 0, 930));
     view.add(makeRun("b", 1, 925, 1, true));
     view.add(makeRun("a", 0, 925));
-    EXPECT_EQ(view.runCount(), 4u);
-    ASSERT_EQ(view.cellOrder().size(), 2u);
-    EXPECT_EQ(view.cellOrder()[0].workloadId, "b");
-    EXPECT_EQ(view.cellOrder()[1].workloadId, "a");
 
     const RegionAnalysis *crashy = view.analysis("b", 1);
     ASSERT_NE(crashy, nullptr);
     EXPECT_EQ(crashy->regions.at(925), Region::Crash);
     EXPECT_EQ(crashy->regions.at(930), Region::Safe);
     EXPECT_EQ(crashy->vmin, 930);
-    EXPECT_GT(view.severityByVoltage("b", 1).at(925), 0.0);
-    EXPECT_EQ(view.severityByVoltage("a", 0).at(925), 0.0);
+    EXPECT_GT(crashy->severityByVoltage.at(925), 0.0);
+    EXPECT_EQ(view.analysis("a", 0)->severityByVoltage.at(925), 0.0);
     EXPECT_EQ(view.analysis("missing", 9), nullptr);
 
     const auto cells = view.cellResults();
     ASSERT_EQ(cells.size(), 2u);
     EXPECT_EQ(cells[0].workloadId, "b");
+    EXPECT_EQ(cells[1].workloadId, "a");
     EXPECT_EQ(cells[1].analysis.vmin, 925);
 }
 
@@ -1257,9 +1257,9 @@ TEST(LedgerView, DeriveAllMatchesLazyAnalysisAtAnyWorkerCount)
             view.deriveAll(workers);
         } else {
             // Lazy: analyze on demand, in reverse cell order.
-            for (auto it = view.cellOrder().rbegin();
-                 it != view.cellOrder().rend(); ++it)
-                EXPECT_NE(view.analysis(it->workloadId, it->core),
+            for (int cell = 71; cell >= 0; --cell)
+                EXPECT_NE(view.analysis("wl" + std::to_string(cell % 9),
+                                        static_cast<CoreId>(cell / 9)),
                           nullptr);
         }
         return view.cellResults();
@@ -1276,7 +1276,6 @@ TEST(LedgerView, DeriveAllMatchesLazyAnalysisAtAnyWorkerCount)
             const RegionAnalysis &want = lazy[i].analysis;
             EXPECT_EQ(cells[i].workloadId, lazy[i].workloadId);
             EXPECT_EQ(cells[i].core, lazy[i].core);
-            EXPECT_EQ(got.runsByVoltage, want.runsByVoltage);
             EXPECT_EQ(got.regions, want.regions);
             EXPECT_EQ(got.severityByVoltage, want.severityByVoltage);
             EXPECT_EQ(got.vmin, want.vmin);
@@ -1287,6 +1286,202 @@ TEST(LedgerView, DeriveAllMatchesLazyAnalysisAtAnyWorkerCount)
     }
     // The cells differ: the staircase produced more than one Vmin.
     EXPECT_NE(lazy.front().analysis.vmin, lazy[1].analysis.vmin);
+}
+
+/** The analysis of one cell, derived by a reference that keeps every
+ *  run's effects by voltage, as the stream delivered them, and sums
+ *  their weights itself. */
+RegionAnalysis
+referenceAnalysis(const std::map<MilliVolt, std::vector<EffectSet>> &runs,
+                  const SeverityWeights &weights)
+{
+    RegionAnalysis analysis;
+    for (const auto &[voltage, sets] : runs) {
+        bool abnormal = false;
+        bool crash = false;
+        double sum = 0.0;
+        for (const EffectSet &set : sets) {
+            abnormal = abnormal || !set.normal();
+            crash = crash || set.has(Effect::SC);
+            double run = 0.0;
+            if (set.has(Effect::SDC))
+                run += weights.sdc;
+            if (set.has(Effect::CE))
+                run += weights.ce;
+            if (set.has(Effect::UE))
+                run += weights.ue;
+            if (set.has(Effect::AC))
+                run += weights.ac;
+            if (set.has(Effect::SC))
+                run += weights.sc;
+            sum += run;
+        }
+        analysis.regions[voltage] = crash      ? Region::Crash
+                                    : abnormal ? Region::Unsafe
+                                               : Region::Safe;
+        analysis.severityByVoltage[voltage] =
+            sum / static_cast<double>(sets.size());
+        if (crash)
+            analysis.highestCrashVoltage =
+                std::max(analysis.highestCrashVoltage, voltage);
+        if (abnormal)
+            analysis.highestAbnormalVoltage =
+                std::max(analysis.highestAbnormalVoltage, voltage);
+    }
+    for (auto it = analysis.regions.rbegin();
+         it != analysis.regions.rend() && it->second == Region::Safe;
+         ++it)
+        analysis.vmin = it->first;
+    if (analysis.vmin == 0) // abnormal at the top: censored there
+        analysis.vmin = analysis.regions.rbegin()->first;
+    return analysis;
+}
+
+TEST(LedgerView, StreamedTalliesMatchAPerRunReference)
+{
+    // Weights whose sums depend on the order they are added in: the
+    // view must sum each voltage's runs in stream order.
+    SeverityWeights weights;
+    weights.sdc = 0.1;
+    weights.ce = 0.7;
+    weights.ue = 1.0 / 3.0;
+    weights.ac = 0.3;
+    weights.sc = 2.9;
+
+    struct Cell
+    {
+        std::string workload;
+        CoreId core;
+        MilliVolt onset; ///< effects start below this voltage
+    };
+    util::Rng rng(20171014);
+    std::vector<Cell> cells;
+    for (int i = 0; i < 14; ++i)
+        cells.push_back({"wl" + std::to_string(i % 5),
+                         static_cast<CoreId>(i / 5 * 3 + i % 2),
+                         // A few cells are abnormal at the top.
+                         static_cast<MilliVolt>(
+                             i % 6 == 4 ? 940 : rng.uniformInt(885, 925))});
+    const auto randomEffects = [&](MilliVolt voltage, MilliVolt onset) {
+        EffectSet set;
+        if (voltage >= onset || rng.uniform() < 0.3)
+            return set;
+        for (Effect e : {Effect::SDC, Effect::CE, Effect::UE, Effect::AC,
+                         Effect::SC})
+            if (rng.uniform() < 0.35)
+                set.add(e);
+        return set;
+    };
+
+    // Four campaigns; in each, every cell sweeps 930 -> 880 mV with
+    // one to three runs per level, and the cells' runs interleave in
+    // random chunks, some splitting a voltage level.
+    std::vector<RunRecord> stream;
+    for (uint32_t campaign = 0; campaign < 4; ++campaign) {
+        std::vector<std::vector<RunRecord>> pending(cells.size());
+        for (size_t c = 0; c < cells.size(); ++c)
+            for (MilliVolt v = 930; v >= 880; v -= 5)
+                for (int64_t i = rng.uniformInt(1, 3); i > 0; --i) {
+                    RunRecord run = makeRun(
+                        cells[c].workload, cells[c].core, v,
+                        static_cast<uint32_t>(i));
+                    run.key.campaign = campaign;
+                    run.effects = randomEffects(v, cells[c].onset);
+                    pending[c].push_back(std::move(run));
+                }
+        std::vector<size_t> next(cells.size(), 0);
+        for (size_t left = cells.size(); left > 0;) {
+            const auto c = static_cast<size_t>(rng.uniformInt(
+                0, static_cast<int64_t>(cells.size()) - 1));
+            if (next[c] == pending[c].size())
+                continue;
+            for (int64_t n = rng.uniformInt(1, 6);
+                 n > 0 && next[c] < pending[c].size(); --n)
+                stream.push_back(pending[c][next[c]++]);
+            if (next[c] == pending[c].size())
+                --left;
+        }
+    }
+
+    // The reference: cells in first-seen order, each voltage's
+    // effects in stream order.
+    std::vector<std::pair<std::string, CoreId>> order;
+    std::map<std::pair<std::string, CoreId>,
+             std::map<MilliVolt, std::vector<EffectSet>>>
+        byCell;
+    for (const RunRecord &run : stream) {
+        const auto key = std::pair(run.key.workloadId, run.key.core);
+        if (!byCell.count(key))
+            order.push_back(key);
+        byCell[key][run.key.voltage].push_back(run.effects);
+    }
+    ASSERT_EQ(order.size(), cells.size());
+
+    // The weights do tell the orders apart: summing per effect
+    // (W_e times the runs showing e) misses some reference bits.
+    size_t orderSensitive = 0;
+    for (const auto &[key, runs] : byCell)
+        for (const auto &[voltage, sets] : runs) {
+            double perEffect = 0.0;
+            for (Effect e : {Effect::SDC, Effect::CE, Effect::UE,
+                             Effect::AC, Effect::SC}) {
+                size_t count = 0;
+                for (const EffectSet &set : sets)
+                    count += set.has(e) ? 1 : 0;
+                perEffect += weights.weight(e) * static_cast<double>(count);
+            }
+            perEffect /= static_cast<double>(sets.size());
+            if (perEffect !=
+                referenceAnalysis(runs, weights).severityByVoltage.at(voltage))
+                ++orderSensitive;
+        }
+    EXPECT_GT(orderSensitive, 0u);
+
+    // Stream through add() and addAll() batches of random length.
+    const auto streamInto = [&](LedgerView &view, size_t begin,
+                                size_t end) {
+        while (begin < end) {
+            const auto n = std::min<size_t>(
+                end - begin, static_cast<size_t>(rng.uniformInt(1, 40)));
+            if (n == 1)
+                view.add(stream[begin]);
+            else
+                view.addAll(std::span(stream).subspan(begin, n));
+            begin += n;
+        }
+    };
+    // workers > 0: deriveAll, also once half way so later runs must
+    // reopen derived cells; 0: lazily, in reverse cell order.
+    for (const int workers : {0, 1, 8}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        LedgerView view(weights);
+        if (workers > 0) {
+            streamInto(view, 0, stream.size() / 2);
+            view.deriveAll(workers);
+            streamInto(view, stream.size() / 2, stream.size());
+            view.deriveAll(workers);
+        } else {
+            streamInto(view, 0, stream.size());
+            for (auto it = order.rbegin(); it != order.rend(); ++it)
+                ASSERT_NE(view.analysis(it->first, it->second), nullptr);
+        }
+        const std::vector<CellResult> results = view.cellResults();
+        ASSERT_EQ(results.size(), order.size());
+        for (size_t i = 0; i < results.size(); ++i) {
+            SCOPED_TRACE("cell " + std::to_string(i));
+            EXPECT_EQ(results[i].workloadId, order[i].first);
+            EXPECT_EQ(results[i].core, order[i].second);
+            const RegionAnalysis want =
+                referenceAnalysis(byCell.at(order[i]), weights);
+            const RegionAnalysis &got = results[i].analysis;
+            EXPECT_EQ(got.regions, want.regions);
+            EXPECT_EQ(got.severityByVoltage, want.severityByVoltage);
+            EXPECT_EQ(got.vmin, want.vmin);
+            EXPECT_EQ(got.highestCrashVoltage, want.highestCrashVoltage);
+            EXPECT_EQ(got.highestAbnormalVoltage,
+                      want.highestAbnormalVoltage);
+        }
+    }
 }
 
 } // namespace

@@ -94,9 +94,12 @@ TEST_F(PredictorTest, SeverityDatasetFromUnsafeRegion)
     EXPECT_GT(ds.y.size(), 30u);
     EXPECT_EQ(ds.x.cols(), sim::kNumPmuEvents + 1);
     EXPECT_EQ(ds.featureNames.back(), "VOLTAGE_MV");
+    // Every effect in every run: the sum of all the weights.
+    const SeverityWeights w;
+    const double max_severity = w.sdc + w.ce + w.ue + w.ac + w.sc;
     for (double sev : ds.y) {
         EXPECT_GT(sev, 0.0);
-        EXPECT_LE(sev, maxSeverity());
+        EXPECT_LE(sev, max_severity);
     }
     // The voltage column must carry real voltages.
     const auto voltages = ds.x.col(ds.x.cols() - 1);

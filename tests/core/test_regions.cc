@@ -97,7 +97,10 @@ TEST(Regions, MergesCampaignRepetitions)
     };
     const RegionAnalysis a = analyzeRegions(runs, "toy", 0);
     EXPECT_EQ(a.vmin, 920);
-    ASSERT_EQ(a.runsByVoltage.at(915).size(), 2u);
+    // Both campaigns' runs at 915 count: campaign 1's SDC makes the
+    // level unsafe, and N = 2 halves its weight.
+    EXPECT_EQ(a.regions.at(915), Region::Unsafe);
+    EXPECT_DOUBLE_EQ(a.severityByVoltage.at(915), 2.0);
 }
 
 TEST(Regions, SeverityPerVoltage)
@@ -140,7 +143,8 @@ TEST(Regions, FiltersByWorkloadAndCore)
     other.key.core = 3;
     runs.push_back(other);
     const RegionAnalysis a = analyzeRegions(runs, "toy", 0);
-    EXPECT_EQ(a.runsByVoltage.count(915), 0u);
+    EXPECT_EQ(a.regions.count(915), 0u);
+    EXPECT_EQ(a.severityByVoltage.count(915), 0u);
 }
 
 TEST(Regions, RegionNames)

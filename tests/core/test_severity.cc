@@ -1,9 +1,12 @@
 /**
  * @file
- * Unit tests for the severity function (section 3.4.1 / Table 4).
+ * Unit tests for the severity function (section 3.4.1 / Table 4),
+ * computed by SeverityTally.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "core/severity.hh"
 
@@ -19,6 +22,24 @@ setOf(std::initializer_list<Effect> effects)
     for (Effect e : effects)
         set.add(e);
     return set;
+}
+
+/** S_v of @p runs, tallied in order. */
+double
+severity(const std::vector<EffectSet> &runs,
+         const SeverityWeights &weights = {})
+{
+    SeverityTally tally;
+    for (const EffectSet &run : runs)
+        tally.add(run, weights);
+    return tally.severity();
+}
+
+/** All five weights: the severity of a run showing every effect. */
+double
+weightTotal(const SeverityWeights &w)
+{
+    return w.sdc + w.ce + w.ue + w.ac + w.sc;
 }
 
 TEST(SeverityWeights, Table4Defaults)
@@ -96,17 +117,30 @@ TEST(Severity, CustomWeights)
 
 TEST(Severity, MaxSeverity)
 {
-    EXPECT_DOUBLE_EQ(maxSeverity(), 31.0);
+    EXPECT_DOUBLE_EQ(weightTotal(SeverityWeights{}), 31.0);
     std::vector<EffectSet> runs = {setOf({Effect::SDC, Effect::CE,
                                           Effect::UE, Effect::AC,
                                           Effect::SC})};
-    EXPECT_DOUBLE_EQ(severity(runs), maxSeverity());
+    EXPECT_DOUBLE_EQ(severity(runs), weightTotal(SeverityWeights{}));
 }
 
 TEST(Severity, SeverityOfSetMatchesSingleRun)
 {
+    // One run (N = 1): the sum of the weights of its effects.
     const EffectSet set = setOf({Effect::AC, Effect::CE});
-    EXPECT_DOUBLE_EQ(severityOfSet(set), severity({set}));
+    const SeverityWeights w;
+    EXPECT_DOUBLE_EQ(severity({set}), w.ac + w.ce);
+}
+
+TEST(Severity, TallyUnitesTheEffectsOfItsRuns)
+{
+    SeverityTally tally;
+    EXPECT_TRUE(tally.effects().normal());
+    tally.add(setOf({Effect::CE}), {});
+    tally.add(EffectSet{}, {});
+    tally.add(setOf({Effect::SC, Effect::SDC}), {});
+    EXPECT_EQ(tally.effects(),
+              setOf({Effect::CE, Effect::SC, Effect::SDC}));
 }
 
 TEST(Severity, DeathOnEmptyRuns)
@@ -123,13 +157,16 @@ TEST(Severity, DeathOnNegativeWeight)
 
 TEST(Severity, SeverityOfSetDeathOnNegativeWeight)
 {
-    // severity() checks the weights once per call; the public
-    // single-set form still checks them on every call, whatever the
-    // set holds.
+    // The tally checks the weights on every run it adds, whatever
+    // the run's effects, also after runs with valid weights.
     SeverityWeights w;
     w.sc = -16.0;
-    EXPECT_DEATH(severityOfSet(EffectSet{}, w), "negative weight");
-    EXPECT_DEATH(severityOfSet(setOf({Effect::CE}), w), "negative weight");
+    EXPECT_DEATH(SeverityTally().add(EffectSet{}, w), "negative weight");
+    EXPECT_DEATH(SeverityTally().add(setOf({Effect::CE}), w),
+                 "negative weight");
+    SeverityTally tally;
+    tally.add(setOf({Effect::CE}), {});
+    EXPECT_DEATH(tally.add(setOf({Effect::CE}), w), "negative weight");
 }
 
 } // namespace

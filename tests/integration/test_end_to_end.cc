@@ -106,16 +106,17 @@ TEST_F(EndToEndTest, SdcBeforeCorrectedErrorsInObservations)
     // The section 3.4 X-Gene 2 signature at the observation level:
     // no benchmark shows a CE-only level above the first SDC level.
     for (const auto &w : wl::headlineSuite()) {
-        const auto &analysis = report_->cell(w.id(), 0).analysis;
         MilliVolt first_sdc = 0, first_ce_alone = 0;
-        for (const auto &[v, sets] : analysis.runsByVoltage) {
-            for (const auto &set : sets) {
-                if (set.has(Effect::SDC))
-                    first_sdc = std::max(first_sdc, v);
-                if (set.has(Effect::CE) && !set.has(Effect::SDC) &&
-                    !set.has(Effect::AC) && !set.has(Effect::SC))
-                    first_ce_alone = std::max(first_ce_alone, v);
-            }
+        for (const auto &run : report_->allRuns) {
+            if (run.key.workloadId != w.id() || run.key.core != 0)
+                continue;
+            const EffectSet &set = run.effects;
+            const MilliVolt v = run.key.voltage;
+            if (set.has(Effect::SDC))
+                first_sdc = std::max(first_sdc, v);
+            if (set.has(Effect::CE) && !set.has(Effect::SDC) &&
+                !set.has(Effect::AC) && !set.has(Effect::SC))
+                first_ce_alone = std::max(first_ce_alone, v);
         }
         if (first_ce_alone > 0 && first_sdc > 0) {
             EXPECT_LE(first_ce_alone, first_sdc + 5)

@@ -2,8 +2,8 @@
  * @file
  * Fleet determinism suite: the three-chip fleet report must be
  * byte-identical for any worker count AND any chip enumeration
- * order, a single-chip fleet must reproduce the lone
- * CampaignExecutor's report byte for byte (also across a
+ * order, a single-chip fleet must reproduce the single-chip
+ * CharacterizationFramework's report byte for byte (also across a
  * budget-chopped resume through either entry point), and a
  * budget-chopped fleet sweep resumed through the shared journal —
  * under a hostile management-plane fault plan — must reassemble the
@@ -17,8 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "core/executor.hh"
 #include "core/fleet.hh"
+#include "core/framework.hh"
 #include "core/resultstore.hh"
 #include "obs/metrics.hh"
 #include "workloads/spec.hh"
@@ -113,10 +113,10 @@ TEST(FleetExecutor, ReportIndependentOfChipEnumerationOrder)
               bytes);
 }
 
-TEST(FleetExecutor, SingleChipFleetMatchesCampaignExecutor)
+TEST(FleetExecutor, SingleChipFleetMatchesFramework)
 {
     // A fleet of one must collapse to exactly the single-chip
-    // executor: same chip identity, same report bytes, whether run
+    // sweep: same chip identity, same report bytes, whether run
     // in one go or budget-chopped and resumed through either entry
     // point's journal.
     const FleetReport fleet = fleetSweep({"TFF:2"}, 4);
@@ -132,8 +132,8 @@ TEST(FleetExecutor, SingleChipFleetMatchesCampaignExecutor)
         config.workers = workers;
         config.journalPath = journal_path;
         config.cellBudget = cell_budget;
-        CampaignExecutor executor(&platform);
-        return executor.run(config);
+        CharacterizationFramework framework(&platform);
+        return framework.characterize(config);
     };
     const CharacterizationReport solo = soloSweep(4);
     const std::string bytes = serializeReport(solo);
@@ -160,7 +160,7 @@ TEST(FleetExecutor, SingleChipFleetMatchesCampaignExecutor)
             } while (!report.complete);
             EXPECT_EQ(sessions, 3);
             EXPECT_EQ(serializeReport(report), bytes)
-                << (as_fleet ? "FleetExecutor" : "CampaignExecutor")
+                << (as_fleet ? "FleetExecutor" : "CharacterizationFramework")
                 << " resume at " << workers << " workers";
         }
     }

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "core/executor.hh"
 #include "core/fleet.hh"
 #include "core/framework.hh"
 #include "core/resultstore.hh"
@@ -246,9 +245,9 @@ TEST(Telemetry, CampaignAndFleetMoveTheSameMetrics)
         FrameworkConfig config = sweepConfig();
         config.workers = 2;
         config.cachePath = path;
-        CampaignExecutor executor(&platform);
-        (void)executor.run(config);
-        (void)executor.run(config);
+        CharacterizationFramework framework(&platform);
+        (void)framework.characterize(config);
+        (void)framework.characterize(config);
     });
     const std::set<std::string> fleet = movedMetrics([&] {
         std::remove(path.c_str());
