@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <latch>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -328,10 +329,21 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
     // its report: fresh cells out of the plan, replayed cells out of
     // the journal (destroyed right after); cache-served cells are
     // copied. A chip's report is a pure function of its slice of the
-    // plan, so each chip merges and derives as one pool task,
+    // plan, so each chip merges and derives on a pool worker,
     // deriving on its share of the workers. Concurrent takes and
     // finds are safe: the ledger lookups hold the ledger's lock, and
     // a cache-served entry's lookup writes only that entry.
+    //
+    // Task t of at most one per worker merges chips t, t + tasks, ...
+    // and waits at a latch until every task has started, so no
+    // worker runs two. A report's rows are allocated by the worker
+    // that merges it and live until the caller frees the report, in
+    // that thread's malloc arena (glibc keeps one per thread). Were
+    // each chip a stealable task of its own, the chips sharing an
+    // arena would change from sweep to sweep, and each new
+    // combination grows the memory the arenas retain, so peak RSS
+    // would drift up over repeated sweeps by a varying amount. The
+    // fixed deal keeps each arena's load the same.
     std::vector<CharacterizationReport> reports(prototypes.size());
     {
         obs::ScopedSpan merging(stats.mergeSpan);
@@ -376,8 +388,18 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
             view.deriveAll(derive_workers);
             report.cells = view.cellResults();
         };
-        for (size_t chip = 0; chip < prototypes.size(); ++chip)
-            pool->submit([&, chip] { mergeChip(chip); });
+        // No worker is busy here and tasks <= workers, so every task
+        // reaches the latch: one that waits never holds another.
+        const size_t tasks = std::min(
+            prototypes.size(), static_cast<size_t>(pool->workerCount()));
+        std::latch started(static_cast<std::ptrdiff_t>(tasks));
+        for (size_t task = 0; task < tasks; ++task)
+            pool->submit([&, task] {
+                started.arrive_and_wait();
+                for (size_t chip = task; chip < prototypes.size();
+                     chip += tasks)
+                    mergeChip(chip);
+            });
         pool->wait();
         pool.reset(); // idle workers book their last stretch
         journal.reset();

@@ -11,7 +11,8 @@
  * cell on its own replica of its chip's prototype across a
  * work-stealing thread pool, then merges the cells in plan order.
  * Each chip's report is a pure function of its own cells, so the
- * same pool then merges and derives each chip as one task.
+ * same pool then merges and derives the chips, dealt in a fixed
+ * order to at most one task per worker.
  * CharacterizationFramework::characterize() is its one-chip call;
  * FleetExecutor (core/fleet) is its N-chip call.
  *
