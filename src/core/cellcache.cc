@@ -23,10 +23,11 @@ CellResultCache::CellResultCache(std::string path,
 }
 
 void
-CellResultCache::open()
+CellResultCache::open(util::ThreadPool *pool)
 {
     ledger_.open(kCacheHeader,
-                 "is not a vmargin cell cache (header mismatch)");
+                 "is not a vmargin cell cache (header mismatch)", {},
+                 pool);
 }
 
 const CellMeasurement *

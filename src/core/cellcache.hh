@@ -42,10 +42,12 @@ class CellResultCache
      * file that is not a vmargin ledger, or one written by a
      * different ledger version, is refused (fatal — the path points
      * at something else). A truncated trailing entry from a killed
-     * process is discarded. Not thread-safe; open before workers
-     * start.
+     * process is discarded. Replay verifies and decodes on @p pool's
+     * workers when it has two or more, on this thread otherwise,
+     * with the same result (RunLedger::open()). Not thread-safe;
+     * open before workers put, with @p pool idle.
      */
-    void open();
+    void open(util::ThreadPool *pool = nullptr);
 
     /**
      * Cached measurement for @p chip's cell under @p config_hash, or

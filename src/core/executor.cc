@@ -148,6 +148,7 @@ struct ExecutorStats
     obs::Counter &cellsFromCache = reg.counter("executor.cache_hits");
     obs::Counter &cacheMisses =
         reg.counter("executor.cache_misses");
+    obs::SpanStat &replaySpan = reg.span("executor.replay");
     obs::SpanStat &planSpan = reg.span("executor.plan");
     obs::SpanStat &executeSpan = reg.span("executor.execute");
     obs::SpanStat &mergeSpan = reg.span("executor.merge");
@@ -179,23 +180,32 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
         sink = std::make_unique<obs::TelemetrySink>(
             config.telemetryPath);
 
+    // One pool serves the sweep from replay through merge: the
+    // journal and the cache verify and decode their frames on it,
+    // the fresh cells are measured on it, and the chips merge on it.
+    std::optional<util::ThreadPool> pool(std::in_place, config.workers);
+
     // One journal and one cache serve every chip; the ledger index
     // keys cells by chip. The flush knobs shape durability, never
     // measurements, so they are absent from the header and hashes.
     std::unique_ptr<CampaignJournal> journal;
-    if (!config.journalPath.empty()) {
-        journal = std::make_unique<CampaignJournal>(
-            config.journalPath, config.writeOptions());
-        journal->open(journal_header, implicit_chip);
-    }
     std::unique_ptr<CellResultCache> cache;
     std::vector<Seed> config_hashes(prototypes.size(), 0);
-    if (!config.cachePath.empty()) {
-        cache = std::make_unique<CellResultCache>(
-            config.cachePath, config.writeOptions());
-        cache->open();
-        for (size_t i = 0; i < prototypes.size(); ++i)
-            config_hashes[i] = cellConfigHash(config, *prototypes[i]);
+    {
+        obs::ScopedSpan replaying(stats.replaySpan);
+        if (!config.journalPath.empty()) {
+            journal = std::make_unique<CampaignJournal>(
+                config.journalPath, config.writeOptions());
+            journal->open(journal_header, implicit_chip, &*pool);
+        }
+        if (!config.cachePath.empty()) {
+            cache = std::make_unique<CellResultCache>(
+                config.cachePath, config.writeOptions());
+            cache->open(&*pool);
+            for (size_t i = 0; i < prototypes.size(); ++i)
+                config_hashes[i] =
+                    cellConfigHash(config, *prototypes[i]);
+        }
     }
 
     // Journal first, then cache; records the entry's source. Appends
@@ -277,9 +287,7 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
     // one-worker journal has one cell order. The task stays on the
     // pool's thread: on the caller's thread (glibc's main arena) the
     // per-cell replicas took ~3x the minor page faults and a
-    // one-worker sweep ~15% more wall time. The pool lives on
-    // through the merge.
-    std::optional<util::ThreadPool> pool(std::in_place, config.workers);
+    // one-worker sweep ~15% more wall time.
     {
         obs::ScopedSpan executing(stats.executeSpan);
         const auto measure = [&](PlanEntry &e) {

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <latch>
 #include <sstream>
 #include <utility>
 
@@ -841,10 +842,97 @@ RunLedger::flush()
     writer_.flush();
 }
 
+namespace
+{
+
+/** What the verify-and-decode pass found in one record frame. */
+enum class FrameVerdict : uint8_t
+{
+    Corrupt,   ///< checksum mismatch
+    Malformed, ///< intact run or commit frame that did not decode
+    Run,       ///< intact run, decoded into its unit's runs
+    Commit,    ///< intact commit, decoded into its unit's commit
+    Other,     ///< intact frame of another kind, decoded in order
+};
+
+/**
+ * One commit unit of a replayed file: the record frames up to and
+ * including one whose first payload byte reads Commit or Supervisor
+ * (or the file's last frame). That byte is read before any checksum,
+ * so it only partitions the work; each frame's verdict is its own.
+ */
+struct CommitUnit
+{
+    size_t first = 0;     ///< index of its first frame
+    size_t end = 0;       ///< one past its last frame
+    size_t endByte = 0;   ///< file offset one past its last frame
+    size_t runFrames = 0; ///< its frames whose first byte reads Run
+    std::vector<RunRecord> runs; ///< its decoded runs, in file order
+    CellCommit commit;           ///< its decoded commit
+};
+
+/** Every frame of a replayed file, the header frame first. */
+struct ReplayFrames
+{
+    std::vector<std::string_view> payloads; ///< views into the file
+    std::vector<uint32_t> recorded;         ///< checksums on disk
+    std::vector<uint32_t> computed;         ///< checksums of payloads
+    std::vector<FrameVerdict> verdicts;
+};
+
+/**
+ * Verify and decode @p units: the checksums of all their frames in
+ * one ledgerChecksums() call, then each intact run frame decoded
+ * into its unit's runs (reserved from the unit's run-frame count,
+ * so the vector never grows) and each intact commit frame into its
+ * unit's commit. Writes only these units and their frames' slots —
+ * no warning, counter or index — so disjoint ranges of units verify
+ * concurrently.
+ */
+void
+verifyUnits(ReplayFrames &frames, std::span<CommitUnit> units,
+            uint32_t version)
+{
+    if (units.empty())
+        return;
+    const size_t first = units.front().first;
+    const size_t count = units.back().end - first;
+    ledgerChecksums(std::span(frames.payloads).subspan(first, count),
+                    std::span(frames.computed).subspan(first, count));
+    for (CommitUnit &unit : units) {
+        unit.runs.reserve(unit.runFrames);
+        for (size_t f = unit.first; f < unit.end; ++f) {
+            FrameVerdict &verdict = frames.verdicts[f];
+            if (frames.computed[f] != frames.recorded[f]) {
+                verdict = FrameVerdict::Corrupt;
+                continue;
+            }
+            PayloadReader reader(frames.payloads[f]);
+            const auto kind = static_cast<FrameKind>(reader.u8());
+            if (kind == FrameKind::Run) {
+                if (readRunRecord(reader, unit.runs.emplace_back())) {
+                    verdict = FrameVerdict::Run;
+                } else {
+                    unit.runs.pop_back();
+                    verdict = FrameVerdict::Malformed;
+                }
+            } else if (kind == FrameKind::Commit) {
+                verdict = readCellCommit(reader, unit.commit, version)
+                              ? FrameVerdict::Commit
+                              : FrameVerdict::Malformed;
+            } else {
+                verdict = FrameVerdict::Other;
+            }
+        }
+    }
+}
+
+} // namespace
+
 void
 RunLedger::open(const std::string &app_header,
                 const std::string &mismatch_hint,
-                ChipRef implicit_chip)
+                ChipRef implicit_chip, util::ThreadPool *pool)
 {
     entries_.clear();
     byKey_.clear();
@@ -867,12 +955,18 @@ RunLedger::open(const std::string &app_header,
         util::fatalError(name_ + ": '" + path_ +
                          "' is not a vmargin ledger file");
 
-    // Walk the frames with the zero-copy cursor (payloads are views
-    // into the bulk buffer; nothing is copied until a record is
-    // accepted). The header frame is mandatory and versioned;
-    // record frames tolerate corruption (skip) and truncation
-    // (stop): the tail a killed process was writing is re-run, not
-    // trusted.
+    // Replay runs in three passes. (1) One walk with the zero-copy
+    // cursor finds every whole frame (payloads are views into the
+    // bulk buffer), checks the header frame and groups the record
+    // frames into commit units. (2) The units' checksums and their
+    // run and commit frames are verified and decoded, on the pool's
+    // workers when there are two or more. (3) The verdicts are
+    // replayed in file order on this thread, so every skip, refusal,
+    // warning, counter, first-write-wins decision and committed-
+    // prefix cut falls where a frame-by-frame replay puts it. The
+    // header frame is mandatory and versioned; record frames
+    // tolerate corruption (skip) and truncation (stop): the tail a
+    // killed process was writing is re-run, not trusted.
     // Replay telemetry: what the file contained is a pure function
     // of what previous sessions wrote, so all three are exact-class.
     obs::Counter &statReplayFrames =
@@ -882,10 +976,142 @@ RunLedger::open(const std::string &app_header,
     obs::Counter &statTornTails = obs::Registry::global().counter(
         "ledger.torn_tail_truncations");
 
-    bool saw_header = false;
+    // ---- pass 1: walk the frames, check the header ----------------
+    ReplayFrames frames;
+    FrameCursor cursor(bytes, kMagicBytes);
+    FrameCursor::Status status = FrameCursor::Status::Frame;
+    {
+        std::string_view payload;
+        uint32_t checksum = 0;
+        while ((status = cursor.next(payload, checksum)) ==
+               FrameCursor::Status::Frame) {
+            frames.payloads.push_back(payload);
+            frames.recorded.push_back(checksum);
+        }
+    }
+    const size_t frame_count = frames.payloads.size();
+    statReplayFrames.inc(frame_count);
+    // File offset one past frame @p f.
+    const auto endOf = [&](size_t f) {
+        const std::string_view payload = frames.payloads[f];
+        return static_cast<size_t>(payload.data() - bytes.data()) +
+               payload.size();
+    };
+
+    // Byte offset one past the last *committed unit* (header frame,
+    // commit frame, accepted checkpoint). Everything after it —
+    // torn frames, but also complete-but-uncommitted record frames
+    // a killed batch left behind — is the untrusted tail the writer
+    // cuts before appending: run frames dangling without their
+    // commit would otherwise poison the next appended cell's run
+    // count on a later replay.
+    size_t committed = kMagicBytes;
+
+    if (frame_count > 0) {
+        // The first frame binds the file: framing version and the
+        // application header must both match.
+        if (ledgerChecksum(frames.payloads[0]) != frames.recorded[0])
+            util::fatalError(name_ + ": '" + path_ +
+                             "' has a corrupt header frame");
+        PayloadReader reader(frames.payloads[0]);
+        const uint32_t version = reader.u32();
+        if (version < kLedgerMinVersion || version > kLedgerVersion)
+            util::fatalError(
+                name_ + ": '" + path_ + "' uses ledger version " +
+                std::to_string(version) + ", this build reads " +
+                std::to_string(kLedgerMinVersion) + " through " +
+                std::to_string(kLedgerVersion) +
+                "; refusing to mix versions");
+        fileVersion_ = version;
+        const std::string header = reader.str();
+        if (!reader.ok())
+            util::fatalError(name_ + ": '" + path_ +
+                             "' has a malformed header frame");
+        if (header != app_header)
+            util::fatalError(name_ + ": '" + path_ + "' " +
+                             (mismatch_hint.empty()
+                                  ? std::string("header mismatch")
+                                  : mismatch_hint));
+        committed = endOf(0);
+    }
+
+    // Group the record frames into commit units by their first
+    // byte, unverified: a hint that partitions the work.
+    std::vector<CommitUnit> units;
+    size_t cell_units = 0;
+    {
+        size_t first = 1;
+        size_t run_frames = 0;
+        for (size_t f = 1; f < frame_count; ++f) {
+            const std::string_view payload = frames.payloads[f];
+            const auto hint = payload.empty()
+                                  ? FrameKind{}
+                                  : static_cast<FrameKind>(payload[0]);
+            run_frames += hint == FrameKind::Run;
+            cell_units += hint == FrameKind::Commit;
+            if (hint != FrameKind::Commit &&
+                hint != FrameKind::Supervisor && f + 1 < frame_count)
+                continue;
+            CommitUnit &unit = units.emplace_back();
+            unit.first = std::exchange(first, f + 1);
+            unit.end = f + 1;
+            unit.endByte = endOf(f);
+            unit.runFrames = std::exchange(run_frames, 0);
+        }
+    }
+
+    // ---- pass 2: verify and decode --------------------------------
+    // The units are dealt in fixed, contiguous, byte-balanced ranges,
+    // at most one per worker, each task waiting at a latch until all
+    // have started (the merge's deal): each worker's malloc arena
+    // then holds the same runs on every replay of the same file.
+    frames.computed.resize(frame_count);
+    frames.verdicts.resize(frame_count);
+    const uint32_t version = fileVersion_;
+    const size_t tasks = std::min(
+        pool == nullptr ? size_t{1}
+                        : static_cast<size_t>(pool->workerCount()),
+        units.size());
+    if (tasks < 2) {
+        verifyUnits(frames, units, version);
+    } else {
+        // Task t verifies units [bounds[t], bounds[t + 1]): those
+        // ending in its share of the record bytes.
+        const size_t begin_byte = endOf(0);
+        const size_t record_bytes = units.back().endByte - begin_byte;
+        std::vector<size_t> bounds{0};
+        for (size_t t = 1; t < tasks; ++t) {
+            const size_t target =
+                begin_byte + record_bytes * t / tasks;
+            bounds.push_back(static_cast<size_t>(
+                std::partition_point(units.begin(), units.end(),
+                                     [&](const CommitUnit &unit) {
+                                         return unit.endByte <= target;
+                                     }) -
+                units.begin()));
+        }
+        bounds.push_back(units.size());
+        // The pool is idle and tasks <= workers, so every task
+        // reaches the latch.
+        std::latch started(static_cast<std::ptrdiff_t>(tasks));
+        for (size_t t = 0; t < tasks; ++t)
+            pool->submit([&, t] {
+                started.arrive_and_wait();
+                verifyUnits(frames,
+                            std::span(units).subspan(
+                                bounds[t], bounds[t + 1] - bounds[t]),
+                            version);
+            });
+        pool->wait();
+    }
+
+    // ---- pass 3: the verdicts, in file order ----------------------
     CellMeasurement pending;
     bool pending_corrupt = false;
-    size_t pending_records = 0;
+    const auto resetPending = [&]() {
+        pending = CellMeasurement{};
+        pending_corrupt = false;
+    };
 
     // Daemon-round pairing state: a round frame awaits its
     // checkpoint frame (the commit). Any break in the sequence —
@@ -904,17 +1130,6 @@ RunLedger::open(const std::string &app_header,
         have_pending_round = false;
     };
 
-    // Replayed cells in one ledger are similar in size: each pending
-    // cell reserves the last committed cell's run count.
-    size_t expected_runs = 0;
-    const auto resetPending = [&]() {
-        pending = CellMeasurement{};
-        pending.runs.reserve(expected_runs);
-        pending_corrupt = false;
-        pending_records = 0;
-    };
-    resetPending();
-
     // A record frame was lost (checksum mismatch or malformed). With
     // runs pending, the lost frame was one of them or the commit
     // that ended them: drop them, so a cell missing a run falls
@@ -928,55 +1143,20 @@ RunLedger::open(const std::string &app_header,
         else
             resetPending();
     };
+    const auto markMalformed = [&]() {
+        statReplaySkipped.inc();
+        util::warnf(name_, ": '", path_,
+                    "' malformed record; skipping it");
+        losePendingFrame();
+        poisonDaemon("malformed record");
+    };
 
-    // Byte offset one past the last *committed unit* (header frame,
-    // commit frame, accepted checkpoint). Everything after it —
-    // torn frames, but also complete-but-uncommitted record frames
-    // a killed batch left behind — is the untrusted tail the writer
-    // cuts before appending: run frames dangling without their
-    // commit would otherwise poison the next appended cell's run
-    // count on a later replay.
-    size_t committed = kMagicBytes;
-
-    // Replay one whole frame ending at file offset @p end, whose
-    // checksum matched (@p intact) or not.
-    const auto replayFrame = [&](std::string_view payload, bool intact,
-                                 size_t end) {
-        statReplayFrames.inc();
-
-        if (!saw_header) {
-            // First frame binds the file: framing version and the
-            // application header must both match.
-            if (!intact)
-                util::fatalError(name_ + ": '" + path_ +
-                                 "' has a corrupt header frame");
-            PayloadReader reader(payload);
-            const uint32_t version = reader.u32();
-            if (version < kLedgerMinVersion ||
-                version > kLedgerVersion)
-                util::fatalError(
-                    name_ + ": '" + path_ + "' uses ledger version " +
-                    std::to_string(version) + ", this build reads " +
-                    std::to_string(kLedgerMinVersion) + " through " +
-                    std::to_string(kLedgerVersion) +
-                    "; refusing to mix versions");
-            fileVersion_ = version;
-            const std::string header = reader.str();
-            if (!reader.ok())
-                util::fatalError(name_ + ": '" + path_ +
-                                 "' has a malformed header frame");
-            if (header != app_header)
-                util::fatalError(name_ + ": '" + path_ + "' " +
-                                 (mismatch_hint.empty()
-                                      ? std::string(
-                                            "header mismatch")
-                                      : mismatch_hint));
-            saw_header = true;
-            committed = end;
-            return;
-        }
-
-        if (!intact) {
+    // Replay frame @p f of @p unit, whose next decoded run is
+    // unit.runs[@p next_run].
+    const auto replayFrame = [&](size_t f, CommitUnit &unit,
+                                 size_t &next_run) {
+        switch (frames.verdicts[f]) {
+        case FrameVerdict::Corrupt:
             statReplaySkipped.inc();
             util::warnf(name_, ": '", path_,
                         "' frame checksum mismatch; skipping the "
@@ -986,32 +1166,58 @@ RunLedger::open(const std::string &app_header,
             losePendingFrame();
             poisonDaemon("frame checksum mismatch");
             return;
-        }
-
-        // Decode straight into the destination slot through the
-        // per-kind readers.
-        const auto markMalformed = [&]() {
-            statReplaySkipped.inc();
-            util::warnf(name_, ": '", path_,
-                        "' malformed record; skipping it");
-            losePendingFrame();
-            poisonDaemon("malformed record");
-        };
-        PayloadReader reader(payload);
-        const auto kind = static_cast<FrameKind>(reader.u8());
-
-        if (kind == FrameKind::Run) {
-            RunRecord &run = pending.runs.emplace_back();
-            if (!readRunRecord(reader, run)) {
-                pending.runs.pop_back();
-                markMalformed();
-                return;
+        case FrameVerdict::Malformed:
+            markMalformed();
+            return;
+        case FrameVerdict::Run:
+            pending.runs.push_back(std::move(unit.runs[next_run++]));
+            return;
+        case FrameVerdict::Commit: {
+            // Commit: accept the pending cell only when intact —
+            // the run count matches, it is not poisoned (see
+            // losePendingFrame), and the key is not already present
+            // (first occurrence wins; racing sessions may append the
+            // same cell twice).
+            CellCommit &commit = unit.commit;
+            if (fileVersion_ < 2)
+                // Legacy file: every cell belongs to the implicit
+                // single chip the caller supplied.
+                commit.chip = implicit_chip;
+            const bool cell_intact =
+                !pending_corrupt &&
+                pending.runs.size() == commit.runCount;
+            if (cell_intact &&
+                byKey_
+                    .emplace(Key{commit.configHash, commit.chip.key(),
+                                 commit.workloadId, commit.core},
+                             entries_.size())
+                    .second) {
+                pending.chip = commit.chip;
+                pending.workloadId = std::move(commit.workloadId);
+                pending.core = commit.core;
+                pending.watchdogInterventions =
+                    commit.watchdogInterventions;
+                pending.telemetry = commit.telemetry;
+                // A cell gathered frame by frame (only in a damaged
+                // or hand-built file) may hold spare capacity.
+                pending.runs.shrink_to_fit();
+                entries_.push_back(
+                    Entry{commit.configHash, std::move(pending)});
             }
-            if (pending_records == 0)
-                pending.workloadId = run.key.workloadId;
-            ++pending_records;
+            resetPending();
+            // The unit ended here even when the cell was refused (a
+            // poisoned or duplicate cell is simply re-run); appended
+            // frames after this boundary stand on their own.
+            committed = endOf(f);
             return;
         }
+        case FrameVerdict::Other:
+            break;
+        }
+
+        // Daemon frames are few and small: decoded here, in order.
+        PayloadReader reader(frames.payloads[f]);
+        const auto kind = static_cast<FrameKind>(reader.u8());
 
         if (kind == FrameKind::DaemonRound) {
             DaemonRoundRecord round;
@@ -1053,79 +1259,30 @@ RunLedger::open(const std::string &app_header,
             daemonRounds_.push_back(
                 DaemonRoundEntry{pending_round, std::move(state)});
             have_pending_round = false;
-            committed = end;
-            return;
-        }
-
-        if (kind == FrameKind::Commit) {
-            // Commit: accept the pending cell only when intact —
-            // the run count matches, it is not poisoned (see
-            // losePendingFrame), and the key is not already present
-            // (first occurrence wins; racing sessions may append the
-            // same cell twice).
-            CellCommit commit;
-            if (!readCellCommit(reader, commit, fileVersion_)) {
-                markMalformed();
-                return;
-            }
-            if (fileVersion_ < 2)
-                // Legacy file: every cell belongs to the implicit
-                // single chip the caller supplied.
-                commit.chip = implicit_chip;
-            const bool cell_intact =
-                !pending_corrupt &&
-                pending.runs.size() == commit.runCount;
-            if (cell_intact &&
-                byKey_
-                    .emplace(Key{commit.configHash, commit.chip.key(),
-                                 commit.workloadId, commit.core},
-                             entries_.size())
-                    .second) {
-                pending.chip = commit.chip;
-                pending.workloadId = commit.workloadId;
-                pending.core = commit.core;
-                pending.watchdogInterventions =
-                    commit.watchdogInterventions;
-                pending.telemetry = commit.telemetry;
-                entries_.push_back(
-                    Entry{commit.configHash, std::move(pending)});
-                expected_runs = commit.runCount;
-            }
-            resetPending();
-            // The unit ended here even when the cell was refused (a
-            // poisoned or duplicate cell is simply re-run); appended
-            // frames after this boundary stand on their own.
-            committed = end;
+            committed = endOf(f);
             return;
         }
 
         markMalformed(); // unknown record kind
     };
 
-    // Walk the frames in groups of kLedgerChecksumLanes: a group's
-    // checksums are computed together (ledgerChecksums), then its
-    // frames are replayed one by one in file order, each exactly as
-    // if verified alone, so no skip, refuse or fatal decision moves.
-    constexpr size_t kLanes = kLedgerChecksumLanes;
-    std::array<std::string_view, kLanes> payloads;
-    std::array<uint32_t, kLanes> recorded{};
-    std::array<uint32_t, kLanes> computed{};
-    std::array<size_t, kLanes> ends{};
-    FrameCursor cursor(bytes, kMagicBytes);
-    FrameCursor::Status status = FrameCursor::Status::Frame;
-    while (status == FrameCursor::Status::Frame) {
-        size_t count = 0;
-        while (count < kLanes &&
-               (status = cursor.next(payloads[count],
-                                     recorded[count])) ==
-                   FrameCursor::Status::Frame)
-            ends[count++] = cursor.offset();
-        ledgerChecksums(std::span(payloads).first(count),
-                        std::span(computed).first(count));
-        for (size_t i = 0; i < count; ++i)
-            replayFrame(payloads[i], computed[i] == recorded[i],
-                        ends[i]);
+    entries_.reserve(cell_units);
+    for (CommitUnit &unit : units) {
+        size_t next_run = 0;
+        size_t f = unit.first;
+        // A clean unit — decoded runs, then its decoded commit —
+        // hands its exact-size vector to an empty pending cell
+        // whole: the same runs its frames would push, in order.
+        if (pending.runs.empty() &&
+            unit.runs.size() + 1 == unit.end - unit.first &&
+            frames.verdicts[unit.end - 1] == FrameVerdict::Commit) {
+            pending.runs = std::move(unit.runs);
+            f = unit.end - 1;
+        }
+        for (; f < unit.end; ++f)
+            replayFrame(f, unit, next_run);
     }
+
     if (status == FrameCursor::Status::Truncated) {
         statTornTails.inc();
         if (bytes.size() - cursor.offset() < kFramePrefixBytes)
@@ -1137,7 +1294,7 @@ RunLedger::open(const std::string &app_header,
                         "' ends in a truncated record; "
                         "discarding the tail");
     }
-    if (!saw_header)
+    if (frame_count == 0)
         util::fatalError(name_ + ": '" + path_ +
                          "' has no header frame");
 

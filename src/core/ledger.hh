@@ -59,6 +59,11 @@
 namespace vmargin
 {
 
+namespace util
+{
+class ThreadPool;
+} // namespace util
+
 /**
  * Identity of one physical chip in a fleet: process corner plus
  * serial number. The paper characterized three X-Gene 2 parts
@@ -493,18 +498,27 @@ class RunLedger
      * Bind to @p app_header: a fresh file is created with it, an
      * existing file must carry it verbatim (fatal otherwise, with
      * @p mismatch_hint appended to the error). Loads all committed
-     * cells with one bulk read (mmap where available) and a
-     * zero-copy frame walk, then keeps the file open for appending.
-     * Fresh files are created at the current framing version; files
-     * back to kLedgerMinVersion are replayed, mapping version-1
-     * cells (which predate the chip dimension) onto
-     * @p implicit_chip, and appends to such a file stay at its
+     * cells with one bulk read (mmap where available), then keeps
+     * the file open for appending. Replay walks the frames once,
+     * checking the header frame and grouping the record frames into
+     * commit units; verifies the units' checksums and decodes their
+     * run and commit frames, dealt in fixed byte-balanced ranges to
+     * @p pool's workers when it has two or more (on this thread
+     * otherwise); then replays the verdicts in file order on this
+     * thread, so what is kept, skipped, warned and cut does not
+     * depend on the pool. Each replayed cell's runs are sized
+     * exactly. Fresh files are created at the current framing
+     * version; files back to kLedgerMinVersion are replayed,
+     * mapping version-1 cells (which predate the chip dimension)
+     * onto @p implicit_chip, and appends to such a file stay at its
      * version so it remains self-consistent. Not thread-safe; open
-     * before workers start.
+     * before workers append. @p pool must be idle: open() waits on
+     * it.
      */
     void open(const std::string &app_header,
               const std::string &mismatch_hint = "",
-              ChipRef implicit_chip = {});
+              ChipRef implicit_chip = {},
+              util::ThreadPool *pool = nullptr);
 
     /**
      * Drain the writer's pending group-commit batch to the OS.

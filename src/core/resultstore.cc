@@ -481,12 +481,12 @@ CampaignJournal::CampaignJournal(std::string path,
 
 void
 CampaignJournal::open(const std::string &header,
-                      ChipRef implicit_chip)
+                      ChipRef implicit_chip, util::ThreadPool *pool)
 {
     ledger_.open(header,
                  "was recorded for a different experiment "
                  "(header mismatch); refusing to resume from it",
-                 implicit_chip);
+                 implicit_chip, pool);
 }
 
 const CellMeasurement *

@@ -145,11 +145,14 @@ class CampaignJournal
      * pre-chip-dimension) file's cells are mapped onto — the
      * single-chip executor passes its platform's chip, so old
      * journals resume seamlessly; fleet journals are written at the
-     * current version and ignore it. Not thread-safe; open before
-     * workers start.
+     * current version and ignore it. Replay verifies and decodes on
+     * @p pool's workers when it has two or more, on this thread
+     * otherwise, with the same result (RunLedger::open()). Not
+     * thread-safe; open before workers append, with @p pool idle.
      */
     void open(const std::string &header,
-              ChipRef implicit_chip = {});
+              ChipRef implicit_chip = {},
+              util::ThreadPool *pool = nullptr);
 
     /** Measurement open() replayed for the cell on @p chip, or
      *  nullptr (cells appended since open() are not kept). The

@@ -23,6 +23,7 @@
 #include "core/ledger.hh"
 #include "obs/metrics.hh"
 #include "util/rng.hh"
+#include "util/threadpool.hh"
 
 namespace vmargin
 {
@@ -337,7 +338,10 @@ frameSpans(const std::string &bytes)
     return {starts, ends};
 }
 
-TEST(RunLedger, LaneVerifiedReplayMatchesFrameByFrame)
+/** Body of RunLedger.LaneVerifiedReplayMatchesFrameByFrame, its
+ *  replays verifying on @p pool (nullptr: the calling thread). */
+void
+checkLaneVerifiedReplay(util::ThreadPool *pool)
 {
     // Replay checks frame checksums kLedgerChecksumLanes at a time.
     // Corrupting one payload byte of any single record frame, at
@@ -347,7 +351,8 @@ TEST(RunLedger, LaneVerifiedReplayMatchesFrameByFrame)
     // own cell and no other (a lost frame drops the pending runs, so
     // the next cell starts clean); the file is cut back only when
     // the dangling frames end it.
-    const std::string path = "/tmp/vmargin_test_ledger_lanes";
+    const std::string path = std::string("/tmp/vmargin_test_ledger_lanes") +
+                             (pool ? "_pool" : "");
     const std::vector<size_t> runs_per_cell = {3, 1, 2, 4, 3, 2};
     const auto name = [](size_t cell) {
         return "cell" + std::to_string(cell) + "/ref";
@@ -385,7 +390,7 @@ TEST(RunLedger, LaneVerifiedReplayMatchesFrameByFrame)
 
         const uint64_t skipped0 = counterValue("ledger.replay_skipped");
         RunLedger ledger(path, "test");
-        ledger.open("h");
+        ledger.open("h", "", {}, pool);
         EXPECT_EQ(counterValue("ledger.replay_skipped") - skipped0, 1u);
         const auto cell = static_cast<size_t>(owner[f]);
         size_t refused = 0;
@@ -408,7 +413,21 @@ TEST(RunLedger, LaneVerifiedReplayMatchesFrameByFrame)
     std::remove(path.c_str());
 }
 
-TEST(RunLedger, CorruptLastCommitRefusesOnlyItsCell)
+TEST(RunLedger, LaneVerifiedReplayMatchesFrameByFrame)
+{
+    checkLaneVerifiedReplay(nullptr);
+}
+
+TEST(RunLedger, LaneVerifiedReplayMatchesFrameByFrameOnTwoWorkers)
+{
+    util::ThreadPool pool(2);
+    checkLaneVerifiedReplay(&pool);
+}
+
+/** Body of RunLedger.CorruptLastCommitRefusesOnlyItsCell, its
+ *  replays verifying on @p pool (nullptr: the calling thread). */
+void
+checkCorruptLastCommit(util::ThreadPool *pool)
 {
     // Cells of 2, 3 and 2 runs. Losing the last commit frame leaves
     // the last cell's runs dangling after the previous commit: that
@@ -416,7 +435,9 @@ TEST(RunLedger, CorruptLastCommitRefusesOnlyItsCell)
     // commit, and re-appending the cell makes the ledger whole.
     // Losing the middle commit as well refuses the middle cell too
     // (and only it) and cuts the file back to the first commit.
-    const std::string path = "/tmp/vmargin_test_ledger_last_commit";
+    const std::string path =
+        std::string("/tmp/vmargin_test_ledger_last_commit") +
+        (pool ? "_pool" : "");
     const std::vector<size_t> runs_per_cell = {2, 3, 2};
     const auto name = [](size_t cell) {
         return "cell" + std::to_string(cell) + "/ref";
@@ -449,7 +470,7 @@ TEST(RunLedger, CorruptLastCommitRefusesOnlyItsCell)
         writeBytes(path, bytes);
         {
             RunLedger ledger(path, "test");
-            ledger.open("h");
+            ledger.open("h", "", {}, pool);
             EXPECT_NE(ledger.find(1, ChipRef{}, name(0), 0), nullptr);
             EXPECT_EQ(ledger.find(1, ChipRef{}, name(1), 0) == nullptr,
                       lose_middle);
@@ -465,7 +486,7 @@ TEST(RunLedger, CorruptLastCommitRefusesOnlyItsCell)
         // The re-run cells land on the cut and replay cleanly.
         const uint64_t skipped0 = counterValue("ledger.replay_skipped");
         RunLedger ledger(path, "test");
-        ledger.open("h");
+        ledger.open("h", "", {}, pool);
         EXPECT_EQ(counterValue("ledger.replay_skipped"), skipped0);
         EXPECT_EQ(ledger.size(), runs_per_cell.size());
         for (size_t c = 0; c < runs_per_cell.size(); ++c) {
@@ -475,6 +496,51 @@ TEST(RunLedger, CorruptLastCommitRefusesOnlyItsCell)
             EXPECT_EQ(cell->runs.size(), runs_per_cell[c]);
         }
         EXPECT_EQ(readBytes(path), pristine);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(RunLedger, CorruptLastCommitRefusesOnlyItsCell)
+{
+    checkCorruptLastCommit(nullptr);
+}
+
+TEST(RunLedger, CorruptLastCommitRefusesOnlyItsCellOnTwoWorkers)
+{
+    util::ThreadPool pool(2);
+    checkCorruptLastCommit(&pool);
+}
+
+TEST(RunLedger, ReplayedCellsHoldExactSizeRuns)
+{
+    // Cells of unequal run counts, replayed on the calling thread and
+    // on two workers: every cell take() returns holds its runs in a
+    // vector of exactly their number, never one grown past it.
+    const std::string path = "/tmp/vmargin_test_ledger_exact_runs";
+    const std::vector<size_t> runs_per_cell = {5, 1, 3, 7, 2, 6};
+    const auto name = [](size_t cell) {
+        return "cell" + std::to_string(cell) + "/ref";
+    };
+    std::remove(path.c_str());
+    {
+        RunLedger ledger(path, "test");
+        ledger.open("h");
+        for (size_t c = 0; c < runs_per_cell.size(); ++c)
+            ledger.append(1, cellOfRuns(name(c), runs_per_cell[c]));
+    }
+    util::ThreadPool two(2);
+    for (util::ThreadPool *pool : {(util::ThreadPool *)nullptr, &two}) {
+        SCOPED_TRACE(pool ? "two workers" : "calling thread");
+        RunLedger ledger(path, "test");
+        ledger.open("h", "", {}, pool);
+        for (size_t c = 0; c < runs_per_cell.size(); ++c) {
+            const std::optional<CellMeasurement> cell =
+                ledger.take(1, ChipRef{}, name(c), 0);
+            ASSERT_TRUE(cell) << "cell " << c;
+            EXPECT_EQ(cell->runs.size(), runs_per_cell[c]);
+            EXPECT_EQ(cell->runs.capacity(), cell->runs.size())
+                << "cell " << c;
+        }
     }
     std::remove(path.c_str());
 }

@@ -14,6 +14,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -191,6 +193,51 @@ TEST(FleetExecutor, SharedJournalResumesWholeFleet)
     // Every (chip, workload, core) cell must come from the journal.
     EXPECT_EQ(counterValue(kFromJournal) - replays_before, 2u * 8u);
     EXPECT_EQ(resumed.serialize(), fresh.serialize());
+    std::remove(path.c_str());
+}
+
+TEST(FleetExecutor, DamagedJournalResumesAlikeAtAnyWorkerCount)
+{
+    // A journal with flipped bytes in three frames and a torn tail:
+    // the resume re-measures the refused cells and reproduces the
+    // fresh report, and what it prints — the replay's warnings, then
+    // the sweep's — is the same at 1, 2 and 8 workers, whose pools
+    // the journal verifies and decodes on.
+    const std::string path = "/tmp/vmargin_fleet_journal_damaged";
+    std::remove(path.c_str());
+    const std::vector<std::string> chips = {"TTT", "TFF:2"};
+    const std::string fresh = fleetSweep(chips, 2, path).serialize();
+    std::string damaged;
+    {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        damaged = bytes.str();
+    }
+    ASSERT_GT(damaged.size(), 1000u);
+    for (const size_t percent : {30, 55, 80})
+        damaged[damaged.size() * percent / 100] ^= 0x5a;
+    damaged.resize(damaged.size() - 10);
+
+    std::string first_warnings;
+    for (const int workers : {1, 2, 8}) {
+        SCOPED_TRACE(std::to_string(workers) + " workers");
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << damaged;
+        }
+        ::testing::internal::CaptureStderr();
+        const std::string resumed =
+            fleetSweep(chips, workers, path).serialize();
+        const std::string warnings =
+            ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(resumed, fresh);
+        EXPECT_NE(warnings.find("truncated record"), std::string::npos)
+            << warnings;
+        if (workers == 1)
+            first_warnings = warnings;
+        EXPECT_EQ(warnings, first_warnings);
+    }
     std::remove(path.c_str());
 }
 

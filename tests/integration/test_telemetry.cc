@@ -173,6 +173,7 @@ TEST(Telemetry, JsonlArtifactCarriesTheGatedKeys)
     EXPECT_NE(last.find("\"executor.cells_fresh\":8"),
               std::string::npos);
     EXPECT_NE(last.find("\"executor.cache_hits\":"), std::string::npos);
+    EXPECT_NE(last.find("\"executor.replay\":{"), std::string::npos);
     EXPECT_NE(last.find("\"executor.plan\":{"), std::string::npos);
     EXPECT_NE(last.find("\"executor.execute\":{"), std::string::npos);
     EXPECT_NE(last.find("\"executor.merge\":{"), std::string::npos);
