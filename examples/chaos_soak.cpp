@@ -112,7 +112,7 @@ appendJson(std::ostringstream &os, const char *label,
        << ",\"retries\":" << result.telemetry.retries
        << ",\"supervisor\":{"
        << "\"enabled\":"
-       << (result.supervisor.enabled ? "true" : "false")
+       << (result.supervisorEnabled ? "true" : "false")
        << ",\"guard_steps\":" << result.supervisor.guardSteps
        << ",\"peak_guard_steps\":"
        << result.supervisor.peakGuardSteps << ",\"clamp\":\""

@@ -101,14 +101,6 @@ mergeCellIntoReport(CharacterizationReport &report, LedgerView &view,
         warnLostCell(cell.workloadId, cell.core);
 }
 
-void
-mergeCellIntoReport(CharacterizationReport &report, LedgerView &view,
-                    CellMeasurement &&cell)
-{
-    if (!mergeCell(report, view, cell))
-        warnLostCell(cell.workloadId, cell.core);
-}
-
 namespace
 {
 

@@ -60,14 +60,11 @@ CellMeasurement measureCellWith(CampaignRunner &runner,
  * assembled: runs stream into @p view and the report's aggregate
  * counters, while a cell whose every run was lost to management
  * faults is degraded — accounted and omitted — rather than aborting
- * the sweep. The const form copies the cell's runs into
- * `report.allRuns`; the rvalue form moves them.
+ * the sweep. The cell's runs are copied into `report.allRuns`.
  */
 void mergeCellIntoReport(CharacterizationReport &report,
                          LedgerView &view,
                          const CellMeasurement &cell);
-void mergeCellIntoReport(CharacterizationReport &report,
-                         LedgerView &view, CellMeasurement &&cell);
 
 /**
  * Run one sweep of @p config over one or more @p prototypes (not

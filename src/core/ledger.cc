@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <latch>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -394,6 +395,16 @@ encodeDaemonRound(const DaemonRoundRecord &record)
     return payload;
 }
 
+std::vector<CoreId>
+SupervisorPosture::quarantinedCores() const
+{
+    std::vector<CoreId> held;
+    for (const CoreState &state : cores)
+        if (state.quarantined)
+            held.push_back(state.core);
+    return held;
+}
+
 void
 encodeSupervisorCheckpointInto(std::string &payload,
                                const SupervisorCheckpoint &state)
@@ -411,25 +422,26 @@ encodeSupervisorCheckpointInto(std::string &payload,
     putTelemetry(payload, state.telemetry);
     payload.push_back(
         static_cast<char>(state.supervisorEnabled ? 1 : 0));
-    putU32(payload, static_cast<uint32_t>(state.guardSteps));
-    putU32(payload, static_cast<uint32_t>(state.peakGuardSteps));
-    putU32(payload, state.cleanStreak);
-    payload.push_back(static_cast<char>(state.clampReason));
-    putU64(payload, state.backoffEvents);
-    putU64(payload, state.narrowEvents);
-    putU64(payload, state.quarantines);
-    putU64(payload, state.readmissions);
-    putU64(payload, state.canaryRounds);
-    putU64(payload, state.canaryFailures);
-    putU64(payload, state.pinnedRounds);
+    const SupervisorPosture &posture = state.supervisor;
+    putU32(payload, static_cast<uint32_t>(posture.guardSteps));
+    putU32(payload, static_cast<uint32_t>(posture.peakGuardSteps));
+    putU32(payload, posture.cleanStreak);
+    payload.push_back(static_cast<char>(posture.clampReason));
+    putU64(payload, posture.backoffEvents);
+    putU64(payload, posture.narrowEvents);
+    putU64(payload, posture.quarantines);
+    putU64(payload, posture.readmissions);
+    putU64(payload, posture.canaryRounds);
+    putU64(payload, posture.canaryFailures);
+    putU64(payload, posture.pinnedRounds);
     putU32(payload,
-           static_cast<uint32_t>(state.recentCrashRounds.size()));
-    for (const uint32_t round : state.recentCrashRounds)
+           static_cast<uint32_t>(posture.recentCrashRounds.size()));
+    for (const uint32_t round : posture.recentCrashRounds)
         putU32(payload, round);
-    putU32(payload, static_cast<uint32_t>(state.cores.size()));
-    for (const auto &core : state.cores) {
-        putU32(payload, core.core);
-        payload.push_back(static_cast<char>(core.mode));
+    putU32(payload, static_cast<uint32_t>(posture.cores.size()));
+    for (const auto &core : posture.cores) {
+        putU32(payload, static_cast<uint32_t>(core.core));
+        payload.push_back(static_cast<char>(core.quarantined ? 1 : 0));
         putF64(payload, core.ceRate);
         putF64(payload, core.ueRate);
         putF64(payload, core.sdcRate);
@@ -521,7 +533,10 @@ readDaemonRound(PayloadReader &reader, DaemonRoundRecord &round)
     round.fallbackReason = reader.u8();
     round.reexecutions = static_cast<int>(reader.u32());
     round.guardSteps = static_cast<int>(reader.u32());
-    return reader.ok();
+    // No session writes a reason code past the last one.
+    constexpr auto kLastFallback =
+        static_cast<uint8_t>(FallbackReason::MachineUnresponsive);
+    return reader.ok() && round.fallbackReason <= kLastFallback;
 }
 
 bool
@@ -537,25 +552,41 @@ readSupervisorCheckpoint(PayloadReader &reader,
     state.sensorSample = reader.f64();
     state.telemetry = readTelemetry(reader);
     state.supervisorEnabled = reader.u8() != 0;
-    state.guardSteps = static_cast<int32_t>(reader.u32());
-    state.peakGuardSteps = static_cast<int32_t>(reader.u32());
-    state.cleanStreak = reader.u32();
-    state.clampReason = reader.u8();
-    state.backoffEvents = reader.u64();
-    state.narrowEvents = reader.u64();
-    state.quarantines = reader.u64();
-    state.readmissions = reader.u64();
-    state.canaryRounds = reader.u64();
-    state.canaryFailures = reader.u64();
-    state.pinnedRounds = reader.u64();
+    SupervisorPosture &posture = state.supervisor;
+    posture.guardSteps = static_cast<int>(reader.u32());
+    posture.peakGuardSteps = static_cast<int>(reader.u32());
+    posture.cleanStreak = reader.u32();
+    const uint8_t clamp = reader.u8();
+    if (clamp > static_cast<uint8_t>(ClampReason::WatchdogExhausted))
+        return false;
+    posture.clampReason = static_cast<ClampReason>(clamp);
+    posture.backoffEvents = reader.u64();
+    posture.narrowEvents = reader.u64();
+    posture.quarantines = reader.u64();
+    posture.readmissions = reader.u64();
+    posture.canaryRounds = reader.u64();
+    posture.canaryFailures = reader.u64();
+    posture.pinnedRounds = reader.u64();
     const uint32_t crashes = reader.u32();
     for (uint32_t i = 0; i < crashes && reader.ok(); ++i)
-        state.recentCrashRounds.push_back(reader.u32());
+        posture.recentCrashRounds.push_back(reader.u32());
     const uint32_t cores = reader.u32();
     for (uint32_t i = 0; i < cores && reader.ok(); ++i) {
-        SupervisorCheckpoint::CoreState core;
-        core.core = reader.u32();
-        core.mode = reader.u8();
+        // The posture's core list is a sorted set of CoreIds: a
+        // repeated, descending or out-of-range id, or a quarantine
+        // byte no session writes, refuses the whole record.
+        const uint32_t id = reader.u32();
+        const uint8_t quarantined = reader.u8();
+        if (id > static_cast<uint32_t>(
+                     std::numeric_limits<CoreId>::max()) ||
+            quarantined > 1 ||
+            (!posture.cores.empty() &&
+             static_cast<CoreId>(id) <= posture.cores.back().core))
+            return false;
+        SupervisorPosture::CoreState &core =
+            posture.cores.emplace_back();
+        core.core = static_cast<CoreId>(id);
+        core.quarantined = quarantined != 0;
         core.ceRate = reader.f64();
         core.ueRate = reader.f64();
         core.sdcRate = reader.f64();
@@ -565,8 +596,6 @@ readSupervisorCheckpoint(PayloadReader &reader,
         core.sdcEvents = reader.u64();
         core.crashEvents = reader.u64();
         core.cleanInQuarantine = reader.u32();
-        if (reader.ok())
-            state.cores.push_back(core);
     }
     return reader.ok();
 }

@@ -216,13 +216,65 @@ struct DaemonRoundRecord
 };
 
 /**
+ * The margin supervisor's whole safety posture: guardband, clamp,
+ * lifetime counters, crash window and every tracked core's EWMA
+ * rates and quarantine flag. Like DaemonRoundRecord, this one struct
+ * is both the in-memory state of `sched::MarginSupervisor` and the
+ * wire schema of its journal checkpoint, so checkpoint and restore
+ * are whole-struct copies and a restored supervisor takes every
+ * future decision of the uninterrupted one.
+ */
+struct SupervisorPosture
+{
+    /** One supervised core's posture. */
+    struct CoreState
+    {
+        CoreId core = 0;
+        /** Healing at the safe voltage until a canary re-admits
+         *  it; no undervolted work meanwhile. */
+        bool quarantined = false;
+        double ceRate = 0.0; ///< per-round EWMA event rates
+        double ueRate = 0.0;
+        double sdcRate = 0.0;
+        double crashRate = 0.0;
+        uint64_t ceEvents = 0; ///< lifetime event counts
+        uint64_t ueEvents = 0;
+        uint64_t sdcEvents = 0;
+        uint64_t crashEvents = 0;
+        uint32_t cleanInQuarantine = 0; ///< clean rounds in the hold
+
+        bool operator==(const CoreState &other) const = default;
+    };
+
+    int guardSteps = 0;       ///< current adaptive guard steps
+    int peakGuardSteps = 0;   ///< widest guard reached so far
+    uint32_t cleanStreak = 0; ///< clean rounds toward a narrow
+    ClampReason clampReason = ClampReason::None; ///< active clamp
+
+    // Lifetime counters (monotonic; survive checkpoint/restore).
+    uint64_t backoffEvents = 0;
+    uint64_t narrowEvents = 0;
+    uint64_t quarantines = 0;
+    uint64_t readmissions = 0;
+    uint64_t canaryRounds = 0;
+    uint64_t canaryFailures = 0;
+    uint64_t pinnedRounds = 0;
+
+    std::vector<uint32_t> recentCrashRounds; ///< crash-storm window
+    std::vector<CoreState> cores; ///< tracked, ascending by core id
+
+    /** Currently quarantined cores, ascending. */
+    std::vector<CoreId> quarantinedCores() const;
+
+    bool operator==(const SupervisorPosture &other) const = default;
+};
+
+/**
  * Crash-persistent supervisor/daemon state, checkpointed into the
  * daemon journal after every round. A watchdog power cycle (or a
  * plain process kill) resumes from the last intact checkpoint with
- * the learned safety posture — guardband, quarantine set, event
- * counters — instead of re-learning it by crashing again. The sched
- * layer owns the semantics; this struct is the neutral wire format
- * (modes and reasons are raw codes here).
+ * the learned safety posture instead of re-learning it by crashing
+ * again, plus the daemon-side state a future round depends on.
  */
 struct SupervisorCheckpoint
 {
@@ -240,35 +292,7 @@ struct SupervisorCheckpoint
 
     // -- supervisor state -----------------------------------------
     bool supervisorEnabled = false;
-    int32_t guardSteps = 0;     ///< current adaptive guard steps
-    int32_t peakGuardSteps = 0; ///< widest guard reached so far
-    uint32_t cleanStreak = 0;   ///< clean rounds toward a narrow
-    uint8_t clampReason = 0;    ///< ClampReason code; 0 = none
-    uint64_t backoffEvents = 0;
-    uint64_t narrowEvents = 0;
-    uint64_t quarantines = 0;
-    uint64_t readmissions = 0;
-    uint64_t canaryRounds = 0;
-    uint64_t canaryFailures = 0;
-    uint64_t pinnedRounds = 0;
-    std::vector<uint32_t> recentCrashRounds; ///< clamp window
-
-    /** One supervised core's posture. */
-    struct CoreState
-    {
-        uint32_t core = 0;
-        uint8_t mode = 0; ///< CoreMode code (normal/quarantined)
-        double ceRate = 0.0;
-        double ueRate = 0.0;
-        double sdcRate = 0.0;
-        double crashRate = 0.0;
-        uint64_t ceEvents = 0;
-        uint64_t ueEvents = 0;
-        uint64_t sdcEvents = 0;
-        uint64_t crashEvents = 0;
-        uint32_t cleanInQuarantine = 0;
-    };
-    std::vector<CoreState> cores;
+    SupervisorPosture supervisor;
 };
 
 // ---- framing -----------------------------------------------------

@@ -33,6 +33,20 @@ fallbackReasonName(FallbackReason reason)
     return "unknown";
 }
 
+const char *
+clampReasonName(ClampReason reason)
+{
+    switch (reason) {
+    case ClampReason::None:
+        return "none";
+    case ClampReason::CrashStorm:
+        return "crash-storm";
+    case ClampReason::WatchdogExhausted:
+        return "watchdog-exhausted";
+    }
+    return "unknown";
+}
+
 void
 RecoveryTelemetry::merge(const RecoveryTelemetry &other)
 {

@@ -62,6 +62,18 @@ enum class FallbackReason : uint8_t
 /** Printable reason name. */
 const char *fallbackReasonName(FallbackReason reason);
 
+/** Why the margin supervisor clamped the daemon to the safe
+ *  voltage for the rest of its session. */
+enum class ClampReason : uint8_t
+{
+    None = 0,          ///< no emergency clamp
+    CrashStorm,        ///< too many crashes inside the window
+    WatchdogExhausted, ///< a revive ran out its whole poll budget
+};
+
+/** Printable reason name. */
+const char *clampReasonName(ClampReason reason);
+
 /** Counters describing how much resilience machinery fired. */
 struct RecoveryTelemetry
 {

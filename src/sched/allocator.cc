@@ -43,32 +43,17 @@ Allocation
 TaskAllocator::allocate(
     const std::vector<std::string> &workload_ids) const
 {
-    return allocate(workload_ids, {});
-}
-
-Allocation
-TaskAllocator::allocate(
-    const std::vector<std::string> &workload_ids,
-    const std::vector<CoreId> &excluded_cores) const
-{
-    // Characterized cores = the cores present in the report, minus
-    // the excluded (quarantined) ones.
+    // Characterized cores = the cores present in the report.
     std::vector<CoreId> cores;
-    for (const auto &cell : report_.cells) {
-        if (std::find(excluded_cores.begin(), excluded_cores.end(),
-                      cell.core) != excluded_cores.end())
-            continue;
+    for (const auto &cell : report_.cells)
         if (std::find(cores.begin(), cores.end(), cell.core) ==
             cores.end())
             cores.push_back(cell.core);
-    }
     if (workload_ids.size() > cores.size())
         util::fatalError(
             "allocator: " + std::to_string(workload_ids.size()) +
             " tasks but only " + std::to_string(cores.size()) +
-            " eligible cores (" +
-            std::to_string(excluded_cores.size()) +
-            " quarantined)");
+            " eligible cores");
     for (const auto &workload_id : workload_ids) {
         bool known = false;
         for (const auto &cell : report_.cells)

@@ -45,16 +45,6 @@ class TaskAllocator
         const std::vector<std::string> &workload_ids) const;
 
     /**
-     * Like allocate(), but never places work on @p excluded_cores —
-     * the supervisor's quarantine set: those cores get no work at
-     * reduced voltage until a canary probe re-admits them. Fatal
-     * (with the counts) when fewer eligible cores remain than tasks.
-     */
-    Allocation allocate(
-        const std::vector<std::string> &workload_ids,
-        const std::vector<CoreId> &excluded_cores) const;
-
-    /**
      * Naive baseline: tasks placed on cores 0, 1, 2, ... in the
      * order given (what a variation-oblivious scheduler does).
      */

@@ -177,7 +177,7 @@ formatDaemonReport(const DaemonResult &result)
        << " backoff_us=" << result.telemetry.backoffUsTotal
        << " watchdog_retries=" << result.telemetry.watchdogRetries
        << " lost=" << result.telemetry.lostMeasurements << '\n';
-    if (result.supervisor.enabled) {
+    if (result.supervisorEnabled) {
         os << "supervisor guard=" << result.supervisor.guardSteps
            << " peak=" << result.supervisor.peakGuardSteps
            << " clamp="
@@ -191,11 +191,10 @@ formatDaemonReport(const DaemonResult &result)
            << result.supervisor.canaryFailures
            << " pinned_rounds=" << result.supervisor.pinnedRounds
            << " quarantined=[";
-        for (size_t i = 0;
-             i < result.supervisor.quarantinedCores.size(); ++i) {
-            if (i > 0)
-                os << ' ';
-            os << result.supervisor.quarantinedCores[i];
+        const char *separator = "";
+        for (const CoreId core : result.supervisor.quarantinedCores()) {
+            os << separator << core;
+            separator = " ";
         }
         os << "]\n";
     }
@@ -229,7 +228,7 @@ formatDaemonSummary(const DaemonResult &result)
        << " " << result.fallbackMachineUnresponsive << ")\n";
     os << "  governor clamp     : +" << result.governorClampMv
        << " mV\n";
-    if (result.supervisor.enabled) {
+    if (result.supervisorEnabled) {
         os << "  supervisor guard   : "
            << result.supervisor.guardSteps << " steps (peak "
            << result.supervisor.peakGuardSteps << ", backoffs "
@@ -244,10 +243,11 @@ formatDaemonSummary(const DaemonResult &result)
            << result.supervisor.canaryFailures << " failed), "
            << result.supervisor.pinnedRounds
            << " rounds pinned safe\n";
-        if (!result.supervisor.quarantinedCores.empty()) {
+        const std::vector<CoreId> held =
+            result.supervisor.quarantinedCores();
+        if (!held.empty()) {
             os << "  still quarantined  :";
-            for (const CoreId core :
-                 result.supervisor.quarantinedCores)
+            for (const CoreId core : held)
                 os << ' ' << core;
             os << '\n';
         }
@@ -663,24 +663,8 @@ GovernorDaemon::run(const std::vector<Placement> &placements,
             : 0.0;
 
     if (supervisor) {
-        result.supervisor.enabled = true;
-        result.supervisor.guardSteps = supervisor->guardSteps();
-        result.supervisor.peakGuardSteps =
-            supervisor->peakGuardSteps();
-        result.supervisor.clampReason = supervisor->clampReason();
-        result.supervisor.backoffEvents =
-            supervisor->backoffEvents();
-        result.supervisor.narrowEvents = supervisor->narrowEvents();
-        result.supervisor.quarantines =
-            supervisor->quarantineEvents();
-        result.supervisor.readmissions =
-            supervisor->readmissionEvents();
-        result.supervisor.canaryRounds = supervisor->canaryRounds();
-        result.supervisor.canaryFailures =
-            supervisor->canaryFailures();
-        result.supervisor.pinnedRounds = supervisor->pinnedRounds();
-        result.supervisor.quarantinedCores =
-            supervisor->quarantinedCores();
+        result.supervisorEnabled = true;
+        result.supervisor = supervisor->posture();
     }
     if (sink)
         sink->flush(); // end-of-run drain

@@ -123,23 +123,6 @@ struct DaemonOptions
     std::string telemetryPath;
 };
 
-/** Supervisor outcome summary inside a daemon result. */
-struct SupervisorReport
-{
-    bool enabled = false;
-    int guardSteps = 0;     ///< adaptive guard at session end
-    int peakGuardSteps = 0; ///< widest adaptive guard reached
-    ClampReason clampReason = ClampReason::None;
-    uint64_t backoffEvents = 0;
-    uint64_t narrowEvents = 0;
-    uint64_t quarantines = 0;
-    uint64_t readmissions = 0;
-    uint64_t canaryRounds = 0;
-    uint64_t canaryFailures = 0;
-    uint64_t pinnedRounds = 0;
-    std::vector<CoreId> quarantinedCores; ///< still held at end
-};
-
 /** Aggregate daemon statistics. */
 struct DaemonResult
 {
@@ -172,8 +155,12 @@ struct DaemonResult
     /** Recovery counters for this session (journal-cumulative). */
     RecoveryTelemetry telemetry;
 
-    /** Supervisor posture at session end. */
-    SupervisorReport supervisor;
+    /** True when the session ran supervised. */
+    bool supervisorEnabled = false;
+
+    /** Supervisor posture at session end (default-valued when the
+     *  session ran unsupervised). */
+    SupervisorPosture supervisor;
 };
 
 /**

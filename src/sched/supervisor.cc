@@ -8,20 +8,6 @@
 namespace vmargin::sched
 {
 
-const char *
-clampReasonName(ClampReason reason)
-{
-    switch (reason) {
-    case ClampReason::None:
-        return "none";
-    case ClampReason::CrashStorm:
-        return "crash-storm";
-    case ClampReason::WatchdogExhausted:
-        return "watchdog-exhausted";
-    }
-    return "unknown";
-}
-
 void
 SupervisorOptions::validate() const
 {
@@ -71,14 +57,21 @@ SupervisorOptions::validate() const
             std::to_string(crashClampCount) + ")");
 }
 
-double
-MarginSupervisor::CoreState::score(
-    const SupervisorOptions &options) const
+namespace
 {
-    return options.ceWeight * ceRate + options.ueWeight * ueRate +
-           options.sdcWeight * sdcRate +
-           options.crashWeight * crashRate;
+
+/** @p state's weighted EWMA score against @p options. */
+double
+score(const SupervisorPosture::CoreState &state,
+      const SupervisorOptions &options)
+{
+    return options.ceWeight * state.ceRate +
+           options.ueWeight * state.ueRate +
+           options.sdcWeight * state.sdcRate +
+           options.crashWeight * state.crashRate;
 }
+
+} // namespace
 
 MarginSupervisor::MarginSupervisor(SupervisorOptions options)
     : options_(options),
@@ -96,18 +89,34 @@ MarginSupervisor::MarginSupervisor(SupervisorOptions options)
     options_.validate();
 }
 
+SupervisorPosture::CoreState &
+MarginSupervisor::coreState(CoreId core)
+{
+    auto &cores = posture_.cores;
+    const auto it = std::lower_bound(
+        cores.begin(), cores.end(), core,
+        [](const SupervisorPosture::CoreState &state, CoreId id) {
+            return state.core < id;
+        });
+    if (it != cores.end() && it->core == core)
+        return *it;
+    SupervisorPosture::CoreState fresh;
+    fresh.core = core;
+    return *cores.insert(it, fresh);
+}
+
 void
 MarginSupervisor::track(CoreId core)
 {
-    cores_.emplace(core, CoreState{});
+    (void)coreState(core);
 }
 
 bool
 MarginSupervisor::canaryReady() const
 {
     bool any = false;
-    for (const auto &[core, state] : cores_) {
-        if (state.mode != CoreMode::Quarantined)
+    for (const auto &state : posture_.cores) {
+        if (!state.quarantined)
             continue;
         any = true;
         if (state.cleanInQuarantine <
@@ -121,9 +130,9 @@ RoundPlan
 MarginSupervisor::planRound() const
 {
     RoundPlan plan;
-    plan.guardSteps = guardSteps_;
-    plan.clampReason = clampReason_;
-    if (clampReason_ != ClampReason::None) {
+    plan.guardSteps = posture_.guardSteps;
+    plan.clampReason = posture_.clampReason;
+    if (posture_.clampReason != ClampReason::None) {
         // Emergency clamp: serve every remaining round at the safe
         // voltage. The clamp is permanent for the session — nothing
         // observed afterward can prove the machine trustworthy
@@ -132,15 +141,15 @@ MarginSupervisor::planRound() const
         return plan;
     }
     const bool quarantine_active = std::any_of(
-        cores_.begin(), cores_.end(), [](const auto &entry) {
-            return entry.second.mode != CoreMode::Normal;
-        });
+        posture_.cores.begin(), posture_.cores.end(),
+        [](const auto &state) { return state.quarantined; });
     if (quarantine_active) {
         if (canaryReady()) {
             // Probe re-admission at a stepped-down undervolt:
             // deeper than safe, shallower than normal operation.
             plan.canary = true;
-            plan.guardSteps = guardSteps_ + options_.canaryGuardSteps;
+            plan.guardSteps =
+                posture_.guardSteps + options_.canaryGuardSteps;
         } else {
             // Healing: the PMD domain is shared, so quarantining a
             // core from reduced voltage pins the whole round safe.
@@ -153,9 +162,9 @@ MarginSupervisor::planRound() const
 void
 MarginSupervisor::escalate(ClampReason reason)
 {
-    if (clampReason_ == ClampReason::None &&
+    if (posture_.clampReason == ClampReason::None &&
         reason != ClampReason::None) {
-        clampReason_ = reason;
+        posture_.clampReason = reason;
         statEmergencyClamps_.inc();
         util::warnf("supervisor: emergency nominal clamp (",
                     clampReasonName(reason), ")");
@@ -177,10 +186,7 @@ MarginSupervisor::observeRound(
         !record.safePinned && !record.nominalFallback;
 
     for (const auto &event : events) {
-        auto it = cores_.find(event.core);
-        if (it == cores_.end())
-            it = cores_.emplace(event.core, CoreState{}).first;
-        CoreState &state = it->second;
+        SupervisorPosture::CoreState &state = coreState(event.core);
         if (!event.ran)
             continue; // the machine was down; the core saw nothing
         state.ceRate =
@@ -198,7 +204,7 @@ MarginSupervisor::observeRound(
         state.sdcEvents += event.sdc ? 1 : 0;
         state.crashEvents += event.crashed ? 1 : 0;
 
-        if (state.mode == CoreMode::Quarantined) {
+        if (state.quarantined) {
             const bool clean = event.correctedErrors == 0 &&
                                event.uncorrectedErrors == 0 &&
                                !event.sdc && !event.crashed;
@@ -211,47 +217,47 @@ MarginSupervisor::observeRound(
     // round ran at — a machine that crashes at the *safe* voltage is
     // in worse trouble, not better.
     if (record.crashed) {
-        recentCrashRounds_.push_back(
-            static_cast<uint32_t>(record.round));
+        auto &window = posture_.recentCrashRounds;
+        window.push_back(static_cast<uint32_t>(record.round));
         const int64_t oldest =
             static_cast<int64_t>(record.round) -
             static_cast<int64_t>(options_.crashWindowRounds) + 1;
-        std::erase_if(recentCrashRounds_, [&](uint32_t round) {
+        std::erase_if(window, [&](uint32_t round) {
             return static_cast<int64_t>(round) < oldest;
         });
-        if (recentCrashRounds_.size() >=
+        if (window.size() >=
             static_cast<size_t>(options_.crashClampCount))
             escalate(ClampReason::CrashStorm);
     }
 
     if (record.safePinned) {
-        ++pinnedRounds_;
+        ++posture_.pinnedRounds;
         return; // nothing below applies to a safe-pinned round
     }
 
     if (record.canaryProbe && undervolted) {
-        ++canaryRounds_;
+        ++posture_.canaryRounds;
         if (round_clean) {
             // The probe passed: every quarantined core rejoins the
             // reduced-voltage pool with a clean slate — keeping the
             // pre-quarantine EWMA would re-quarantine it on the
             // first corrected error.
-            for (auto &[core, state] : cores_) {
-                if (state.mode != CoreMode::Quarantined)
+            for (auto &state : posture_.cores) {
+                if (!state.quarantined)
                     continue;
-                state.mode = CoreMode::Normal;
+                state.quarantined = false;
                 state.ceRate = 0.0;
                 state.ueRate = 0.0;
                 state.sdcRate = 0.0;
                 state.crashRate = 0.0;
                 state.cleanInQuarantine = 0;
-                ++readmissions_;
+                ++posture_.readmissions;
                 statQuarantineExits_.inc();
             }
         } else {
-            ++canaryFailures_;
-            for (auto &[core, state] : cores_)
-                if (state.mode == CoreMode::Quarantined)
+            ++posture_.canaryFailures;
+            for (auto &state : posture_.cores)
+                if (state.quarantined)
                     state.cleanInQuarantine = 0;
         }
     }
@@ -262,125 +268,55 @@ MarginSupervisor::observeRound(
     // Guardband hysteresis: fast back-off on any abnormal round,
     // slow narrowing after a streak of clean ones.
     if (!round_clean) {
-        guardSteps_ = std::min(options_.maxGuardSteps,
-                               guardSteps_ +
-                                   options_.backoffGuardSteps);
-        peakGuardSteps_ = std::max(peakGuardSteps_, guardSteps_);
-        ++backoffEvents_;
+        posture_.guardSteps =
+            std::min(options_.maxGuardSteps,
+                     posture_.guardSteps + options_.backoffGuardSteps);
+        posture_.peakGuardSteps =
+            std::max(posture_.peakGuardSteps, posture_.guardSteps);
+        ++posture_.backoffEvents;
         statBackoffs_.inc();
-        cleanStreak_ = 0;
+        posture_.cleanStreak = 0;
     } else {
-        ++cleanStreak_;
-        if (cleanStreak_ >=
+        ++posture_.cleanStreak;
+        if (posture_.cleanStreak >=
                 static_cast<uint32_t>(options_.cleanRoundsToNarrow) &&
-            guardSteps_ > 0) {
-            --guardSteps_;
-            ++narrowEvents_;
+            posture_.guardSteps > 0) {
+            --posture_.guardSteps;
+            ++posture_.narrowEvents;
             statNarrows_.inc();
-            cleanStreak_ = 0;
+            posture_.cleanStreak = 0;
         }
     }
 
     // Quarantine: a core whose weighted abnormal rate crossed the
     // threshold stops getting undervolted work.
-    for (auto &[core, state] : cores_) {
-        if (state.mode != CoreMode::Normal)
+    for (auto &state : posture_.cores) {
+        if (state.quarantined)
             continue;
-        if (state.score(options_) > options_.quarantineScore) {
-            state.mode = CoreMode::Quarantined;
+        const double core_score = score(state, options_);
+        if (core_score > options_.quarantineScore) {
+            state.quarantined = true;
             state.cleanInQuarantine = 0;
-            ++quarantines_;
+            ++posture_.quarantines;
             statQuarantineEntries_.inc();
-            util::warnf("supervisor: quarantining core ", core,
-                        " (score ", state.score(options_),
-                        " > threshold ", options_.quarantineScore,
-                        ")");
+            util::warnf("supervisor: quarantining core ", state.core,
+                        " (score ", core_score, " > threshold ",
+                        options_.quarantineScore, ")");
         }
     }
-}
-
-bool
-MarginSupervisor::quarantined(CoreId core) const
-{
-    const auto it = cores_.find(core);
-    return it != cores_.end() &&
-           it->second.mode == CoreMode::Quarantined;
-}
-
-std::vector<CoreId>
-MarginSupervisor::quarantinedCores() const
-{
-    std::vector<CoreId> cores;
-    for (const auto &[core, state] : cores_)
-        if (state.mode == CoreMode::Quarantined)
-            cores.push_back(core);
-    return cores;
 }
 
 void
 MarginSupervisor::checkpoint(SupervisorCheckpoint &out) const
 {
     out.supervisorEnabled = true;
-    out.guardSteps = guardSteps_;
-    out.peakGuardSteps = peakGuardSteps_;
-    out.cleanStreak = cleanStreak_;
-    out.clampReason = static_cast<uint8_t>(clampReason_);
-    out.backoffEvents = backoffEvents_;
-    out.narrowEvents = narrowEvents_;
-    out.quarantines = quarantines_;
-    out.readmissions = readmissions_;
-    out.canaryRounds = canaryRounds_;
-    out.canaryFailures = canaryFailures_;
-    out.pinnedRounds = pinnedRounds_;
-    out.recentCrashRounds = recentCrashRounds_;
-    out.cores.clear();
-    for (const auto &[core, state] : cores_) {
-        SupervisorCheckpoint::CoreState persisted;
-        persisted.core = static_cast<uint32_t>(core);
-        persisted.mode = static_cast<uint8_t>(state.mode);
-        persisted.ceRate = state.ceRate;
-        persisted.ueRate = state.ueRate;
-        persisted.sdcRate = state.sdcRate;
-        persisted.crashRate = state.crashRate;
-        persisted.ceEvents = state.ceEvents;
-        persisted.ueEvents = state.ueEvents;
-        persisted.sdcEvents = state.sdcEvents;
-        persisted.crashEvents = state.crashEvents;
-        persisted.cleanInQuarantine = state.cleanInQuarantine;
-        out.cores.push_back(persisted);
-    }
+    out.supervisor = posture_;
 }
 
 void
 MarginSupervisor::restore(const SupervisorCheckpoint &state)
 {
-    guardSteps_ = state.guardSteps;
-    peakGuardSteps_ = state.peakGuardSteps;
-    cleanStreak_ = state.cleanStreak;
-    clampReason_ = static_cast<ClampReason>(state.clampReason);
-    backoffEvents_ = state.backoffEvents;
-    narrowEvents_ = state.narrowEvents;
-    quarantines_ = state.quarantines;
-    readmissions_ = state.readmissions;
-    canaryRounds_ = state.canaryRounds;
-    canaryFailures_ = state.canaryFailures;
-    pinnedRounds_ = state.pinnedRounds;
-    recentCrashRounds_ = state.recentCrashRounds;
-    cores_.clear();
-    for (const auto &persisted : state.cores) {
-        CoreState core;
-        core.mode = static_cast<CoreMode>(persisted.mode);
-        core.ceRate = persisted.ceRate;
-        core.ueRate = persisted.ueRate;
-        core.sdcRate = persisted.sdcRate;
-        core.crashRate = persisted.crashRate;
-        core.ceEvents = persisted.ceEvents;
-        core.ueEvents = persisted.ueEvents;
-        core.sdcEvents = persisted.sdcEvents;
-        core.crashEvents = persisted.crashEvents;
-        core.cleanInQuarantine = persisted.cleanInQuarantine;
-        cores_[static_cast<CoreId>(persisted.core)] = core;
-    }
+    posture_ = state.supervisor;
 }
 
 } // namespace vmargin::sched

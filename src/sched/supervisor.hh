@@ -16,26 +16,24 @@
  *    streak of clean rounds;
  *
  *  - a core whose weighted abnormal rate crosses the quarantine
- *    threshold is quarantined: the allocator stops placing work on
- *    it at reduced voltage, and (the PMD domain being shared) the
- *    daemon pins rounds at the safe voltage while the core heals.
- *    Re-admission requires a canary probe round at a stepped-down
- *    undervolt to pass clean;
+ *    threshold is quarantined: the PMD domain being shared, the
+ *    daemon pins whole rounds at the safe voltage while the core
+ *    heals. Re-admission requires a canary probe round at a
+ *    stepped-down undervolt to pass clean;
  *
  *  - repeated crashes inside a sliding window escalate to an
  *    emergency nominal clamp with a reason code — the daemon keeps
  *    serving rounds at the safe voltage, never dies with the margin;
  *
- *  - the whole posture (guardband, quarantine set, event counters)
- *    checkpoints into the daemon journal after every round, so a
- *    watchdog power cycle resumes with the learned safety posture
- *    instead of re-learning it by crashing again.
+ *  - the whole posture (`SupervisorPosture`: guardband, quarantine
+ *    set, event counters) checkpoints into the daemon journal after
+ *    every round, so a watchdog power cycle resumes with the learned
+ *    safety posture instead of re-learning it by crashing again.
  */
 
 #ifndef VMARGIN_SCHED_SUPERVISOR_HH
 #define VMARGIN_SCHED_SUPERVISOR_HH
 
-#include <map>
 #include <vector>
 
 #include "core/ledger.hh"
@@ -45,24 +43,8 @@
 namespace vmargin::sched
 {
 
-/** Supervision state of one tracked core. */
-enum class CoreMode : uint8_t
-{
-    Normal = 0,  ///< eligible for reduced-voltage work
-    Quarantined, ///< healing at safe voltage; no undervolted work
-    Canary,      ///< under a canary probe toward re-admission
-};
-
-/** Why the supervisor clamped the daemon to the safe voltage. */
-enum class ClampReason : uint8_t
-{
-    None = 0,          ///< no emergency clamp
-    CrashStorm,        ///< too many crashes inside the window
-    WatchdogExhausted, ///< a revive ran out its whole poll budget
-};
-
-/** Printable reason name. */
-const char *clampReasonName(ClampReason reason);
+using vmargin::ClampReason;
+using vmargin::clampReasonName;
 
 /** Supervisor tuning. */
 struct SupervisorOptions
@@ -126,6 +108,8 @@ struct RoundPlan
 
     /** Active emergency clamp, if any. */
     ClampReason clampReason = ClampReason::None;
+
+    bool operator==(const RoundPlan &other) const = default;
 };
 
 /** One core's observed events in one round. */
@@ -167,55 +151,11 @@ class MarginSupervisor
      */
     void escalate(ClampReason reason);
 
-    /** True when @p core is currently quarantined. */
-    bool quarantined(CoreId core) const;
-
-    /** Currently quarantined cores, ascending. */
-    std::vector<CoreId> quarantinedCores() const;
-
-    /** Current adaptive guard steps. */
-    int guardSteps() const { return guardSteps_; }
-
-    /** Widest adaptive guard reached so far. */
-    int peakGuardSteps() const { return peakGuardSteps_; }
-
-    /** Active emergency clamp (None when operating normally). */
-    ClampReason clampReason() const { return clampReason_; }
-
     const SupervisorOptions &options() const { return options_; }
 
-    /** Lifetime counters (monotonic; survive checkpoint/restore). */
-    uint64_t backoffEvents() const { return backoffEvents_; }
-    uint64_t narrowEvents() const { return narrowEvents_; }
-    uint64_t quarantineEvents() const { return quarantines_; }
-    uint64_t readmissionEvents() const { return readmissions_; }
-    uint64_t canaryRounds() const { return canaryRounds_; }
-    uint64_t canaryFailures() const { return canaryFailures_; }
-    uint64_t pinnedRounds() const { return pinnedRounds_; }
-
-    /** Per-core posture of one tracked core. */
-    struct CoreState
-    {
-        CoreMode mode = CoreMode::Normal;
-        double ceRate = 0.0;
-        double ueRate = 0.0;
-        double sdcRate = 0.0;
-        double crashRate = 0.0;
-        uint64_t ceEvents = 0;
-        uint64_t ueEvents = 0;
-        uint64_t sdcEvents = 0;
-        uint64_t crashEvents = 0;
-        uint32_t cleanInQuarantine = 0;
-
-        /** Weighted EWMA score against @p options. */
-        double score(const SupervisorOptions &options) const;
-    };
-
-    /** Tracked cores and their posture, ascending by core id. */
-    const std::map<CoreId, CoreState> &cores() const
-    {
-        return cores_;
-    }
+    /** The whole posture: guard, clamp, lifetime counters, crash
+     *  window and per-core state. */
+    const SupervisorPosture &posture() const { return posture_; }
 
     /**
      * Snapshot the supervisor posture into the wire-format
@@ -233,24 +173,15 @@ class MarginSupervisor
      *  for a canary probe. */
     bool canaryReady() const;
 
+    /** @p core's state, tracked from here on if it was not. */
+    SupervisorPosture::CoreState &coreState(CoreId core);
+
     SupervisorOptions options_;
-    std::map<CoreId, CoreState> cores_;
-    int guardSteps_ = 0;
-    int peakGuardSteps_ = 0;
-    uint32_t cleanStreak_ = 0;
-    ClampReason clampReason_ = ClampReason::None;
-    uint64_t backoffEvents_ = 0;
-    uint64_t narrowEvents_ = 0;
-    uint64_t quarantines_ = 0;
-    uint64_t readmissions_ = 0;
-    uint64_t canaryRounds_ = 0;
-    uint64_t canaryFailures_ = 0;
-    uint64_t pinnedRounds_ = 0;
-    std::vector<uint32_t> recentCrashRounds_;
+    SupervisorPosture posture_;
 
     // Telemetry (exact-class: the daemon loop is single-threaded and
     // every event is a pure function of the session's seed). Unlike
-    // the members above these count only *this process's* events —
+    // the posture these count only *this process's* events —
     // restore() never rewinds them.
     obs::Counter &statQuarantineEntries_;
     obs::Counter &statQuarantineExits_;

@@ -830,21 +830,22 @@ makeCheckpoint(int rounds_completed)
     state.telemetry.retries = 7;
     state.telemetry.backoffUsTotal = 12345;
     state.supervisorEnabled = true;
-    state.guardSteps = 4;
-    state.peakGuardSteps = 6;
-    state.cleanStreak = 1;
-    state.clampReason = 2;
-    state.backoffEvents = 3;
-    state.narrowEvents = 1;
-    state.quarantines = 2;
-    state.readmissions = 1;
-    state.canaryRounds = 2;
-    state.canaryFailures = 1;
-    state.pinnedRounds = 5;
-    state.recentCrashRounds = {3, 7};
-    SupervisorCheckpoint::CoreState core;
+    SupervisorPosture &posture = state.supervisor;
+    posture.guardSteps = 4;
+    posture.peakGuardSteps = 6;
+    posture.cleanStreak = 1;
+    posture.clampReason = ClampReason::WatchdogExhausted;
+    posture.backoffEvents = 3;
+    posture.narrowEvents = 1;
+    posture.quarantines = 2;
+    posture.readmissions = 1;
+    posture.canaryRounds = 2;
+    posture.canaryFailures = 1;
+    posture.pinnedRounds = 5;
+    posture.recentCrashRounds = {3, 7};
+    SupervisorPosture::CoreState core;
     core.core = 4;
-    core.mode = 1;
+    core.quarantined = true;
     core.ceRate = 0.6180339887498949;
     core.ueRate = 0.125;
     core.sdcRate = 0.0078125;
@@ -854,7 +855,12 @@ makeCheckpoint(int rounds_completed)
     core.sdcEvents = 1;
     core.crashEvents = 1;
     core.cleanInQuarantine = 2;
-    state.cores.push_back(core);
+    posture.cores.push_back(core);
+    core.core = 6;
+    core.quarantined = false;
+    core.ceRate = 0.25;
+    core.cleanInQuarantine = 0;
+    posture.cores.push_back(core);
     return state;
 }
 
@@ -989,30 +995,9 @@ TEST(LedgerCodec, SupervisorCheckpointRoundTripsBitExact)
     EXPECT_EQ(got.telemetry.backoffUsTotal,
               state.telemetry.backoffUsTotal);
     EXPECT_EQ(got.supervisorEnabled, state.supervisorEnabled);
-    EXPECT_EQ(got.guardSteps, state.guardSteps);
-    EXPECT_EQ(got.peakGuardSteps, state.peakGuardSteps);
-    EXPECT_EQ(got.cleanStreak, state.cleanStreak);
-    EXPECT_EQ(got.clampReason, state.clampReason);
-    EXPECT_EQ(got.backoffEvents, state.backoffEvents);
-    EXPECT_EQ(got.narrowEvents, state.narrowEvents);
-    EXPECT_EQ(got.quarantines, state.quarantines);
-    EXPECT_EQ(got.readmissions, state.readmissions);
-    EXPECT_EQ(got.canaryRounds, state.canaryRounds);
-    EXPECT_EQ(got.canaryFailures, state.canaryFailures);
-    EXPECT_EQ(got.pinnedRounds, state.pinnedRounds);
-    EXPECT_EQ(got.recentCrashRounds, state.recentCrashRounds);
-    ASSERT_EQ(got.cores.size(), 1u);
-    EXPECT_EQ(got.cores[0].core, state.cores[0].core);
-    EXPECT_EQ(got.cores[0].mode, state.cores[0].mode);
     // Bit-exact rates are what make a restored supervisor take the
     // same decisions as the uninterrupted one.
-    EXPECT_EQ(got.cores[0].ceRate, state.cores[0].ceRate);
-    EXPECT_EQ(got.cores[0].ueRate, state.cores[0].ueRate);
-    EXPECT_EQ(got.cores[0].sdcRate, state.cores[0].sdcRate);
-    EXPECT_EQ(got.cores[0].crashRate, state.cores[0].crashRate);
-    EXPECT_EQ(got.cores[0].ceEvents, state.cores[0].ceEvents);
-    EXPECT_EQ(got.cores[0].cleanInQuarantine,
-              state.cores[0].cleanInQuarantine);
+    EXPECT_EQ(got.supervisor, state.supervisor);
 }
 
 TEST(LedgerCodec, EveryStrictPrefixOfEveryRecordIsSkipped)
@@ -1144,6 +1129,96 @@ TEST(RunLedger, OutOfSequenceDaemonRoundPoisonsTheTail)
     reopened.open("daemon-h");
     ASSERT_EQ(reopened.daemonRounds().size(), 2u);
     EXPECT_EQ(reopened.daemonRounds()[1].round.round, 1);
+    std::remove(path.c_str());
+}
+
+TEST(RunLedger, ImpossibleDaemonCodesAreRefused)
+{
+    // Checksum-valid round + checkpoint pairs carrying a value no
+    // session writes. Each is a malformed record: skipped, counted,
+    // and it poisons the daemon tail, so the rounds before it are
+    // kept and it and everything after it re-run. Resuming one
+    // instead would, e.g., pin the daemon at nominal for the rest of
+    // its session behind a clamp code no report can name.
+    const std::string path = "/tmp/vmargin_test_ledger_codes";
+    // A posture core entry: id, quarantine byte, 4 rates, 4 counts
+    // and the clean-in-quarantine count.
+    constexpr size_t kCoreEntryBytes = 4 + 1 + 4 * 8 + 4 * 8 + 4;
+    const std::string good_round = encodeDaemonRound(makeDaemonRound(2));
+    const auto checkpointWith = [](auto edit) {
+        SupervisorCheckpoint state = makeCheckpoint(3);
+        edit(state.supervisor);
+        return encodeSupervisorCheckpoint(state);
+    };
+    struct Case
+    {
+        const char *what;
+        std::string round;
+        std::string checkpoint;
+    };
+    std::vector<Case> cases;
+    {
+        DaemonRoundRecord round = makeDaemonRound(2);
+        round.fallbackReason = 3;
+        cases.push_back({"fallback reason past the last",
+                         encodeDaemonRound(round),
+                         encodeSupervisorCheckpoint(makeCheckpoint(3))});
+    }
+    cases.push_back(
+        {"clamp reason past the last", good_round,
+         checkpointWith([](SupervisorPosture &posture) {
+             posture.clampReason = static_cast<ClampReason>(7);
+         })});
+    {
+        std::string checkpoint =
+            encodeSupervisorCheckpoint(makeCheckpoint(3));
+        checkpoint[checkpoint.size() - kCoreEntryBytes + 4] = 5;
+        cases.push_back({"quarantine byte 5", good_round, checkpoint});
+    }
+    cases.push_back({"repeated core id", good_round,
+                     checkpointWith([](SupervisorPosture &posture) {
+                         posture.cores[1].core = posture.cores[0].core;
+                     })});
+    cases.push_back({"descending core ids", good_round,
+                     checkpointWith([](SupervisorPosture &posture) {
+                         posture.cores[0].core = 8;
+                     })});
+    cases.push_back({"core id outside CoreId", good_round,
+                     checkpointWith([](SupervisorPosture &posture) {
+                         posture.cores[0].core = -1; // 0xffffffff
+                     })});
+
+    for (const Case &bad : cases) {
+        SCOPED_TRACE(bad.what);
+        std::remove(path.c_str());
+        {
+            RunLedger ledger(path, "test");
+            ledger.open("daemon-h");
+            for (int round = 0; round < 2; ++round)
+                ledger.appendDaemonRound(makeDaemonRound(round),
+                                         makeCheckpoint(round + 1));
+        }
+        // The bad pair as round 2, then well-formed rounds 2 and 3.
+        appendRawFrames(
+            path, {bad.round, bad.checkpoint, good_round,
+                   encodeSupervisorCheckpoint(makeCheckpoint(3)),
+                   encodeDaemonRound(makeDaemonRound(3)),
+                   encodeSupervisorCheckpoint(makeCheckpoint(4))});
+
+        const uint64_t skipped_before =
+            counterValue("ledger.replay_skipped");
+        RunLedger reopened(path, "test");
+        ::testing::internal::CaptureStderr();
+        reopened.open("daemon-h");
+        const std::string warnings =
+            ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(counterValue("ledger.replay_skipped") - skipped_before,
+                  1u);
+        EXPECT_NE(warnings.find("malformed record"), std::string::npos);
+        ASSERT_EQ(reopened.daemonRounds().size(), 2u)
+            << "only the rounds before the bad frame are kept";
+        EXPECT_EQ(reopened.daemonRounds()[1].round.round, 1);
+    }
     std::remove(path.c_str());
 }
 

@@ -127,12 +127,12 @@ goldenCheckpoint(int rounds_completed)
     state.watchdogResets = static_cast<uint64_t>(rounds_completed);
     state.sensorSample = 51.0 + 0.0009765625 * rounds_completed;
     state.supervisorEnabled = true;
-    state.guardSteps = rounds_completed % 3;
-    state.recentCrashRounds = {3};
-    SupervisorCheckpoint::CoreState core;
+    state.supervisor.guardSteps = rounds_completed % 3;
+    state.supervisor.recentCrashRounds = {3};
+    SupervisorPosture::CoreState core;
     core.core = 4;
     core.ceRate = 0.125 * rounds_completed;
-    state.cores.push_back(core);
+    state.supervisor.cores.push_back(core);
     return state;
 }
 

@@ -357,7 +357,7 @@ TEST(CrashMatrix, DaemonRoundTruncationAtEveryFrameBoundary)
             SupervisorCheckpoint state;
             state.roundsCompleted =
                 static_cast<uint32_t>(round) + 1;
-            state.guardSteps = round;
+            state.supervisor.guardSteps = round;
             ledger.appendDaemonRound(record, state);
         }
     }

@@ -97,37 +97,6 @@ TEST(Allocator, FatalOnTooManyTasks)
                 "2 tasks but only 1 eligible cores");
 }
 
-TEST(Allocator, ExclusionSkipsQuarantinedCores)
-{
-    // Core 2 is the most robust; once quarantined, "heavy" must fall
-    // back to the next-best core (3) and the domain voltage rises.
-    const auto report = syntheticReport(
-        {890, 880, 860, 870},
-        {{"light", 0}, {"heavy", 25}});
-    const TaskAllocator allocator(report);
-
-    const Allocation best =
-        allocator.allocate({"light", "heavy"}, {2});
-    ASSERT_EQ(best.placements.size(), 2u);
-    for (const auto &p : best.placements) {
-        EXPECT_NE(p.core, 2);
-        if (p.workloadId == "heavy") {
-            EXPECT_EQ(p.core, 3);
-        }
-    }
-    EXPECT_EQ(best.requiredVoltage, 895);
-}
-
-TEST(Allocator, ExclusionOfEveryCoreIsFatalWithCounts)
-{
-    const auto report =
-        syntheticReport({880, 890}, {{"a", 0}});
-    const TaskAllocator allocator(report);
-    EXPECT_EXIT(allocator.allocate({"a", "a"}, {1}),
-                ::testing::ExitedWithCode(1),
-                "2 tasks but only 1 eligible cores \\(1 quarantined\\)");
-}
-
 TEST(Allocator, FatalOnUnknownWorkload)
 {
     const auto report = syntheticReport({880}, {{"a", 0}});

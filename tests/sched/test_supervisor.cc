@@ -58,35 +58,45 @@ coreEvents(CoreId core, uint64_t ce = 0, uint64_t ue = 0,
     return ev;
 }
 
+/** True when @p core is quarantined in @p sup's posture. */
+bool
+quarantined(const MarginSupervisor &sup, CoreId core)
+{
+    for (const auto &state : sup.posture().cores)
+        if (state.core == core)
+            return state.quarantined;
+    return false;
+}
+
 TEST(Supervisor, GuardBacksOffFastAndNarrowsSlowly)
 {
     MarginSupervisor sup;
     sup.track(0);
     sup.track(4);
-    EXPECT_EQ(sup.guardSteps(), 0);
+    EXPECT_EQ(sup.posture().guardSteps, 0);
 
     // Fast back-off: one abnormal round widens by backoffGuardSteps.
     sup.observeRound(syntheticRound(0, true),
                      {coreEvents(0, 1), coreEvents(4)});
-    EXPECT_EQ(sup.guardSteps(), 2);
-    EXPECT_EQ(sup.backoffEvents(), 1u);
+    EXPECT_EQ(sup.posture().guardSteps, 2);
+    EXPECT_EQ(sup.posture().backoffEvents, 1u);
     sup.observeRound(syntheticRound(1, true),
                      {coreEvents(0, 1), coreEvents(4)});
-    EXPECT_EQ(sup.guardSteps(), 4);
-    EXPECT_EQ(sup.peakGuardSteps(), 4);
+    EXPECT_EQ(sup.posture().guardSteps, 4);
+    EXPECT_EQ(sup.posture().peakGuardSteps, 4);
 
     // Slow narrowing: three clean rounds are not enough...
     for (int round = 2; round < 5; ++round)
         sup.observeRound(syntheticRound(round, false),
                          {coreEvents(0), coreEvents(4)});
-    EXPECT_EQ(sup.guardSteps(), 4);
-    EXPECT_EQ(sup.narrowEvents(), 0u);
+    EXPECT_EQ(sup.posture().guardSteps, 4);
+    EXPECT_EQ(sup.posture().narrowEvents, 0u);
     // ...the fourth narrows by exactly one step.
     sup.observeRound(syntheticRound(5, false),
                      {coreEvents(0), coreEvents(4)});
-    EXPECT_EQ(sup.guardSteps(), 3);
-    EXPECT_EQ(sup.narrowEvents(), 1u);
-    EXPECT_EQ(sup.peakGuardSteps(), 4) << "peak is monotone";
+    EXPECT_EQ(sup.posture().guardSteps, 3);
+    EXPECT_EQ(sup.posture().narrowEvents, 1u);
+    EXPECT_EQ(sup.posture().peakGuardSteps, 4) << "peak is monotone";
 
     // An abnormal round resets the clean streak.
     for (int round = 6; round < 9; ++round)
@@ -94,10 +104,10 @@ TEST(Supervisor, GuardBacksOffFastAndNarrowsSlowly)
                          {coreEvents(0), coreEvents(4)});
     sup.observeRound(syntheticRound(9, true),
                      {coreEvents(0, 1), coreEvents(4)});
-    EXPECT_EQ(sup.guardSteps(), 5);
+    EXPECT_EQ(sup.posture().guardSteps, 5);
     sup.observeRound(syntheticRound(10, false),
                      {coreEvents(0), coreEvents(4)});
-    EXPECT_EQ(sup.guardSteps(), 5)
+    EXPECT_EQ(sup.posture().guardSteps, 5)
         << "the streak must restart after the back-off";
 }
 
@@ -110,8 +120,8 @@ TEST(Supervisor, GuardCapsAtMaxGuardSteps)
     for (int round = 0; round < 4; ++round)
         sup.observeRound(syntheticRound(round, true),
                          {coreEvents(0, 1)});
-    EXPECT_EQ(sup.guardSteps(), 5);
-    EXPECT_EQ(sup.peakGuardSteps(), 5);
+    EXPECT_EQ(sup.posture().guardSteps, 5);
+    EXPECT_EQ(sup.posture().peakGuardSteps, 5);
 }
 
 TEST(Supervisor, FallbackAndPinnedRoundsDoNotAdaptGuard)
@@ -123,13 +133,13 @@ TEST(Supervisor, FallbackAndPinnedRoundsDoNotAdaptGuard)
     sup.observeRound(
         syntheticRound(0, true, false, false, false, true),
         {coreEvents(0, 1)});
-    EXPECT_EQ(sup.guardSteps(), 0);
-    EXPECT_EQ(sup.backoffEvents(), 0u);
+    EXPECT_EQ(sup.posture().guardSteps, 0);
+    EXPECT_EQ(sup.posture().backoffEvents, 0u);
     // Same for a safe-pinned round; it only counts as pinned.
     sup.observeRound(syntheticRound(1, false, false, true),
                      {coreEvents(0)});
-    EXPECT_EQ(sup.guardSteps(), 0);
-    EXPECT_EQ(sup.pinnedRounds(), 1u);
+    EXPECT_EQ(sup.posture().guardSteps, 0);
+    EXPECT_EQ(sup.posture().pinnedRounds, 1u);
 }
 
 TEST(Supervisor, RepeatedSdcsQuarantineTheCore)
@@ -144,14 +154,14 @@ TEST(Supervisor, RepeatedSdcsQuarantineTheCore)
                      {coreEvents(0, 0, 0, true), coreEvents(4)});
     sup.observeRound(syntheticRound(1, true),
                      {coreEvents(0, 0, 0, true), coreEvents(4)});
-    EXPECT_FALSE(sup.quarantined(0));
+    EXPECT_FALSE(quarantined(sup, 0));
     sup.observeRound(syntheticRound(2, true),
                      {coreEvents(0, 0, 0, true), coreEvents(4)});
-    EXPECT_TRUE(sup.quarantined(0));
-    EXPECT_FALSE(sup.quarantined(4));
-    EXPECT_EQ(sup.quarantineEvents(), 1u);
-    ASSERT_EQ(sup.quarantinedCores().size(), 1u);
-    EXPECT_EQ(sup.quarantinedCores()[0], 0);
+    EXPECT_TRUE(quarantined(sup, 0));
+    EXPECT_FALSE(quarantined(sup, 4));
+    EXPECT_EQ(sup.posture().quarantines, 1u);
+    ASSERT_EQ(sup.posture().quarantinedCores().size(), 1u);
+    EXPECT_EQ(sup.posture().quarantinedCores()[0], 0);
 
     // The shared PMD domain pins the whole round safe while the
     // core heals — the canary hold has not been served yet.
@@ -167,7 +177,7 @@ quarantineCoreZero(MarginSupervisor &sup)
     for (int round = 0; round < 3; ++round)
         sup.observeRound(syntheticRound(round, true),
                          {coreEvents(0, 0, 0, true), coreEvents(4)});
-    ASSERT_TRUE(sup.quarantined(0));
+    ASSERT_TRUE(quarantined(sup, 0));
 }
 
 TEST(Supervisor, QuarantineHealsThroughCanaryReadmission)
@@ -176,7 +186,7 @@ TEST(Supervisor, QuarantineHealsThroughCanaryReadmission)
     sup.track(0);
     sup.track(4);
     quarantineCoreZero(sup);
-    const int guard_before = sup.guardSteps();
+    const int guard_before = sup.posture().guardSteps;
 
     // Serve the quarantine hold: clean pinned rounds.
     for (int round = 3; round < 6; ++round) {
@@ -197,11 +207,11 @@ TEST(Supervisor, QuarantineHealsThroughCanaryReadmission)
     // A clean canary re-admits the core with a clean slate.
     sup.observeRound(syntheticRound(6, false, false, false, true),
                      {coreEvents(0), coreEvents(4)});
-    EXPECT_FALSE(sup.quarantined(0));
-    EXPECT_EQ(sup.readmissionEvents(), 1u);
-    EXPECT_EQ(sup.canaryRounds(), 1u);
-    EXPECT_EQ(sup.canaryFailures(), 0u);
-    EXPECT_EQ(sup.cores().at(0).sdcRate, 0.0)
+    EXPECT_FALSE(quarantined(sup, 0));
+    EXPECT_EQ(sup.posture().readmissions, 1u);
+    EXPECT_EQ(sup.posture().canaryRounds, 1u);
+    EXPECT_EQ(sup.posture().canaryFailures, 0u);
+    EXPECT_EQ(sup.posture().cores.at(0).sdcRate, 0.0)
         << "re-admission must reset the EWMA, or the first corrected "
            "error would re-quarantine the core";
     const RoundPlan after = sup.planRound();
@@ -224,9 +234,9 @@ TEST(Supervisor, FailedCanaryRestartsTheHold)
     // clean hold restarts from zero.
     sup.observeRound(syntheticRound(6, true, false, false, true),
                      {coreEvents(0, 0, 0, true), coreEvents(4)});
-    EXPECT_TRUE(sup.quarantined(0));
-    EXPECT_EQ(sup.canaryFailures(), 1u);
-    EXPECT_EQ(sup.readmissionEvents(), 0u);
+    EXPECT_TRUE(quarantined(sup, 0));
+    EXPECT_EQ(sup.posture().canaryFailures, 1u);
+    EXPECT_EQ(sup.posture().readmissions, 0u);
     EXPECT_FALSE(sup.planRound().undervolt)
         << "a failed canary restarts the quarantine hold";
 }
@@ -238,10 +248,10 @@ TEST(Supervisor, CrashStormEscalatesToNominalClamp)
     // Two crashes in the window: no clamp yet.
     sup.observeRound(syntheticRound(0, true, true), {coreEvents(0)});
     sup.observeRound(syntheticRound(4, true, true), {coreEvents(0)});
-    EXPECT_EQ(sup.clampReason(), ClampReason::None);
+    EXPECT_EQ(sup.posture().clampReason, ClampReason::None);
     // The third inside the 10-round window trips the clamp.
     sup.observeRound(syntheticRound(8, true, true), {coreEvents(0)});
-    EXPECT_EQ(sup.clampReason(), ClampReason::CrashStorm);
+    EXPECT_EQ(sup.posture().clampReason, ClampReason::CrashStorm);
     const RoundPlan plan = sup.planRound();
     EXPECT_FALSE(plan.undervolt);
     EXPECT_EQ(plan.clampReason, ClampReason::CrashStorm);
@@ -264,7 +274,7 @@ TEST(Supervisor, CrashesOutsideTheWindowDoNotClamp)
                      {coreEvents(0)});
     sup.observeRound(syntheticRound(22, true, true),
                      {coreEvents(0)});
-    EXPECT_EQ(sup.clampReason(), ClampReason::None);
+    EXPECT_EQ(sup.posture().clampReason, ClampReason::None);
     EXPECT_TRUE(sup.planRound().undervolt);
 }
 
@@ -272,9 +282,9 @@ TEST(Supervisor, EscalateIsIdempotentAndFirstReasonSticks)
 {
     MarginSupervisor sup;
     sup.escalate(ClampReason::WatchdogExhausted);
-    EXPECT_EQ(sup.clampReason(), ClampReason::WatchdogExhausted);
+    EXPECT_EQ(sup.posture().clampReason, ClampReason::WatchdogExhausted);
     sup.escalate(ClampReason::CrashStorm);
-    EXPECT_EQ(sup.clampReason(), ClampReason::WatchdogExhausted)
+    EXPECT_EQ(sup.posture().clampReason, ClampReason::WatchdogExhausted)
         << "the first escalation reason must stick";
     EXPECT_FALSE(sup.planRound().undervolt);
 }
@@ -294,21 +304,14 @@ TEST(Supervisor, CheckpointRestoreReproducesEveryDecision)
     original.checkpoint(snapshot);
     MarginSupervisor restored;
     restored.restore(snapshot);
-
-    EXPECT_EQ(restored.guardSteps(), original.guardSteps());
-    EXPECT_EQ(restored.peakGuardSteps(), original.peakGuardSteps());
-    EXPECT_EQ(restored.quarantinedCores(),
-              original.quarantinedCores());
-    EXPECT_EQ(restored.pinnedRounds(), original.pinnedRounds());
+    EXPECT_TRUE(snapshot.supervisorEnabled);
+    EXPECT_EQ(restored.posture(), original.posture());
 
     // Same remaining history -> same plans, bit for bit: finish the
     // hold, pass the canary, then serve clean rounds.
     for (int round = 4; round < 12; ++round) {
         const RoundPlan a = original.planRound();
-        const RoundPlan b = restored.planRound();
-        EXPECT_EQ(a.undervolt, b.undervolt) << "round " << round;
-        EXPECT_EQ(a.canary, b.canary) << "round " << round;
-        EXPECT_EQ(a.guardSteps, b.guardSteps) << "round " << round;
+        EXPECT_EQ(restored.planRound(), a) << "round " << round;
         const DaemonRoundRecord record = syntheticRound(
             round, false, false, !a.undervolt, a.canary);
         const std::vector<CoreRoundEvents> events = {coreEvents(0),
@@ -316,12 +319,182 @@ TEST(Supervisor, CheckpointRestoreReproducesEveryDecision)
         original.observeRound(record, events);
         restored.observeRound(record, events);
     }
-    EXPECT_EQ(restored.readmissionEvents(),
-              original.readmissionEvents());
-    EXPECT_EQ(restored.canaryRounds(), original.canaryRounds());
-    EXPECT_EQ(restored.narrowEvents(), original.narrowEvents());
-    EXPECT_EQ(restored.guardSteps(), original.guardSteps());
-    EXPECT_TRUE(restored.quarantinedCores().empty());
+    EXPECT_EQ(restored.posture(), original.posture());
+    EXPECT_EQ(restored.posture().readmissions, 1u);
+    EXPECT_TRUE(restored.posture().quarantinedCores().empty());
+}
+
+/** One round of a random supervisor stream, drawn up front so that
+ *  the round's record can follow whatever the supervisor plans. */
+struct StreamRound
+{
+    bool escalate = false; ///< a revive exhausted the watchdog
+    ClampReason reason = ClampReason::None;
+    bool fallback = false; ///< the setpoint could not be applied
+    std::vector<CoreRoundEvents> events;
+};
+
+/** Cores the random streams track; core 3 reports events untracked
+ *  and joins the posture mid-stream, between 2 and 4. */
+constexpr CoreId kStreamCores[] = {0, 2, 4};
+
+std::vector<StreamRound>
+randomStream(Seed seed, int rounds)
+{
+    util::Rng rng(seed);
+    // Each stream has its own hostility, from nearly clean (slow
+    // narrowing, canaries that pass) to a crash storm.
+    const double p = rng.uniform(0.01, 0.3);
+    std::vector<StreamRound> stream(static_cast<size_t>(rounds));
+    for (StreamRound &round : stream) {
+        round.escalate = rng.uniform() < 0.01;
+        round.reason = rng.uniform() < 0.5
+                           ? ClampReason::CrashStorm
+                           : ClampReason::WatchdogExhausted;
+        round.fallback = rng.uniform() < 0.1;
+        for (const CoreId core : {0, 2, 3, 4}) {
+            if (rng.uniform() < 0.2)
+                continue; // no task on the core this round
+            CoreRoundEvents ev;
+            ev.core = core;
+            ev.ran = rng.uniform() >= 0.1;
+            if (ev.ran) {
+                ev.correctedErrors =
+                    rng.uniform() < p
+                        ? static_cast<uint64_t>(rng.uniformInt(1, 3))
+                        : 0;
+                ev.uncorrectedErrors = rng.uniform() < p / 3 ? 1 : 0;
+                ev.sdc = rng.uniform() < p / 3;
+                ev.crashed = rng.uniform() < p / 6;
+            }
+            round.events.push_back(ev);
+        }
+    }
+    return stream;
+}
+
+/** Serve round @p round of a stream on @p sup as the daemon does:
+ *  plan (and re-plan after an escalation), run, observe. */
+RoundPlan
+serve(MarginSupervisor &sup, const StreamRound &draw, int round,
+      DaemonRoundRecord &record)
+{
+    RoundPlan plan = sup.planRound();
+    if (draw.escalate) {
+        sup.escalate(draw.reason);
+        plan = sup.planRound();
+    }
+    record = DaemonRoundRecord{};
+    record.round = round;
+    record.guardSteps = plan.guardSteps;
+    record.canaryProbe = plan.canary;
+    record.safePinned = !plan.undervolt;
+    record.nominalFallback = draw.fallback;
+    for (const CoreRoundEvents &ev : draw.events) {
+        record.anyAbnormal = record.anyAbnormal ||
+                             ev.correctedErrors > 0 ||
+                             ev.uncorrectedErrors > 0 || ev.sdc;
+        record.crashed = record.crashed || ev.crashed;
+    }
+    sup.observeRound(record, draw.events);
+    return plan;
+}
+
+/**
+ * Serve one random stream uninterrupted, journaling every round and
+ * its checkpoint; then, for every k, restore a fresh supervisor from
+ * the k-th checkpoint as replayed from the reopened journal and
+ * finish the stream. Every later plan and the final posture must
+ * equal the uninterrupted run's. Returns the final posture.
+ */
+SupervisorPosture
+checkResumeFromEveryRound(Seed seed, int rounds,
+                          const std::string &path)
+{
+    const std::vector<StreamRound> stream = randomStream(seed, rounds);
+    MarginSupervisor uninterrupted;
+    for (const CoreId core : kStreamCores)
+        uninterrupted.track(core);
+    std::vector<RoundPlan> plans;
+    std::vector<SupervisorPosture> postures;
+    std::remove(path.c_str());
+    {
+        RunLedger ledger(path, "test");
+        ledger.open("supervisor-oracle");
+        for (int round = 0; round < rounds; ++round) {
+            DaemonRoundRecord record;
+            plans.push_back(serve(uninterrupted,
+                                  stream[static_cast<size_t>(round)],
+                                  round, record));
+            postures.push_back(uninterrupted.posture());
+            SupervisorCheckpoint ck;
+            uninterrupted.checkpoint(ck);
+            ck.roundsCompleted = static_cast<uint32_t>(round + 1);
+            ledger.appendDaemonRound(record, ck);
+        }
+    }
+    RunLedger reopened(path, "test");
+    reopened.open("supervisor-oracle");
+    std::remove(path.c_str());
+    EXPECT_EQ(reopened.daemonRounds().size(),
+              static_cast<size_t>(rounds));
+    for (size_t k = 1; k <= reopened.daemonRounds().size(); ++k) {
+        MarginSupervisor resumed;
+        for (const CoreId core : kStreamCores)
+            resumed.track(core);
+        resumed.restore(reopened.daemonRounds()[k - 1].state);
+        EXPECT_EQ(resumed.posture(), postures[k - 1])
+            << "seed " << seed << ": checkpoint " << k
+            << " did not survive the journal";
+        for (int round = static_cast<int>(k); round < rounds;
+             ++round) {
+            DaemonRoundRecord record;
+            const RoundPlan plan =
+                serve(resumed, stream[static_cast<size_t>(round)],
+                      round, record);
+            if (plan != plans[static_cast<size_t>(round)]) {
+                ADD_FAILURE() << "seed " << seed << ": resumed after "
+                              << k << " rounds, round " << round
+                              << " planned differently";
+                break;
+            }
+        }
+        EXPECT_EQ(resumed.posture(), uninterrupted.posture())
+            << "seed " << seed << ": resumed after " << k
+            << " rounds";
+    }
+    return uninterrupted.posture();
+}
+
+TEST(Supervisor, RandomStreamsResumeExactlyFromEveryCheckpoint)
+{
+    const std::string path = "/tmp/vmargin_supervisor_oracle";
+    SupervisorPosture totals;
+    int clamped = 0;
+    // Every quarantine prints a warning; thousands of resumes would
+    // flood the log.
+    ::testing::internal::CaptureStderr();
+    for (Seed seed = 1; seed <= 64; ++seed) {
+        const SupervisorPosture end =
+            checkResumeFromEveryRound(seed, 48, path);
+        totals.quarantines += end.quarantines;
+        totals.readmissions += end.readmissions;
+        totals.canaryFailures += end.canaryFailures;
+        totals.narrowEvents += end.narrowEvents;
+        totals.pinnedRounds += end.pinnedRounds;
+        clamped += end.clampReason != ClampReason::None ? 1 : 0;
+    }
+    (void)::testing::internal::GetCapturedStderr();
+    // The streams reach every branch of the posture: quarantine,
+    // passed and failed canaries, narrowing, pinning and the clamp
+    // (though not in every stream).
+    EXPECT_GT(totals.quarantines, 0u);
+    EXPECT_GT(totals.readmissions, 0u);
+    EXPECT_GT(totals.canaryFailures, 0u);
+    EXPECT_GT(totals.narrowEvents, 0u);
+    EXPECT_GT(totals.pinnedRounds, 0u);
+    EXPECT_GT(clamped, 0);
+    EXPECT_LT(clamped, 64);
 }
 
 TEST(SupervisorDeath, OptionsValidateCarriesTheValue)
@@ -568,7 +741,7 @@ TEST_F(SupervisedDaemonTest, SupervisionCutsCrashesAtPositiveSavings)
         << "tolerance 17 must crash repeatedly for this test";
     EXPECT_LT(supervised.crashes, unsupervised.crashes);
     EXPECT_GE(supervised.energySavingsPercent, 0.0);
-    EXPECT_TRUE(supervised.supervisor.enabled);
+    EXPECT_TRUE(supervised.supervisorEnabled);
     EXPECT_GT(supervised.supervisor.backoffEvents, 0u);
 }
 
