@@ -60,16 +60,16 @@ int
 ceFirstCells(const CharacterizationReport &report)
 {
     int cells = 0;
-    for (const auto &cell : report.cells) {
+    // A swept report holds one run block per cell, in cell order.
+    for (size_t i = 0; i < report.cells.size(); ++i) {
         // Does the first abnormal level of this cell contain only
         // CE effects?
-        MilliVolt first = cell.analysis.highestAbnormalVoltage;
+        MilliVolt first = report.cells[i].analysis.highestAbnormalVoltage;
         if (!first)
             continue;
         bool ce_only = true;
-        for (const auto &run : report.allRuns) {
-            if (run.key.workloadId != cell.workloadId ||
-                run.key.core != cell.core || run.key.voltage != first)
+        for (const auto &run : report.runBlocks[i]) {
+            if (run.key.voltage != first)
                 continue;
             const EffectSet &set = run.effects;
             if (set.normal())

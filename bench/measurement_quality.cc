@@ -14,6 +14,7 @@
 #include "common.hh"
 #include "core/errorsites.hh"
 #include "core/repeatability.hh"
+#include "util/logging.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
 
@@ -34,10 +35,21 @@ main()
                               "mean", "merged (paper protocol)",
                               "protocol margin (mV)"});
     double worst_span = 0.0;
+    // A swept report holds one run block per cell, in cell order.
+    const CharacterizationReport &report = chip.report;
+    const auto runsOf = [&](const std::string &id, CoreId core)
+        -> const std::vector<ClassifiedRun> & {
+        for (size_t i = 0; i < report.cells.size(); ++i)
+            if (report.cells[i].workloadId == id &&
+                report.cells[i].core == core)
+                return report.runBlocks[i];
+        util::panicf("measurement_quality: no runs for ", id, " on core ",
+                     core);
+    };
     for (const auto &w : workloads) {
         for (CoreId core : {0, 4}) {
-            const auto dispersion = campaignDispersion(
-                chip.report.allRuns, w.id(), core);
+            const auto dispersion =
+                campaignDispersion(runsOf(w.id(), core), w.id(), core);
             table.addRow(
                 {w.id() + "@c" + std::to_string(core),
                  std::to_string(dispersion.minVmin()) + ".." +
@@ -61,8 +73,12 @@ main()
     util::printBanner(std::cout,
                       "EDAC corrected-error locations (section 2.2 "
                       "parser extension)");
-    const auto breakdown =
-        summarizeErrorSites(chip.report.allRuns);
+    ErrorSiteBreakdown breakdown;
+    for (const auto &block : report.runBlocks) {
+        const ErrorSiteBreakdown cell = summarizeErrorSites(block);
+        breakdown.corrected += cell.corrected;
+        breakdown.uncorrected += cell.uncorrected;
+    }
     // Sites that logged any event, by corrected count descending.
     std::vector<sim::ErrorSite> ranked;
     for (const auto &[site, name] : sim::kSiteNames)

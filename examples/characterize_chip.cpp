@@ -100,7 +100,7 @@ main(int argc, char **argv)
                       std::to_string(cell.analysis.guardband(980))});
     table.print(std::cout);
 
-    std::cout << "\ntotal runs               : " << report.allRuns.size()
+    std::cout << "\ntotal runs               : " << report.runCount()
               << "\nwatchdog power cycles    : "
               << report.watchdogInterventions
               << "\nmachine boots            : "

@@ -85,6 +85,15 @@ class EffectSet
      *  effect: distinct sets, distinct masks. */
     uint8_t bits() const { return bits_; }
 
+    /** The set whose bits() is @p bits (below kEffectSets). */
+    static EffectSet
+    fromBits(size_t bits)
+    {
+        EffectSet set;
+        set.bits_ = static_cast<uint8_t>(bits & (kEffectSets - 1));
+        return set;
+    }
+
     /** Number of distinct abnormal effects. */
     int count() const;
 

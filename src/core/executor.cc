@@ -57,10 +57,10 @@ measureCellWith(CampaignRunner &runner,
 namespace
 {
 
-/** The one merge body. @p Cell is `const CellMeasurement` (runs are
- *  copied into the report) or `CellMeasurement` (runs are moved).
- *  Returns false when the cell was lost: every run fell to the
- *  management plane, so only its telemetry was accounted. */
+/** The one merge body. @p Cell is `const CellMeasurement` (its run
+ *  vector is copied into the report) or `CellMeasurement` (moved, as
+ *  one block). Returns false when the cell was lost: every run fell
+ *  to the management plane, so only its telemetry was accounted. */
 template <typename Cell>
 bool
 mergeCell(CharacterizationReport &report, LedgerView &view, Cell &cell)
@@ -75,10 +75,8 @@ mergeCell(CharacterizationReport &report, LedgerView &view, Cell &cell)
         return false;
 
     view.addAll(cell.runs);
-    // A move_iterator over const runs copies them.
-    report.allRuns.insert(report.allRuns.end(),
-                          std::make_move_iterator(cell.runs.begin()),
-                          std::make_move_iterator(cell.runs.end()));
+    // Moving a const vector copies it.
+    report.runBlocks.push_back(std::move(cell.runs));
     return true;
 }
 
@@ -119,10 +117,6 @@ struct PlanEntry
      *  Replayed cells are not copied here: the merge takes them out
      *  of the journal (or copies them from the cache). */
     CellMeasurement measured;
-
-    /** A replayed cell's run count, so the merge can size its
-     *  report before taking the cell. */
-    size_t servedRuns = 0;
 
     /** Set by the merge when every run of the cell was lost. */
     bool lost = false;
@@ -214,8 +208,6 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
                  (served = cache->find(config_hashes[entry.chip],
                                        chip, id, entry.core)))
             entry.source = Source::Cache;
-        if (served)
-            entry.servedRuns = served->runs.size();
         return served;
     };
 
@@ -325,10 +317,11 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
     // ---- merge: plan order, independent of completion -------------
     // One LedgerView per chip; cells keep first-seen (= plan) order
     // and deriveAll() reads back in that order, so each report is
-    // byte-identical for any worker count. Each run is moved into
-    // its report: fresh cells out of the plan, replayed cells out of
-    // the journal (destroyed right after); cache-served cells are
-    // copied. A chip's report is a pure function of its slice of the
+    // byte-identical for any worker count. Each cell's run vector
+    // moves into its report as one block: fresh cells out of the
+    // plan, replayed cells out of the journal (destroyed right
+    // after), each at the size replay decoded it; cache-served cells
+    // are copied. A chip's report is a pure function of its slice of the
     // plan, so each chip merges and derives on a pool worker,
     // deriving on its share of the workers. Concurrent takes and
     // finds are safe: the ledger lookups hold the ledger's lock, and
@@ -336,9 +329,11 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
     //
     // Task t of at most one per worker merges chips t, t + tasks, ...
     // and waits at a latch until every task has started, so no
-    // worker runs two. A report's rows are allocated by the worker
-    // that merges it and live until the caller frees the report, in
-    // that thread's malloc arena (glibc keeps one per thread). Were
+    // worker runs two. A report's analyses are allocated by the
+    // worker that merges it (its run blocks by the worker that
+    // decoded or measured each cell) and live until the caller frees
+    // the report, in that thread's malloc arena (glibc keeps one per
+    // thread). Were
     // each chip a stealable task of its own, the chips sharing an
     // arena would change from sweep to sweep, and each new
     // combination grows the memory the arenas retain, so peak RSS
@@ -358,12 +353,7 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
             LedgerView view(config.weights);
             const ChipRef chip_ref = chipRefOf(*prototypes[chip]);
             const auto [begin, end] = chipSlice(chip);
-            size_t runs = 0;
-            for (size_t i = begin; i < end; ++i)
-                runs += plan[i].source == Source::Fresh
-                            ? plan[i].measured.runs.size()
-                            : plan[i].servedRuns;
-            report.allRuns.reserve(runs);
+            report.runBlocks.reserve(end - begin);
             for (size_t i = begin; i < end; ++i) {
                 PlanEntry &entry = plan[i];
                 switch (entry.source) {
@@ -386,7 +376,7 @@ executeSweep(const std::vector<const sim::Platform *> &prototypes,
                 }
             }
             view.deriveAll(derive_workers);
-            report.cells = view.cellResults();
+            report.cells = std::move(view).cellResults();
         };
         // No worker is busy here and tasks <= workers, so every task
         // reaches the latch: one that waits never holds another.

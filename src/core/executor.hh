@@ -60,7 +60,8 @@ CellMeasurement measureCellWith(CampaignRunner &runner,
  * assembled: runs stream into @p view and the report's aggregate
  * counters, while a cell whose every run was lost to management
  * faults is degraded — accounted and omitted — rather than aborting
- * the sweep. The cell's runs are copied into `report.allRuns`.
+ * the sweep. A copy of the cell's run vector becomes the report's
+ * next run block (`report.runBlocks`).
  */
 void mergeCellIntoReport(CharacterizationReport &report,
                          LedgerView &view,

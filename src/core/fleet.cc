@@ -236,7 +236,7 @@ FleetReport::serialize() const
 {
     size_t runs = 0;
     for (const auto &entry : chips)
-        runs += entry.report.allRuns.size();
+        runs += entry.report.runCount();
     std::string out;
     out.reserve(runs * kReportBytesPerRun + 4096);
 

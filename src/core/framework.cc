@@ -176,11 +176,20 @@ CharacterizationReport::averageVmin(
     return sum / count;
 }
 
+size_t
+CharacterizationReport::runCount() const
+{
+    size_t runs = 0;
+    for (const auto &block : runBlocks)
+        runs += block.size();
+    return runs;
+}
+
 std::string
 CharacterizationReport::toCsv() const
 {
     std::string out;
-    appendRunCsv(out, allRuns);
+    appendRunCsv(out, runBlocks);
     return out;
 }
 
@@ -222,8 +231,8 @@ CharacterizationFramework::characterizeCell(
     cell.core = core;
     cell.analysis = analyzeRegions(measured.runs, workload.id(),
                                    core, config.weights);
-    // Stash the runs in the analysis' map only; callers wanting raw
-    // rows use CharacterizationReport::allRuns.
+    // Only the analysis is kept; callers wanting the runs use
+    // measureCell() or characterize()'s CharacterizationReport.
     return cell;
 }
 

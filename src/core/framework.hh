@@ -137,7 +137,14 @@ struct CharacterizationReport
     sim::ChipCorner corner = sim::ChipCorner::TTT;
     MegaHertz frequency = 2400;
     std::vector<CellResult> cells;
-    std::vector<ClassifiedRun> allRuns;
+
+    /**
+     * Every classified run, one contiguous block per merged cell in
+     * merge order: a swept report holds one block per entry of
+     * `cells`, in the same order; a loaded report (deserializeReport)
+     * holds one per run of consecutive same-cell rows.
+     */
+    std::vector<std::vector<ClassifiedRun>> runBlocks;
     uint64_t watchdogInterventions = 0;
 
     /** Recovery counters aggregated over measured + replayed cells. */
@@ -157,6 +164,9 @@ struct CharacterizationReport
 
     /** Average Vmin across all characterized cores of a workload. */
     double averageVmin(const std::string &workload_id) const;
+
+    /** Number of classified runs, over every block. */
+    size_t runCount() const;
 
     /** Final CSV of every classified run (parsing-phase output). */
     std::string toCsv() const;

@@ -533,10 +533,12 @@ readDaemonRound(PayloadReader &reader, DaemonRoundRecord &round)
     round.fallbackReason = reader.u8();
     round.reexecutions = static_cast<int>(reader.u32());
     round.guardSteps = static_cast<int>(reader.u32());
-    // No session writes a reason code past the last one.
+    // No session writes a reason code past the last one, or a
+    // negative guard.
     constexpr auto kLastFallback =
         static_cast<uint8_t>(FallbackReason::MachineUnresponsive);
-    return reader.ok() && round.fallbackReason <= kLastFallback;
+    return reader.ok() && round.fallbackReason <= kLastFallback &&
+           round.guardSteps >= 0;
 }
 
 bool
@@ -555,6 +557,10 @@ readSupervisorCheckpoint(PayloadReader &reader,
     SupervisorPosture &posture = state.supervisor;
     posture.guardSteps = static_cast<int>(reader.u32());
     posture.peakGuardSteps = static_cast<int>(reader.u32());
+    // The guard only widens from 0 and the peak follows it.
+    if (posture.guardSteps < 0 ||
+        posture.peakGuardSteps < posture.guardSteps)
+        return false;
     posture.cleanStreak = reader.u32();
     const uint8_t clamp = reader.u8();
     if (clamp > static_cast<uint8_t>(ClampReason::WatchdogExhausted))
@@ -567,9 +573,14 @@ readSupervisorCheckpoint(PayloadReader &reader,
     posture.canaryRounds = reader.u64();
     posture.canaryFailures = reader.u64();
     posture.pinnedRounds = reader.u64();
+    // The crash window holds rounds already served.
     const uint32_t crashes = reader.u32();
-    for (uint32_t i = 0; i < crashes && reader.ok(); ++i)
-        posture.recentCrashRounds.push_back(reader.u32());
+    for (uint32_t i = 0; i < crashes && reader.ok(); ++i) {
+        const uint32_t round = reader.u32();
+        if (reader.ok() && round >= state.roundsCompleted)
+            return false;
+        posture.recentCrashRounds.push_back(round);
+    }
     const uint32_t cores = reader.u32();
     for (uint32_t i = 0; i < cores && reader.ok(); ++i) {
         // The posture's core list is a sorted set of CoreIds: a
@@ -591,6 +602,11 @@ readSupervisorCheckpoint(PayloadReader &reader,
         core.ueRate = reader.f64();
         core.sdcRate = reader.f64();
         core.crashRate = reader.f64();
+        // An EWMA of event counts is never negative (nor NaN).
+        for (const double rate :
+             {core.ceRate, core.ueRate, core.sdcRate, core.crashRate})
+            if (!(rate >= 0.0))
+                return false;
         core.ceEvents = reader.u64();
         core.ueEvents = reader.u64();
         core.sdcEvents = reader.u64();
@@ -1460,7 +1476,6 @@ RunLedger::appendDaemonRound(const DaemonRoundRecord &round,
 LedgerView::LedgerView(SeverityWeights weights)
     : weights_(weights)
 {
-    weights_.validate();
 }
 
 void
@@ -1483,29 +1498,51 @@ LedgerView::groupFor(const std::string &workload_id, CoreId core)
     return group;
 }
 
+namespace
+{
+
+/** The slot of @p voltage in @p levels (highest voltage first),
+ *  inserted when new. The search starts at @p from, the previous
+ *  run's slot: a sweep stays on a level or steps to the next one
+ *  down, and only a new campaign or level searches the rest. */
+template <typename Level>
+size_t
+voltageSlot(std::vector<Level> &levels, size_t from, MilliVolt voltage)
+{
+    for (size_t slot = from; slot < std::min(from + 2, levels.size());
+         ++slot)
+        if (levels[slot].voltage == voltage)
+            return slot;
+    auto it = std::lower_bound(
+        levels.begin(), levels.end(), voltage,
+        [](const Level &level, MilliVolt v) { return level.voltage > v; });
+    if (it == levels.end() || it->voltage != voltage)
+        it = levels.insert(it, Level{voltage, {}});
+    return static_cast<size_t>(it - levels.begin());
+}
+
+} // namespace
+
 void
 LedgerView::addAll(std::span<const RunRecord> records)
 {
     // A cell's runs arrive together and, within a campaign, voltage
-    // by voltage: the group and the voltage's tally are looked up
-    // again only when the key changes. Each tally takes its runs in
-    // stream order, which fixes the bits of its weight sum.
+    // by voltage: the group is looked up again only when the key
+    // changes, and the voltage's tally from the previous run's slot.
+    // Each tally takes its runs in stream order, which fixes the
+    // bits of its weight sum.
     Group *group = nullptr;
-    SeverityTally *tally = nullptr;
-    MilliVolt tally_voltage = 0;
+    size_t slot = 0;
     for (const RunRecord &record : records) {
         const RunKey &key = record.key;
         if (group == nullptr || key.core != group->core ||
             key.workloadId != group->workloadId) {
             group = &groupFor(key.workloadId, key.core);
             group->analyzed = false;
-            tally = nullptr;
+            slot = 0;
         }
-        if (tally == nullptr || key.voltage != tally_voltage) {
-            tally = &group->byVoltage[key.voltage];
-            tally_voltage = key.voltage;
-        }
-        tally->add(record.effects, weights_);
+        slot = voltageSlot(group->byVoltage, slot, key.voltage);
+        group->byVoltage[slot].tally.add(record.effects, weights_);
     }
 }
 
@@ -1527,6 +1564,7 @@ LedgerView::analyze(const Group &group) const
     // severity datasets, the CSV paths — reads the result of this
     // pass.
     RegionAnalysis analysis;
+    // Levels come highest first: each goes to the front of the maps.
     for (const auto &[voltage, tally] : group.byVoltage) {
         const EffectSet seen = tally.effects();
         const bool any_abnormal = !seen.normal();
@@ -1536,8 +1574,11 @@ LedgerView::analyze(const Group &group) const
             region = Region::Crash;
         else if (any_abnormal)
             region = Region::Unsafe;
-        analysis.regions[voltage] = region;
-        analysis.severityByVoltage[voltage] = tally.severity();
+        analysis.regions.emplace_hint(analysis.regions.begin(), voltage,
+                                      region);
+        analysis.severityByVoltage.emplace_hint(
+            analysis.severityByVoltage.begin(), voltage,
+            tally.severity());
 
         if (any_crash && voltage > analysis.highestCrashVoltage)
             analysis.highestCrashVoltage = voltage;
@@ -1573,11 +1614,17 @@ LedgerView::analysis(const std::string &workload_id,
     const Group *cell = group(workload_id, core);
     if (!cell)
         return nullptr;
-    if (!cell->analyzed) {
-        analyze(*cell);
-        warnIfCensored(workload_id, core, cell->analysis);
-    }
+    derive(*cell);
     return &cell->analysis;
+}
+
+void
+LedgerView::derive(const Group &group) const
+{
+    if (group.analyzed)
+        return;
+    analyze(group);
+    warnIfCensored(group.workloadId, group.core, group.analysis);
 }
 
 void
@@ -1611,22 +1658,29 @@ LedgerView::deriveAll(int workers) const
 }
 
 std::vector<CellResult>
-LedgerView::cellResults() const
+LedgerView::cellResults() const &
 {
     std::vector<CellResult> cells;
     cells.reserve(groups_.size());
     for (const auto &group : groups_) {
-        if (!group.analyzed) {
-            analyze(group);
-            warnIfCensored(group.workloadId, group.core,
-                           group.analysis);
-        }
-        CellResult cell;
-        cell.workloadId = group.workloadId;
-        cell.core = group.core;
-        cell.analysis = group.analysis;
-        cells.push_back(std::move(cell));
+        derive(group);
+        cells.push_back({group.workloadId, group.core, group.analysis});
     }
+    return cells;
+}
+
+std::vector<CellResult>
+LedgerView::cellResults() &&
+{
+    std::vector<CellResult> cells;
+    cells.reserve(groups_.size());
+    for (auto &group : groups_) {
+        derive(group);
+        cells.push_back({std::move(group.workloadId), group.core,
+                         std::move(group.analysis)});
+    }
+    groups_.clear();
+    index_.clear();
     return cells;
 }
 

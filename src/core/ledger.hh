@@ -705,18 +705,28 @@ class LedgerView
     void deriveAll(int workers = 0) const;
 
     /** All cells' results in first-seen order. */
-    std::vector<CellResult> cellResults() const;
+    std::vector<CellResult> cellResults() const &;
 
-    const SeverityWeights &weights() const { return weights_; }
+    /** The same, moving each cell's id and analysis out of the view,
+     *  which is left empty. */
+    std::vector<CellResult> cellResults() &&;
 
   private:
+    /** One voltage level of a cell and the tally of its runs. */
+    struct VoltageTally
+    {
+        MilliVolt voltage = 0;
+        SeverityTally tally;
+    };
+
     struct Group
     {
         std::string workloadId;
         CoreId core = 0;
-        /** The cell's runs tallied by voltage — the accumulation the
-         *  whole analysis derives from. */
-        std::map<MilliVolt, SeverityTally> byVoltage;
+        /** The cell's runs tallied by voltage, highest voltage first
+         *  (the order a sweep visits the levels) — the accumulation
+         *  the whole analysis derives from. */
+        std::vector<VoltageTally> byVoltage;
         mutable RegionAnalysis analysis;
         mutable bool analyzed = false;
     };
@@ -744,8 +754,10 @@ class LedgerView
      *  of the first-seen order when new. */
     Group &groupFor(const std::string &workload_id, CoreId core);
     void analyze(const Group &group) const;
+    /** analyze() @p group unless derived, warning when censored. */
+    void derive(const Group &group) const;
 
-    SeverityWeights weights_;
+    RunWeightTable weights_;
     std::vector<Group> groups_;
     std::map<std::pair<std::string, CoreId>, size_t, KeyLess> index_;
 };

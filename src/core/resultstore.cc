@@ -112,14 +112,10 @@ effectFields()
 {
     static const EffectFields fields = [] {
         EffectFields built;
-        for (size_t mask = 0; mask < kEffectSets; ++mask) {
-            EffectSet set;
-            for (size_t bit = 0; bit + 1 < std::size(kAllEffects); ++bit)
-                if (mask >> bit & 1)
-                    set.add(kAllEffects[bit + 1]);
+        for (size_t bits = 0; bits < kEffectSets; ++bits) {
             std::string text;
-            set.appendTo(text);
-            std::string &field = built.text[set.bits()];
+            EffectSet::fromBits(bits).appendTo(text);
+            std::string &field = built.text[bits];
             util::appendCsvField(field, text);
             built.widest = std::max(built.widest, field.size());
         }
@@ -149,13 +145,44 @@ char *
 putInteger(char *out, T value)
 {
     static_assert(sizeof(T) <= 8, "kIntegerChars covers 64 bits");
+    // Most counts in a run row are a single digit.
+    if (std::cmp_greater_equal(value, 0) && std::cmp_less(value, 10)) {
+        *out = static_cast<char>('0' + value);
+        return out + 1;
+    }
     return std::to_chars(out, out + kIntegerChars, value).ptr;
+}
+
+/** Write @p run's row at @p out after its rendered @p key (the
+ *  quoted id, the core and their separators); returns one past the
+ *  newline. The columns are in kRunColumnNames order. */
+char *
+putRow(char *out, std::string_view key, const ClassifiedRun &run,
+       const EffectFields &effects)
+{
+    char *cursor = putText(out, key);
+    cursor = endField(putInteger(cursor, run.key.voltage));
+    cursor = endField(putInteger(cursor, run.key.frequency));
+    cursor = endField(putInteger(cursor, run.key.campaign));
+    cursor = endField(putInteger(cursor, run.key.runIndex));
+    cursor = endField(putText(cursor, effects.text[run.effects.bits()]));
+    cursor = endField(putInteger(cursor, run.sdcEvents));
+    cursor = endField(putInteger(cursor, run.correctedErrors));
+    cursor = endField(putInteger(cursor, run.uncorrectedErrors));
+    cursor = endField(putInteger(cursor, run.exitCode));
+    cursor = endField(util::writeFixed(cursor, run.seconds, 6));
+    cursor = endField(util::writeFixed(cursor, run.avgIpc, 4));
+    cursor = endField(util::writeFixed(cursor, run.activityFactor, 4));
+    cursor = endField(sim::writeSiteCounts(cursor, run.correctedBySite));
+    return endField(sim::writeSiteCounts(cursor, run.uncorrectedBySite),
+                    '\n');
 }
 
 } // namespace
 
 void
-appendRunCsv(std::string &out, const std::vector<ClassifiedRun> &runs)
+appendRunCsv(std::string &out,
+             const std::vector<std::vector<ClassifiedRun>> &blocks)
 {
     util::CsvWriter csv(out);
     for (const char *name : kRunColumnNames)
@@ -163,49 +190,46 @@ appendRunCsv(std::string &out, const std::vector<ClassifiedRun> &runs)
     csv.endRow();
 
     const EffectFields &effects = effectFields();
-    // Each row is written through a cursor into one buffer, then
-    // appended whole. The buffer holds the row at its widest: the
-    // quoted id (built once per run of equal ids), the widest
-    // effects field and kRowBytesBeside. Rows whose id does not fit
-    // the stack buffer take the heap one.
-    char stack[4096];
+    // Rows are written through a cursor into one stack chunk, which
+    // is appended whole when the next row's bound does not fit. The
+    // bound is the row at its widest: the rendered key, the widest
+    // effects field and kRowBytesBeside. The key (quoted id and
+    // core) is rendered again only when a run's own differs from the
+    // previous run's, so once per cell. A row whose bound exceeds
+    // the chunk is written through the heap buffer.
+    char chunk[16384];
+    char *cursor = chunk;
+    std::string key;
     std::string heap;
-    std::string id_field;
-    const std::string *id = nullptr;
-    char *row = stack;
-    for (const ClassifiedRun &run : runs) {
-        if (!id || run.key.workloadId != *id) {
-            id = &run.key.workloadId;
-            id_field.clear();
-            util::appendCsvField(id_field, *id);
+    const RunKey *keyed = nullptr;
+    for (const auto &block : blocks) {
+        for (const ClassifiedRun &run : block) {
+            if (!keyed || run.key.core != keyed->core ||
+                run.key.workloadId != keyed->workloadId) {
+                key.clear();
+                util::appendCsvField(key, run.key.workloadId);
+                char core[kIntegerChars];
+                key.append(",")
+                    .append(core, putInteger(core, run.key.core))
+                    .append(",");
+            }
+            keyed = &run.key;
             const size_t bound =
-                id_field.size() + effects.widest + kRowBytesBeside;
-            row = stack;
-            if (bound > sizeof(stack)) {
+                key.size() + effects.widest + kRowBytesBeside;
+            if (bound > static_cast<size_t>(std::end(chunk) - cursor)) {
+                out.append(chunk, cursor);
+                cursor = chunk;
+            }
+            if (bound <= sizeof(chunk)) {
+                cursor = putRow(cursor, key, run, effects);
+            } else {
                 heap.resize(std::max(heap.size(), bound));
-                row = heap.data();
+                out.append(heap.data(),
+                           putRow(heap.data(), key, run, effects));
             }
         }
-        // The columns in kRunColumnNames order.
-        char *cursor = endField(putText(row, id_field));
-        cursor = endField(putInteger(cursor, run.key.core));
-        cursor = endField(putInteger(cursor, run.key.voltage));
-        cursor = endField(putInteger(cursor, run.key.frequency));
-        cursor = endField(putInteger(cursor, run.key.campaign));
-        cursor = endField(putInteger(cursor, run.key.runIndex));
-        cursor = endField(putText(cursor, effects.text[run.effects.bits()]));
-        cursor = endField(putInteger(cursor, run.sdcEvents));
-        cursor = endField(putInteger(cursor, run.correctedErrors));
-        cursor = endField(putInteger(cursor, run.uncorrectedErrors));
-        cursor = endField(putInteger(cursor, run.exitCode));
-        cursor = endField(util::writeFixed(cursor, run.seconds, 6));
-        cursor = endField(util::writeFixed(cursor, run.avgIpc, 4));
-        cursor = endField(util::writeFixed(cursor, run.activityFactor, 4));
-        cursor = endField(sim::writeSiteCounts(cursor, run.correctedBySite));
-        cursor = endField(
-            sim::writeSiteCounts(cursor, run.uncorrectedBySite), '\n');
-        out.append(row, cursor);
     }
+    out.append(chunk, cursor);
 }
 
 void
@@ -222,14 +246,14 @@ appendReport(std::string &out, const CharacterizationReport &report)
         out.append(" ").append(name).append("=").append(
             std::to_string(*counter));
     out += '\n';
-    appendRunCsv(out, report.allRuns);
+    appendRunCsv(out, report.runBlocks);
 }
 
 std::string
 serializeReport(const CharacterizationReport &report)
 {
     std::string out;
-    out.reserve(report.allRuns.size() * kReportBytesPerRun + 512);
+    out.reserve(report.runCount() * kReportBytesPerRun + 512);
     appendReport(out, report);
     return out;
 }
@@ -281,11 +305,12 @@ deserializeReport(const std::string &text,
         col[c] = static_cast<size_t>(index);
     }
 
-    // Every row lands in allRuns, which then streams into the
-    // LedgerView once; it derives all per-cell analyses (regions,
-    // severity, Vmin) without re-walking the rows per cell.
+    // Each run of consecutive same-cell rows becomes one run block,
+    // so the report re-serializes to the same rows in the same
+    // order. The blocks then stream into the LedgerView, which
+    // derives all per-cell analyses (regions, severity, Vmin)
+    // without re-walking the rows per cell.
     LedgerView view(weights);
-    report.allRuns.reserve(doc.rows.size());
     for (size_t r = 0; r < doc.rows.size(); ++r) {
         const auto &row = doc.rows[r];
         // Errors name the 1-based run row (1 = the first row after
@@ -337,12 +362,18 @@ deserializeReport(const std::string &text,
         run.uncorrectedBySite =
             decode(sim::decodeSiteCounts(row[col[kUeSites]]),
                    col[kUeSites], "a site:count list");
-        report.allRuns.push_back(std::move(run));
+        auto &blocks = report.runBlocks;
+        if (blocks.empty() ||
+            blocks.back().back().key.core != run.key.core ||
+            blocks.back().back().key.workloadId != run.key.workloadId)
+            blocks.emplace_back();
+        blocks.back().push_back(std::move(run));
     }
-    view.addAll(report.allRuns);
+    for (const auto &block : report.runBlocks)
+        view.addAll(block);
     // Cells come out in first-seen order — the view preserves the
     // stream order, which is the report's canonical cell order.
-    report.cells = view.cellResults();
+    report.cells = std::move(view).cellResults();
     return report;
 }
 

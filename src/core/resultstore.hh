@@ -36,11 +36,12 @@ void appendReport(std::string &out, const CharacterizationReport &report);
 
 /**
  * Append the classified-run CSV — the header of run columns, then
- * one row per run — to @p out. This emitter and deserializeReport
- * share the one spelling of the run columns.
+ * one row per run of @p blocks, block by block — to @p out. This
+ * emitter and deserializeReport share the one spelling of the run
+ * columns.
  */
 void appendRunCsv(std::string &out,
-                  const std::vector<ClassifiedRun> &runs);
+                  const std::vector<std::vector<ClassifiedRun>> &blocks);
 
 /** A generous estimate of one run row's bytes; serializeReport and
  *  FleetReport::serialize reserve their buffer from it. */

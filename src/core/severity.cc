@@ -34,20 +34,24 @@ SeverityWeights::validate() const
             util::panicf("SeverityWeights: negative weight ", w);
 }
 
-void
-SeverityTally::add(EffectSet run, const SeverityWeights &weights)
+double
+SeverityWeights::runWeight(EffectSet run) const
 {
-    weights.validate();
     // S_v is the mean of per-run weights: the run's own weights sum
     // first, then join the voltage's total.
-    double weight = 0.0;
+    double sum = 0.0;
     for (Effect e : {Effect::SDC, Effect::CE, Effect::UE, Effect::AC,
                      Effect::SC})
         if (run.has(e))
-            weight += weights.weight(e);
-    weightSum_ += weight;
-    ++runs_;
-    effects_.merge(run);
+            sum += weight(e);
+    return sum;
+}
+
+RunWeightTable::RunWeightTable(const SeverityWeights &weights)
+{
+    weights.validate();
+    for (size_t bits = 0; bits < kEffectSets; ++bits)
+        table_[bits] = weights.runWeight(EffectSet::fromBits(bits));
 }
 
 double

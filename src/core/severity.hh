@@ -14,6 +14,7 @@
 #ifndef VMARGIN_CORE_SEVERITY_HH
 #define VMARGIN_CORE_SEVERITY_HH
 
+#include <array>
 #include <cstdint>
 
 #include "effects.hh"
@@ -33,8 +34,29 @@ struct SeverityWeights
     /** Weight of one effect. */
     double weight(Effect effect) const;
 
+    /** Weight of one run: the weights of its effects, summed in
+     *  SDC, CE, UE, AC, SC order. The one per-run weight. */
+    double runWeight(EffectSet run) const;
+
     /** All weights must be non-negative; panics otherwise. */
     void validate() const;
+};
+
+/**
+ * runWeight() of every EffectSet, indexed by EffectSet::bits(), so
+ * weighing a run is one load. Each entry is runWeight()'s own
+ * result, so a lookup equals the per-run sum bit for bit.
+ */
+class RunWeightTable
+{
+  public:
+    /** Validates @p weights (panics on a negative one). */
+    explicit RunWeightTable(const SeverityWeights &weights = {});
+
+    double operator()(EffectSet run) const { return table_[run.bits()]; }
+
+  private:
+    std::array<double, kEffectSets> table_{};
 };
 
 /**
@@ -48,8 +70,14 @@ struct SeverityWeights
 class SeverityTally
 {
   public:
-    /** Tally one run's effects; panics on a negative weight. */
-    void add(EffectSet run, const SeverityWeights &weights);
+    /** Tally one run's effects, weighed by @p weights. */
+    void
+    add(EffectSet run, const RunWeightTable &weights)
+    {
+        weightSum_ += weights(run);
+        ++runs_;
+        effects_.merge(run);
+    }
 
     /** Union of the effects of every run tallied. */
     EffectSet effects() const { return effects_; }

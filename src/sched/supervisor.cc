@@ -316,6 +316,14 @@ MarginSupervisor::checkpoint(SupervisorCheckpoint &out) const
 void
 MarginSupervisor::restore(const SupervisorCheckpoint &state)
 {
+    // The journal header binds maxGuardSteps, so only a damaged or
+    // forged checkpoint carries a guard past it.
+    const int guard = state.supervisor.guardSteps;
+    if (guard > options_.maxGuardSteps)
+        util::fatalError("supervisor: checkpoint guard " +
+                         std::to_string(guard) +
+                         " steps exceeds maxGuardSteps " +
+                         std::to_string(options_.maxGuardSteps));
     posture_ = state.supervisor;
 }
 

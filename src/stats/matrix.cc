@@ -94,13 +94,17 @@ Matrix::multiply(const Matrix &other) const
         panicf("Matrix::multiply: ", rows_, "x", cols_, " * ",
                other.rows_, "x", other.cols_);
     Matrix out(rows_, other.cols_);
+    // Rows are walked through pointers (the dimensions were checked
+    // above): each entry still sums its products in k order.
     for (size_t r = 0; r < rows_; ++r) {
+        double *out_row = out.data_.data() + r * out.cols_;
         for (size_t k = 0; k < cols_; ++k) {
-            const double v = (*this)(r, k);
+            const double v = data_[r * cols_ + k];
             if (v == 0.0)
                 continue;
+            const double *other_row = other.data_.data() + k * other.cols_;
             for (size_t c = 0; c < other.cols_; ++c)
-                out(r, c) += v * other(k, c);
+                out_row[c] += v * other_row[c];
         }
     }
     return out;
@@ -164,6 +168,8 @@ solveLinearSystem(Matrix a, Vector b)
         panicf("solveLinearSystem: need square system, got ",
                a.rows(), "x", a.cols(), " with b of ", b.size());
 
+    // The matrix is row-major, so a row's entries are contiguous: the
+    // inner loops walk rows through pointers.
     for (size_t k = 0; k < n; ++k) {
         // Partial pivoting: bring the largest remaining |pivot| up.
         size_t pivot = k;
@@ -172,27 +178,29 @@ solveLinearSystem(Matrix a, Vector b)
                 pivot = r;
         if (std::fabs(a(pivot, k)) < 1e-12)
             panicf("solveLinearSystem: singular matrix at column ", k);
+        double *row_k = &a(k, 0);
         if (pivot != k) {
-            for (size_t c = 0; c < n; ++c)
-                std::swap(a(k, c), a(pivot, c));
+            std::swap_ranges(row_k, row_k + n, &a(pivot, 0));
             std::swap(b[k], b[pivot]);
         }
         for (size_t r = k + 1; r < n; ++r) {
-            const double factor = a(r, k) / a(k, k);
+            double *row_r = &a(r, 0);
+            const double factor = row_r[k] / row_k[k];
             if (factor == 0.0)
                 continue;
             for (size_t c = k; c < n; ++c)
-                a(r, c) -= factor * a(k, c);
+                row_r[c] -= factor * row_k[c];
             b[r] -= factor * b[k];
         }
     }
 
     Vector x(n, 0.0);
     for (size_t ri = n; ri-- > 0;) {
+        const double *row = &a(ri, 0);
         double sum = b[ri];
         for (size_t c = ri + 1; c < n; ++c)
-            sum -= a(ri, c) * x[c];
-        x[ri] = sum / a(ri, ri);
+            sum -= row[c] * x[c];
+        x[ri] = sum / row[ri];
     }
     return x;
 }

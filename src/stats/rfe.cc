@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "metrics.hh"
 #include "scaler.hh"
@@ -17,33 +18,36 @@ namespace
 {
 
 /**
- * Coefficients of a ridge fit on centered/standardized data:
- * (X^T X + lambda I)^-1 X^T y. The tiny ridge term keeps the normal
- * equations solvable when features outnumber samples (101 counters
- * vs 40-100 samples in the paper), mimicking numpy's lstsq
- * behaviour inside scikit-learn's RFE.
+ * Coefficients of a ridge fit on centered/standardized data over the
+ * @p active columns of X: (X^T X + lambda I)^-1 X^T y. @p gram and
+ * @p xty are X^T X and X^T y over every column: the active columns'
+ * entries are the same sums, so each round selects them instead of
+ * multiplying again. The tiny ridge term keeps the normal equations
+ * solvable when features outnumber samples (101 counters vs 40-100
+ * samples in the paper), mimicking numpy's lstsq behaviour inside
+ * scikit-learn's RFE.
  */
 Vector
-ridgeWeights(const Matrix &x, const Vector &y_centered, double lambda)
+ridgeWeights(const Matrix &gram, const Vector &xty,
+             const std::vector<size_t> &active, double samples,
+             double lambda)
 {
-    const double n = static_cast<double>(x.rows());
-    const Matrix xt = x.transposed();
-    Matrix gram = xt.multiply(x);
     // Normalize by the sample count so lambda has a scale-free
     // meaning, then regularize. PMU counters come in families that
     // are near-exact multiples of each other (MEM_ACCESS_RD vs
     // LD_RETIRED, ...); without a meaningful ridge the coefficients
     // of such a family are unidentifiable and the |weight| ranking
     // RFE relies on becomes noise.
-    for (size_t r = 0; r < gram.rows(); ++r)
-        for (size_t c = 0; c < gram.cols(); ++c)
-            gram(r, c) /= n;
-    for (size_t i = 0; i < gram.rows(); ++i)
-        gram(i, i) += lambda;
-    Vector xty = xt.multiply(y_centered);
-    for (auto &value : xty)
-        value /= n;
-    return solveLinearSystem(gram, xty);
+    const size_t k = active.size();
+    Matrix sub(k, k);
+    Vector rhs(k);
+    for (size_t r = 0; r < k; ++r) {
+        for (size_t c = 0; c < k; ++c)
+            sub(r, c) = gram(active[r], active[c]) / samples;
+        sub(r, r) += lambda;
+        rhs[r] = xty[active[r]] / samples;
+    }
+    return solveLinearSystem(std::move(sub), std::move(rhs));
 }
 
 } // namespace
@@ -73,12 +77,16 @@ recursiveFeatureElimination(const Matrix &x, const Vector &y,
     std::vector<size_t> active(x.cols());
     std::iota(active.begin(), active.end(), size_t{0});
 
+    const Matrix xt = xs.transposed();
+    const Matrix gram = xt.multiply(xs);
+    const Vector xty = xt.multiply(yc);
+
     RfeResult result;
     Vector weights;
 
     while (true) {
-        const Matrix sub = xs.selectColumns(active);
-        weights = ridgeWeights(sub, yc, 1e-3);
+        weights = ridgeWeights(gram, xty, active,
+                               static_cast<double>(x.rows()), 1e-3);
 
         if (active.size() == keep)
             break;

@@ -151,7 +151,7 @@ TEST(Classifier, CsvRowMatchesHeader)
     ClassifiedRun multi = parsed;
     multi.effects.add(Effect::CE);
     std::string csv;
-    appendRunCsv(csv, {parsed, multi});
+    appendRunCsv(csv, {{parsed, multi}});
     const util::CsvDocument doc = util::parseCsv(csv);
     ASSERT_EQ(doc.rows.size(), 2u);
     EXPECT_EQ(doc.header.size(), doc.rows[0].size());

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <span>
@@ -842,7 +843,10 @@ makeCheckpoint(int rounds_completed)
     posture.canaryRounds = 2;
     posture.canaryFailures = 1;
     posture.pinnedRounds = 5;
-    posture.recentCrashRounds = {3, 7};
+    // A crash window holds rounds already served.
+    for (int round = std::max(0, rounds_completed - 2);
+         round < rounds_completed; ++round)
+        posture.recentCrashRounds.push_back(static_cast<uint32_t>(round));
     SupervisorPosture::CoreState core;
     core.core = 4;
     core.quarantined = true;
@@ -1139,7 +1143,9 @@ TEST(RunLedger, ImpossibleDaemonCodesAreRefused)
     // and it poisons the daemon tail, so the rounds before it are
     // kept and it and everything after it re-run. Resuming one
     // instead would, e.g., pin the daemon at nominal for the rest of
-    // its session behind a clamp code no report can name.
+    // its session behind a clamp code no report can name, or, with a
+    // guard of -100, undervolt 100 steps below the governor's
+    // decision.
     const std::string path = "/tmp/vmargin_test_ledger_codes";
     // A posture core entry: id, quarantine byte, 4 rates, 4 counts
     // and the clean-in-quarantine count.
@@ -1187,6 +1193,33 @@ TEST(RunLedger, ImpossibleDaemonCodesAreRefused)
                      checkpointWith([](SupervisorPosture &posture) {
                          posture.cores[0].core = -1; // 0xffffffff
                      })});
+    {
+        DaemonRoundRecord round = makeDaemonRound(2);
+        round.guardSteps = -1;
+        cases.push_back({"round guard -1", encodeDaemonRound(round),
+                         encodeSupervisorCheckpoint(makeCheckpoint(3))});
+    }
+    cases.push_back({"guard -100", good_round,
+                     checkpointWith([](SupervisorPosture &posture) {
+                         posture.guardSteps = -100;
+                     })});
+    cases.push_back({"peak below the guard", good_round,
+                     checkpointWith([](SupervisorPosture &posture) {
+                         posture.peakGuardSteps = posture.guardSteps - 1;
+                     })});
+    cases.push_back({"crash round not yet served", good_round,
+                     checkpointWith([](SupervisorPosture &posture) {
+                         posture.recentCrashRounds.push_back(3);
+                     })});
+    cases.push_back({"negative rate", good_round,
+                     checkpointWith([](SupervisorPosture &posture) {
+                         posture.cores[1].ueRate = -0.125;
+                     })});
+    cases.push_back({"NaN rate", good_round,
+                     checkpointWith([](SupervisorPosture &posture) {
+                         posture.cores[0].crashRate =
+                             std::numeric_limits<double>::quiet_NaN();
+                     })});
 
     for (const Case &bad : cases) {
         SCOPED_TRACE(bad.what);
@@ -1215,9 +1248,12 @@ TEST(RunLedger, ImpossibleDaemonCodesAreRefused)
         EXPECT_EQ(counterValue("ledger.replay_skipped") - skipped_before,
                   1u);
         EXPECT_NE(warnings.find("malformed record"), std::string::npos);
-        ASSERT_EQ(reopened.daemonRounds().size(), 2u)
+        // Every case is checked, also after one fails.
+        EXPECT_EQ(reopened.daemonRounds().size(), 2u)
             << "only the rounds before the bad frame are kept";
-        EXPECT_EQ(reopened.daemonRounds()[1].round.round, 1);
+        if (reopened.daemonRounds().size() > 1) {
+            EXPECT_EQ(reopened.daemonRounds()[1].round.round, 1);
+        }
     }
     std::remove(path.c_str());
 }

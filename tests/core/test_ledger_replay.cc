@@ -128,7 +128,10 @@ goldenCheckpoint(int rounds_completed)
     state.sensorSample = 51.0 + 0.0009765625 * rounds_completed;
     state.supervisorEnabled = true;
     state.supervisor.guardSteps = rounds_completed % 3;
-    state.supervisor.recentCrashRounds = {3};
+    state.supervisor.peakGuardSteps = 2;
+    // A crash window holds rounds already served.
+    state.supervisor.recentCrashRounds = {
+        static_cast<uint32_t>(rounds_completed - 1)};
     SupervisorPosture::CoreState core;
     core.core = 4;
     core.ceRate = 0.125 * rounds_completed;

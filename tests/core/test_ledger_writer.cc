@@ -358,6 +358,7 @@ TEST(CrashMatrix, DaemonRoundTruncationAtEveryFrameBoundary)
             state.roundsCompleted =
                 static_cast<uint32_t>(round) + 1;
             state.supervisor.guardSteps = round;
+            state.supervisor.peakGuardSteps = round;
             ledger.appendDaemonRound(record, state);
         }
     }

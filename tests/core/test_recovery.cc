@@ -244,7 +244,7 @@ TEST(CampaignRecovery, FullyLostCellsAreOmittedNotFatal)
     const auto report = framework.characterize(smallConfig());
     EXPECT_TRUE(report.cells.empty());
     EXPECT_TRUE(report.complete);
-    EXPECT_TRUE(report.allRuns.empty());
+    EXPECT_TRUE(report.runBlocks.empty());
     EXPECT_GT(report.telemetry.lostMeasurements, 0u);
     EXPECT_GT(report.telemetry.retries, 0u);
 }

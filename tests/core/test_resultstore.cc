@@ -26,6 +26,16 @@ namespace vmargin
 namespace
 {
 
+/** Every run of @p report, block after block. */
+std::vector<ClassifiedRun>
+flatRuns(const CharacterizationReport &report)
+{
+    std::vector<ClassifiedRun> runs;
+    for (const auto &block : report.runBlocks)
+        runs.insert(runs.end(), block.begin(), block.end());
+    return runs;
+}
+
 class ResultStoreTest : public ::testing::Test
 {
   protected:
@@ -78,10 +88,12 @@ TEST_F(ResultStoreTest, RunsSurvive)
 {
     const auto loaded =
         deserializeReport(serializeReport(*report_));
-    ASSERT_EQ(loaded.allRuns.size(), report_->allRuns.size());
-    for (size_t i = 0; i < loaded.allRuns.size(); ++i) {
-        const auto &a = loaded.allRuns[i];
-        const auto &b = report_->allRuns[i];
+    const auto loadedRuns = flatRuns(loaded);
+    const auto runs = flatRuns(*report_);
+    ASSERT_EQ(loadedRuns.size(), runs.size());
+    for (size_t i = 0; i < loadedRuns.size(); ++i) {
+        const auto &a = loadedRuns[i];
+        const auto &b = runs[i];
         EXPECT_EQ(a.key.workloadId, b.key.workloadId);
         EXPECT_EQ(a.key.voltage, b.key.voltage);
         EXPECT_EQ(a.key.campaign, b.key.campaign);
@@ -116,14 +128,15 @@ TEST_F(ResultStoreTest, ErrorSitesSurvive)
 {
     const auto loaded =
         deserializeReport(serializeReport(*report_));
+    const auto loadedRuns = flatRuns(loaded);
+    const auto runs = flatRuns(*report_);
+    ASSERT_EQ(loadedRuns.size(), runs.size());
     size_t runs_with_sites = 0;
-    for (size_t i = 0; i < loaded.allRuns.size(); ++i) {
-        EXPECT_EQ(loaded.allRuns[i].correctedBySite,
-                  report_->allRuns[i].correctedBySite);
-        EXPECT_EQ(loaded.allRuns[i].uncorrectedBySite,
-                  report_->allRuns[i].uncorrectedBySite);
-        runs_with_sites +=
-            loaded.allRuns[i].correctedBySite.total() != 0;
+    for (size_t i = 0; i < loadedRuns.size(); ++i) {
+        EXPECT_EQ(loadedRuns[i].correctedBySite, runs[i].correctedBySite);
+        EXPECT_EQ(loadedRuns[i].uncorrectedBySite,
+                  runs[i].uncorrectedBySite);
+        runs_with_sites += loadedRuns[i].correctedBySite.total() != 0;
     }
     EXPECT_GT(runs_with_sites, 0u)
         << "the sweep must have produced EDAC location detail";
@@ -141,14 +154,42 @@ TEST_F(ResultStoreTest, SerializedFormIsStable)
     for (const std::string id :
          {"a,b", "say \"hi\"", "line1\nline2", "a\r\nb,c\"d"}) {
         CharacterizationReport hostile = *report_;
-        for (auto &run : hostile.allRuns)
-            if (run.key.workloadId == "bwaves/ref")
-                run.key.workloadId = id;
+        for (auto &block : hostile.runBlocks)
+            for (auto &run : block)
+                if (run.key.workloadId == "bwaves/ref")
+                    run.key.workloadId = id;
         const std::string bytes = serializeReport(hostile);
         const auto loaded = deserializeReport(bytes);
-        EXPECT_EQ(loaded.allRuns, hostile.allRuns) << id;
+        EXPECT_EQ(loaded.runBlocks, hostile.runBlocks) << id;
         EXPECT_EQ(serializeReport(loaded), bytes) << id;
     }
+}
+
+TEST_F(ResultStoreTest, InterleavedCellsLoadAsConsecutiveBlocks)
+{
+    // A document whose cells interleave: two cells' runs cut into
+    // pieces and alternated. Each run of consecutive same-cell rows
+    // loads as one block, and the report serializes to the same
+    // bytes.
+    ASSERT_GE(report_->runBlocks.size(), 2u);
+    const auto &a = report_->runBlocks[0];
+    const auto &b = report_->runBlocks[1];
+    ASSERT_GT(a.size(), 7u);
+    ASSERT_GT(b.size(), 3u);
+    CharacterizationReport interleaved = *report_;
+    interleaved.runBlocks = {{a.begin(), a.begin() + 5},
+                             {b.begin(), b.begin() + 3},
+                             {a.begin() + 5, a.begin() + 7},
+                             {b.begin() + 3, b.end()},
+                             {a.begin() + 7, a.end()}};
+    const std::string bytes = serializeReport(interleaved);
+    const auto loaded = deserializeReport(bytes);
+    EXPECT_EQ(loaded.runBlocks, interleaved.runBlocks);
+    EXPECT_EQ(serializeReport(loaded), bytes);
+    // The analyses are the cells', in first-seen order.
+    ASSERT_EQ(loaded.cells.size(), 2u);
+    EXPECT_EQ(loaded.cells[0], report_->cells[0]);
+    EXPECT_EQ(loaded.cells[1], report_->cells[1]);
 }
 
 TEST_F(ResultStoreTest, FileRoundTrip)
@@ -156,7 +197,7 @@ TEST_F(ResultStoreTest, FileRoundTrip)
     const std::string path = "/tmp/vmargin_test_report.csv";
     saveReport(*report_, path);
     const auto loaded = loadReport(path);
-    EXPECT_EQ(loaded.allRuns.size(), report_->allRuns.size());
+    EXPECT_EQ(loaded.runCount(), report_->runCount());
     EXPECT_EQ(loaded.chipName, report_->chipName);
     std::remove(path.c_str());
 }
@@ -197,7 +238,7 @@ twoRunReport(const std::string &metadata, const CsvEdit &edit)
     ClassifiedRun run;
     run.key.workloadId = "bwaves/ref";
     std::string emitted;
-    appendRunCsv(emitted, {run});
+    appendRunCsv(emitted, {{run}});
     const util::CsvDocument doc = util::parseCsv(emitted);
     std::vector<std::string> header = doc.header;
     std::vector<std::string> first = doc.rows.at(0);
@@ -234,8 +275,9 @@ TEST(ResultStoreHostile, WellFormedDocumentDecodes)
     // so each of them dies for the one defect it plants.
     const auto report = deserializeReport(
         twoRunReport(kMetadata, setField("core", "3")));
-    ASSERT_EQ(report.allRuns.size(), 2u);
-    EXPECT_EQ(report.allRuns[1].key.core, 3);
+    // The two rows are different cells: one block each.
+    ASSERT_EQ(report.runBlocks.size(), 2u);
+    EXPECT_EQ(report.runBlocks[1].at(0).key.core, 3);
     EXPECT_EQ(report.frequency, 2400);
 }
 
@@ -398,15 +440,23 @@ referenceRunCsv(const std::vector<ClassifiedRun> &runs)
     return out;
 }
 
-/** appendRunCsv's bytes for @p runs, after a prefix already in the
- *  buffer (the prefix is checked to survive untouched). */
+/** appendRunCsv's bytes for @p runs as one block, after a prefix
+ *  already in the buffer (the prefix is checked to survive
+ *  untouched). Each row prints its own run's key, so the same runs
+ *  as one block per run must give the same bytes. */
 std::string
 emittedRunCsv(const std::vector<ClassifiedRun> &runs)
 {
     const std::string prefix = "prefix\n";
     std::string out = prefix;
-    appendRunCsv(out, runs);
+    appendRunCsv(out, {runs});
     EXPECT_EQ(out.compare(0, prefix.size(), prefix), 0);
+    std::vector<std::vector<ClassifiedRun>> blocks;
+    for (const ClassifiedRun &run : runs)
+        blocks.push_back({run});
+    std::string split = prefix;
+    appendRunCsv(split, blocks);
+    EXPECT_EQ(split, out);
     return out.substr(prefix.size());
 }
 

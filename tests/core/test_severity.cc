@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "core/severity.hh"
@@ -29,9 +30,10 @@ double
 severity(const std::vector<EffectSet> &runs,
          const SeverityWeights &weights = {})
 {
+    const RunWeightTable table(weights);
     SeverityTally tally;
     for (const EffectSet &run : runs)
-        tally.add(run, weights);
+        tally.add(run, table);
     return tally.severity();
 }
 
@@ -136,9 +138,10 @@ TEST(Severity, TallyUnitesTheEffectsOfItsRuns)
 {
     SeverityTally tally;
     EXPECT_TRUE(tally.effects().normal());
-    tally.add(setOf({Effect::CE}), {});
-    tally.add(EffectSet{}, {});
-    tally.add(setOf({Effect::SC, Effect::SDC}), {});
+    const RunWeightTable table;
+    tally.add(setOf({Effect::CE}), table);
+    tally.add(EffectSet{}, table);
+    tally.add(setOf({Effect::SC, Effect::SDC}), table);
     EXPECT_EQ(tally.effects(),
               setOf({Effect::CE, Effect::SC, Effect::SDC}));
 }
@@ -157,16 +160,61 @@ TEST(Severity, DeathOnNegativeWeight)
 
 TEST(Severity, SeverityOfSetDeathOnNegativeWeight)
 {
-    // The tally checks the weights on every run it adds, whatever
-    // the run's effects, also after runs with valid weights.
+    // The weight table a run is weighed by refuses a negative weight
+    // when it is built, whatever the run's effects, also after runs
+    // with valid weights.
     SeverityWeights w;
     w.sc = -16.0;
-    EXPECT_DEATH(SeverityTally().add(EffectSet{}, w), "negative weight");
-    EXPECT_DEATH(SeverityTally().add(setOf({Effect::CE}), w),
+    EXPECT_DEATH(SeverityTally().add(EffectSet{}, RunWeightTable(w)),
+                 "negative weight");
+    EXPECT_DEATH(SeverityTally().add(setOf({Effect::CE}), RunWeightTable(w)),
                  "negative weight");
     SeverityTally tally;
-    tally.add(setOf({Effect::CE}), {});
-    EXPECT_DEATH(tally.add(setOf({Effect::CE}), w), "negative weight");
+    tally.add(setOf({Effect::CE}), RunWeightTable{});
+    EXPECT_DEATH(tally.add(setOf({Effect::CE}), RunWeightTable(w)),
+                 "negative weight");
+}
+
+TEST(Severity, WeightTableMatchesThePerRunLoop)
+{
+    // Weights whose sums depend on the order they are added in: each
+    // of the 32 sets' table entry must carry the bits of the per-run
+    // loop, which sums in SDC, CE, UE, AC, SC order.
+    for (const SeverityWeights w :
+         {SeverityWeights{0.1, 0.7, 1.0 / 3.0, 0.3, 2.9},
+          SeverityWeights{1.0 / 3.0, 0.1, 0.2, 1.0 / 7.0, 0.1},
+          SeverityWeights{}}) {
+        const RunWeightTable table(w);
+        for (size_t bits = 0; bits < kEffectSets; ++bits) {
+            const EffectSet run = EffectSet::fromBits(bits);
+            ASSERT_EQ(run.bits(), bits);
+            double loop = 0.0;
+            for (Effect e : {Effect::SDC, Effect::CE, Effect::UE,
+                             Effect::AC, Effect::SC})
+                if (run.has(e))
+                    loop += w.weight(e);
+            EXPECT_EQ(std::bit_cast<uint64_t>(table(run)),
+                      std::bit_cast<uint64_t>(loop))
+                << "set " << run.toString();
+            EXPECT_EQ(std::bit_cast<uint64_t>(w.runWeight(run)),
+                      std::bit_cast<uint64_t>(loop));
+        }
+    }
+    // The order is visible under such weights: summing SC first
+    // misses some set's bits.
+    const SeverityWeights w{0.1, 0.7, 1.0 / 3.0, 0.3, 2.9};
+    const RunWeightTable table(w);
+    size_t orderSensitive = 0;
+    for (size_t bits = 0; bits < kEffectSets; ++bits) {
+        const EffectSet run = EffectSet::fromBits(bits);
+        double reversed = 0.0;
+        for (Effect e : {Effect::SC, Effect::AC, Effect::UE, Effect::CE,
+                         Effect::SDC})
+            if (run.has(e))
+                reversed += w.weight(e);
+        orderSensitive += reversed != table(run);
+    }
+    EXPECT_GT(orderSensitive, 0u);
 }
 
 } // namespace

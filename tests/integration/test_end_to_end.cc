@@ -56,6 +56,19 @@ class EndToEndTest : public ::testing::Test
 sim::Platform *EndToEndTest::platform_ = nullptr;
 CharacterizationReport *EndToEndTest::report_ = nullptr;
 
+/** Index of (@p id, @p core) in @p report's cells, and so of its
+ *  run block. */
+size_t
+cellIndex(const CharacterizationReport &report, const std::string &id,
+          CoreId core)
+{
+    for (size_t i = 0; i < report.cells.size(); ++i)
+        if (report.cells[i].workloadId == id && report.cells[i].core == core)
+            return i;
+    ADD_FAILURE() << id << " core " << core << " not characterized";
+    return 0;
+}
+
 TEST_F(EndToEndTest, EveryCellCharacterized)
 {
     EXPECT_EQ(report_->cells.size(), 80u);
@@ -107,9 +120,8 @@ TEST_F(EndToEndTest, SdcBeforeCorrectedErrorsInObservations)
     // no benchmark shows a CE-only level above the first SDC level.
     for (const auto &w : wl::headlineSuite()) {
         MilliVolt first_sdc = 0, first_ce_alone = 0;
-        for (const auto &run : report_->allRuns) {
-            if (run.key.workloadId != w.id() || run.key.core != 0)
-                continue;
+        const size_t cell = cellIndex(*report_, w.id(), 0);
+        for (const auto &run : report_->runBlocks.at(cell)) {
             const EffectSet &set = run.effects;
             const MilliVolt v = run.key.voltage;
             if (set.has(Effect::SDC))

@@ -353,6 +353,70 @@ TEST(FleetExecutor, MixedSourcesIdenticalAtAnyWorkerCount)
     std::remove(cache.c_str());
 }
 
+TEST(FleetExecutor, RunBlocksFollowTheCells)
+{
+    // At this failure rate some cells are lost. Each chip's report
+    // holds one run block per cell it kept, in the order of `cells`,
+    // whether the cells were measured, replayed from the journal or
+    // served from the cache.
+    const std::string journal = "/tmp/vmargin_test_fleet_blocks.journal";
+    const std::string cache = "/tmp/vmargin_test_fleet_blocks.cache";
+    std::remove(journal.c_str());
+    std::remove(cache.c_str());
+    const auto lossySweep = [&](int workers, const std::string &journal_path,
+                                const std::string &cache_path) {
+        sim::FaultPlanConfig plan = hostilePlan();
+        plan.i2cWriteFailure = 0.9;
+        sim::Platform platform(sim::XGene2Params{},
+                               sim::ChipCorner::TTT, 1);
+        platform.installFaultPlan(plan);
+        FleetConfig config;
+        config.chips = parseFleetSpec({"TTT", "TFF:2"});
+        config.framework = sweepConfig();
+        config.framework.workers = workers;
+        config.framework.journalPath = journal_path;
+        config.framework.cachePath = cache_path;
+        FleetExecutor executor(&platform);
+        ::testing::internal::CaptureStderr();
+        FleetReport report = executor.run(config);
+        ::testing::internal::GetCapturedStderr();
+        return report;
+    };
+    const auto expectBlocksFollowCells = [](const FleetReport &fleet) {
+        size_t kept = 0;
+        for (const FleetChipReport &chip : fleet.chips) {
+            const CharacterizationReport &report = chip.report;
+            ASSERT_EQ(report.runBlocks.size(), report.cells.size());
+            for (size_t i = 0; i < report.cells.size(); ++i) {
+                const CellResult &cell = report.cells[i];
+                ASSERT_FALSE(report.runBlocks[i].empty());
+                for (const ClassifiedRun &run : report.runBlocks[i]) {
+                    EXPECT_EQ(run.key.workloadId, cell.workloadId);
+                    EXPECT_EQ(run.key.core, cell.core);
+                }
+            }
+            kept += report.cells.size();
+        }
+        EXPECT_GT(kept, 0u);
+        EXPECT_LT(kept, 16u) << "some cells must be lost";
+    };
+
+    const FleetReport fresh = lossySweep(1, journal, "");
+    expectBlocksFollowCells(fresh);
+    const FleetReport parallel = lossySweep(4, "", cache);
+    expectBlocksFollowCells(parallel);
+    const FleetReport replayed = lossySweep(4, journal, "");
+    expectBlocksFollowCells(replayed);
+    const FleetReport cached = lossySweep(2, "", cache);
+    expectBlocksFollowCells(cached);
+    for (const FleetReport *other : {&parallel, &replayed, &cached})
+        for (size_t chip = 0; chip < fresh.chips.size(); ++chip)
+            EXPECT_EQ(other->chips[chip].report.runBlocks,
+                      fresh.chips[chip].report.runBlocks);
+    std::remove(journal.c_str());
+    std::remove(cache.c_str());
+}
+
 TEST(FleetExecutor, LostCellWarningsInPlanOrder)
 {
     // Whole cells are lost to failed I2C writes, and some of the rest

@@ -168,9 +168,11 @@ TEST(LedgerGolden, ViewMatchesLegacyDerivationPerCell)
     const auto report = goldenSweep(4);
     ASSERT_EQ(report.cells.size(), 9u);
     const SeverityWeights weights = goldenConfig().weights;
-    for (const auto &cell : report.cells) {
+    ASSERT_EQ(report.runBlocks.size(), report.cells.size());
+    for (size_t i = 0; i < report.cells.size(); ++i) {
+        const CellResult &cell = report.cells[i];
         const RegionAnalysis golden = legacyAnalyzeRegions(
-            report.allRuns, cell.workloadId, cell.core, weights);
+            report.runBlocks[i], cell.workloadId, cell.core, weights);
         expectAnalysesEqual(cell.analysis, golden,
                             cell.workloadId + "/core" +
                                 std::to_string(cell.core));

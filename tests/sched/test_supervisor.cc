@@ -526,6 +526,23 @@ TEST(SupervisorDeath, OptionsValidateCarriesTheValue)
                 "crashClampCount must be >= 1 \\(got 0\\)");
 }
 
+TEST(SupervisorDeath, RestoreRefusesAGuardPastTheMaximum)
+{
+    // The decoder cannot see the options; restore() can.
+    SupervisorOptions options;
+    options.maxGuardSteps = 4;
+    SupervisorCheckpoint state;
+    state.supervisor.guardSteps = 5;
+    state.supervisor.peakGuardSteps = 5;
+    EXPECT_EXIT(MarginSupervisor(options).restore(state),
+                ::testing::ExitedWithCode(1),
+                "checkpoint guard 5 steps exceeds maxGuardSteps 4");
+    state.supervisor.guardSteps = 4; // at the maximum: restored
+    MarginSupervisor supervisor(options);
+    supervisor.restore(state);
+    EXPECT_EQ(supervisor.posture().guardSteps, 4);
+}
+
 // ---- daemon-level robustness -------------------------------------
 
 /**
