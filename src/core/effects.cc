@@ -1,5 +1,6 @@
 #include "effects.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <utility>
 
@@ -126,6 +127,37 @@ EffectSet::fromString(std::string_view text)
             return set;
         text.remove_prefix(comma + 1);
     }
+}
+
+std::optional<EffectSet>
+EffectSet::fromSpelling(std::string_view text)
+{
+    struct Spelling
+    {
+        std::string text;
+        EffectSet set;
+    };
+    // Every set's spelling, sorted for a binary search.
+    static const std::vector<Spelling> spellings = [] {
+        std::vector<Spelling> table;
+        for (size_t bits = 0; bits < kEffectSets; ++bits) {
+            const EffectSet set = fromBits(bits);
+            table.push_back({set.toString(), set});
+        }
+        std::sort(table.begin(), table.end(),
+                  [](const Spelling &a, const Spelling &b) {
+                      return a.text < b.text;
+                  });
+        return table;
+    }();
+    const auto it = std::lower_bound(
+        spellings.begin(), spellings.end(), text,
+        [](const Spelling &entry, std::string_view key) {
+            return std::string_view(entry.text) < key;
+        });
+    if (it == spellings.end() || it->text != text)
+        return std::nullopt;
+    return it->set;
 }
 
 EffectSet

@@ -109,6 +109,11 @@ class EffectSet
      *  included, is not an effect name. */
     static std::optional<EffectSet> fromString(std::string_view text);
 
+    /** The set whose toString() is exactly @p text, found in a table
+     *  of the kEffectSets spellings; nullopt for any other text
+     *  (whitespace, another order, a repeated name, empty text). */
+    static std::optional<EffectSet> fromSpelling(std::string_view text);
+
     bool operator==(const EffectSet &other) const = default;
 
   private:

@@ -57,32 +57,59 @@ void
 ledgerChecksums(std::span<const std::string_view> payloads,
                 std::span<uint32_t> sums)
 {
-    // One FNV-1a chain is a serial multiply per byte. A group's
-    // chains, stepped together over their common length, keep one
-    // multiply per lane in flight; each lane then finishes its own
-    // tail.
+    // One FNV-1a chain is a serial multiply per byte. The lanes'
+    // chains, stepped together over the bytes every lane still has,
+    // keep one multiply per lane in flight. A lane whose payload
+    // ends takes the next one at once, so payloads of unequal length
+    // leave no lane idle; once none is left, each lane finishes its
+    // own tail.
     constexpr size_t kLanes = kLedgerChecksumLanes;
-    size_t first = 0;
-    for (; first + kLanes <= payloads.size(); first += kLanes) {
-        const std::string_view *group = &payloads[first];
-        std::array<const unsigned char *, kLanes> data;
-        std::array<uint32_t, kLanes> hash;
-        size_t common = group[0].size();
-        for (size_t lane = 0; lane < kLanes; ++lane) {
-            data[lane] = reinterpret_cast<const unsigned char *>(
-                group[lane].data());
-            hash[lane] = kFnvOffset;
-            common = std::min(common, group[lane].size());
+    constexpr size_t kIdle = SIZE_MAX;
+    std::array<size_t, kLanes> owner;
+    std::array<const unsigned char *, kLanes> data{};
+    std::array<size_t, kLanes> left{};
+    std::array<uint32_t, kLanes> hash{};
+    size_t next = 0;
+    // Give @p lane the next nonempty payload; false when none is
+    // left. Empty payloads on the way get the offset basis.
+    const auto refill = [&](size_t lane) {
+        while (next < payloads.size() && payloads[next].empty())
+            sums[next++] = kFnvOffset;
+        if (next == payloads.size()) {
+            owner[lane] = kIdle;
+            return false;
         }
-        for (size_t i = 0; i < common; ++i)
+        owner[lane] = next;
+        data[lane] =
+            reinterpret_cast<const unsigned char *>(payloads[next].data());
+        left[lane] = payloads[next].size();
+        hash[lane] = kFnvOffset;
+        ++next;
+        return true;
+    };
+    bool all_busy = true;
+    for (size_t lane = 0; lane < kLanes; ++lane)
+        all_busy = refill(lane) && all_busy;
+    while (all_busy) {
+        const size_t step = *std::min_element(left.begin(), left.end());
+        for (size_t i = 0; i < step; ++i)
             for (size_t lane = 0; lane < kLanes; ++lane)
                 hash[lane] = (hash[lane] ^ data[lane][i]) * kFnvPrime;
-        for (size_t lane = 0; lane < kLanes; ++lane)
-            sums[first + lane] =
-                fnv1a(hash[lane], group[lane].substr(common));
+        for (size_t lane = 0; lane < kLanes; ++lane) {
+            data[lane] += step;
+            left[lane] -= step;
+            if (left[lane] == 0) {
+                sums[owner[lane]] = hash[lane];
+                all_busy = refill(lane) && all_busy;
+            }
+        }
     }
-    for (; first < payloads.size(); ++first)
-        sums[first] = ledgerChecksum(payloads[first]);
+    for (size_t lane = 0; lane < kLanes; ++lane)
+        if (owner[lane] != kIdle)
+            sums[owner[lane]] = fnv1a(
+                hash[lane],
+                std::string_view(reinterpret_cast<const char *>(data[lane]),
+                                 left[lane]));
 }
 
 namespace
@@ -95,6 +122,7 @@ enum class FrameKind : uint8_t
     Commit = 2,
     DaemonRound = 3,
     Supervisor = 4,
+    Cell = 5, ///< version 3: a whole cell, in place of Run + Commit
 };
 
 void
@@ -169,6 +197,21 @@ class PayloadReader
     }
 
     bool ok() const { return ok_; }
+
+    /** Bytes not yet read. */
+    size_t remaining() const { return payload_.size() - pos_; }
+
+    /** The next @p count bytes, in one bounds check; nullptr and not
+     *  ok() on a short payload. */
+    const char *
+    bytes(size_t count)
+    {
+        if (!require(count))
+            return nullptr;
+        const char *at = payload_.data() + pos_;
+        pos_ += count;
+        return at;
+    }
 
     uint8_t
     u8()
@@ -357,12 +400,120 @@ encodeCellCommit(const CellCommit &commit)
 namespace
 {
 
+/** Bytes of one run in a cell frame before its site counts, at
+ *  these offsets: u32 voltage (0), campaign (4) and run index (8);
+ *  u8 effect mask (12); u64 SDC events (13), corrected (21) and
+ *  uncorrected errors (29); u32 exit code (37); f64 seconds (41),
+ *  IPC (49) and activity factor (57); u8 corrected-site mask (65)
+ *  and uncorrected-site mask (66). The present sites' u64 counts
+ *  follow, corrected first, each list in site order. */
+constexpr size_t kCellRunFixedBytes = 3 * 4 + 1 + 3 * 8 + 4 + 3 * 8 + 2;
+
+/** Presence mask of a site list: bit i for sim::ErrorSite i. */
+constexpr uint8_t kAllSites = (1u << sim::kErrorSites) - 1;
+
+uint8_t
+siteMask(const sim::SiteCounts &sites)
+{
+    uint8_t mask = 0;
+    for (size_t i = 0; i < sim::kErrorSites; ++i)
+        if (sites.bySite[i] != 0)
+            mask |= static_cast<uint8_t>(1u << i);
+    return mask;
+}
+
+/** The frequency a cell frame records: its runs' (0 with none). */
+MegaHertz
+cellFrequency(const CellMeasurement &cell)
+{
+    return cell.runs.empty() ? 0 : cell.runs.front().key.frequency;
+}
+
+/** Panic, naming the field, unless every run of @p cell carries the
+ *  cell's workload id, core and frequency and the core is a CoreId
+ *  no replay refuses: the one cell no version can hold otherwise. */
+void
+checkCellRuns(const CellMeasurement &cell)
+{
+    if (cell.core < 0)
+        util::panicf("ledger: cell ", cell.workloadId,
+                     " has a negative core ", cell.core);
+    const MegaHertz frequency = cellFrequency(cell);
+    for (const RunRecord &run : cell.runs) {
+        const char *field = nullptr;
+        if (run.key.workloadId != cell.workloadId)
+            field = "workload id";
+        else if (run.key.core != cell.core)
+            field = "core";
+        else if (run.key.frequency != frequency)
+            field = "frequency";
+        if (field != nullptr)
+            util::panicf("ledger: a run of cell ", cell.workloadId,
+                         " core ", cell.core, " has another ", field);
+    }
+}
+
+} // namespace
+
+void
+encodeCellInto(std::string &out, Seed config_hash,
+               const CellMeasurement &cell)
+{
+    checkCellRuns(cell);
+    out.push_back(static_cast<char>(FrameKind::Cell));
+    putU64(out, config_hash);
+    out.push_back(static_cast<char>(cell.chip.corner));
+    putU32(out, cell.chip.serial);
+    putString(out, cell.workloadId);
+    putU32(out, static_cast<uint32_t>(cell.core));
+    putU32(out, static_cast<uint32_t>(cellFrequency(cell)));
+    putU64(out, cell.watchdogInterventions);
+    putTelemetry(out, cell.telemetry);
+    putU32(out, static_cast<uint32_t>(cell.runs.size()));
+    out.reserve(out.size() + cell.runs.size() * (kCellRunFixedBytes + 16));
+    for (const RunRecord &run : cell.runs) {
+        putU32(out, static_cast<uint32_t>(run.key.voltage));
+        putU32(out, run.key.campaign);
+        putU32(out, run.key.runIndex);
+        out.push_back(static_cast<char>(run.effects.bits()));
+        putU64(out, run.sdcEvents);
+        putU64(out, run.correctedErrors);
+        putU64(out, run.uncorrectedErrors);
+        putU32(out, static_cast<uint32_t>(run.exitCode));
+        putF64(out, run.seconds);
+        putF64(out, run.avgIpc);
+        putF64(out, run.activityFactor);
+        out.push_back(static_cast<char>(siteMask(run.correctedBySite)));
+        out.push_back(static_cast<char>(siteMask(run.uncorrectedBySite)));
+        for (const sim::SiteCounts *sites :
+             {&run.correctedBySite, &run.uncorrectedBySite})
+            for (const uint64_t count : sites->bySite)
+                if (count != 0)
+                    putU64(out, count);
+    }
+}
+
+std::string
+encodeCell(Seed config_hash, const CellMeasurement &cell)
+{
+    std::string payload;
+    encodeCellInto(payload, config_hash, cell);
+    return payload;
+}
+
+namespace
+{
+
 /** DaemonRoundRecord bool flags packed into one byte. */
 constexpr uint8_t kRoundAbnormal = 1u << 0;
 constexpr uint8_t kRoundCrashed = 1u << 1;
 constexpr uint8_t kRoundFallback = 1u << 2;
 constexpr uint8_t kRoundCanary = 1u << 3;
 constexpr uint8_t kRoundPinned = 1u << 4;
+/** Every flag bit a session writes. */
+constexpr uint8_t kRoundFlags = kRoundAbnormal | kRoundCrashed |
+                                kRoundFallback | kRoundCanary |
+                                kRoundPinned;
 
 } // namespace
 
@@ -468,20 +619,30 @@ namespace
 // Per-kind decode bodies, positioned after the kind byte: the only
 // decoder of record frames. Replay decodes straight into its target
 // structs through these. Each returns false on a malformed payload
-// (short buffer, unknown effect name, refused site entry) and replay
-// skips the frame.
+// (short buffer, a value no session writes, refused site entry) and
+// replay skips the frame.
+
+/** The largest core id a u32 field may hold: CoreId's range. */
+constexpr uint32_t kMaxCoreId =
+    static_cast<uint32_t>(std::numeric_limits<CoreId>::max());
+
+/** The last corner byte a chip field may hold. */
+constexpr uint8_t kLastCorner =
+    static_cast<uint8_t>(sim::ChipCorner::TSS);
 
 bool
 readRunRecord(PayloadReader &reader, RunRecord &run)
 {
     run.key.workloadId = reader.str();
-    run.key.core = static_cast<CoreId>(reader.u32());
+    const uint32_t core = reader.u32();
+    run.key.core = static_cast<CoreId>(core);
     run.key.voltage = static_cast<MilliVolt>(reader.u32());
     run.key.frequency = static_cast<MegaHertz>(reader.u32());
     run.key.campaign = reader.u32();
     run.key.runIndex = reader.u32();
-    const auto effects = EffectSet::fromString(reader.view());
-    if (!effects)
+    // Only the spelling EffectSet::toString writes.
+    const auto effects = EffectSet::fromSpelling(reader.view());
+    if (!effects || core > kMaxCoreId)
         return false;
     run.effects = *effects;
     run.sdcEvents = reader.u64();
@@ -502,19 +663,100 @@ readCellCommit(PayloadReader &reader, CellCommit &commit,
 {
     commit.configHash = reader.u64();
     commit.workloadId = reader.str();
-    commit.core = static_cast<CoreId>(reader.u32());
+    const uint32_t core = reader.u32();
+    commit.core = static_cast<CoreId>(core);
     commit.runCount = reader.u32();
     commit.watchdogInterventions = reader.u64();
     commit.telemetry = readTelemetry(reader);
+    uint8_t corner = 0;
     if (version >= 2) {
-        commit.chip.corner =
-            static_cast<sim::ChipCorner>(reader.u8());
+        corner = reader.u8();
+        commit.chip.corner = static_cast<sim::ChipCorner>(corner);
         commit.chip.serial = reader.u32();
     }
     // Version 1 predates the chip dimension: the commit keeps the
     // default ChipRef and the replay loop maps it onto the implicit
     // chip the reader supplied.
-    return reader.ok();
+    return reader.ok() && core <= kMaxCoreId && corner <= kLastCorner;
+}
+
+/**
+ * A version-3 cell frame: its key and commit fields into @p commit,
+ * its runs into @p runs, reserved at their exact count. Each run's
+ * fixed part is read with one bounds check and its site counts with
+ * one more. Refused as well: a corner, core, effect mask or site
+ * mask no session writes, a zero site count, a run count the payload
+ * cannot hold, a frequency on a cell with no runs, and bytes after
+ * the last run — so every accepted frame is what encodeCellInto
+ * writes for the cell it yields.
+ */
+bool
+readCell(PayloadReader &reader, CellCommit &commit,
+         std::vector<RunRecord> &runs)
+{
+    commit.configHash = reader.u64();
+    const uint8_t corner = reader.u8();
+    commit.chip.corner = static_cast<sim::ChipCorner>(corner);
+    commit.chip.serial = reader.u32();
+    commit.workloadId = reader.str();
+    const uint32_t core = reader.u32();
+    commit.core = static_cast<CoreId>(core);
+    const auto frequency = static_cast<MegaHertz>(reader.u32());
+    commit.watchdogInterventions = reader.u64();
+    commit.telemetry = readTelemetry(reader);
+    commit.runCount = reader.u32();
+    if (!reader.ok() || corner > kLastCorner || core > kMaxCoreId ||
+        commit.runCount > reader.remaining() / kCellRunFixedBytes ||
+        (commit.runCount == 0 && frequency != 0))
+        return false;
+    runs.reserve(commit.runCount);
+    for (uint32_t r = 0; r < commit.runCount; ++r) {
+        const char *fixed = reader.bytes(kCellRunFixedBytes);
+        if (fixed == nullptr)
+            return false;
+        const auto effects = static_cast<uint8_t>(fixed[12]);
+        const auto ce_sites = static_cast<uint8_t>(fixed[65]);
+        const auto ue_sites = static_cast<uint8_t>(fixed[66]);
+        if (effects >= kEffectSets || (ce_sites | ue_sites) > kAllSites)
+            return false;
+        RunRecord &run = runs.emplace_back();
+        run.key.workloadId = commit.workloadId;
+        run.key.core = commit.core;
+        run.key.frequency = frequency;
+        run.key.voltage =
+            static_cast<MilliVolt>(loadLittleEndian<uint32_t>(fixed));
+        run.key.campaign = loadLittleEndian<uint32_t>(fixed + 4);
+        run.key.runIndex = loadLittleEndian<uint32_t>(fixed + 8);
+        run.effects = EffectSet::fromBits(effects);
+        run.sdcEvents = loadLittleEndian<uint64_t>(fixed + 13);
+        run.correctedErrors = loadLittleEndian<uint64_t>(fixed + 21);
+        run.uncorrectedErrors = loadLittleEndian<uint64_t>(fixed + 29);
+        run.exitCode =
+            static_cast<int>(loadLittleEndian<uint32_t>(fixed + 37));
+        run.seconds =
+            std::bit_cast<double>(loadLittleEndian<uint64_t>(fixed + 41));
+        run.avgIpc =
+            std::bit_cast<double>(loadLittleEndian<uint64_t>(fixed + 49));
+        run.activityFactor =
+            std::bit_cast<double>(loadLittleEndian<uint64_t>(fixed + 57));
+        const char *counts = reader.bytes(
+            8 * static_cast<size_t>(std::popcount(ce_sites) +
+                                    std::popcount(ue_sites)));
+        if (counts == nullptr)
+            return false;
+        for (const auto &[sites, mask] :
+             {std::pair{&run.correctedBySite, ce_sites},
+              std::pair{&run.uncorrectedBySite, ue_sites}})
+            for (size_t i = 0; i < sim::kErrorSites; ++i)
+                if ((mask >> i) & 1u) {
+                    const auto count = loadLittleEndian<uint64_t>(counts);
+                    counts += 8;
+                    if (count == 0)
+                        return false;
+                    sites->bySite[i] = count;
+                }
+    }
+    return reader.remaining() == 0;
 }
 
 bool
@@ -533,11 +775,12 @@ readDaemonRound(PayloadReader &reader, DaemonRoundRecord &round)
     round.fallbackReason = reader.u8();
     round.reexecutions = static_cast<int>(reader.u32());
     round.guardSteps = static_cast<int>(reader.u32());
-    // No session writes a reason code past the last one, or a
-    // negative guard.
+    // No session writes a flag bit past the last one, a reason code
+    // past the last one, or a negative guard.
     constexpr auto kLastFallback =
         static_cast<uint8_t>(FallbackReason::MachineUnresponsive);
-    return reader.ok() && round.fallbackReason <= kLastFallback &&
+    return reader.ok() && (flags & ~kRoundFlags) == 0 &&
+           round.fallbackReason <= kLastFallback &&
            round.guardSteps >= 0;
 }
 
@@ -588,9 +831,7 @@ readSupervisorCheckpoint(PayloadReader &reader,
         // byte no session writes, refuses the whole record.
         const uint32_t id = reader.u32();
         const uint8_t quarantined = reader.u8();
-        if (id > static_cast<uint32_t>(
-                     std::numeric_limits<CoreId>::max()) ||
-            quarantined > 1 ||
+        if (id > kMaxCoreId || quarantined > 1 ||
             (!posture.cores.empty() &&
              static_cast<CoreId>(id) <= posture.cores.back().core))
             return false;
@@ -894,17 +1135,21 @@ namespace
 enum class FrameVerdict : uint8_t
 {
     Corrupt,   ///< checksum mismatch
-    Malformed, ///< intact run or commit frame that did not decode
+    Malformed, ///< intact cell, run or commit frame that did not
+               ///< decode, or one of the other framing version
     Run,       ///< intact run, decoded into its unit's runs
     Commit,    ///< intact commit, decoded into its unit's commit
+    Cell,      ///< intact cell, decoded into its unit's commit and runs
     Other,     ///< intact frame of another kind, decoded in order
 };
 
 /**
- * One commit unit of a replayed file: the record frames up to and
- * including one whose first payload byte reads Commit or Supervisor
- * (or the file's last frame). That byte is read before any checksum,
- * so it only partitions the work; each frame's verdict is its own.
+ * One commit unit of a replayed file. In a version-3 file each
+ * record frame is a unit of its own. In an older one a unit is the
+ * record frames up to and including one whose first payload byte
+ * reads Commit or Supervisor (or the file's last frame). That byte
+ * is read before any checksum, so it only partitions the work; each
+ * frame's verdict is its own.
  */
 struct CommitUnit
 {
@@ -913,7 +1158,7 @@ struct CommitUnit
     size_t endByte = 0;   ///< file offset one past its last frame
     size_t runFrames = 0; ///< its frames whose first byte reads Run
     std::vector<RunRecord> runs; ///< its decoded runs, in file order
-    CellCommit commit;           ///< its decoded commit
+    CellCommit commit;           ///< its decoded commit or cell key
 };
 
 /** Every frame of a replayed file, the header frame first. */
@@ -927,12 +1172,14 @@ struct ReplayFrames
 
 /**
  * Verify and decode @p units: the checksums of all their frames in
- * one ledgerChecksums() call, then each intact run frame decoded
- * into its unit's runs (reserved from the unit's run-frame count,
- * so the vector never grows) and each intact commit frame into its
- * unit's commit. Writes only these units and their frames' slots —
- * no warning, counter or index — so disjoint ranges of units verify
- * concurrently.
+ * one ledgerChecksums() call, then each intact cell frame decoded
+ * into its unit's commit and runs, each intact run frame into its
+ * unit's runs (reserved from the unit's run-frame count, so the
+ * vector never grows) and each intact commit frame into its unit's
+ * commit. A version-3 file holds cells in cell frames only, an older
+ * one in run and commit frames only. Writes only these units and
+ * their frames' slots — no warning, counter or index — so disjoint
+ * ranges of units verify concurrently.
  */
 void
 verifyUnits(ReplayFrames &frames, std::span<CommitUnit> units,
@@ -954,17 +1201,30 @@ verifyUnits(ReplayFrames &frames, std::span<CommitUnit> units,
             }
             PayloadReader reader(frames.payloads[f]);
             const auto kind = static_cast<FrameKind>(reader.u8());
-            if (kind == FrameKind::Run) {
+            const bool cell_frames = version >= 3;
+            if (kind == FrameKind::Cell && cell_frames) {
+                // The unit is this one frame.
+                if (readCell(reader, unit.commit, unit.runs)) {
+                    verdict = FrameVerdict::Cell;
+                } else {
+                    unit.runs = {};
+                    verdict = FrameVerdict::Malformed;
+                }
+            } else if (kind == FrameKind::Run && !cell_frames) {
                 if (readRunRecord(reader, unit.runs.emplace_back())) {
                     verdict = FrameVerdict::Run;
                 } else {
                     unit.runs.pop_back();
                     verdict = FrameVerdict::Malformed;
                 }
-            } else if (kind == FrameKind::Commit) {
+            } else if (kind == FrameKind::Commit && !cell_frames) {
                 verdict = readCellCommit(reader, unit.commit, version)
                               ? FrameVerdict::Commit
                               : FrameVerdict::Malformed;
+            } else if (kind == FrameKind::Cell ||
+                       kind == FrameKind::Run ||
+                       kind == FrameKind::Commit) {
+                verdict = FrameVerdict::Malformed;
             } else {
                 verdict = FrameVerdict::Other;
             }
@@ -1004,8 +1264,8 @@ RunLedger::open(const std::string &app_header,
     // cursor finds every whole frame (payloads are views into the
     // bulk buffer), checks the header frame and groups the record
     // frames into commit units. (2) The units' checksums and their
-    // run and commit frames are verified and decoded, on the pool's
-    // workers when there are two or more. (3) The verdicts are
+    // cell, run and commit frames are verified and decoded, on the
+    // pool's workers when there are two or more. (3) The verdicts are
     // replayed in file order on this thread, so every skip, refusal,
     // warning, counter, first-write-wins decision and committed-
     // prefix cut falls where a frame-by-frame replay puts it. The
@@ -1081,10 +1341,12 @@ RunLedger::open(const std::string &app_header,
     }
 
     // Group the record frames into commit units by their first
-    // byte, unverified: a hint that partitions the work.
+    // byte, unverified: a hint that partitions the work. A version-3
+    // file needs no grouping: each frame is a unit.
     std::vector<CommitUnit> units;
     size_t cell_units = 0;
     {
+        const bool frame_units = fileVersion_ >= 3;
         size_t first = 1;
         size_t run_frames = 0;
         for (size_t f = 1; f < frame_count; ++f) {
@@ -1093,8 +1355,9 @@ RunLedger::open(const std::string &app_header,
                                   ? FrameKind{}
                                   : static_cast<FrameKind>(payload[0]);
             run_frames += hint == FrameKind::Run;
-            cell_units += hint == FrameKind::Commit;
-            if (hint != FrameKind::Commit &&
+            cell_units += hint == FrameKind::Commit ||
+                          hint == FrameKind::Cell;
+            if (!frame_units && hint != FrameKind::Commit &&
                 hint != FrameKind::Supervisor && f + 1 < frame_count)
                 continue;
             CommitUnit &unit = units.emplace_back();
@@ -1188,6 +1451,27 @@ RunLedger::open(const std::string &app_header,
         else
             resetPending();
     };
+    // Keep a cell unless its key is already present (first
+    // occurrence wins; racing sessions may append the same cell
+    // twice).
+    const auto keepCell = [&](CellCommit &commit,
+                              std::vector<RunRecord> &&runs) {
+        if (!byKey_
+                 .emplace(Key{commit.configHash, commit.chip.key(),
+                              commit.workloadId, commit.core},
+                          entries_.size())
+                 .second)
+            return;
+        Entry &entry = entries_.emplace_back();
+        entry.configHash = commit.configHash;
+        CellMeasurement &cell = entry.cell;
+        cell.chip = commit.chip;
+        cell.workloadId = std::move(commit.workloadId);
+        cell.core = commit.core;
+        cell.runs = std::move(runs);
+        cell.watchdogInterventions = commit.watchdogInterventions;
+        cell.telemetry = commit.telemetry;
+    };
     const auto markMalformed = [&]() {
         statReplaySkipped.inc();
         util::warnf(name_, ": '", path_,
@@ -1220,9 +1504,8 @@ RunLedger::open(const std::string &app_header,
         case FrameVerdict::Commit: {
             // Commit: accept the pending cell only when intact —
             // the run count matches, it is not poisoned (see
-            // losePendingFrame), and the key is not already present
-            // (first occurrence wins; racing sessions may append the
-            // same cell twice).
+            // losePendingFrame), and every run is of the commit's
+            // workload and core, as every session writes them.
             CellCommit &commit = unit.commit;
             if (fileVersion_ < 2)
                 // Legacy file: every cell belongs to the implicit
@@ -1230,24 +1513,18 @@ RunLedger::open(const std::string &app_header,
                 commit.chip = implicit_chip;
             const bool cell_intact =
                 !pending_corrupt &&
-                pending.runs.size() == commit.runCount;
-            if (cell_intact &&
-                byKey_
-                    .emplace(Key{commit.configHash, commit.chip.key(),
-                                 commit.workloadId, commit.core},
-                             entries_.size())
-                    .second) {
-                pending.chip = commit.chip;
-                pending.workloadId = std::move(commit.workloadId);
-                pending.core = commit.core;
-                pending.watchdogInterventions =
-                    commit.watchdogInterventions;
-                pending.telemetry = commit.telemetry;
+                pending.runs.size() == commit.runCount &&
+                std::all_of(pending.runs.begin(), pending.runs.end(),
+                            [&](const RunRecord &run) {
+                                return run.key.core == commit.core &&
+                                       run.key.workloadId ==
+                                           commit.workloadId;
+                            });
+            if (cell_intact) {
                 // A cell gathered frame by frame (only in a damaged
                 // or hand-built file) may hold spare capacity.
                 pending.runs.shrink_to_fit();
-                entries_.push_back(
-                    Entry{commit.configHash, std::move(pending)});
+                keepCell(commit, std::move(pending.runs));
             }
             resetPending();
             // The unit ended here even when the cell was refused (a
@@ -1256,6 +1533,12 @@ RunLedger::open(const std::string &app_header,
             committed = endOf(f);
             return;
         }
+        case FrameVerdict::Cell:
+            // A whole cell under one checksum: nothing pending can
+            // belong to it.
+            keepCell(unit.commit, std::move(unit.runs));
+            committed = endOf(f);
+            return;
         case FrameVerdict::Other:
             break;
         }
@@ -1414,6 +1697,29 @@ encodeScratch()
     return scratch;
 }
 
+/** A version-1 or version-2 cell: its run frames, then its commit
+ *  frame at @p version. */
+void
+appendRunAndCommitFrames(EncodeScratch &scratch, Seed config_hash,
+                         const CellMeasurement &cell, uint32_t version)
+{
+    checkCellRuns(cell);
+    for (const auto &run : cell.runs)
+        scratch.addFrame(run, encodeRunRecordInto);
+    CellCommit commit;
+    commit.configHash = config_hash;
+    commit.chip = cell.chip;
+    commit.workloadId = cell.workloadId;
+    commit.core = cell.core;
+    commit.runCount = static_cast<uint32_t>(cell.runs.size());
+    commit.watchdogInterventions = cell.watchdogInterventions;
+    commit.telemetry = cell.telemetry;
+    scratch.addFrame(commit,
+                     [version](std::string &out, const CellCommit &c) {
+                         encodeCellCommitInto(out, c, version);
+                     });
+}
+
 } // namespace
 
 void
@@ -1428,27 +1734,23 @@ RunLedger::append(Seed config_hash, const CellMeasurement &cell)
             return; // first write wins
     }
 
-    // Encode the whole commit unit — run frames plus the commit
-    // frame — outside the mutex into per-thread scratch. The
-    // critical section below is the duplicate re-check, one buffer
-    // append and the group-commit flush decision. Commits are
-    // encoded at the *file's* version so a resumed legacy file
-    // stays self-consistent (all its cells are the implicit chip).
+    // Encode the whole commit unit — the cell frame, or run frames
+    // plus the commit frame — outside the mutex into per-thread
+    // scratch. The critical section below is the duplicate re-check,
+    // one buffer append and the group-commit flush decision. Cells
+    // are encoded at the *file's* version so a resumed older file
+    // stays self-consistent (a version-1 file's cells are all the
+    // implicit chip).
     EncodeScratch &scratch = encodeScratch();
-    for (const auto &run : cell.runs)
-        scratch.addFrame(run, encodeRunRecordInto);
-    CellCommit commit;
-    commit.configHash = config_hash;
-    commit.chip = cell.chip;
-    commit.workloadId = cell.workloadId;
-    commit.core = cell.core;
-    commit.runCount = static_cast<uint32_t>(cell.runs.size());
-    commit.watchdogInterventions = cell.watchdogInterventions;
-    commit.telemetry = cell.telemetry;
-    scratch.addFrame(commit,
-                     [this](std::string &out, const CellCommit &c) {
-                         encodeCellCommitInto(out, c, fileVersion_);
-                     });
+    if (fileVersion_ >= 3) {
+        scratch.addFrame(cell, [&](std::string &out,
+                                   const CellMeasurement &c) {
+            encodeCellInto(out, config_hash, c);
+        });
+    } else {
+        appendRunAndCommitFrames(scratch, config_hash, cell,
+                                 fileVersion_);
+    }
 
     std::lock_guard<std::mutex> lock(mutex_);
     if (!byKey_.emplace(std::move(key), kNotKept).second)

@@ -16,8 +16,11 @@
  *  - a **record schema**: `RunRecord` (the chip/core/workload/
  *    voltage/campaign/run coordinates plus the classified `EffectSet`
  *    and per-run telemetry — exactly the columns of the final CSV)
- *    and `CellCommit` (the marker closing one (workload, core)
- *    cell's records, carrying the cell-level recovery telemetry);
+ *    and `CellCommit` (the commit fields of one (chip, workload,
+ *    core) cell, carrying the cell-level recovery telemetry). A
+ *    version-3 file stores each cell as one `Cell` frame holding
+ *    both; versions 1 and 2 wrote one frame per run and a commit
+ *    frame after them;
  *
  *  - a **binary framing**: every record is a length-prefixed,
  *    checksummed frame. A killed process leaves a truncated tail
@@ -154,11 +157,13 @@ struct CellResult
 using RunRecord = ClassifiedRun;
 
 /**
- * Commit marker closing one (workload, core) cell's run records.
- * A cell is complete only when its commit frame is present and its
- * `runCount` matches the records that precede it — the write-ahead
- * contract: a killed process's half-written cell is re-run, never
- * trusted.
+ * The commit fields of one (chip, workload, core) cell. In a
+ * version-3 file they head the cell's one `Cell` frame, whose
+ * checksum covers every run. In versions 1 and 2 they form the
+ * commit frame that closes the cell's run frames: a cell is complete
+ * only when its commit frame is present and its `runCount` matches
+ * the records that precede it — the write-ahead contract: a killed
+ * process's half-written cell is re-run, never trusted.
  */
 struct CellCommit
 {
@@ -302,12 +307,17 @@ inline constexpr char kLedgerMagic[] = "VMLG";
 
 /**
  * Current framing version. Version 2 added the chip dimension to
- * cell commits. Files of any *newer* version are refused; files
- * back to kLedgerMinVersion are replayed, with version-1 commits
- * mapped onto the implicit chip passed to RunLedger::open(). Fresh
- * files are always created at the current version.
+ * cell commits. Version 3 stores each cell as one `Cell` frame (the
+ * key and commit fields once, then every run's numeric columns and
+ * effect mask, no text) in place of a frame per run plus a commit
+ * frame; run and commit frames in a version-3 file, and cell frames
+ * in an older one, are malformed. Files of any *newer* version are
+ * refused; files back to kLedgerMinVersion are replayed, with
+ * version-1 commits mapped onto the implicit chip passed to
+ * RunLedger::open(). Fresh files are always created at the current
+ * version; appends to an older file keep that file's version.
  */
-inline constexpr uint32_t kLedgerVersion = 2;
+inline constexpr uint32_t kLedgerVersion = 3;
 
 /** Oldest framing version this build still replays. */
 inline constexpr uint32_t kLedgerMinVersion = 1;
@@ -319,10 +329,10 @@ uint32_t ledgerChecksum(std::string_view payload);
 inline constexpr size_t kLedgerChecksumLanes = 4;
 
 /**
- * ledgerChecksum() of every payload into @p sums (same size):
- * each full group of kLedgerChecksumLanes payloads in interleaved
- * lanes, so that many independent multiply chains are in flight at
- * once; the payloads after the last full group one by one. The
+ * ledgerChecksum() of every payload into @p sums (same size), in
+ * kLedgerChecksumLanes interleaved lanes, so that many independent
+ * multiply chains are in flight at once: a lane whose payload ends
+ * takes the next one, and the last payloads finish one by one. The
  * values are ledgerChecksum()'s, bit for bit.
  */
 void ledgerChecksums(std::span<const std::string_view> payloads,
@@ -339,8 +349,15 @@ void appendFrame(std::string &out, std::string_view payload);
  * them.
  */
 void encodeRunRecordInto(std::string &out, const RunRecord &record);
+/** A version-1 or version-2 commit frame (the last with one). */
 void encodeCellCommitInto(std::string &out, const CellCommit &commit,
-                          uint32_t version = kLedgerVersion);
+                          uint32_t version = 2);
+/** A version-3 cell frame: @p cell's key and commit fields, keyed
+ *  by @p config_hash, then its runs. Panics, naming the field, on a
+ *  run whose workload id, core or frequency is not the cell's, or
+ *  on a negative core. */
+void encodeCellInto(std::string &out, Seed config_hash,
+                    const CellMeasurement &cell);
 void encodeDaemonRoundInto(std::string &out,
                            const DaemonRoundRecord &record);
 void encodeSupervisorCheckpointInto(std::string &out,
@@ -349,6 +366,7 @@ void encodeSupervisorCheckpointInto(std::string &out,
 /** Encode records to frame payloads (no framing applied). */
 std::string encodeRunRecord(const RunRecord &record);
 std::string encodeCellCommit(const CellCommit &commit);
+std::string encodeCell(Seed config_hash, const CellMeasurement &cell);
 std::string encodeDaemonRound(const DaemonRoundRecord &record);
 std::string encodeSupervisorCheckpoint(const SupervisorCheckpoint &state);
 
@@ -481,8 +499,9 @@ class LedgerWriter
  *
  * On disk: the 4-byte magic, a header frame (framing version + an
  * application binding header), then record frames. Cells are
- * appended atomically — all run frames plus the commit frame enter
- * the writer as one unit, and the group-commit policy
+ * appended atomically — the cell frame (or, in a version-1 or -2
+ * file, all run frames plus the commit frame) enters the writer as
+ * one unit, and the group-commit policy
  * (LedgerWriteOptions) decides when units are written and flushed;
  * the default flushes every unit (write-ahead semantics: a killed
  * process keeps every committed cell, a batched policy loses at
@@ -525,8 +544,9 @@ class RunLedger
      * cells with one bulk read (mmap where available), then keeps
      * the file open for appending. Replay walks the frames once,
      * checking the header frame and grouping the record frames into
-     * commit units; verifies the units' checksums and decodes their
-     * run and commit frames, dealt in fixed byte-balanced ranges to
+     * commit units (in a version-3 file, each frame is one);
+     * verifies the units' checksums and decodes their cell, run and
+     * commit frames, dealt in fixed byte-balanced ranges to
      * @p pool's workers when it has two or more (on this thread
      * otherwise); then replays the verdicts in file order on this
      * thread, so what is kept, skipped, warned and cut does not
@@ -576,12 +596,15 @@ class RunLedger
                                         CoreId core);
 
     /**
-     * Append a cell's run records plus its commit frame and flush.
-     * The cell's chip coordinate is part of the key and (in
-     * version-2 files) of the commit frame. Safe to call
-     * concurrently. A duplicate key is ignored — first write wins.
-     * Only the key is kept in memory: find() does not serve the
-     * appended cell until the file is reopened.
+     * Append a cell and flush: one cell frame in a version-3
+     * file, its run frames plus a commit frame in an older one.
+     * The cell's chip coordinate is part of the key and (from
+     * version 2) of the frame. Panics, naming the field, on a run
+     * whose workload id, core or frequency is not the cell's: no
+     * version replays such a cell. Safe to call concurrently. A
+     * duplicate key is ignored — first write wins. Only the key is
+     * kept in memory: find() does not serve the appended cell until
+     * the file is reopened.
      */
     void append(Seed config_hash, const CellMeasurement &cell);
 

@@ -118,7 +118,12 @@ TEST_P(ClassifierFuzzTest, RoundTripPreservesEverything)
         // The typed record is exactly what the text log parses to.
         const ClassifiedRun direct = classifyRunRecord(key, run);
         EXPECT_EQ(direct, parsed) << "iteration " << i;
-        cell.runs.push_back(direct);
+        // A cell's runs are all of its workload, core and frequency.
+        ClassifiedRun stored = direct;
+        stored.key.workloadId = cell.workloadId;
+        stored.key.core = cell.core;
+        stored.key.frequency = 2400;
+        cell.runs.push_back(stored);
 
         // The report's site text lists sites by name and decodes back
         // to the same typed counts.

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/ledger.hh"
+#include "ledger_files.hh"
 #include "obs/metrics.hh"
 #include "util/rng.hh"
 #include "util/threadpool.hh"
@@ -30,6 +31,8 @@ namespace vmargin
 {
 namespace
 {
+
+using ledger_files::createLedgerFile;
 
 RunRecord
 makeRun(const std::string &workload, CoreId core, MilliVolt voltage,
@@ -176,14 +179,10 @@ TEST(LedgerCodec, CommitRoundTrips)
 TEST(LedgerCodec, RejectsUnknownKindAndShortPayloads)
 {
     const std::string path = "/tmp/vmargin_test_ledger_codec_reject";
-    std::remove(path.c_str());
-    {
-        RunLedger ledger(path, "test");
-        ledger.open("h");
-    }
+    createLedgerFile(path, "h", 2);
     // Each hostile frame carries a valid checksum, so it reaches the
-    // decoder: an empty payload, an unknown kind byte, and a run
-    // record cut in half. Each is skipped as malformed, and the
+    // decoder of a version-2 file: an empty payload, an unknown kind
+    // byte, and a run record cut in half. Each is skipped as malformed, and the
     // commit after them is refused because its cell lost records.
     const std::string run = encodeRunRecord(makeRun("x", 0, 900));
     CellCommit commit;
@@ -202,12 +201,14 @@ TEST(LedgerCodec, RejectsUnknownKindAndShortPayloads)
 
 TEST(RunLedger, UnknownEffectNameIsSkippedNotFatal)
 {
-    // A run frame whose checksum is valid but which carries a value
-    // no encoder writes (one field patched, checksum recomputed) is
-    // a malformed record: skipped, counted, and its cell refused.
-    // The next cell still loads. The cases: an effects field naming
-    // no effect ("NO" patched to "ZZ"), and a site list with an
-    // unknown site, a repeated site or a zero count.
+    // A version-2 run frame whose checksum is valid but which
+    // carries a value no encoder writes (one field patched, checksum
+    // recomputed) is a malformed record: skipped, counted, and its
+    // cell refused. The next cell still loads. The cases: an effects
+    // field naming no effect ("NO" patched to "ZZ") or spelled other
+    // than EffectSet::toString spells a set (empty, padded,
+    // reordered, repeated), and a site list with an unknown site, a
+    // repeated site or a zero count.
     const auto patched = [](const std::string &from,
                             const std::string &to) {
         RunRecord run = makeRun("bwaves/ref", 0, 930);
@@ -222,9 +223,18 @@ TEST(RunLedger, UnknownEffectNameIsSkippedNotFatal)
     const std::string length_2("\x02\x00\x00\x00", 4);
     const std::string count_3("\x03\x00\x00\x00\x00\x00\x00\x00", 8);
     const std::string count_0(8, '\0');
+    const auto effects = [&](const std::string &text) {
+        return patched(length_2 + "NO",
+                       std::string(1, static_cast<char>(text.size())) +
+                           std::string(3, '\0') + text);
+    };
     const std::vector<std::pair<std::string, std::string>> cases = {
         {"unknown effect name",
          patched(length_2 + "NO", length_2 + "ZZ")},
+        {"empty effects text", effects("")},
+        {"padded effect name", effects(" CE")},
+        {"effects out of order", effects("CE,SDC")},
+        {"repeated effect", effects("CE,CE")},
         {"unknown site name", patched("L3Cache", "L9Cache")},
         {"repeated site name", patched("L3Cache", "L2Cache")},
         {"zero site count",
@@ -234,11 +244,7 @@ TEST(RunLedger, UnknownEffectNameIsSkippedNotFatal)
     const std::string path = "/tmp/vmargin_test_ledger_bad_effect";
     for (const auto &[what, run] : cases) {
         SCOPED_TRACE(what);
-        std::remove(path.c_str());
-        {
-            RunLedger ledger(path, "test");
-            ledger.open("h");
-        }
+        createLedgerFile(path, "h", 2);
         CellCommit commit;
         commit.workloadId = "bwaves/ref";
         commit.runCount = 1;
@@ -358,7 +364,8 @@ checkLaneVerifiedReplay(util::ThreadPool *pool)
     const auto name = [](size_t cell) {
         return "cell" + std::to_string(cell) + "/ref";
     };
-    std::remove(path.c_str());
+    // A version-2 file: a frame per run, then a commit frame.
+    createLedgerFile(path, "h", 2);
     {
         RunLedger ledger(path, "test");
         ledger.open("h");
@@ -443,7 +450,7 @@ checkCorruptLastCommit(util::ThreadPool *pool)
     const auto name = [](size_t cell) {
         return "cell" + std::to_string(cell) + "/ref";
     };
-    std::remove(path.c_str());
+    createLedgerFile(path, "h", 2); // commit frames are version 2's
     {
         RunLedger ledger(path, "test");
         ledger.open("h");
@@ -733,7 +740,7 @@ TEST(RunLedger, TruncatedFramePrefixIsDiscarded)
 TEST(RunLedger, ChecksumMismatchSkipsRecordAndPoisonsCell)
 {
     const std::string path = "/tmp/vmargin_test_ledger_crc";
-    std::remove(path.c_str());
+    createLedgerFile(path, "h", 2); // a frame per run: see below
     {
         RunLedger ledger(path, "test");
         ledger.open("h");
@@ -772,11 +779,7 @@ TEST(RunLedger, ChecksumMismatchSkipsRecordAndPoisonsCell)
 TEST(RunLedger, CommitWithWrongRunCountIsRefused)
 {
     const std::string path = "/tmp/vmargin_test_ledger_count";
-    std::remove(path.c_str());
-    {
-        RunLedger ledger(path, "test");
-        ledger.open("h");
-    }
+    createLedgerFile(path, "h", 2);
     {
         // Hand-craft one run frame plus a commit claiming two runs:
         // the write-ahead contract says refuse the cell.
@@ -795,6 +798,279 @@ TEST(RunLedger, CommitWithWrongRunCountIsRefused)
     RunLedger reopened(path, "test");
     reopened.open("h");
     EXPECT_EQ(reopened.size(), 0u);
+    std::remove(path.c_str());
+}
+
+/** The frames of an intact cell of @p workload on core 4 under
+ *  configuration hash 1, as a ledger of framing @p version holds it. */
+std::vector<std::string>
+intactCellFrames(uint32_t version, const std::string &workload)
+{
+    const CellMeasurement cell = makeCell(workload, 4);
+    if (version >= 3)
+        return {encodeCell(1, cell)};
+    std::vector<std::string> frames;
+    for (const RunRecord &run : cell.runs)
+        frames.push_back(encodeRunRecord(run));
+    CellCommit commit;
+    commit.configHash = 1;
+    commit.workloadId = workload;
+    commit.core = 4;
+    commit.runCount = static_cast<uint32_t>(cell.runs.size());
+    frames.push_back(encodeCellCommit(commit));
+    return frames;
+}
+
+TEST(RunLedger, ImpossibleCellValuesAreRefused)
+{
+    // Checksum-valid cell frames (version 3) and run and commit
+    // frames (version 2) carrying a value no session writes. Each
+    // refuses its cell; the intact cell after it is kept. A malformed
+    // frame is also skipped and counted; a version-2 cell whose runs
+    // are of another workload or core decodes but is refused.
+    const std::string id = "bwaves/ref";
+    const CellMeasurement good = makeCell(id, 2);
+    // Cell frame offsets: the kind byte, config hash, corner, serial
+    // and id, then core, frequency, watchdog count, five telemetry
+    // counters and the run count; the first run after them.
+    const size_t core_at = 1 + 8 + 1 + 4 + 4 + id.size();
+    const size_t frequency_at = core_at + 4;
+    const size_t count_at = frequency_at + 4 + 8 + 5 * 8;
+    const size_t run_at = count_at + 4;
+    const auto patchedCell = [&](size_t at, const std::string &bytes) {
+        std::string payload = encodeCell(1, good);
+        payload.replace(at, bytes.size(), bytes);
+        return payload;
+    };
+    const std::string all_ones(4, '\xff');
+    const auto run = [&](const std::string &workload, CoreId core) {
+        return encodeRunRecord(makeRun(workload, core, 930));
+    };
+    const auto commit = [&](CoreId core, uint32_t runs,
+                            uint8_t corner = 0) {
+        CellCommit c;
+        c.configHash = 1;
+        c.workloadId = id;
+        c.core = core;
+        c.runCount = runs;
+        c.chip.corner = static_cast<sim::ChipCorner>(corner);
+        return encodeCellCommit(c);
+    };
+    CellMeasurement empty = good;
+    empty.runs.clear();
+
+    struct Case
+    {
+        const char *what;
+        uint32_t version;
+        std::vector<std::string> frames;
+        uint64_t skipped;
+    };
+    const std::vector<Case> cases = {
+        {"cell core 2^32 - 1", 3, {patchedCell(core_at, all_ones)}, 1},
+        {"cell corner past TSS", 3, {patchedCell(9, "\x03")}, 1},
+        {"effect mask 32", 3, {patchedCell(run_at + 12, "\x20")}, 1},
+        {"site mask bit 4", 3, {patchedCell(run_at + 65, "\x12")}, 1},
+        {"zero site count", 3,
+         {patchedCell(run_at + 67, std::string(8, '\0'))}, 1},
+        {"byte after the last run", 3, {encodeCell(1, good) + '\0'}, 1},
+        {"run count past the payload", 3,
+         {patchedCell(count_at, "\x04")}, 1},
+        {"frequency on a cell with no runs", 3,
+         {[&] {
+             std::string payload = encodeCell(1, empty);
+             payload.replace(frequency_at, 4, "\x60\x09\0\0", 4);
+             return payload;
+         }()},
+         1},
+        {"run core 2^32 - 1", 2, {run(id, -1), commit(-1, 1)}, 2},
+        {"commit core 2^32 - 1", 2, {commit(-1, 0)}, 1},
+        {"commit corner past TSS", 2, {run(id, 2), commit(2, 1, 3)}, 1},
+        {"run of another workload", 2, {run("mcf/ref", 2), commit(2, 1)},
+         0},
+        {"run of another core", 2, {run(id, 3), commit(2, 1)}, 0},
+    };
+    // An intact cell before the bad frames, and in a version-3 file
+    // one after them too. (In a version-2 file a malformed frame with
+    // no runs pending may have been the next cell's first run, so the
+    // next cell is refused as well.)
+    const std::string path = "/tmp/vmargin_test_ledger_cell_values";
+    for (const Case &bad : cases) {
+        SCOPED_TRACE(bad.what);
+        createLedgerFile(path, "h", bad.version);
+        std::vector<std::string> frames = intactCellFrames(bad.version, "leslie3d/ref");
+        frames.insert(frames.end(), bad.frames.begin(), bad.frames.end());
+        if (bad.version >= 3)
+            frames.push_back(intactCellFrames(bad.version, "namd/ref").front());
+        appendRawFrames(path, frames);
+
+        const uint64_t skipped0 = counterValue("ledger.replay_skipped");
+        RunLedger ledger(path, "test");
+        ::testing::internal::CaptureStderr();
+        ledger.open("h");
+        (void)::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(counterValue("ledger.replay_skipped") - skipped0,
+                  bad.skipped);
+        EXPECT_EQ(ledger.size(), bad.version >= 3 ? 2u : 1u)
+            << "the bad cell must be refused";
+        EXPECT_NE(ledger.find(1, ChipRef{}, "leslie3d/ref", 4), nullptr);
+        if (bad.version >= 3) {
+            EXPECT_NE(ledger.find(1, ChipRef{}, "namd/ref", 4), nullptr);
+        }
+    }
+    std::remove(path.c_str());
+}
+
+TEST(RunLedger, RecordFramesOfTheOtherVersionAreMalformed)
+{
+    // A version-3 file holds cells in cell frames only, an older one
+    // in run and commit frames only: each other kind is a malformed
+    // record there. The intact cell before it loads, and in a
+    // version-3 file the one after it too.
+    const CellMeasurement cell = makeCell("bwaves/ref", 2);
+    CellCommit commit;
+    commit.configHash = 1;
+    commit.workloadId = cell.workloadId;
+    commit.core = cell.core;
+    commit.runCount = 1;
+    const std::string path = "/tmp/vmargin_test_ledger_other_version";
+    for (const uint32_t version : {3u, 2u}) {
+        SCOPED_TRACE("version " + std::to_string(version));
+        createLedgerFile(path, "h", version);
+        std::vector<std::string> frames =
+            intactCellFrames(version, "leslie3d/ref");
+        if (version >= 3) {
+            frames.push_back(encodeRunRecord(cell.runs[0]));
+            frames.push_back(encodeCellCommit(commit));
+            frames.push_back(intactCellFrames(version, "namd/ref").front());
+        } else {
+            frames.push_back(encodeCell(1, cell));
+        }
+        appendRawFrames(path, frames);
+
+        const uint64_t skipped0 = counterValue("ledger.replay_skipped");
+        RunLedger ledger(path, "test");
+        ::testing::internal::CaptureStderr();
+        ledger.open("h");
+        const std::string warnings =
+            ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(counterValue("ledger.replay_skipped") - skipped0,
+                  version >= 3 ? 2u : 1u);
+        EXPECT_NE(warnings.find("malformed record"), std::string::npos);
+        EXPECT_EQ(ledger.fileVersion(), version);
+        EXPECT_EQ(ledger.size(), version >= 3 ? 2u : 1u);
+        EXPECT_NE(ledger.find(1, ChipRef{}, "leslie3d/ref", 4), nullptr);
+        EXPECT_EQ(ledger.find(1, ChipRef{}, "bwaves/ref", 2), nullptr);
+    }
+    std::remove(path.c_str());
+}
+
+/** Body of RunLedger.CorruptCellFrameRefusesOnlyItsCell, its replays
+ *  verifying on @p pool (nullptr: the calling thread). */
+void
+checkCorruptCellFrame(util::ThreadPool *pool)
+{
+    // A version-3 cell is one frame under one checksum: corrupting
+    // any one cell frame refuses that cell and no other, and the
+    // file is cut back only when the corrupt frame ends it.
+    const std::string path =
+        std::string("/tmp/vmargin_test_ledger_cell_frames") +
+        (pool ? "_pool" : "");
+    const std::vector<size_t> runs_per_cell = {3, 1, 2, 4, 3, 2};
+    const auto name = [](size_t cell) {
+        return "cell" + std::to_string(cell) + "/ref";
+    };
+    std::remove(path.c_str());
+    {
+        RunLedger ledger(path, "test");
+        ledger.open("h");
+        for (size_t c = 0; c < runs_per_cell.size(); ++c)
+            ledger.append(1, cellOfRuns(name(c), runs_per_cell[c]));
+    }
+    const std::string pristine = readBytes(path);
+    const auto [starts, ends] = frameSpans(pristine);
+    ASSERT_EQ(ends.size(), 1 + runs_per_cell.size());
+
+    for (size_t f = 1; f < ends.size(); ++f) {
+        SCOPED_TRACE("frame " + std::to_string(f));
+        std::string bytes = pristine;
+        bytes[(starts[f] + ends[f]) / 2] ^= 0x5a;
+        writeBytes(path, bytes);
+
+        const uint64_t skipped0 = counterValue("ledger.replay_skipped");
+        RunLedger ledger(path, "test");
+        ledger.open("h", "", {}, pool);
+        EXPECT_EQ(counterValue("ledger.replay_skipped") - skipped0, 1u);
+        for (size_t c = 0; c < runs_per_cell.size(); ++c) {
+            const CellMeasurement *cell =
+                ledger.find(1, ChipRef{}, name(c), 0);
+            EXPECT_EQ(cell == nullptr, c + 1 == f) << "cell " << c;
+            if (cell != nullptr) {
+                EXPECT_EQ(cell->runs.size(), runs_per_cell[c]);
+            }
+        }
+        EXPECT_EQ(std::filesystem::file_size(path),
+                  f + 1 == ends.size() ? ends[f - 1] : pristine.size());
+    }
+    std::remove(path.c_str());
+}
+
+TEST(RunLedger, CorruptCellFrameRefusesOnlyItsCell)
+{
+    checkCorruptCellFrame(nullptr);
+}
+
+TEST(RunLedger, CorruptCellFrameRefusesOnlyItsCellOnTwoWorkers)
+{
+    util::ThreadPool pool(2);
+    checkCorruptCellFrame(&pool);
+}
+
+TEST(LedgerCodec, AcceptedCellFramesReencodeToTheirOwnBytes)
+{
+    // Every cell a version-3 replay keeps encodes back to the bytes
+    // of the frame it came from: an empty cell, every effect set,
+    // every site in both lists, a chip and a configuration hash.
+    const std::string path = "/tmp/vmargin_test_ledger_canonical";
+    std::remove(path.c_str());
+    CellMeasurement wide = makeCell("mcf/ref", 7);
+    wide.chip = ChipRef{sim::ChipCorner::TSS, 9};
+    wide.runs.clear();
+    for (size_t bits = 0; bits < kEffectSets; ++bits) {
+        RunRecord run = makeRun("mcf/ref", 7, 900,
+                                static_cast<uint32_t>(bits));
+        run.effects = EffectSet::fromBits(bits);
+        run.exitCode = -static_cast<int>(bits);
+        for (size_t site = 0; site < sim::kErrorSites; ++site) {
+            if ((bits >> site) & 1u)
+                run.correctedBySite.bySite[site] = bits + site;
+            if ((bits >> (site + 1)) & 1u)
+                run.uncorrectedBySite.bySite[site] = ~uint64_t{site};
+        }
+        wide.runs.push_back(run);
+    }
+    CellMeasurement empty = makeCell("namd/ref", 1);
+    empty.runs.clear();
+    {
+        RunLedger ledger(path, "test");
+        ledger.open("h");
+        ledger.append(0xfeedfacecafebeefull, wide);
+        ledger.append(0, empty);
+        ledger.append(5, makeCell("bwaves/ref", 0));
+    }
+    const std::string bytes = readBytes(path);
+    const auto [starts, ends] = frameSpans(bytes);
+    RunLedger reopened(path, "test");
+    reopened.open("h");
+    ASSERT_EQ(reopened.entries().size(), 3u);
+    ASSERT_EQ(ends.size(), 4u);
+    for (size_t i = 0; i < 3; ++i) {
+        const RunLedger::Entry &entry = reopened.entries()[i];
+        EXPECT_EQ(encodeCell(entry.configHash, entry.cell),
+                  bytes.substr(starts[i + 1], ends[i + 1] - starts[i + 1]))
+            << "cell " << i;
+    }
+    EXPECT_EQ(reopened.entries()[0].cell.runs, wide.runs);
     std::remove(path.c_str());
 }
 
@@ -870,69 +1146,83 @@ makeCheckpoint(int rounds_completed)
 
 TEST(RunLedger, CountersMatchHandBuiltFile)
 {
-    const std::string path = "/tmp/vmargin_test_ledger_counters";
-    const std::string header = "counter-h";
-    std::remove(path.c_str());
-    const uint64_t bytes0 = counterValue("ledger.append_bytes");
-    const uint64_t units0 = counterValue("ledger.append_units");
+    // A version-3 file holds a cell in one frame, a version-2 file in
+    // a frame per run plus a commit frame.
+    for (const uint32_t version : {3u, 2u}) {
+        SCOPED_TRACE("version " + std::to_string(version));
+        const std::string path = "/tmp/vmargin_test_ledger_counters";
+        const std::string header = "counter-h";
+        std::remove(path.c_str());
+        if (version != kLedgerVersion)
+            createLedgerFile(path, header, version);
+        const uint64_t bytes0 = counterValue("ledger.append_bytes");
+        const uint64_t units0 = counterValue("ledger.append_units");
 
-    // Three cells of three runs and two daemon rounds: five units.
-    {
-        RunLedger ledger(path, "test");
-        ledger.open(header);
-        ledger.append(1, makeCell("bwaves/ref", 0));
-        ledger.append(1, makeCell("bwaves/ref", 1));
-        ledger.append(2, makeCell("leslie3d/ref", 0));
-        ledger.append(2, makeCell("leslie3d/ref", 0)); // duplicate
-        ledger.appendDaemonRound(makeDaemonRound(0), makeCheckpoint(1));
-        ledger.appendDaemonRound(makeDaemonRound(1), makeCheckpoint(2));
-    }
-    // The magic and the header frame (u32 version, u32 length,
-    // header bytes) are written at creation, not appended.
-    const uint64_t preamble = 4 + 8 + 4 + 4 + header.size();
-    const uint64_t committed = std::filesystem::file_size(path);
-    EXPECT_EQ(counterValue("ledger.append_bytes") - bytes0,
-              committed - preamble);
-    EXPECT_EQ(counterValue("ledger.append_units") - units0, 5u);
+        // Three cells of three runs and two daemon rounds: five units.
+        {
+            RunLedger ledger(path, "test");
+            ledger.open(header);
+            EXPECT_EQ(ledger.fileVersion(), version);
+            ledger.append(1, makeCell("bwaves/ref", 0));
+            ledger.append(1, makeCell("bwaves/ref", 1));
+            ledger.append(2, makeCell("leslie3d/ref", 0));
+            ledger.append(2, makeCell("leslie3d/ref", 0)); // duplicate
+            ledger.appendDaemonRound(makeDaemonRound(0),
+                                     makeCheckpoint(1));
+            ledger.appendDaemonRound(makeDaemonRound(1),
+                                     makeCheckpoint(2));
+        }
+        // The magic and the header frame (u32 version, u32 length,
+        // header bytes) are written at creation, not appended.
+        const uint64_t preamble = 4 + 8 + 4 + 4 + header.size();
+        const uint64_t committed = std::filesystem::file_size(path);
+        EXPECT_EQ(counterValue("ledger.append_bytes") - bytes0,
+                  committed - preamble);
+        EXPECT_EQ(counterValue("ledger.append_units") - units0, 5u);
 
-    // Hostile tail: a checksum-failed frame, an unknown-kind frame
-    // with a valid checksum, and a torn frame.
-    {
-        std::string bytes;
-        appendFrame(bytes, encodeRunRecord(makeRun("x", 0, 900)));
-        bytes[8 + 3] ^= 0x5a; // payload byte: checksum now fails
-        appendFrame(bytes, "\x09");
-        std::string torn;
-        appendFrame(torn, encodeRunRecord(makeRun("y", 0, 900)));
-        bytes += torn.substr(0, torn.size() - 4);
-        std::ofstream out(path, std::ios::binary | std::ios::app);
-        out << bytes;
-    }
-    const uint64_t frames0 = counterValue("ledger.replay_frames");
-    const uint64_t skipped0 = counterValue("ledger.replay_skipped");
-    const uint64_t torn0 = counterValue("ledger.torn_tail_truncations");
-    {
-        RunLedger reopened(path, "test");
-        reopened.open(header);
-        // Header + 3 x (3 runs + commit) + 2 x (round + checkpoint)
-        // + the two hostile whole frames.
-        EXPECT_EQ(counterValue("ledger.replay_frames") - frames0,
-                  1u + 3u * 4u + 2u * 2u + 2u);
-        EXPECT_EQ(counterValue("ledger.replay_skipped") - skipped0,
-                  2u);
-        EXPECT_EQ(
-            counterValue("ledger.torn_tail_truncations") - torn0, 1u);
-        EXPECT_EQ(reopened.size(), 3u);
-        EXPECT_EQ(reopened.daemonRounds().size(), 2u);
+        // Hostile tail: a checksum-failed frame, an unknown-kind frame
+        // with a valid checksum, and a torn frame.
+        {
+            std::string bytes;
+            appendFrame(bytes, encodeRunRecord(makeRun("x", 0, 900)));
+            bytes[8 + 3] ^= 0x5a; // payload byte: checksum now fails
+            appendFrame(bytes, "\x09");
+            std::string torn;
+            appendFrame(torn, encodeRunRecord(makeRun("y", 0, 900)));
+            bytes += torn.substr(0, torn.size() - 4);
+            std::ofstream out(path, std::ios::binary | std::ios::app);
+            out << bytes;
+        }
+        const uint64_t frames0 = counterValue("ledger.replay_frames");
+        const uint64_t skipped0 = counterValue("ledger.replay_skipped");
+        const uint64_t torn0 =
+            counterValue("ledger.torn_tail_truncations");
+        {
+            RunLedger reopened(path, "test");
+            reopened.open(header);
+            // Header + 3 cells + 2 x (round + checkpoint) + the two
+            // hostile whole frames; a version-2 cell is 3 runs +
+            // commit.
+            const uint64_t cell_frames = version >= 3 ? 1u : 4u;
+            EXPECT_EQ(counterValue("ledger.replay_frames") - frames0,
+                      1u + 3u * cell_frames + 2u * 2u + 2u);
+            EXPECT_EQ(counterValue("ledger.replay_skipped") - skipped0,
+                      2u);
+            EXPECT_EQ(
+                counterValue("ledger.torn_tail_truncations") - torn0,
+                1u);
+            EXPECT_EQ(reopened.size(), 3u);
+            EXPECT_EQ(reopened.daemonRounds().size(), 2u);
 
-        // The hostile tail is cut on open; one more cell appends
-        // right after the last committed unit.
-        reopened.append(3, makeCell("bwaves/ref", 2));
+            // The hostile tail is cut on open; one more cell appends
+            // right after the last committed unit.
+            reopened.append(3, makeCell("bwaves/ref", 2));
+        }
+        EXPECT_EQ(counterValue("ledger.append_units") - units0, 6u);
+        EXPECT_EQ(counterValue("ledger.append_bytes") - bytes0,
+                  std::filesystem::file_size(path) - preamble);
+        std::remove(path.c_str());
     }
-    EXPECT_EQ(counterValue("ledger.append_units") - units0, 6u);
-    EXPECT_EQ(counterValue("ledger.append_bytes") - bytes0,
-              std::filesystem::file_size(path) - preamble);
-    std::remove(path.c_str());
 }
 
 /** Write one daemon round plus checkpoint and reopen the file. */
@@ -1018,19 +1308,24 @@ TEST(LedgerCodec, EveryStrictPrefixOfEveryRecordIsSkipped)
     commit.core = 2;
     commit.runCount = 1;
     commit.chip = ChipRef{sim::ChipCorner::TSS, 9};
-    const std::vector<std::pair<std::string, std::string>> records = {
-        {"run", encodeRunRecord(run)},
-        {"commit", encodeCellCommit(commit)},
-        {"daemon round", encodeDaemonRound(makeDaemonRound(0))},
-        {"supervisor", encodeSupervisorCheckpoint(makeCheckpoint(1))}};
+    CellMeasurement cell = makeCell("bwaves/ref", 2);
+    cell.runs.front().uncorrectedBySite[sim::ErrorSite::Dram] = 2;
+    struct Record
+    {
+        const char *what;
+        uint32_t version; ///< of the file it is replayed in
+        std::string payload;
+    };
+    const std::vector<Record> records = {
+        {"run", 2, encodeRunRecord(run)},
+        {"commit", 2, encodeCellCommit(commit)},
+        {"cell", 3, encodeCell(7, cell)},
+        {"daemon round", 3, encodeDaemonRound(makeDaemonRound(0))},
+        {"supervisor", 3, encodeSupervisorCheckpoint(makeCheckpoint(1))}};
     const std::string path = "/tmp/vmargin_test_ledger_prefixes";
-    for (const auto &[what, payload] : records) {
+    for (const auto &[what, version, payload] : records) {
         SCOPED_TRACE(what);
-        std::remove(path.c_str());
-        {
-            RunLedger ledger(path, "test");
-            ledger.open("h");
-        }
+        createLedgerFile(path, "h", version);
         std::vector<std::string> prefixes;
         for (size_t length = 0; length < payload.size(); ++length)
             prefixes.push_back(payload.substr(0, length));
@@ -1168,6 +1463,17 @@ TEST(RunLedger, ImpossibleDaemonCodesAreRefused)
         round.fallbackReason = 3;
         cases.push_back({"fallback reason past the last",
                          encodeDaemonRound(round),
+                         encodeSupervisorCheckpoint(makeCheckpoint(3))});
+    }
+    // The round's flag byte follows the kind byte, the round, the
+    // voltage and the two energies.
+    constexpr size_t kRoundFlagsAt = 1 + 4 + 4 + 8 + 8;
+    for (const int bit : {5, 7}) {
+        std::string round = good_round;
+        round[kRoundFlagsAt] =
+            static_cast<char>(round[kRoundFlagsAt] | (1 << bit));
+        cases.push_back({bit == 5 ? "round flag bit 5" : "round flag bit 7",
+                         round,
                          encodeSupervisorCheckpoint(makeCheckpoint(3))});
     }
     cases.push_back(
@@ -1349,6 +1655,35 @@ TEST(RunLedgerDeath, RefusesVersionMismatch)
     RunLedger ledger(path, "test");
     EXPECT_EXIT(ledger.open("h"), ::testing::ExitedWithCode(1),
                 "refusing to mix versions");
+    std::remove(path.c_str());
+}
+
+TEST(RunLedgerDeath, AppendPanicsOnACellNoVersionReplays)
+{
+    // A version-3 cell frame holds one workload id, core and
+    // frequency for all its runs; a version-2 replay refuses a cell
+    // whose runs are of another workload or core. So the writer of
+    // either version panics on such a cell, naming the field, and on
+    // a negative core.
+    const std::string path = "/tmp/vmargin_test_ledger_bad_cell";
+    CellMeasurement other_id = makeCell("bwaves/ref", 2);
+    other_id.runs[1].key.workloadId = "mcf/ref";
+    CellMeasurement other_core = makeCell("bwaves/ref", 2);
+    other_core.runs[2].key.core = 3;
+    CellMeasurement other_frequency = makeCell("bwaves/ref", 2);
+    other_frequency.runs[1].key.frequency = 1200;
+    for (const uint32_t version : {3u, 2u}) {
+        SCOPED_TRACE("version " + std::to_string(version));
+        createLedgerFile(path, "h", version);
+        RunLedger ledger(path, "test");
+        ledger.open("h");
+        EXPECT_DEATH(ledger.append(1, other_id), "another workload id");
+        EXPECT_DEATH(ledger.append(1, other_core), "another core");
+        EXPECT_DEATH(ledger.append(1, other_frequency),
+                     "another frequency");
+        EXPECT_DEATH(ledger.append(1, makeCell("bwaves/ref", -1)),
+                     "negative core -1");
+    }
     std::remove(path.c_str());
 }
 

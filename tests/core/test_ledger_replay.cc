@@ -1,11 +1,13 @@
 /**
  * @file
  * Randomized replay oracle for RunLedger::open(). Seeded byte flips,
- * truncations and splices of two golden journals — one of cells with
- * unequal run counts across configuration hashes and chips, one that
- * interleaves cells with daemon rounds and their supervisor
- * checkpoints — are each replayed on the calling thread and on pools
- * of 1, 2 and 8 workers. Every replay must keep the same cells and
+ * truncations and splices of four golden ledgers — a journal of
+ * cells with unequal run counts across configuration hashes and
+ * chips, one that interleaves cells with daemon rounds and their
+ * supervisor checkpoints, a cell cache, and a version-2 journal
+ * written by an earlier build (one frame per run plus a commit
+ * frame) — are each replayed on the calling thread and on pools of
+ * 1, 2 and 8 workers. Every replay must keep the same cells and
  * rounds, book the same skips and torn tails, cut the file to the
  * same length and print the same warnings; and what it keeps must
  * be what the damage leaves of the original.
@@ -24,7 +26,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/cellcache.hh"
 #include "core/ledger.hh"
+#include "ledger_files.hh"
 #include "obs/metrics.hh"
 #include "util/rng.hh"
 #include "util/threadpool.hh"
@@ -169,10 +173,21 @@ describe(const RunLedger::DaemonRoundEntry &entry)
     return out;
 }
 
+/** A kept cell's whole key, printable: its workload id, core, chip
+ *  and configuration hash. */
+std::string
+cellKey(const RunLedger::Entry &entry)
+{
+    return entry.cell.workloadId + " core " +
+           std::to_string(entry.cell.core) + " on " +
+           entry.cell.chip.name() + " hash " +
+           std::to_string(entry.configHash);
+}
+
 /** What one replay kept, booked, cut and printed. */
 struct Replayed
 {
-    std::vector<std::string> cellIds; ///< kept cells' workload ids
+    std::vector<std::string> cellIds; ///< kept cells' keys (cellKey)
     std::vector<std::string> cells;   ///< describe() of each
     std::vector<std::string> rounds;  ///< describe() of each
     uint64_t skipped = 0;
@@ -182,8 +197,8 @@ struct Replayed
 };
 
 Replayed
-replay(const std::string &path, const std::string &bytes,
-       util::ThreadPool *pool)
+replay(const std::string &path, const std::string &header,
+       const std::string &bytes, util::ThreadPool *pool)
 {
     writeBytes(path, bytes);
     Replayed out;
@@ -191,14 +206,14 @@ replay(const std::string &path, const std::string &bytes,
     const uint64_t torn0 = counterValue("ledger.torn_tail_truncations");
     RunLedger ledger(path, "oracle");
     ::testing::internal::CaptureStderr();
-    ledger.open(kHeader, "", {}, pool);
+    ledger.open(header, "", {}, pool);
     out.warnings = ::testing::internal::GetCapturedStderr();
     out.skipped = counterValue("ledger.replay_skipped") - skipped0;
     out.tornTails =
         counterValue("ledger.torn_tail_truncations") - torn0;
     out.fileBytes = std::filesystem::file_size(path);
     for (const RunLedger::Entry &entry : ledger.entries()) {
-        out.cellIds.push_back(entry.cell.workloadId);
+        out.cellIds.push_back(cellKey(entry));
         out.cells.push_back(describe(entry));
     }
     for (const auto &entry : ledger.daemonRounds())
@@ -209,6 +224,7 @@ replay(const std::string &path, const std::string &bytes,
 /** A golden journal and where each of its commit units lies. */
 struct Golden
 {
+    std::string header; ///< the binding header it is opened with
     std::string bytes;
     size_t headerEnd = 0; ///< offset one past the header frame
     /** Each commit unit: [begin, end) bytes, and whether it is a
@@ -228,6 +244,39 @@ struct Golden
     std::map<std::string, std::string> cellById;
 };
 
+/** Index the ledger @p bytes and replay them once, undamaged. */
+Golden
+indexGolden(const std::string &path, std::string bytes)
+{
+    Golden golden;
+    golden.header = ledger_files::ledgerHeaderOf(bytes).second;
+    golden.bytes = std::move(bytes);
+    FrameCursor cursor(golden.bytes, 4);
+    std::string_view payload;
+    uint32_t checksum = 0;
+    size_t begin = 4;
+    size_t unit_begin = 0;
+    while (cursor.next(payload, checksum) == FrameCursor::Status::Frame) {
+        golden.frameStarts.push_back(begin);
+        if (golden.headerEnd == 0) {
+            golden.headerEnd = unit_begin = cursor.offset();
+        } else if (payload[0] == 2 || payload[0] == 4 ||
+                   payload[0] == 5) {
+            // A commit, a supervisor checkpoint or a whole cell
+            // closes its unit.
+            golden.units.push_back({unit_begin, cursor.offset(),
+                                    payload[0] == 2 || payload[0] == 5});
+            unit_begin = cursor.offset();
+        }
+        begin = cursor.offset();
+    }
+    golden.pristine = replay(path, golden.header, golden.bytes, nullptr);
+    for (size_t i = 0; i < golden.pristine.cells.size(); ++i)
+        golden.cellById[golden.pristine.cellIds[i]] =
+            golden.pristine.cells[i];
+    return golden;
+}
+
 /** Write a journal of @p cell_runs cells (run counts), a daemon
  *  round after each cell when @p with_rounds, and index it. */
 Golden
@@ -246,30 +295,7 @@ makeGolden(const std::string &path, const std::vector<size_t> &cell_runs,
                     goldenCheckpoint(static_cast<int>(c) + 1));
         }
     }
-    Golden golden;
-    golden.bytes = readBytes(path);
-    FrameCursor cursor(golden.bytes, 4);
-    std::string_view payload;
-    uint32_t checksum = 0;
-    size_t begin = 4;
-    size_t unit_begin = 0;
-    while (cursor.next(payload, checksum) == FrameCursor::Status::Frame) {
-        golden.frameStarts.push_back(begin);
-        if (golden.headerEnd == 0) {
-            golden.headerEnd = unit_begin = cursor.offset();
-        } else if (payload[0] == 2 || payload[0] == 4) {
-            // A commit or a supervisor checkpoint closes its unit.
-            golden.units.push_back(
-                {unit_begin, cursor.offset(), payload[0] == 2});
-            unit_begin = cursor.offset();
-        }
-        begin = cursor.offset();
-    }
-    golden.pristine = replay(path, golden.bytes, nullptr);
-    for (size_t i = 0; i < golden.pristine.cells.size(); ++i)
-        golden.cellById[golden.pristine.cellIds[i]] =
-            golden.pristine.cells[i];
-    return golden;
+    return indexGolden(path, readBytes(path));
 }
 
 /** One damaged copy of a golden journal. */
@@ -447,14 +473,15 @@ checkAgainstOriginal(const Golden &golden, const Damage &d,
     }
 }
 
+/** Replay seeded damaged copies of @p golden, which keeps @p cells
+ *  cells and @p rounds daemon rounds undamaged. */
 void
-runOracle(const std::string &path, const std::vector<size_t> &cell_runs,
-          bool with_rounds, Seed seed)
+runOracle(const std::string &path, const Golden &golden, size_t cells,
+          size_t rounds, Seed seed)
 {
-    const Golden golden = makeGolden(path, cell_runs, with_rounds);
-    ASSERT_EQ(golden.pristine.cells.size(), cell_runs.size());
-    ASSERT_EQ(golden.pristine.rounds.size(),
-              with_rounds ? cell_runs.size() : 0u);
+    ASSERT_EQ(golden.pristine.cells.size(), cells);
+    ASSERT_EQ(golden.cellById.size(), cells) << "cell keys must differ";
+    ASSERT_EQ(golden.pristine.rounds.size(), rounds);
     ASSERT_EQ(golden.pristine.skipped, 0u);
     ASSERT_TRUE(golden.pristine.warnings.empty());
 
@@ -470,10 +497,12 @@ runOracle(const std::string &path, const std::vector<size_t> &cell_runs,
     for (int input = 0; input < kInputs; ++input) {
         const Damage d = damage(golden, rng, input % 3);
         SCOPED_TRACE("input " + std::to_string(input) + ": " + d.what);
-        const Replayed serial = replay(path, d.bytes, nullptr);
+        const Replayed serial =
+            replay(path, golden.header, d.bytes, nullptr);
         for (const auto &[name, pool] : pools) {
             SCOPED_TRACE(name);
-            const Replayed pooled = replay(path, d.bytes, pool);
+            const Replayed pooled =
+                replay(path, golden.header, d.bytes, pool);
             EXPECT_EQ(pooled.cellIds, serial.cellIds);
             EXPECT_EQ(pooled.cells, serial.cells);
             EXPECT_EQ(pooled.rounds, serial.rounds);
@@ -491,14 +520,46 @@ runOracle(const std::string &path, const std::vector<size_t> &cell_runs,
 
 TEST(RunLedgerReplay, DamagedCellJournalReplaysAlikeOnAnyPool)
 {
-    runOracle("/tmp/vmargin_test_replay_oracle_cells",
-              {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8}, false, 28);
+    const std::string path = "/tmp/vmargin_test_replay_oracle_cells";
+    const std::vector<size_t> runs = {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8};
+    runOracle(path, makeGolden(path, runs, false), runs.size(), 0, 28);
 }
 
 TEST(RunLedgerReplay, DamagedDaemonJournalReplaysAlikeOnAnyPool)
 {
-    runOracle("/tmp/vmargin_test_replay_oracle_daemon",
-              {2, 7, 1, 8, 2, 8}, true, 29);
+    const std::string path = "/tmp/vmargin_test_replay_oracle_daemon";
+    const std::vector<size_t> runs = {2, 7, 1, 8, 2, 8};
+    runOracle(path, makeGolden(path, runs, true), runs.size(),
+              runs.size(), 29);
+}
+
+TEST(RunLedgerReplay, DamagedCellCacheReplaysAlikeOnAnyPool)
+{
+    // A cell cache keys every cell by its configuration hash (never
+    // 0) under the cache's own binding header.
+    const std::string path = "/tmp/vmargin_test_replay_oracle_cache";
+    const std::vector<size_t> runs = {4, 2, 7, 1, 3, 6, 2, 5};
+    std::remove(path.c_str());
+    {
+        CellResultCache cache(path);
+        cache.open();
+        for (size_t c = 0; c < runs.size(); ++c)
+            cache.put(0x9e3779b97f4a7c15ull * (c % 3 + 1),
+                      goldenCell(c, runs[c]));
+    }
+    runOracle(path, indexGolden(path, readBytes(path)), runs.size(), 0,
+              30);
+}
+
+TEST(RunLedgerReplay, DamagedVersion2JournalReplaysAlikeOnAnyPool)
+{
+    // ResultGolden's 8-cell journal as the previous ledger version
+    // wrote it.
+    const std::string path = "/tmp/vmargin_test_replay_oracle_v2";
+    const std::string bytes =
+        readBytes(VMARGIN_TEST_DATA_DIR "/result_golden_v2.journal");
+    ASSERT_EQ(ledger_files::ledgerHeaderOf(bytes).first, 2u);
+    runOracle(path, indexGolden(path, bytes), 8, 0, 31);
 }
 
 } // namespace

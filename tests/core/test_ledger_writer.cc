@@ -24,6 +24,7 @@
 #include "core/framework.hh"
 #include "core/ledger.hh"
 #include "core/resultstore.hh"
+#include "ledger_files.hh"
 #include "obs/metrics.hh"
 #include "sim/platform.hh"
 #include "workloads/spec.hh"
@@ -271,72 +272,82 @@ TEST(LedgerWriter, IntervalTriggerFlushesAStaleBatch)
 /**
  * The kill matrix for cell streams: truncate a three-cell ledger at
  * every frame boundary and at several offsets inside every frame
- * (into the length word, into the checksum word, mid-payload).
- * Replay must recover exactly the cells whose commit frame survived
- * intact, and appending after recovery must realign the file so a
- * third open sees recovered + fresh cells.
+ * (into the length word, into the checksum word, mid-payload), in a
+ * version-3 file (one frame per cell) and a version-2 one (a frame
+ * per run, then a commit frame). Replay must recover exactly the
+ * cells whose last frame survived intact, and appending after
+ * recovery must realign the file so a third open sees recovered +
+ * fresh cells.
  */
 TEST(CrashMatrix, CellTruncationAtEveryFrameBoundary)
 {
     const std::string path = "/tmp/vmargin_test_matrix_cells";
-    std::remove(path.c_str());
-    {
-        RunLedger ledger(path, "test");
-        ledger.open("h");
-        ledger.append(3, makeCell("bwaves/ref", 0));
-        ledger.append(3, makeCell("mcf/ref", 2));
-        ledger.append(3, makeCell("namd/ref", 4));
-    }
-    const std::string bytes = readFile(path);
-    const std::vector<size_t> boundaries = frameBoundaries(bytes);
-    // header + 3 cells x (3 runs + commit)
-    ASSERT_EQ(boundaries.size(), 13u);
-
-    // Cells completed once the prefix covers frame i (1-based
-    // record frames after the header; commits close frames 4, 8
-    // and 12).
-    const auto cellsCommittedAt = [&](size_t prefix) {
-        size_t cells = 0;
-        for (size_t frame = 4; frame < boundaries.size();
-             frame += 4)
-            if (boundaries[frame] <= prefix)
-                ++cells;
-        return cells;
-    };
-
-    const std::string trunc = "/tmp/vmargin_test_matrix_cells_cut";
-    std::vector<size_t> cuts;
-    for (size_t i = 0; i < boundaries.size(); ++i) {
-        const size_t boundary = boundaries[i];
-        cuts.push_back(boundary);
-        if (i + 1 < boundaries.size()) {
-            cuts.push_back(boundary + 1); // torn length word
-            cuts.push_back(boundary + 6); // torn checksum word
-            cuts.push_back(boundary +
-                           (boundaries[i + 1] - boundary) / 2);
-        }
-    }
-    for (const size_t cut : cuts) {
-        writeFile(trunc, bytes.substr(0, cut));
-        const size_t expect = cellsCommittedAt(cut);
+    for (const uint32_t version : {3u, 2u}) {
+        SCOPED_TRACE("version " + std::to_string(version));
+        std::remove(path.c_str());
+        if (version != kLedgerVersion)
+            ledger_files::createLedgerFile(path, "h", version);
         {
-            RunLedger recovered(trunc, "test");
-            recovered.open("h");
-            EXPECT_EQ(recovered.size(), expect)
-                << "prefix of " << cut << " bytes";
-            // Append-after-recovery: the writer must realign the
-            // file to the last intact frame first.
-            recovered.append(3, makeCell("soplex/ref", 6));
+            RunLedger ledger(path, "test");
+            ledger.open("h");
+            ledger.append(3, makeCell("bwaves/ref", 0));
+            ledger.append(3, makeCell("mcf/ref", 2));
+            ledger.append(3, makeCell("namd/ref", 4));
         }
-        RunLedger reopened(trunc, "test");
-        reopened.open("h");
-        EXPECT_EQ(reopened.size(), expect + 1)
-            << "after kill at " << cut
-            << " bytes and one fresh append";
-        EXPECT_NE(reopened.find(3, ChipRef{}, "soplex/ref", 6), nullptr);
+        const std::string bytes = readFile(path);
+        const std::vector<size_t> boundaries = frameBoundaries(bytes);
+        // header + 3 cells x (one cell frame, or 3 runs + commit)
+        const size_t cell_frames = version >= 3 ? 1 : 4;
+        ASSERT_EQ(boundaries.size(), 1 + 3 * cell_frames);
+
+        // Cells completed once the prefix covers frame i (1-based
+        // record frames after the header; each cell's last frame
+        // closes it).
+        const auto cellsCommittedAt = [&](size_t prefix) {
+            size_t cells = 0;
+            for (size_t frame = cell_frames; frame < boundaries.size();
+                 frame += cell_frames)
+                if (boundaries[frame] <= prefix)
+                    ++cells;
+            return cells;
+        };
+
+        const std::string trunc = "/tmp/vmargin_test_matrix_cells_cut";
+        std::vector<size_t> cuts;
+        for (size_t i = 0; i < boundaries.size(); ++i) {
+            const size_t boundary = boundaries[i];
+            cuts.push_back(boundary);
+            if (i + 1 < boundaries.size()) {
+                cuts.push_back(boundary + 1); // torn length word
+                cuts.push_back(boundary + 6); // torn checksum word
+                cuts.push_back(boundary +
+                               (boundaries[i + 1] - boundary) / 2);
+            }
+        }
+        for (const size_t cut : cuts) {
+            writeFile(trunc, bytes.substr(0, cut));
+            const size_t expect = cellsCommittedAt(cut);
+            {
+                RunLedger recovered(trunc, "test");
+                recovered.open("h");
+                EXPECT_EQ(recovered.size(), expect)
+                    << "prefix of " << cut << " bytes";
+                // Append-after-recovery: the writer must realign the
+                // file to the last intact frame first.
+                recovered.append(3, makeCell("soplex/ref", 6));
+            }
+            RunLedger reopened(trunc, "test");
+            reopened.open("h");
+            EXPECT_EQ(reopened.fileVersion(), version);
+            EXPECT_EQ(reopened.size(), expect + 1)
+                << "after kill at " << cut
+                << " bytes and one fresh append";
+            EXPECT_NE(reopened.find(3, ChipRef{}, "soplex/ref", 6),
+                      nullptr);
+        }
+        std::remove(trunc.c_str());
     }
     std::remove(path.c_str());
-    std::remove(trunc.c_str());
 }
 
 /** Same matrix for daemon journals: a round is durable only when

@@ -11,7 +11,10 @@
  * either chip enumeration order, so a margin finding stays
  * reproducible bit for bit from the repository's own test suite.
  * The journal of the same sweep is pinned too, so the ledger codec
- * cannot change the bytes it writes without failing here.
+ * cannot change the bytes it writes without failing here; and the
+ * same journal as the previous ledger version (2) wrote it is
+ * checked in, so a journal written before a version bump must still
+ * resume to the same report.
  */
 
 #include <gtest/gtest.h>
@@ -121,8 +124,8 @@ TEST(ResultGolden, JournalBytesAndResumeArePinned)
     std::ifstream in(path, std::ios::binary);
     const std::string bytes{std::istreambuf_iterator<char>(in),
                             std::istreambuf_iterator<char>()};
-    EXPECT_EQ(bytes.size(), 49111u);
-    EXPECT_EQ(hex(util::hashSeed(bytes)), "583604082bf3bc70")
+    EXPECT_EQ(bytes.size(), 29748u);
+    EXPECT_EQ(hex(util::hashSeed(bytes)), "98b165a858518229")
         << "journal bytes changed";
 
     obs::Counter &from_journal = obs::Registry::global().counter(
@@ -134,6 +137,85 @@ TEST(ResultGolden, JournalBytesAndResumeArePinned)
                   serializeReport(framework.characterize(config)))),
               "8084f6245892415e");
     EXPECT_EQ(from_journal.value() - before, 8u);
+    std::remove(path.c_str());
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
+TEST(ResultGolden, Version2JournalResumesAndAppendsAtVersion2)
+{
+    // The journal JournalBytesAndResumeArePinned pinned while the
+    // ledger wrote version 2 (a frame per run plus a commit frame).
+    const std::string golden =
+        readFile(VMARGIN_TEST_DATA_DIR "/result_golden_v2.journal");
+    ASSERT_EQ(golden.size(), 49111u);
+    ASSERT_EQ(hex(util::hashSeed(golden)), "583604082bf3bc70");
+    // The header frame's version word follows the magic and the
+    // frame's length and checksum.
+    const auto versionOf = [](const std::string &bytes) {
+        return bytes.size() > 12 ? static_cast<int>(bytes[12]) : -1;
+    };
+    ASSERT_EQ(versionOf(golden), 2);
+
+    const std::string path = "/tmp/vmargin_result_golden_v2_journal";
+    obs::Counter &from_journal = obs::Registry::global().counter(
+        "executor.cells_from_journal");
+    for (const int workers : {1, 8}) {
+        SCOPED_TRACE(std::to_string(workers) + " workers");
+        FrameworkConfig config = eightCellConfig(workers);
+        config.journalPath = path;
+
+        // Whole: all 8 cells replay to the pinned report, and nothing
+        // is appended.
+        writeFile(path, golden);
+        uint64_t before = from_journal.value();
+        {
+            sim::Platform platform = templatePlatform();
+            CharacterizationFramework framework(&platform);
+            EXPECT_EQ(hex(util::hashSeed(serializeReport(
+                          framework.characterize(config)))),
+                      "8084f6245892415e");
+        }
+        EXPECT_EQ(from_journal.value() - before, 8u);
+        EXPECT_EQ(readFile(path), golden);
+
+        // Cut mid-frame to half: the committed cells replay, the rest
+        // run fresh and are appended at version 2. One worker appends
+        // them in plan order, which is the order they were first
+        // written in, so the file comes back byte for byte.
+        writeFile(path, golden.substr(0, golden.size() / 2));
+        before = from_journal.value();
+        {
+            sim::Platform platform = templatePlatform();
+            CharacterizationFramework framework(&platform);
+            EXPECT_EQ(hex(util::hashSeed(serializeReport(
+                          framework.characterize(config)))),
+                      "8084f6245892415e");
+        }
+        const uint64_t replayed = from_journal.value() - before;
+        EXPECT_GT(replayed, 0u);
+        EXPECT_LT(replayed, 8u);
+        const std::string resumed = readFile(path);
+        EXPECT_EQ(versionOf(resumed), 2);
+        if (workers == 1) {
+            EXPECT_EQ(resumed, golden);
+        } else {
+            EXPECT_EQ(resumed.size(), golden.size());
+        }
+    }
     std::remove(path.c_str());
 }
 
