@@ -38,6 +38,7 @@
 #include "campaign.hh"
 #include "framework.hh"
 #include "ledger.hh"
+#include "ledger_view.hh"
 
 namespace vmargin
 {

@@ -1,6 +1,6 @@
 #include "regions.hh"
 
-#include "ledger.hh"
+#include "ledger_view.hh"
 #include "util/logging.hh"
 
 namespace vmargin

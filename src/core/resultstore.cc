@@ -10,6 +10,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "ledger_view.hh"
 #include "util/cli.hh"
 #include "util/csv.hh"
 #include "util/logging.hh"

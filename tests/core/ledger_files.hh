@@ -1,10 +1,10 @@
 /**
  * @file
- * Test helpers for ledger files of a chosen framing version. A
- * RunLedger creates fresh files at the current version, and appends
- * to an existing file at that file's version; so an empty file
- * created here at version 2 makes a RunLedger write version-2 run
- * and commit frames into it.
+ * Test helpers for ledger payloads and for ledger files of a chosen
+ * framing version. A RunLedger creates fresh files at the current
+ * version, and appends to an existing file at that file's version;
+ * so an empty file created here at version 2 makes a RunLedger write
+ * version-2 run and commit frames into it.
  */
 
 #ifndef VMARGIN_TESTS_CORE_LEDGER_FILES_HH
@@ -20,6 +20,17 @@
 
 namespace vmargin::ledger_files
 {
+
+/** The payload @p encode_into (one of the codec's encode*Into
+ *  functions) appends for @p args. */
+template <typename EncodeInto, typename... Args>
+std::string
+encoded(EncodeInto encode_into, const Args &...args)
+{
+    std::string payload;
+    encode_into(payload, args...);
+    return payload;
+}
 
 /** A little-endian u32, as the ledger writes one. */
 inline void

@@ -13,6 +13,7 @@
 
 #include "core/cellcache.hh"
 #include "core/resultstore.hh"
+#include "ledger_files.hh"
 #include "obs/metrics.hh"
 #include "sim/platform.hh"
 #include "workloads/spec.hh"
@@ -21,6 +22,8 @@ namespace vmargin
 {
 namespace
 {
+
+using ledger_files::encoded;
 
 /** Current value of an exact executor counter; tests read deltas. */
 uint64_t
@@ -171,7 +174,7 @@ TEST(CellCache, TruncatedTailIsDiscarded)
         run.key.core = 7;
         run.key.voltage = 930;
         std::string frame;
-        appendFrame(frame, encodeRunRecord(run));
+        appendFrame(frame, encoded(encodeRunRecordInto, run));
         std::ofstream out(path,
                           std::ios::binary | std::ios::app);
         out << frame.substr(0, frame.size() / 2);

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/ledger.hh"
+#include "core/ledger_view.hh"
 #include "ledger_files.hh"
 #include "obs/metrics.hh"
 #include "util/rng.hh"
@@ -33,6 +34,7 @@ namespace
 {
 
 using ledger_files::createLedgerFile;
+using ledger_files::encoded;
 
 RunRecord
 makeRun(const std::string &workload, CoreId core, MilliVolt voltage,
@@ -184,12 +186,12 @@ TEST(LedgerCodec, RejectsUnknownKindAndShortPayloads)
     // decoder of a version-2 file: an empty payload, an unknown kind
     // byte, and a run record cut in half. Each is skipped as malformed, and the
     // commit after them is refused because its cell lost records.
-    const std::string run = encodeRunRecord(makeRun("x", 0, 900));
+    const std::string run = encoded(encodeRunRecordInto, makeRun("x", 0, 900));
     CellCommit commit;
     commit.workloadId = "x";
     commit.runCount = 1;
     appendRawFrames(path, {"", "\x07junk", run.substr(0, run.size() / 2),
-                           run, encodeCellCommit(commit)});
+                           run, encoded(encodeCellCommitInto, commit, 2u)});
 
     const uint64_t skipped_before = counterValue("ledger.replay_skipped");
     RunLedger reopened(path, "test");
@@ -213,7 +215,7 @@ TEST(RunLedger, UnknownEffectNameIsSkippedNotFatal)
                             const std::string &to) {
         RunRecord run = makeRun("bwaves/ref", 0, 930);
         run.correctedBySite[sim::ErrorSite::L3Cache] = 1;
-        std::string payload = encodeRunRecord(run);
+        std::string payload = encoded(encodeRunRecordInto, run);
         const size_t at = payload.find(from);
         EXPECT_NE(at, std::string::npos) << "no field to patch";
         if (at != std::string::npos)
@@ -248,7 +250,7 @@ TEST(RunLedger, UnknownEffectNameIsSkippedNotFatal)
         CellCommit commit;
         commit.workloadId = "bwaves/ref";
         commit.runCount = 1;
-        appendRawFrames(path, {run, encodeCellCommit(commit)});
+        appendRawFrames(path, {run, encoded(encodeCellCommitInto, commit, 2u)});
 
         const uint64_t skipped_before =
             counterValue("ledger.replay_skipped");
@@ -698,7 +700,7 @@ TEST(RunLedger, TruncatedTailIsDiscarded)
     {
         std::string frame;
         appendFrame(frame,
-                    encodeRunRecord(makeRun("leslie3d/ref", 1, 930)));
+                    encoded(encodeRunRecordInto, makeRun("leslie3d/ref", 1, 930)));
         std::ofstream out(path, std::ios::binary | std::ios::app);
         out << frame.substr(0, frame.size() - 3);
     }
@@ -785,13 +787,13 @@ TEST(RunLedger, CommitWithWrongRunCountIsRefused)
         // the write-ahead contract says refuse the cell.
         std::string bytes;
         appendFrame(bytes,
-                    encodeRunRecord(makeRun("bwaves/ref", 0, 930)));
+                    encoded(encodeRunRecordInto, makeRun("bwaves/ref", 0, 930)));
         CellCommit commit;
         commit.configHash = 1;
         commit.workloadId = "bwaves/ref";
         commit.core = 0;
         commit.runCount = 2;
-        appendFrame(bytes, encodeCellCommit(commit));
+        appendFrame(bytes, encoded(encodeCellCommitInto, commit, 2u));
         std::ofstream out(path, std::ios::binary | std::ios::app);
         out << bytes;
     }
@@ -808,16 +810,16 @@ intactCellFrames(uint32_t version, const std::string &workload)
 {
     const CellMeasurement cell = makeCell(workload, 4);
     if (version >= 3)
-        return {encodeCell(1, cell)};
+        return {encoded(encodeCellInto, 1, cell)};
     std::vector<std::string> frames;
     for (const RunRecord &run : cell.runs)
-        frames.push_back(encodeRunRecord(run));
+        frames.push_back(encoded(encodeRunRecordInto, run));
     CellCommit commit;
     commit.configHash = 1;
     commit.workloadId = workload;
     commit.core = 4;
     commit.runCount = static_cast<uint32_t>(cell.runs.size());
-    frames.push_back(encodeCellCommit(commit));
+    frames.push_back(encoded(encodeCellCommitInto, commit, 2u));
     return frames;
 }
 
@@ -838,13 +840,13 @@ TEST(RunLedger, ImpossibleCellValuesAreRefused)
     const size_t count_at = frequency_at + 4 + 8 + 5 * 8;
     const size_t run_at = count_at + 4;
     const auto patchedCell = [&](size_t at, const std::string &bytes) {
-        std::string payload = encodeCell(1, good);
+        std::string payload = encoded(encodeCellInto, 1, good);
         payload.replace(at, bytes.size(), bytes);
         return payload;
     };
     const std::string all_ones(4, '\xff');
     const auto run = [&](const std::string &workload, CoreId core) {
-        return encodeRunRecord(makeRun(workload, core, 930));
+        return encoded(encodeRunRecordInto, makeRun(workload, core, 930));
     };
     const auto commit = [&](CoreId core, uint32_t runs,
                             uint8_t corner = 0) {
@@ -854,7 +856,7 @@ TEST(RunLedger, ImpossibleCellValuesAreRefused)
         c.core = core;
         c.runCount = runs;
         c.chip.corner = static_cast<sim::ChipCorner>(corner);
-        return encodeCellCommit(c);
+        return encoded(encodeCellCommitInto, c, 2u);
     };
     CellMeasurement empty = good;
     empty.runs.clear();
@@ -873,12 +875,12 @@ TEST(RunLedger, ImpossibleCellValuesAreRefused)
         {"site mask bit 4", 3, {patchedCell(run_at + 65, "\x12")}, 1},
         {"zero site count", 3,
          {patchedCell(run_at + 67, std::string(8, '\0'))}, 1},
-        {"byte after the last run", 3, {encodeCell(1, good) + '\0'}, 1},
+        {"byte after the last run", 3, {encoded(encodeCellInto, 1, good) + '\0'}, 1},
         {"run count past the payload", 3,
          {patchedCell(count_at, "\x04")}, 1},
         {"frequency on a cell with no runs", 3,
          {[&] {
-             std::string payload = encodeCell(1, empty);
+             std::string payload = encoded(encodeCellInto, 1, empty);
              payload.replace(frequency_at, 4, "\x60\x09\0\0", 4);
              return payload;
          }()},
@@ -940,11 +942,11 @@ TEST(RunLedger, RecordFramesOfTheOtherVersionAreMalformed)
         std::vector<std::string> frames =
             intactCellFrames(version, "leslie3d/ref");
         if (version >= 3) {
-            frames.push_back(encodeRunRecord(cell.runs[0]));
-            frames.push_back(encodeCellCommit(commit));
+            frames.push_back(encoded(encodeRunRecordInto, cell.runs[0]));
+            frames.push_back(encoded(encodeCellCommitInto, commit, 2u));
             frames.push_back(intactCellFrames(version, "namd/ref").front());
         } else {
-            frames.push_back(encodeCell(1, cell));
+            frames.push_back(encoded(encodeCellInto, 1, cell));
         }
         appendRawFrames(path, frames);
 
@@ -1066,7 +1068,7 @@ TEST(LedgerCodec, AcceptedCellFramesReencodeToTheirOwnBytes)
     ASSERT_EQ(ends.size(), 4u);
     for (size_t i = 0; i < 3; ++i) {
         const RunLedger::Entry &entry = reopened.entries()[i];
-        EXPECT_EQ(encodeCell(entry.configHash, entry.cell),
+        EXPECT_EQ(encoded(encodeCellInto, entry.configHash, entry.cell),
                   bytes.substr(starts[i + 1], ends[i + 1] - starts[i + 1]))
             << "cell " << i;
     }
@@ -1184,11 +1186,11 @@ TEST(RunLedger, CountersMatchHandBuiltFile)
         // with a valid checksum, and a torn frame.
         {
             std::string bytes;
-            appendFrame(bytes, encodeRunRecord(makeRun("x", 0, 900)));
+            appendFrame(bytes, encoded(encodeRunRecordInto, makeRun("x", 0, 900)));
             bytes[8 + 3] ^= 0x5a; // payload byte: checksum now fails
             appendFrame(bytes, "\x09");
             std::string torn;
-            appendFrame(torn, encodeRunRecord(makeRun("y", 0, 900)));
+            appendFrame(torn, encoded(encodeRunRecordInto, makeRun("y", 0, 900)));
             bytes += torn.substr(0, torn.size() - 4);
             std::ofstream out(path, std::ios::binary | std::ios::app);
             out << bytes;
@@ -1317,11 +1319,11 @@ TEST(LedgerCodec, EveryStrictPrefixOfEveryRecordIsSkipped)
         std::string payload;
     };
     const std::vector<Record> records = {
-        {"run", 2, encodeRunRecord(run)},
-        {"commit", 2, encodeCellCommit(commit)},
-        {"cell", 3, encodeCell(7, cell)},
-        {"daemon round", 3, encodeDaemonRound(makeDaemonRound(0))},
-        {"supervisor", 3, encodeSupervisorCheckpoint(makeCheckpoint(1))}};
+        {"run", 2, encoded(encodeRunRecordInto, run)},
+        {"commit", 2, encoded(encodeCellCommitInto, commit, 2u)},
+        {"cell", 3, encoded(encodeCellInto, 7, cell)},
+        {"daemon round", 3, encoded(encodeDaemonRoundInto, makeDaemonRound(0))},
+        {"supervisor", 3, encoded(encodeSupervisorCheckpointInto, makeCheckpoint(1))}};
     const std::string path = "/tmp/vmargin_test_ledger_prefixes";
     for (const auto &[what, version, payload] : records) {
         SCOPED_TRACE(what);
@@ -1387,10 +1389,10 @@ TEST(RunLedger, DaemonRoundWithoutCheckpointPoisonsTheTail)
         // orphan round — and any daemon frames after it — must be
         // discarded, even a well-formed later pair.
         std::string bytes;
-        appendFrame(bytes, encodeDaemonRound(makeDaemonRound(1)));
-        appendFrame(bytes, encodeDaemonRound(makeDaemonRound(2)));
+        appendFrame(bytes, encoded(encodeDaemonRoundInto, makeDaemonRound(1)));
+        appendFrame(bytes, encoded(encodeDaemonRoundInto, makeDaemonRound(2)));
         appendFrame(bytes,
-                    encodeSupervisorCheckpoint(makeCheckpoint(3)));
+                    encoded(encodeSupervisorCheckpointInto, makeCheckpoint(3)));
         std::ofstream out(path, std::ios::binary | std::ios::app);
         out << bytes;
     }
@@ -1418,9 +1420,9 @@ TEST(RunLedger, OutOfSequenceDaemonRoundPoisonsTheTail)
         // Round 3 with round 2 missing: resuming past the hole
         // would continue a wrong trajectory.
         std::string bytes;
-        appendFrame(bytes, encodeDaemonRound(makeDaemonRound(3)));
+        appendFrame(bytes, encoded(encodeDaemonRoundInto, makeDaemonRound(3)));
         appendFrame(bytes,
-                    encodeSupervisorCheckpoint(makeCheckpoint(4)));
+                    encoded(encodeSupervisorCheckpointInto, makeCheckpoint(4)));
         std::ofstream out(path, std::ios::binary | std::ios::app);
         out << bytes;
     }
@@ -1445,11 +1447,11 @@ TEST(RunLedger, ImpossibleDaemonCodesAreRefused)
     // A posture core entry: id, quarantine byte, 4 rates, 4 counts
     // and the clean-in-quarantine count.
     constexpr size_t kCoreEntryBytes = 4 + 1 + 4 * 8 + 4 * 8 + 4;
-    const std::string good_round = encodeDaemonRound(makeDaemonRound(2));
+    const std::string good_round = encoded(encodeDaemonRoundInto, makeDaemonRound(2));
     const auto checkpointWith = [](auto edit) {
         SupervisorCheckpoint state = makeCheckpoint(3);
         edit(state.supervisor);
-        return encodeSupervisorCheckpoint(state);
+        return encoded(encodeSupervisorCheckpointInto, state);
     };
     struct Case
     {
@@ -1462,8 +1464,8 @@ TEST(RunLedger, ImpossibleDaemonCodesAreRefused)
         DaemonRoundRecord round = makeDaemonRound(2);
         round.fallbackReason = 3;
         cases.push_back({"fallback reason past the last",
-                         encodeDaemonRound(round),
-                         encodeSupervisorCheckpoint(makeCheckpoint(3))});
+                         encoded(encodeDaemonRoundInto, round),
+                         encoded(encodeSupervisorCheckpointInto, makeCheckpoint(3))});
     }
     // The round's flag byte follows the kind byte, the round, the
     // voltage and the two energies.
@@ -1474,7 +1476,7 @@ TEST(RunLedger, ImpossibleDaemonCodesAreRefused)
             static_cast<char>(round[kRoundFlagsAt] | (1 << bit));
         cases.push_back({bit == 5 ? "round flag bit 5" : "round flag bit 7",
                          round,
-                         encodeSupervisorCheckpoint(makeCheckpoint(3))});
+                         encoded(encodeSupervisorCheckpointInto, makeCheckpoint(3))});
     }
     cases.push_back(
         {"clamp reason past the last", good_round,
@@ -1483,7 +1485,7 @@ TEST(RunLedger, ImpossibleDaemonCodesAreRefused)
          })});
     {
         std::string checkpoint =
-            encodeSupervisorCheckpoint(makeCheckpoint(3));
+            encoded(encodeSupervisorCheckpointInto, makeCheckpoint(3));
         checkpoint[checkpoint.size() - kCoreEntryBytes + 4] = 5;
         cases.push_back({"quarantine byte 5", good_round, checkpoint});
     }
@@ -1502,8 +1504,8 @@ TEST(RunLedger, ImpossibleDaemonCodesAreRefused)
     {
         DaemonRoundRecord round = makeDaemonRound(2);
         round.guardSteps = -1;
-        cases.push_back({"round guard -1", encodeDaemonRound(round),
-                         encodeSupervisorCheckpoint(makeCheckpoint(3))});
+        cases.push_back({"round guard -1", encoded(encodeDaemonRoundInto, round),
+                         encoded(encodeSupervisorCheckpointInto, makeCheckpoint(3))});
     }
     cases.push_back({"guard -100", good_round,
                      checkpointWith([](SupervisorPosture &posture) {
@@ -1540,9 +1542,9 @@ TEST(RunLedger, ImpossibleDaemonCodesAreRefused)
         // The bad pair as round 2, then well-formed rounds 2 and 3.
         appendRawFrames(
             path, {bad.round, bad.checkpoint, good_round,
-                   encodeSupervisorCheckpoint(makeCheckpoint(3)),
-                   encodeDaemonRound(makeDaemonRound(3)),
-                   encodeSupervisorCheckpoint(makeCheckpoint(4))});
+                   encoded(encodeSupervisorCheckpointInto, makeCheckpoint(3)),
+                   encoded(encodeDaemonRoundInto, makeDaemonRound(3)),
+                   encoded(encodeSupervisorCheckpointInto, makeCheckpoint(4))});
 
         const uint64_t skipped_before =
             counterValue("ledger.replay_skipped");

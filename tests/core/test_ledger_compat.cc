@@ -16,11 +16,14 @@
 #include <string>
 
 #include "core/ledger.hh"
+#include "ledger_files.hh"
 
 namespace vmargin
 {
 namespace
 {
+
+using ledger_files::encoded;
 
 RunRecord
 makeRun(const std::string &workload, CoreId core, MilliVolt voltage,
@@ -80,7 +83,7 @@ writeV1File(const std::string &path, const std::string &header,
     appendHeaderFrame(bytes, 1, header);
     for (const auto &cell : cells) {
         for (const auto &run : cell.runs)
-            appendFrame(bytes, encodeRunRecord(run));
+            appendFrame(bytes, encoded(encodeRunRecordInto, run));
         CellCommit commit;
         commit.configHash = 0;
         commit.workloadId = cell.workloadId;

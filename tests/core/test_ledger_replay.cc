@@ -38,6 +38,8 @@ namespace vmargin
 namespace
 {
 
+using ledger_files::encoded;
+
 constexpr const char *kHeader = "oracle-h";
 
 uint64_t
@@ -158,9 +160,9 @@ describe(const RunLedger::Entry &entry)
     commit.watchdogInterventions = cell.watchdogInterventions;
     commit.telemetry = cell.telemetry;
     std::string out;
-    appendFrame(out, encodeCellCommit(commit));
+    appendFrame(out, encoded(encodeCellCommitInto, commit, 2u));
     for (const RunRecord &run : cell.runs)
-        appendFrame(out, encodeRunRecord(run));
+        appendFrame(out, encoded(encodeRunRecordInto, run));
     return out;
 }
 
@@ -168,8 +170,8 @@ std::string
 describe(const RunLedger::DaemonRoundEntry &entry)
 {
     std::string out;
-    appendFrame(out, encodeDaemonRound(entry.round));
-    appendFrame(out, encodeSupervisorCheckpoint(entry.state));
+    appendFrame(out, encoded(encodeDaemonRoundInto, entry.round));
+    appendFrame(out, encoded(encodeSupervisorCheckpointInto, entry.state));
     return out;
 }
 

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "../core/ledger_files.hh"
 #include "core/executor.hh"
 #include "core/framework.hh"
 #include "core/ledger.hh"
@@ -26,6 +27,8 @@ namespace vmargin
 {
 namespace
 {
+
+using ledger_files::encoded;
 
 /** Current value of an exact executor counter; tests read deltas. */
 uint64_t
@@ -99,7 +102,7 @@ canonicalizeJournal(const std::string &path)
     std::string out;
     for (const auto &entry : entries) {
         for (const auto &run : entry.cell.runs)
-            appendFrame(out, encodeRunRecord(run));
+            appendFrame(out, encoded(encodeRunRecordInto, run));
         CellCommit commit;
         commit.configHash = entry.configHash;
         commit.workloadId = entry.cell.workloadId;
@@ -109,7 +112,7 @@ canonicalizeJournal(const std::string &path)
         commit.watchdogInterventions =
             entry.cell.watchdogInterventions;
         commit.telemetry = entry.cell.telemetry;
-        appendFrame(out, encodeCellCommit(commit));
+        appendFrame(out, encoded(encodeCellCommitInto, commit, 2u));
     }
     return out;
 }
