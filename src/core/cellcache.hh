@@ -42,10 +42,11 @@ class CellResultCache
      * file that is not a vmargin ledger, or one written by a
      * different ledger version, is refused (fatal — the path points
      * at something else). A truncated trailing entry from a killed
-     * process is discarded. Replay verifies and decodes on @p pool's
-     * workers when it has two or more, on this thread otherwise,
-     * with the same result (RunLedger::open()). Not thread-safe;
-     * open before workers put, with @p pool idle.
+     * process is discarded. Replay checksums the frames and decodes
+     * the cell frames on @p pool's workers when it has two or more,
+     * then replays them one by one in file order on this thread,
+     * with the same result either way (replayLedger()). Not
+     * thread-safe; open before workers put, with @p pool idle.
      */
     void open(util::ThreadPool *pool = nullptr);
 

@@ -126,9 +126,9 @@ struct FrameworkConfig
     static FrameworkConfig fromConfig(const util::ConfigFile &file);
 };
 
-// CellResult and CellMeasurement — the per-cell units the data
-// plane stores and derives — live in ledger.hh with the rest of the
-// record schema.
+// CellMeasurement, the per-cell unit the data plane stores, lives
+// in ledger_codec.hh with the rest of the record schema; CellResult,
+// the unit it derives, in ledger.hh.
 
 /** Everything the framework produced for one chip. */
 struct CharacterizationReport

@@ -39,7 +39,13 @@ class LedgerFileBuffer
 {
   public:
     LedgerFileBuffer() = default;
-    ~LedgerFileBuffer() { release(); }
+    ~LedgerFileBuffer()
+    {
+#ifdef VMARGIN_LEDGER_HAVE_MMAP
+        if (map_ != nullptr)
+            ::munmap(map_, mapSize_);
+#endif
+    }
     LedgerFileBuffer(const LedgerFileBuffer &) = delete;
     LedgerFileBuffer &operator=(const LedgerFileBuffer &) = delete;
 
@@ -107,18 +113,6 @@ class LedgerFileBuffer
     std::string_view bytes() const { return bytes_; }
 
   private:
-    void
-    release()
-    {
-#ifdef VMARGIN_LEDGER_HAVE_MMAP
-        if (map_ != nullptr) {
-            ::munmap(map_, mapSize_);
-            map_ = nullptr;
-            mapSize_ = 0;
-        }
-#endif
-    }
-
     std::string owned_;
     std::string_view bytes_;
 #ifdef VMARGIN_LEDGER_HAVE_MMAP
@@ -292,49 +286,6 @@ enum class FrameVerdict : uint8_t
     Cell,    ///< intact version-3 cell frame, decoded into its slot
 };
 
-/** Every frame of a replayed file, the header frame first. */
-struct ReplayFrames
-{
-    std::vector<std::string_view> payloads; ///< views into the file
-    std::vector<uint32_t> recorded;         ///< checksums on disk
-    std::vector<uint32_t> computed;         ///< checksums of payloads
-    std::vector<FrameVerdict> verdicts;
-    /** One slot per frame in a version-3 file; empty otherwise. */
-    std::vector<RunLedger::Entry> cells;
-};
-
-/**
- * Pass 2 over frames [@p first, @p end): their checksums in one
- * ledgerChecksums() call, then, in a version-3 file, each intact
- * cell frame decoded into its slot. Writes only these frames' slots
- * — no warning, counter or index — so disjoint ranges verify
- * concurrently.
- */
-void
-verifyFrames(ReplayFrames &frames, size_t first, size_t end)
-{
-    const size_t count = end - first;
-    ledgerChecksums(std::span(frames.payloads).subspan(first, count),
-                    std::span(frames.computed).subspan(first, count));
-    for (size_t f = first; f < end; ++f) {
-        const std::string_view payload = frames.payloads[f];
-        FrameVerdict &verdict = frames.verdicts[f];
-        if (frames.computed[f] != frames.recorded[f]) {
-            verdict = FrameVerdict::Corrupt;
-        } else if (frames.cells.empty() ||
-                   frameKindOf(payload) != FrameKind::Cell) {
-            verdict = FrameVerdict::Intact;
-        } else if (RunLedger::Entry &cell = frames.cells[f];
-                   decodeCell(payload, cell.configHash, cell.cell)) {
-            verdict = FrameVerdict::Cell;
-        } else {
-            // Pass 3 finds it malformed.
-            cell.cell.runs = {};
-            verdict = FrameVerdict::Intact;
-        }
-    }
-}
-
 } // namespace
 
 LedgerReplay
@@ -353,7 +304,8 @@ replayLedger(std::string_view bytes, const std::string &app_header,
     // versioned; record frames tolerate corruption (skip) and
     // truncation (stop): the tail a killed process was writing is
     // re-run, not trusted.
-    ReplayFrames frames;
+    std::vector<std::string_view> payloads; // header frame first
+    std::vector<uint32_t> recorded;         // checksums on disk
     FrameCursor cursor(bytes, kLedgerMagicBytes);
     FrameCursor::Status status = FrameCursor::Status::Frame;
     {
@@ -361,17 +313,17 @@ replayLedger(std::string_view bytes, const std::string &app_header,
         uint32_t checksum = 0;
         while ((status = cursor.next(payload, checksum)) ==
                FrameCursor::Status::Frame) {
-            frames.payloads.push_back(payload);
-            frames.recorded.push_back(checksum);
+            payloads.push_back(payload);
+            recorded.push_back(checksum);
         }
     }
-    const size_t frame_count = frames.payloads.size();
+    const size_t frame_count = payloads.size();
     LedgerReplay replay;
     replay.frames = frame_count;
     replay.committedBytes = kLedgerMagicBytes;
     // File offset one past frame @p f.
     const auto endOf = [&](size_t f) {
-        const std::string_view payload = frames.payloads[f];
+        const std::string_view payload = payloads[f];
         return static_cast<size_t>(payload.data() - bytes.data()) +
                payload.size();
     };
@@ -379,10 +331,10 @@ replayLedger(std::string_view bytes, const std::string &app_header,
     if (frame_count > 0) {
         // The first frame binds the file: framing version and the
         // application header must both match.
-        if (ledgerChecksum(frames.payloads[0]) != frames.recorded[0])
+        if (ledgerChecksum(payloads[0]) != recorded[0])
             util::fatalError(label + " has a corrupt header frame");
         const std::optional<std::string> header =
-            decodeLedgerHeader(frames.payloads[0], replay.version);
+            decodeLedgerHeader(payloads[0], replay.version);
         if (replay.version < kLedgerMinVersion ||
             replay.version > kLedgerVersion)
             util::fatalError(
@@ -408,16 +360,39 @@ replayLedger(std::string_view bytes, const std::string &app_header,
     // malloc arena then holds the same runs on every replay of the
     // same file.
     const bool cell_frames = replay.version >= 3;
-    frames.computed.resize(frame_count);
-    frames.verdicts.resize(frame_count);
-    if (cell_frames)
-        frames.cells.resize(frame_count);
+    std::vector<uint32_t> computed(frame_count);
+    std::vector<FrameVerdict> verdicts(frame_count);
+    // One decoded-cell slot per frame in a version-3 file.
+    std::vector<RunLedger::Entry> cells(cell_frames ? frame_count : 0);
+    // Frames [first, end): their checksums in one ledgerChecksums()
+    // call, then each intact version-3 cell frame decoded into its
+    // slot. Writes only these frames' slots — no warning, counter or
+    // index — so disjoint ranges verify concurrently.
+    const auto verifyFrames = [&](size_t first, size_t end) {
+        ledgerChecksums(
+            std::span(payloads).subspan(first, end - first),
+            std::span(computed).subspan(first, end - first));
+        for (size_t f = first; f < end; ++f) {
+            if (computed[f] != recorded[f]) {
+                verdicts[f] = FrameVerdict::Corrupt;
+            } else if (!cell_frames ||
+                       frameKindOf(payloads[f]) != FrameKind::Cell) {
+                verdicts[f] = FrameVerdict::Intact;
+            } else if (decodeCell(payloads[f], cells[f].configHash,
+                                  cells[f].cell)) {
+                verdicts[f] = FrameVerdict::Cell;
+            } else {
+                cells[f].cell.runs = {};
+                verdicts[f] = FrameVerdict::Intact; // malformed: pass 3
+            }
+        }
+    };
     const size_t tasks = std::min(
         pool == nullptr ? size_t{1}
                         : static_cast<size_t>(pool->workerCount()),
         frame_count > 0 ? frame_count - 1 : 0);
     if (tasks == 1) {
-        verifyFrames(frames, 1, frame_count);
+        verifyFrames(1, frame_count);
     } else if (tasks > 1) {
         // Task t verifies frames [bounds[t], bounds[t + 1]): those
         // ending in its share of the record bytes.
@@ -436,7 +411,7 @@ replayLedger(std::string_view bytes, const std::string &app_header,
         for (size_t t = 0; t < tasks; ++t)
             pool->submit([&, t] {
                 started.arrive_and_wait();
-                verifyFrames(frames, bounds[t], bounds[t + 1]);
+                verifyFrames(bounds[t], bounds[t + 1]);
             });
         pool->wait();
     }
@@ -444,7 +419,7 @@ replayLedger(std::string_view bytes, const std::string &app_header,
     // ---- pass 3: the frames, one at a time, in file order ----------
     // Every skip, refusal, warning, count, first-write-wins decision
     // and committed-prefix cut falls here, on this thread.
-    std::vector<RunRecord> pending; ///< version 1 and 2: runs so far
+    std::vector<RunRecord> pending; // version 1 and 2: runs so far
     bool pending_corrupt = false;
     const auto resetPending = [&]() {
         pending = {};
@@ -499,9 +474,9 @@ replayLedger(std::string_view bytes, const std::string &app_header,
         poisonDaemon("malformed record");
     };
     replay.entries.reserve(static_cast<size_t>(
-        std::ranges::count(frames.verdicts, FrameVerdict::Cell)));
+        std::ranges::count(verdicts, FrameVerdict::Cell)));
     for (size_t f = 1; f < frame_count; ++f) {
-        switch (frames.verdicts[f]) {
+        switch (verdicts[f]) {
         case FrameVerdict::Corrupt:
             ++replay.skipped;
             util::warnf(label, " frame checksum mismatch; skipping the "
@@ -514,14 +489,14 @@ replayLedger(std::string_view bytes, const std::string &app_header,
         case FrameVerdict::Cell:
             // A whole cell under one checksum: nothing pending can
             // belong to it.
-            keepCell(std::move(frames.cells[f]));
+            keepCell(std::move(cells[f]));
             replay.committedBytes = endOf(f);
             continue;
         case FrameVerdict::Intact:
             break;
         }
 
-        const std::string_view payload = frames.payloads[f];
+        const std::string_view payload = payloads[f];
         const FrameKind kind = frameKindOf(payload);
         if (kind == FrameKind::Run && !cell_frames) {
             if (!decodeRunRecord(payload, pending.emplace_back())) {
@@ -701,14 +676,6 @@ struct EncodeScratch
 {
     std::string frames;
     std::string payload;
-
-    void
-    addFrame(const auto &record, auto encode_into)
-    {
-        payload.clear();
-        encode_into(payload, record);
-        appendFrame(frames, payload);
-    }
 };
 
 EncodeScratch &
@@ -716,6 +683,7 @@ encodeScratch()
 {
     thread_local EncodeScratch scratch;
     scratch.frames.clear();
+    scratch.payload.clear();
     return scratch;
 }
 
@@ -755,8 +723,11 @@ RunLedger::appendDaemonRound(const DaemonRoundRecord &round,
                              const SupervisorCheckpoint &state)
 {
     EncodeScratch &scratch = encodeScratch();
-    scratch.addFrame(round, encodeDaemonRoundInto);
-    scratch.addFrame(state, encodeSupervisorCheckpointInto);
+    encodeDaemonRoundInto(scratch.payload, round);
+    appendFrame(scratch.frames, scratch.payload);
+    scratch.payload.clear();
+    encodeSupervisorCheckpointInto(scratch.payload, state);
+    appendFrame(scratch.frames, scratch.payload);
 
     DaemonRoundEntry entry{round, state};
 

@@ -537,9 +537,10 @@ bool
 decodeAs(std::string_view payload, FrameKind kind, Read read,
          Out &...out)
 {
-    PayloadReader reader(payload.substr(payload.empty() ? 0 : 1));
-    return frameKindOf(payload) == kind && read(reader, out...) &&
-           reader.ok() && reader.remaining() == 0;
+    if (frameKindOf(payload) != kind)
+        return false;
+    PayloadReader reader(payload.substr(1));
+    return read(reader, out...) && reader.ok() && reader.remaining() == 0;
 }
 
 } // namespace
@@ -620,18 +621,17 @@ appendFrame(std::string &out, std::string_view payload)
 FrameCursor::Status
 FrameCursor::next(std::string_view &payload, uint32_t &checksum)
 {
-    constexpr size_t kPrefixBytes = kLedgerFramePrefixBytes;
     if (pos_ >= bytes_.size())
         return Status::End;
-    if (bytes_.size() - pos_ < kPrefixBytes)
+    if (bytes_.size() - pos_ < kLedgerFramePrefixBytes)
         return Status::Truncated;
     const uint32_t length =
         loadLittleEndian<uint32_t>(bytes_.data() + pos_);
     checksum = loadLittleEndian<uint32_t>(bytes_.data() + pos_ + 4);
-    if (bytes_.size() - pos_ - kPrefixBytes < length)
+    if (bytes_.size() - pos_ - kLedgerFramePrefixBytes < length)
         return Status::Truncated;
-    payload = bytes_.substr(pos_ + kPrefixBytes, length);
-    pos_ += kPrefixBytes + length;
+    payload = bytes_.substr(pos_ + kLedgerFramePrefixBytes, length);
+    pos_ += kLedgerFramePrefixBytes + length;
     return Status::Frame;
 }
 

@@ -146,9 +146,10 @@ class CampaignJournal
      * pre-chip-dimension) file's cells are mapped onto — the
      * single-chip executor passes its platform's chip, so old
      * journals resume seamlessly; fleet journals are written at the
-     * current version and ignore it. Replay verifies and decodes on
-     * @p pool's workers when it has two or more, on this thread
-     * otherwise, with the same result (RunLedger::open()). Not
+     * current version and ignore it. Replay checksums the frames and
+     * decodes the cell frames on @p pool's workers when it has two
+     * or more, then replays them one by one in file order on this
+     * thread, with the same result either way (replayLedger()). Not
      * thread-safe; open before workers append, with @p pool idle.
      */
     void open(const std::string &header,

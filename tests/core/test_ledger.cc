@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -860,6 +861,28 @@ TEST(RunLedger, ImpossibleCellValuesAreRefused)
     };
     CellMeasurement empty = good;
     empty.runs.clear();
+    // A run frame listing its corrected sites L3Cache before L2Cache.
+    const auto siteEntry = [](const std::string &site, uint64_t count) {
+        std::string entry;
+        ledger_files::putLittleU32(entry,
+                                   static_cast<uint32_t>(site.size()));
+        entry += site;
+        for (int shift = 0; shift < 64; shift += 8)
+            entry.push_back(static_cast<char>((count >> shift) & 0xffu));
+        return entry;
+    };
+    const std::string sites_out_of_order = [&] {
+        RunRecord unordered = makeRun(id, 2, 930);
+        unordered.correctedBySite[sim::ErrorSite::L3Cache] = 1;
+        std::string payload = encoded(encodeRunRecordInto, unordered);
+        const std::string l2 = siteEntry("L2Cache", 3);
+        const std::string l3 = siteEntry("L3Cache", 1);
+        const size_t at = payload.find(l2 + l3);
+        EXPECT_NE(at, std::string::npos) << "no site list to reorder";
+        if (at != std::string::npos)
+            payload.replace(at, l2.size() + l3.size(), l3 + l2);
+        return payload;
+    }();
 
     struct Case
     {
@@ -891,6 +914,11 @@ TEST(RunLedger, ImpossibleCellValuesAreRefused)
         {"run of another workload", 2, {run("mcf/ref", 2), commit(2, 1)},
          0},
         {"run of another core", 2, {run(id, 3), commit(2, 1)}, 0},
+        {"byte after a run record", 2, {run(id, 2) + '\0', commit(2, 1)},
+         1},
+        {"byte after a commit", 2, {run(id, 2), commit(2, 1) + '\0'}, 1},
+        {"sites out of name order", 2, {sites_out_of_order, commit(2, 1)},
+         1},
     };
     // An intact cell before the bad frames, and in a version-3 file
     // one after them too. (In a version-2 file a malformed frame with
@@ -1028,54 +1056,6 @@ TEST(RunLedger, CorruptCellFrameRefusesOnlyItsCellOnTwoWorkers)
     checkCorruptCellFrame(&pool);
 }
 
-TEST(LedgerCodec, AcceptedCellFramesReencodeToTheirOwnBytes)
-{
-    // Every cell a version-3 replay keeps encodes back to the bytes
-    // of the frame it came from: an empty cell, every effect set,
-    // every site in both lists, a chip and a configuration hash.
-    const std::string path = "/tmp/vmargin_test_ledger_canonical";
-    std::remove(path.c_str());
-    CellMeasurement wide = makeCell("mcf/ref", 7);
-    wide.chip = ChipRef{sim::ChipCorner::TSS, 9};
-    wide.runs.clear();
-    for (size_t bits = 0; bits < kEffectSets; ++bits) {
-        RunRecord run = makeRun("mcf/ref", 7, 900,
-                                static_cast<uint32_t>(bits));
-        run.effects = EffectSet::fromBits(bits);
-        run.exitCode = -static_cast<int>(bits);
-        for (size_t site = 0; site < sim::kErrorSites; ++site) {
-            if ((bits >> site) & 1u)
-                run.correctedBySite.bySite[site] = bits + site;
-            if ((bits >> (site + 1)) & 1u)
-                run.uncorrectedBySite.bySite[site] = ~uint64_t{site};
-        }
-        wide.runs.push_back(run);
-    }
-    CellMeasurement empty = makeCell("namd/ref", 1);
-    empty.runs.clear();
-    {
-        RunLedger ledger(path, "test");
-        ledger.open("h");
-        ledger.append(0xfeedfacecafebeefull, wide);
-        ledger.append(0, empty);
-        ledger.append(5, makeCell("bwaves/ref", 0));
-    }
-    const std::string bytes = readBytes(path);
-    const auto [starts, ends] = frameSpans(bytes);
-    RunLedger reopened(path, "test");
-    reopened.open("h");
-    ASSERT_EQ(reopened.entries().size(), 3u);
-    ASSERT_EQ(ends.size(), 4u);
-    for (size_t i = 0; i < 3; ++i) {
-        const RunLedger::Entry &entry = reopened.entries()[i];
-        EXPECT_EQ(encoded(encodeCellInto, entry.configHash, entry.cell),
-                  bytes.substr(starts[i + 1], ends[i + 1] - starts[i + 1]))
-            << "cell " << i;
-    }
-    EXPECT_EQ(reopened.entries()[0].cell.runs, wide.runs);
-    std::remove(path.c_str());
-}
-
 DaemonRoundRecord
 makeDaemonRound(int round)
 {
@@ -1144,6 +1124,227 @@ makeCheckpoint(int rounds_completed)
     core.cleanInQuarantine = 0;
     posture.cores.push_back(core);
     return state;
+}
+
+/** A run of @p workload on @p core at @p frequency with every other
+ *  field drawn from @p rng: any effect set, any sites present, any
+ *  doubles' bits. */
+RunRecord
+randomRun(util::Rng &rng, const std::string &workload, CoreId core,
+          MegaHertz frequency)
+{
+    RunRecord run;
+    run.key.workloadId = workload;
+    run.key.core = core;
+    run.key.frequency = frequency;
+    run.key.voltage = static_cast<MilliVolt>(rng.next());
+    run.key.campaign = static_cast<uint32_t>(rng.next());
+    run.key.runIndex = static_cast<uint32_t>(rng.next());
+    run.effects = EffectSet::fromBits(
+        static_cast<size_t>(rng.uniformInt(0, kEffectSets - 1)));
+    run.sdcEvents = rng.next();
+    run.correctedErrors = rng.next();
+    run.uncorrectedErrors = rng.next();
+    run.exitCode = static_cast<int>(rng.next());
+    run.seconds = std::bit_cast<double>(rng.next());
+    run.avgIpc = std::bit_cast<double>(rng.next());
+    run.activityFactor = rng.uniform();
+    for (sim::SiteCounts *sites :
+         {&run.correctedBySite, &run.uncorrectedBySite})
+        for (uint64_t &count : sites->bySite)
+            count = rng.bernoulli(0.5) ? 1 + rng.next() % 1000 : 0;
+    return run;
+}
+
+/** One payload of each record kind, every field drawn from @p rng
+ *  within what a session writes, each with the framing version of
+ *  the file that holds it: a run, a version-1 and a version-2
+ *  commit, a cell, a daemon round and a supervisor checkpoint. */
+std::vector<std::pair<std::string, uint32_t>>
+randomPayloads(util::Rng &rng)
+{
+    const auto core = [&] {
+        return static_cast<CoreId>(rng.uniformInt(0, (1ll << 31) - 1));
+    };
+    const std::string id =
+        "wl" + std::to_string(rng.next() % 100) + "/ref";
+    std::vector<std::pair<std::string, uint32_t>> payloads;
+    payloads.emplace_back(
+        encoded(encodeRunRecordInto, randomRun(rng, id, core(), 2400)),
+        2);
+
+    CellCommit commit;
+    commit.configHash = rng.next();
+    commit.chip = {static_cast<sim::ChipCorner>(rng.uniformInt(0, 2)),
+                   static_cast<uint32_t>(rng.next())};
+    commit.workloadId = id;
+    commit.core = core();
+    commit.runCount = static_cast<uint32_t>(rng.next());
+    commit.watchdogInterventions = rng.next();
+    commit.telemetry.retries = rng.next();
+    commit.telemetry.lostMeasurements = rng.next();
+    for (const uint32_t version : {1u, 2u})
+        payloads.emplace_back(
+            encoded(encodeCellCommitInto, commit, version), version);
+
+    CellMeasurement cell;
+    cell.chip = commit.chip;
+    cell.workloadId = id;
+    cell.core = commit.core;
+    cell.watchdogInterventions = rng.next();
+    cell.telemetry.backoffUsTotal = rng.next();
+    const auto frequency =
+        static_cast<MegaHertz>(rng.uniformInt(1, 4000));
+    for (int64_t r = rng.uniformInt(0, 4); r > 0; --r)
+        cell.runs.push_back(randomRun(rng, id, cell.core, frequency));
+    payloads.emplace_back(encoded(encodeCellInto, rng.next(), cell), 3);
+
+    DaemonRoundRecord round;
+    round.round = static_cast<int>(rng.next());
+    round.voltage = static_cast<MilliVolt>(rng.next());
+    round.energyJoule = std::bit_cast<double>(rng.next());
+    round.nominalJoule = rng.uniform();
+    round.anyAbnormal = rng.bernoulli(0.5);
+    round.crashed = rng.bernoulli(0.5);
+    round.nominalFallback = rng.bernoulli(0.5);
+    round.canaryProbe = rng.bernoulli(0.5);
+    round.safePinned = rng.bernoulli(0.5);
+    round.fallbackReason = static_cast<uint8_t>(rng.uniformInt(0, 2));
+    round.reexecutions = static_cast<int>(rng.next());
+    round.guardSteps = static_cast<int>(rng.uniformInt(0, 1 << 20));
+    payloads.emplace_back(encoded(encodeDaemonRoundInto, round), 3);
+
+    SupervisorCheckpoint state =
+        makeCheckpoint(static_cast<int>(rng.uniformInt(0, 1 << 20)));
+    state.machineResponsive = rng.bernoulli(0.5);
+    state.hasSensorSample = rng.bernoulli(0.5);
+    state.supervisorEnabled = rng.bernoulli(0.5);
+    state.sensorSample = std::bit_cast<double>(rng.next());
+    SupervisorPosture &posture = state.supervisor;
+    posture.guardSteps = static_cast<int>(rng.uniformInt(0, 100));
+    posture.peakGuardSteps =
+        posture.guardSteps + static_cast<int>(rng.uniformInt(0, 100));
+    posture.clampReason =
+        static_cast<ClampReason>(rng.uniformInt(0, 2));
+    posture.cores.clear();
+    for (CoreId id = 0; id < 8; ++id) {
+        if (rng.bernoulli(0.5))
+            continue;
+        SupervisorPosture::CoreState &entry =
+            posture.cores.emplace_back();
+        entry.core = id;
+        entry.quarantined = rng.bernoulli(0.5);
+        entry.ceRate = rng.uniform();
+        entry.crashRate = rng.uniform(0.0, 1e9);
+        entry.sdcEvents = rng.next();
+    }
+    payloads.emplace_back(
+        encoded(encodeSupervisorCheckpointInto, state), 3);
+    return payloads;
+}
+
+/** The payload the codec writes for what it decodes from @p payload,
+ *  a frame of a version-@p version file; nullopt when it refuses
+ *  the payload. */
+std::optional<std::string>
+reencoded(const std::string &payload, uint32_t version)
+{
+    switch (frameKindOf(payload)) {
+    case FrameKind::Run:
+        if (RunRecord run; decodeRunRecord(payload, run))
+            return encoded(encodeRunRecordInto, run);
+        break;
+    case FrameKind::Commit:
+        if (CellCommit commit; decodeCellCommit(payload, version, commit))
+            return encoded(encodeCellCommitInto, commit, version);
+        break;
+    case FrameKind::Cell: {
+        Seed hash = 0;
+        if (CellMeasurement cell; decodeCell(payload, hash, cell))
+            return encoded(encodeCellInto, hash, cell);
+        break;
+    }
+    case FrameKind::DaemonRound:
+        if (DaemonRoundRecord round; decodeDaemonRound(payload, round))
+            return encoded(encodeDaemonRoundInto, round);
+        break;
+    case FrameKind::Supervisor:
+        if (SupervisorCheckpoint state;
+            decodeSupervisorCheckpoint(payload, state))
+            return encoded(encodeSupervisorCheckpointInto, state);
+        break;
+    }
+    return std::nullopt;
+}
+
+TEST(LedgerCodec, AcceptedFramesReencodeToTheirOwnBytes)
+{
+    // Canonical bytes for every record kind: each payload the codec
+    // writes decodes back to itself, and each payload it accepts
+    // re-encodes to its own bytes. The payloads: seeded records of
+    // all five kinds (randomPayloads), a cell of every effect set
+    // with every site in both lists, and an empty cell. The accepted
+    // set is probed with byte flips, truncations, insertions and
+    // deletions of each, on byte strings alone.
+    CellMeasurement wide = makeCell("mcf/ref", 7);
+    wide.chip = ChipRef{sim::ChipCorner::TSS, 9};
+    wide.runs.clear();
+    for (size_t bits = 0; bits < kEffectSets; ++bits) {
+        RunRecord run = makeRun("mcf/ref", 7, 900,
+                                static_cast<uint32_t>(bits));
+        run.effects = EffectSet::fromBits(bits);
+        run.exitCode = -static_cast<int>(bits);
+        for (size_t site = 0; site < sim::kErrorSites; ++site) {
+            if ((bits >> site) & 1u)
+                run.correctedBySite.bySite[site] = bits + site;
+            if ((bits >> (site + 1)) & 1u)
+                run.uncorrectedBySite.bySite[site] = ~uint64_t{site};
+        }
+        wide.runs.push_back(run);
+    }
+    CellMeasurement empty = makeCell("namd/ref", 1);
+    empty.runs.clear();
+    std::vector<std::pair<std::string, uint32_t>> payloads = {
+        {encoded(encodeCellInto, Seed{0xfeedfacecafebeefull}, wide), 3},
+        {encoded(encodeCellInto, Seed{0}, empty), 3}};
+    util::Rng rng(33);
+    for (int i = 0; i < 40; ++i)
+        for (auto &payload : randomPayloads(rng))
+            payloads.push_back(std::move(payload));
+
+    size_t accepted_mutants = 0;
+    for (const auto &[payload, version] : payloads) {
+        SCOPED_TRACE("kind " + std::to_string(payload[0]) +
+                     ", version " + std::to_string(version));
+        EXPECT_EQ(reencoded(payload, version), payload)
+            << "a written payload must decode to itself";
+        for (int m = 0; m < 24; ++m) {
+            std::string mutant = payload;
+            const auto at = static_cast<size_t>(rng.uniformInt(
+                0, static_cast<int64_t>(payload.size()) - 1));
+            switch (m % 4) {
+            case 0:
+                mutant[at] = static_cast<char>(rng.next());
+                break;
+            case 1:
+                mutant.resize(at);
+                break;
+            case 2:
+                mutant.insert(at, 1, static_cast<char>(rng.next()));
+                break;
+            default:
+                mutant.erase(at, 1);
+                break;
+            }
+            if (const auto again = reencoded(mutant, version)) {
+                ++accepted_mutants;
+                EXPECT_EQ(*again, mutant) << "mutant " << m;
+            }
+        }
+    }
+    // Most flips of a count's or a double's bytes are accepted, so
+    // the oracle has accepted payloads to check.
+    EXPECT_GT(accepted_mutants, payloads.size());
 }
 
 TEST(RunLedger, CountersMatchHandBuiltFile)
@@ -1528,6 +1729,29 @@ TEST(RunLedger, ImpossibleDaemonCodesAreRefused)
                          posture.cores[0].crashRate =
                              std::numeric_limits<double>::quiet_NaN();
                      })});
+    cases.push_back({"byte after the round", good_round + '\0',
+                     encoded(encodeSupervisorCheckpointInto,
+                             makeCheckpoint(3))});
+    cases.push_back({"byte after the checkpoint", good_round,
+                     encoded(encodeSupervisorCheckpointInto,
+                             makeCheckpoint(3)) +
+                         '\0'});
+    // The checkpoint's bool bytes: machineResponsive and
+    // hasSensorSample follow the kind byte, three u32 and a u64;
+    // supervisorEnabled follows them, the sensor sample and the five
+    // telemetry counters.
+    constexpr size_t kResponsiveAt = 1 + 3 * 4 + 8;
+    for (const auto &[what, at] :
+         {std::pair{"machineResponsive byte 2", kResponsiveAt},
+          std::pair{"hasSensorSample byte 2", kResponsiveAt + 1},
+          std::pair{"supervisorEnabled byte 2",
+                    kResponsiveAt + 2 + 8 + 5 * 8}}) {
+        std::string checkpoint =
+            encoded(encodeSupervisorCheckpointInto, makeCheckpoint(3));
+        EXPECT_LE(static_cast<unsigned char>(checkpoint[at]), 1u) << what;
+        checkpoint[at] = 2;
+        cases.push_back({what, good_round, checkpoint});
+    }
 
     for (const Case &bad : cases) {
         SCOPED_TRACE(bad.what);

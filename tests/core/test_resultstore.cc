@@ -16,9 +16,12 @@
 #include <functional>
 #include <limits>
 
+#include <sys/wait.h>
+
 #include "core/resultstore.hh"
 #include "util/csv.hh"
 #include "util/rng.hh"
+#include "util/strings.hh"
 #include "workloads/spec.hh"
 
 namespace vmargin
@@ -377,6 +380,113 @@ TEST(ResultStoreHostile, MalformedUeSitesIsFatal)
                 ::testing::ExitedWithCode(1),
                 "run row 2, column 'ue_sites': 'L3Cache:0' is not a "
                 "site:count list");
+}
+
+/** A serialized report of two cells, three runs each, with effects,
+ *  site lists, a quoted effects field and every metadata counter. */
+std::string
+twoCellReport()
+{
+    CharacterizationReport report;
+    report.chipName = "TFF#3";
+    report.corner = sim::ChipCorner::TFF;
+    report.watchdogInterventions = 2;
+    report.telemetry.retries = 5;
+    for (const auto &[id, core] :
+         {std::pair{"bwaves/ref", 0}, std::pair{"mcf/ref", 4}}) {
+        auto &block = report.runBlocks.emplace_back();
+        for (uint32_t r = 0; r < 3; ++r) {
+            ClassifiedRun &run = block.emplace_back();
+            run.key = {id, core, 930 - 10 * static_cast<MilliVolt>(r),
+                       2400, 0, r};
+            run.seconds = 1.25 + r;
+            run.avgIpc = 1.5;
+            run.activityFactor = 0.75;
+            if (r > 0) {
+                run.effects.add(Effect::CE);
+                run.correctedErrors = r;
+                run.correctedBySite[sim::ErrorSite::L2Cache] = r;
+            }
+            if (r == 2) {
+                run.effects.add(Effect::UE);
+                run.uncorrectedErrors = 1;
+                run.uncorrectedBySite[sim::ErrorSite::Dram] = 1;
+            }
+        }
+    }
+    return serializeReport(report);
+}
+
+/** A report document damaged @p how: byte flips (to any byte or to a
+ *  CSV-special one), a truncation, or a row spliced in, dropped or
+ *  swapped. */
+std::string
+damagedReport(const std::string &report, util::Rng &rng, int how)
+{
+    std::string text = report;
+    const auto anywhere = [&](size_t size) {
+        return static_cast<size_t>(
+            rng.uniformInt(0, static_cast<int64_t>(size) - 1));
+    };
+    std::vector<std::string> rows = util::split(report, '\n');
+    rows.pop_back(); // the text ends in a newline
+    const auto joined = [&] {
+        std::string out;
+        for (const std::string &row : rows)
+            out.append(row).append("\n");
+        return out;
+    };
+    switch (how) {
+    case 0:
+        for (int64_t n = rng.uniformInt(1, 3); n > 0; --n)
+            text[anywhere(text.size())] = static_cast<char>(rng.next());
+        return text;
+    case 1: {
+        static constexpr std::string_view kSpecial = ",\"\n-.e:=0 9";
+        text[anywhere(text.size())] = kSpecial[anywhere(kSpecial.size())];
+        return text;
+    }
+    case 2:
+        return text.substr(0, anywhere(text.size()));
+    case 3: {
+        const std::string row = rows[anywhere(rows.size())];
+        rows.insert(rows.begin() + static_cast<long>(anywhere(rows.size())),
+                    row);
+        return joined();
+    }
+    case 4:
+        rows.erase(rows.begin() + static_cast<long>(anywhere(rows.size())));
+        return joined();
+    default:
+        std::swap(rows[anywhere(rows.size())], rows[anywhere(rows.size())]);
+        return joined();
+    }
+}
+
+TEST(ResultStoreHostile, DamagedReportsDecodeOrFailByName)
+{
+    // Seeded byte flips, truncations and row splices of a serialized
+    // two-cell report, each decoded in a child process. The child
+    // either decodes (exit 0) or stops with a fatal error (exit 1,
+    // "fatal: " naming the value); a panic aborts, and a sanitizer
+    // report prints neither line, so either fails the case.
+    const std::string report = twoCellReport();
+    ASSERT_EQ(deserializeReport(report).cells.size(), 2u);
+    util::Rng rng(1);
+    for (int i = 0; i < 64; ++i) {
+        const std::string input = damagedReport(report, rng, i % 6);
+        SCOPED_TRACE("input " + std::to_string(i) + ":\n" + input);
+        EXPECT_EXIT(
+            {
+                (void)deserializeReport(input);
+                std::cerr << "decoded" << std::endl;
+                std::exit(0);
+            },
+            [](int status) {
+                return WIFEXITED(status) && WEXITSTATUS(status) <= 1;
+            },
+            "fatal: |decoded");
+    }
 }
 
 // ---- the run-row writer against a field-by-field reference -------
